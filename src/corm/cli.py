@@ -142,6 +142,46 @@ def _write_tokens(path, tokens) -> None:
 # --------------------------------------------------------------------------
 
 
+def _check_checkpoints(checkpoints: list[int], total: int) -> None:
+    bad = [c for c in checkpoints if not 1 <= c <= total]
+    if bad:
+        raise ValueError(
+            f"checkpoints must lie within 1..{total} (prompt plus generated steps), "
+            f"got {', '.join(str(c) for c in bad)}"
+        )
+
+
+def _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits) -> np.ndarray:
+    """Decode the prompt and generate under one policy, writing its outputs.
+
+    Returns the prompt logits. The policy's caches are released on return,
+    so only one policy's decode state is alive at a time.
+    """
+    label = policy_label(policy)
+    curve: list[tuple[int, float]] = []
+    want = set(checkpoints)
+
+    def on_step(t, state):
+        if t in want:
+            curve.append((t, mean_compression_rate(state.caches, t)))
+
+    res = model.run(tokens, policy, on_step=on_step)
+    generated = model.generate(
+        res.state,
+        m.generate_steps,
+        mode=m.sampling,
+        top_k=m.top_k,
+        seed=m.seed if m.sampling == "topk" else None,
+        on_step=on_step,
+    )
+    _write_tokens(out.path(label, "tokens.txt"), generated)
+    analysis.write_curve_csv(out.path(label, "compression.csv"), curve)
+    if not isinstance(policy, Full):
+        div = analysis.output_divergence(full_logits, res.logits)
+        analysis.write_divergence_csv(out.path(label, "divergence_vs_full.csv"), div)
+    return res.logits
+
+
 def cmd_generate(m: ExperimentManifest) -> int:
     _require(m, "model_config", "policies", "input", "out")
     if m.generate_steps < 0:
@@ -153,33 +193,18 @@ def cmd_generate(m: ExperimentManifest) -> int:
     policies = _parse_policies(m)
     total = int(tokens.size) + m.generate_steps
     checkpoints = sorted(m.checkpoints) if m.checkpoints else [total]
+    _check_checkpoints(checkpoints, total)
     out = _Outputs(m.out)
     try:
         _copy_manifest(m, out)
-        full_logits = model.run(tokens, Full()).logits
-        for policy in policies:
-            label = policy_label(policy)
-            curve: list[tuple[int, float]] = []
-            want = set(checkpoints)
-
-            def on_step(t, state):
-                if t in want:
-                    curve.append((t, mean_compression_rate(state.caches, t)))
-
-            res = model.run(tokens, policy, on_step=on_step)
-            generated = model.generate(
-                res.state,
-                m.generate_steps,
-                mode=m.sampling,
-                top_k=m.top_k,
-                seed=m.seed if m.sampling == "topk" else None,
-                on_step=on_step,
-            )
-            _write_tokens(out.path(label, "tokens.txt"), generated)
-            analysis.write_curve_csv(out.path(label, "compression.csv"), curve)
-            if not isinstance(policy, Full):
-                div = analysis.output_divergence(full_logits, res.logits)
-                analysis.write_divergence_csv(out.path(label, "divergence_vs_full.csv"), div)
+        # The full policy's prompt logits are the divergence reference: decode
+        # it first and reuse them, or decode the reference alone when absent.
+        full = next((p for p in policies if isinstance(p, Full)), None)
+        full_logits = None if full is not None else model.run(tokens, Full()).logits
+        for policy in sorted(policies, key=lambda p: p is not full):
+            logits = _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits)
+            if policy is full:
+                full_logits = logits
         return 0
     except BaseException:
         out.cleanup()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,42 @@ from .trace import DEFAULT_BYTE_CAP
 __all__ = ["InputSpec", "ExperimentManifest", "load_manifest"]
 
 _INPUT_KINDS = ("token_ids", "text_bytes", "synthetic")
+
+# JSON field -> (type, may be null), checked before any field is used
+_INPUT_FIELDS = {"kind": (str, False), "path": (str, True), "seed": (int, True), "length": (int, True)}
+_MANIFEST_FIELDS = {
+    "model_config": (str, True),
+    "policies": (list, False),
+    "input": (dict, True),
+    "out": (str, True),
+    "seed": (int, False),
+    "checkpoints": (list, True),
+    "generate_steps": (int, False),
+    "sampling": (str, False),
+    "top_k": (int, False),
+    "trace": (str, True),
+    "byte_cap": (int, False),
+    "recent_k": (int, False),
+    "overlap_pairs": (int, False),
+    "max_map_steps": (int, False),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _is(value, kind: type) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not integers here
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _check_fields(d: dict, spec: dict, where: str) -> None:
+    """Reject unknown fields and values of the wrong JSON type with ValueError."""
+    unknown = set(d) - set(spec)
+    if unknown:
+        raise ValueError(f"unknown {where} fields: {', '.join(sorted(unknown))}")
+    for name, value in d.items():
+        kind, nullable = spec[name]
+        if not (_is(value, kind) or (nullable and value is None)):
+            raise ValueError(f"{where} field {name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 @dataclass
@@ -112,12 +148,13 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentManifest":
-        known = {f.name for f in fields(cls)} - {"source_path", "input"}
-        unknown = set(d) - known - {"input"}
-        if unknown:
-            raise ValueError(f"unknown manifest fields: {', '.join(sorted(unknown))}")
-        m = cls(**{k: v for k, v in d.items() if k in known})
+        _check_fields(d, _MANIFEST_FIELDS, "manifest")
+        for name, kind in (("policies", str), ("checkpoints", int)):
+            if d.get(name) is not None and not all(_is(x, kind) for x in d[name]):
+                raise ValueError(f"manifest field {name!r} must list {_TYPE_NAMES[kind]}s, got {d[name]!r}")
+        m = cls(**{k: v for k, v in d.items() if k != "input"})
         if d.get("input") is not None:
+            _check_fields(d["input"], _INPUT_FIELDS, "manifest input")
             m.input = InputSpec(**d["input"])
         for name in ("model_config", "trace", "out"):
             value = getattr(m, name)

@@ -14,9 +14,19 @@ Set depth_gain=1 and head_gain_jitter=0 for statistically uniform layers.
 
 Prefill is strictly token-by-token: the eviction policy's update hook runs
 per layer and kv head after every position, during prompt processing exactly
-as during generation. Evicted entries are compacted away; each entry's
-original absolute position is retained so rotary encoding and position-based
-bookkeeping stay correct after eviction.
+as during generation. Each layer keeps its kv heads' entries in one
+preallocated block (see `corm.policies.KvBlock`); evicted entries are
+compacted away in place, and each entry's original absolute position is
+retained so rotary encoding and position-based bookkeeping stay correct
+after eviction.
+
+Attention is computed per layer in one call for each run of consecutive kv
+heads whose caches hold equally many entries, with their query heads: the
+whole layer under `full` or a budgeted policy at budget, each head alone
+when eviction has left the heads at different lengths. Only equal lengths
+are batched, never padded ones, so every head's scores come from the same
+products and reductions as a single-head computation and the logits are
+bit-identical to per-head attention.
 
 Weight draw order (one generator, consumed in sequence): token embedding;
 learned position table (only when configured); per layer: wq, wk, wv, wo,
@@ -34,13 +44,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attention import AttentionRow, attention_output, scaled_dot_scores, softmax_normalize, stable_argsort_desc
+from .attention import (
+    AttentionRow,
+    attention_output,
+    attention_rows,
+    scaled_dot_scores,
+    softmax_normalize,
+    stable_argsort_desc,
+)
 from .policies import (
     CormGqa,
     Full,
     KvCacheState,
     PolicyConfig,
     apply_policy,
+    layer_caches,
     policy_label,
     validate_policy,
 )
@@ -212,7 +230,7 @@ class DecoderState:
     """Mutable decode state for one sequence: caches, step counter, last logits."""
 
     policy: PolicyConfig
-    caches: list[list[KvCacheState]]  # [layer][kv head]
+    caches: list[list[KvCacheState]]  # [layer][kv head], one block per layer
     step: int = 0
     last_logits: np.ndarray | None = None
 
@@ -271,6 +289,7 @@ class ToyTransformer:
             )
         else:
             self._slopes = None
+        self._sin_table = np.zeros((0, c.d_model), dtype=np.float64)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -281,7 +300,10 @@ class ToyTransformer:
         c = self.config
         h = self.embedding[token].copy()
         if isinstance(c.pe, AbsoluteSinusoidal):
-            h += sinusoidal_table(t, c.d_model)[t - 1]
+            table = self._sin_table
+            if t > table.shape[0]:
+                table = self._sin_table = sinusoidal_table(max(t, 2 * table.shape[0]), c.d_model)
+            h += table[t - 1]
         elif isinstance(c.pe, AbsoluteLearned):
             if t - 1 >= c.max_positions:
                 raise ValueError(
@@ -305,10 +327,7 @@ class ToyTransformer:
                 f"{policy_label(policy)} is a per-head policy and cannot run on a "
                 f"grouped-query model (group size {c.group_size}); use gqa_corm or full"
             )
-        caches = [
-            [KvCacheState.empty(c.d_h, c.d_h) for _ in range(c.kv_heads)]
-            for _ in range(c.n_layers)
-        ]
+        caches = [layer_caches(c.kv_heads, c.d_h, c.d_h) for _ in range(c.n_layers)]
         return DecoderState(policy=policy, caches=caches)
 
     # -- stepping ----------------------------------------------------------
@@ -316,10 +335,11 @@ class ToyTransformer:
     def decode_step(self, state: DecoderState, token: int) -> StepResult:
         """Process one token: append to caches, attend, update logits, evict.
 
-        Attention is computed over the surviving cache entries only; rotary
-        encoding uses each entry's original absolute position. The policy hook
-        runs after the step's output is complete, so an eviction first affects
-        the next step.
+        Attention is computed over the surviving cache entries only, batched
+        over runs of kv heads with equal cache lengths; rotary encoding uses
+        each entry's original absolute position. The policy hook runs after
+        the step's output is complete, so an eviction first affects the next
+        step.
         """
         c = self.config
         if not 0 <= token < c.vocab_size:
@@ -329,6 +349,7 @@ class ToyTransformer:
         h = self._embed(token, t)
         rows_all: list[list[AttentionRow]] = []
         queries = np.empty((c.n_layers, c.n_heads, c.d_h), dtype=np.float64)
+        slopes = None if self._slopes is None else self._slopes.reshape(c.kv_heads, gs, 1)
 
         for li, lw in enumerate(self.layers):
             x = _rms_norm(h)
@@ -337,27 +358,32 @@ class ToyTransformer:
             v = (x @ lw.wv).reshape(c.kv_heads, c.d_h)
             if isinstance(c.pe, Rope):
                 pos = np.full(1, t - 1, dtype=np.int64)
-                q = rope_apply_many(q[:, None, :], pos, c.pe.base)[:, 0, :]
-                k = rope_apply_many(k[:, None, :], pos, c.pe.base)[:, 0, :]
+                qk = rope_apply_many(np.concatenate([q, k])[:, None, :], pos, c.pe.base)[:, 0, :]
+                q, k = qk[: c.n_heads], qk[c.n_heads :]
             queries[li] = q
-            for kv in range(c.kv_heads):
-                state.caches[li][kv].append(k[kv], v[kv], t)
+            caches = state.caches[li]
+            for kv, cache in enumerate(caches):
+                cache.append(k[kv], v[kv], t)
+            block = caches[0].block
 
+            # query heads grouped by the kv head they read: (kv heads, group size, ...)
+            q_groups = q.reshape(c.kv_heads, gs, c.d_h)
+            gain = self.head_gain[li].reshape(c.kv_heads, gs, 1)
             rows_layer: list[AttentionRow] = []
-            outs = np.empty((c.n_heads, c.d_h), dtype=np.float64)
-            for hd in range(c.n_heads):
-                cache = state.caches[li][self._kv_head(hd)]
-                logits = scaled_dot_scores(q[hd], cache.keys, c.d_h) * self.head_gain[li, hd]
-                if self._slopes is not None:
-                    logits = logits - self._slopes[hd] * (t - cache.positions)
-                row = AttentionRow(step=t, scores=softmax_normalize(logits))
-                rows_layer.append(row)
-                outs[hd] = attention_output(row, cache.values)
+            outs = np.empty((c.kv_heads, gs, c.d_h), dtype=np.float64)
+            for a, b in block.equal_size_runs():
+                n = block.sizes[a]
+                logits = scaled_dot_scores(q_groups[a:b], block.keys[a:b, None, :n], c.d_h) * gain[a:b]
+                if slopes is not None:
+                    logits = logits - slopes[a:b] * (t - block.positions[a:b, None, :n])
+                scores = softmax_normalize(logits)
+                rows_layer.extend(attention_rows(t, scores))
+                outs[a:b] = attention_output(scores, block.values[a:b, None, :n])
             h = h + outs.reshape(-1) @ lw.wo
             h = h + _gelu(_rms_norm(h) @ lw.w1) @ lw.w2
 
-            for kv in range(c.kv_heads):
-                apply_policy(state.policy, state.caches[li][kv], rows_layer[kv * gs : (kv + 1) * gs], t)
+            for kv, cache in enumerate(caches):
+                apply_policy(state.policy, cache, rows_layer[kv * gs : (kv + 1) * gs], t)
             rows_all.append(rows_layer)
 
         logits = _rms_norm(h) @ self.out_proj

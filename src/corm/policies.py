@@ -21,8 +21,14 @@ Two families live here:
 All updates run once per decode step, after the step's attention output has
 been computed, so an eviction affects future steps only. "Recent" always
 means absolute positions (the last r generated steps), not cache slots.
-Each cache is owned by exactly one (layer, kv-head) of one sequence; updates
-mutate in place and distinct heads can be updated concurrently.
+
+Storage: each layer's caches live in one KvBlock, a preallocated
+(kv_heads, capacity, d) array pair that doubles when a head fills it; each
+(layer, kv-head) cache is a KvCacheState handle on one head of it
+(`layer_caches`). Appends write the next free row and evictions compact
+survivors to the front, both in place. The recency message is a ring of
+mask rows per cache. Heads of one block share its arrays (a growth replaces
+them), so blocks, not heads, are the unit that may be updated concurrently.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ __all__ = [
     "PolicyConfig",
     "parse_policy",
     "policy_label",
+    "KvBlock",
     "KvCacheState",
+    "layer_caches",
     "classify_important",
     "corm_update",
     "gqa_corm_update",
@@ -237,72 +245,216 @@ def validate_policy(policy: PolicyConfig) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class KvCacheState:
-    """Surviving keys/values of one (layer, kv-head), with policy bookkeeping.
+INITIAL_CAPACITY = 16  # entries per head before a block first doubles
 
-    Parallel arrays: row i of keys/values belongs to the entry generated at
-    absolute step positions[i]. `message` holds the most recent importance
-    masks (one bool row per step, oldest first), column-aligned with the
-    entries; `acc_scores` accumulates normalized attention per entry. Both are
-    pruned with the same index set as keys/values, so lengths never drift.
+
+class KvBlock:
+    """Keys and values of every kv head of one layer, in one preallocated block.
+
+    keys (n_heads, capacity, d_k) and values (n_heads, capacity, d_v) hold
+    head h's surviving entries in rows [0, sizes[h]), oldest first;
+    positions and acc_scores (n_heads, capacity) are row-aligned with them.
+    Rows past a head's size are free and never read. When a head fills its
+    rows, capacity doubles for the whole block, so appends cost amortized
+    O(1) and heads of one layer stay in one contiguous array that attention
+    can batch over. Each head is used through a KvCacheState handle (see
+    `layer_caches`); the block holds no reference back to its handles, so a
+    layer's caches are freed as soon as the last handle goes.
     """
 
-    keys: np.ndarray
-    values: np.ndarray
-    positions: np.ndarray
-    message: np.ndarray
-    acc_scores: np.ndarray
-    step: int = 0
+    def __init__(self, n_heads: int, d_k: int, d_v: int):
+        self.keys = np.zeros((n_heads, INITIAL_CAPACITY, d_k), dtype=np.float64)
+        self.values = np.zeros((n_heads, INITIAL_CAPACITY, d_v), dtype=np.float64)
+        self.positions = np.zeros((n_heads, INITIAL_CAPACITY), dtype=np.int64)
+        self.acc_scores = np.zeros((n_heads, INITIAL_CAPACITY), dtype=np.float64)
+        self.sizes = [0] * n_heads
+
+    @property
+    def capacity(self) -> int:
+        return self.positions.shape[1]
+
+    def grow(self) -> None:
+        """Double the capacity of every head, keeping all rows in place."""
+        cap = self.capacity
+        for name in ("keys", "values", "positions", "acc_scores"):
+            old = getattr(self, name)
+            new = np.zeros((old.shape[0], 2 * cap) + old.shape[2:], dtype=old.dtype)
+            new[:, :cap] = old
+            setattr(self, name, new)
+
+    def equal_size_runs(self) -> list[tuple[int, int]]:
+        """[start, stop) ranges of consecutive heads holding equally many entries."""
+        sizes = self.sizes
+        runs, start = [], 0
+        for h in range(1, len(sizes)):
+            if sizes[h] != sizes[start]:
+                runs.append((start, h))
+                start = h
+        runs.append((start, len(sizes)))
+        return runs
+
+
+class KvCacheState:
+    """Surviving entries of one (layer, kv-head), with policy bookkeeping.
+
+    A handle on one head of a KvBlock: keys, values, positions and
+    acc_scores are views of the head's first `size` block rows, so they are
+    valid until the next append or keep_only. Row i belongs to the entry
+    generated at absolute step positions[i]; `acc_scores` accumulates
+    normalized attention per entry.
+
+    `message` holds the most recent importance masks (one bool row per step,
+    oldest first), column-aligned with the entries. It is stored as a ring
+    of rows whose row count doubles up to the policy's window, so a huge
+    window costs only the rows actually recorded. Ring columns past `size`
+    are stale; append clears a column before it becomes an entry's, so they
+    are never read.
+    """
+
+    def __init__(self, block: KvBlock, head: int):
+        self.block = block
+        self.head = head
+        self.step = 0
+        self._ring = np.zeros((0, 0), dtype=bool)
+        self._ring_rows = 0  # masks recorded, at most the window
+        self._ring_next = 0  # slot of the oldest mask once the ring is full
 
     @classmethod
     def empty(cls, d_k: int = 0, d_v: int = 0) -> "KvCacheState":
-        return cls(
-            keys=np.zeros((0, d_k), dtype=np.float64),
-            values=np.zeros((0, d_v), dtype=np.float64),
-            positions=np.zeros(0, dtype=np.int64),
-            message=np.zeros((0, 0), dtype=bool),
-            acc_scores=np.zeros(0, dtype=np.float64),
-        )
+        """A cache that owns a one-head block."""
+        return layer_caches(1, d_k, d_v)[0]
 
     @property
     def size(self) -> int:
-        return int(self.positions.shape[0])
+        return self.block.sizes[self.head]
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.block.keys[self.head, : self.size]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.block.values[self.head, : self.size]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.block.positions[self.head, : self.size]
+
+    @property
+    def acc_scores(self) -> np.ndarray:
+        return self.block.acc_scores[self.head, : self.size]
+
+    @property
+    def message(self) -> np.ndarray:
+        if not self._ring_rows:
+            return np.zeros((0, self.size), dtype=bool)
+        ring = self._ring[: self._ring_rows, : self.size]
+        k = self._ring_next
+        return np.concatenate([ring[k:], ring[:k]]) if k else ring
 
     def append(self, key, value, position: int) -> None:
-        """Add the entry generated at `position`; pads bookkeeping columns.
+        """Add the entry generated at `position` in the head's next free row.
 
-        Older message rows get a False column for the new entry (a query
+        Recorded message rows get a False column for the new entry (a query
         recorded before the entry existed never flagged it).
         """
         if position <= self.step:
             raise ValueError(f"position {position} not after step {self.step}")
-        self.keys = np.vstack([self.keys, np.asarray(key, dtype=np.float64)[None, :]])
-        self.values = np.vstack([self.values, np.asarray(value, dtype=np.float64)[None, :]])
-        self.positions = np.append(self.positions, np.int64(position))
-        self.message = np.hstack(
-            [self.message, np.zeros((self.message.shape[0], 1), dtype=bool)]
-        )
-        self.acc_scores = np.append(self.acc_scores, 0.0)
+        block, h = self.block, self.head
+        n = block.sizes[h]
+        if n == block.capacity:
+            block.grow()
+        block.keys[h, n] = key
+        block.values[h, n] = value
+        block.positions[h, n] = position
+        block.acc_scores[h, n] = 0.0
+        if self._ring_rows:
+            if n == self._ring.shape[1]:
+                self._widen_ring()
+            else:
+                self._ring[:, n] = False
+        block.sizes[h] = n + 1
         self.step = position
 
+    def _widen_ring(self) -> None:
+        ring = np.zeros((self._ring.shape[0], self.block.capacity), dtype=bool)
+        ring[:, : self._ring.shape[1]] = self._ring
+        self._ring = ring
+
+    def push_message(self, mask: np.ndarray, window: int) -> np.ndarray:
+        """Record one step's importance mask, keeping the newest `window` masks.
+
+        Returns the kept masks as a (rows, size) view in ring order, which is
+        oldest first only until the ring wraps: fit for reductions over the
+        window, not for reading its order (use `message` for that).
+        """
+        n = self.size
+        if mask.shape != (n,):
+            raise ValueError(f"mask has shape {mask.shape} for a cache of {n} entries")
+        if self._ring.shape[0] > window:
+            raise ValueError(f"message holds {self._ring.shape[0]} rows, window is {window}")
+        if self._ring.shape[1] < n:
+            self._widen_ring()
+        rows = self._ring_rows
+        if rows == self._ring.shape[0] == window:
+            slot = self._ring_next
+            self._ring_next = (slot + 1) % window
+        else:
+            if rows == self._ring.shape[0]:
+                # not wrapped yet: wrapping starts only once `window` rows exist
+                ring = np.zeros((min(2 * rows or 1, window), self._ring.shape[1]), dtype=bool)
+                ring[:rows] = self._ring
+                self._ring = ring
+            slot = rows
+            self._ring_rows = rows + 1
+        self._ring[slot, :n] = mask
+        return self._ring[: self._ring_rows, :n]
+
     def keep_only(self, keep: np.ndarray) -> None:
-        """Compact the cache to the entries where `keep` is True."""
-        idx = np.flatnonzero(keep)
-        self.keys = self.keys[idx]
-        self.values = self.values[idx]
-        self.positions = self.positions[idx]
-        self.message = self.message[:, idx]
-        self.acc_scores = self.acc_scores[idx]
+        """Compact the cache to the entries where `keep` is True, in place.
+
+        Survivors move, in order, to the front rows of the head's block rows;
+        message columns move with them.
+        """
+        n = self.size
+        if len(keep) != n:
+            raise ValueError(f"keep mask has {len(keep)} flags for a cache of {n} entries")
+        idx = np.asarray(keep).nonzero()[0]
+        k = idx.size
+        if k == n:
+            return
+        block, h = self.block, self.head
+        for arr in (block.keys[h], block.values[h], block.positions[h], block.acc_scores[h]):
+            arr[:k] = arr[idx]
+        if self._ring_rows:
+            ring = self._ring[: self._ring_rows]
+            ring[:, :k] = ring[:, idx]
+        block.sizes[h] = k
 
     def check(self) -> None:
-        """Assert the parallel-array invariants; used by tests."""
-        n = self.size
-        assert self.keys.shape[0] == n
-        assert self.values.shape[0] == n
-        assert self.acc_scores.shape[0] == n
-        assert self.message.shape[1] == n or (self.message.size == 0 and n == 0)
-        assert np.all(np.diff(self.positions) > 0), "positions must strictly increase"
+        """Raise ValueError naming the first broken layout invariant."""
+        block, n = self.block, self.size
+        if not 0 <= n <= block.capacity:
+            raise ValueError(f"size {n} outside 0..capacity {block.capacity}")
+        heads = len(block.sizes)
+        for name in ("keys", "values", "positions", "acc_scores"):
+            shape = getattr(block, name).shape[:2]
+            if shape != (heads, block.capacity):
+                raise ValueError(f"block {name} has shape {shape}, expected ({heads}, {block.capacity})")
+        if np.any(np.diff(self.positions) <= 0):
+            raise ValueError("positions must strictly increase")
+        if self._ring_rows > self._ring.shape[0]:
+            raise ValueError(f"message counts {self._ring_rows} rows in a ring of {self._ring.shape[0]}")
+        if self._ring_rows and self._ring.shape[1] < n:
+            raise ValueError(f"message ring has {self._ring.shape[1]} columns for {n} entries")
+        if self.message.shape != (self._ring_rows, n):
+            raise ValueError(f"message exposes shape {self.message.shape}, expected ({self._ring_rows}, {n})")
+
+
+def layer_caches(n_heads: int, d_k: int, d_v: int) -> list[KvCacheState]:
+    """Caches of every kv head of one layer, sharing one fresh block."""
+    block = KvBlock(n_heads, d_k, d_v)
+    return [KvCacheState(block, h) for h in range(n_heads)]
 
 
 def _require_current_row(cache: KvCacheState, row: AttentionRow, t: int) -> None:
@@ -338,10 +490,10 @@ def classify_important(row: AttentionRow, t: int, threshold: str = "step") -> np
 
 
 def _corm_core(cache: KvCacheState, mask: np.ndarray, w: int, r: int, t: int) -> KvCacheState:
-    cache.message = np.vstack([cache.message, mask[None, :]])[-w:]
-    if cache.message.shape[0] < w:
+    message = cache.push_message(mask, w)
+    if message.shape[0] < w:
         return cache
-    keep = cache.message.any(axis=0) | (cache.positions > t - r)
+    keep = np.logical_or.reduce(message, axis=0) | (cache.positions > t - r)
     cache.keep_only(keep)
     return cache
 
@@ -436,7 +588,8 @@ def h2o_update(
     are evicted, lowest original position first on ties.
     """
     _require_current_row(cache, row, t)
-    cache.acc_scores = cache.acc_scores + row.scores
+    acc = cache.acc_scores
+    acc += row.scores
     excess = cache.size - (heavy + recent)
     if excess > 0:
         non_recent = cache.positions <= t - recent
@@ -463,10 +616,10 @@ def scissorhands_update(
     _require_current_row(cache, row, t)
     if mask is None:
         mask = classify_important(row, t)
-    cache.message = np.vstack([cache.message, mask[None, :]])[-window:]
+    message = cache.push_message(mask, window)
     excess = cache.size - (budget + recent)
     if excess > 0:
-        counts = cache.message.sum(axis=0).astype(np.float64)
+        counts = message.sum(axis=0).astype(np.float64)
         non_recent = cache.positions <= t - recent
         _evict_lowest(cache, counts, non_recent, min(excess, int(non_recent.sum())))
     return cache

@@ -52,9 +52,9 @@ from .model import ToyTransformer
 from .policies import (
     CormGqa,
     Full,
-    KvCacheState,
     PolicyConfig,
     apply_policy,
+    layer_caches,
     policy_label,
     validate_policy,
 )
@@ -85,6 +85,7 @@ _HEAD_FIXED = struct.calcsize(_HEAD_FMT)  # 60
 
 _PE_IDS = {0: "none", 1: "rope", 2: "alibi", 3: "absolute_sinusoidal", 4: "absolute_learned"}
 _PE_TAGS = {name: tag for tag, name in _PE_IDS.items()}
+_NO_VECTOR = np.zeros(0)  # replayed caches track positions only: keys and values have width 0
 
 
 class TraceError(Exception):
@@ -141,11 +142,18 @@ class AttentionTrace:
         return self.queries[t - 1][layer, head]
 
     def check(self) -> None:
+        """Raise ValueError naming the first step whose arrays break the layout."""
         m = self.meta
-        assert len(self.rows) == len(self.queries) == self.n_steps
+        if not len(self.rows) == len(self.queries) == self.n_steps:
+            raise ValueError(
+                f"{len(self.rows)} row blocks and {len(self.queries)} query blocks "
+                f"for {self.n_steps} tokens"
+            )
         for t, (r, q) in enumerate(zip(self.rows, self.queries), start=1):
-            assert r.shape == (m.n_layers, m.n_heads, t)
-            assert q.shape == (m.n_layers, m.n_heads, m.d_h)
+            if r.shape != (m.n_layers, m.n_heads, t):
+                raise ValueError(f"step {t} rows have shape {r.shape}, expected {(m.n_layers, m.n_heads, t)}")
+            if q.shape != (m.n_layers, m.n_heads, m.d_h):
+                raise ValueError(f"step {t} queries have shape {q.shape}, expected {(m.n_layers, m.n_heads, m.d_h)}")
 
 
 def trace_byte_size(n_layers: int, n_heads: int, d_h: int, n_steps: int) -> int:
@@ -310,9 +318,7 @@ class PolicySimulator:
         self.n_heads = n_heads
         self.group_size = group
         self.n_groups = n_heads // group
-        self.caches = [
-            [KvCacheState.empty() for _ in range(self.n_groups)] for _ in range(n_layers)
-        ]
+        self.caches = [layer_caches(self.n_groups, 0, 0) for _ in range(n_layers)]
         self.kept: list[list[list[np.ndarray]]] = [
             [[] for _ in range(self.n_groups)] for _ in range(n_layers)
         ]
@@ -332,9 +338,8 @@ class PolicySimulator:
             raise ValueError(f"steps must be consecutive: got {t} after {self.t}")
         sizes = 0
         for li in range(self.n_layers):
-            for g in range(self.n_groups):
-                cache = self.caches[li][g]
-                cache.append(np.zeros(0), np.zeros(0), t)
+            for g, cache in enumerate(self.caches[li]):
+                cache.append(_NO_VECTOR, _NO_VECTOR, t)
                 idx = cache.positions - 1  # recorded rows are 0-indexed by position
                 group_rows = []
                 group_masks = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corm.attention import (
     AttentionRow,
     attention_output,
+    attention_rows,
     cosine_similarity,
     scaled_dot_scores,
     softmax_normalize,
@@ -172,6 +173,39 @@ class TestAttentionRow:
     def test_validates_range(self):
         with pytest.raises(ValueError):
             AttentionRow(step=1, scores=np.array([1.5, -0.5]))
+
+
+class TestHeadBatching:
+    """A leading head axis gives every head the exact bits of one-head math."""
+
+    def test_batched_calls_match_one_head_formulas_bitwise(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        g, gs, n, d = 3, 2, 37, 8  # kv heads, query heads per kv head, entries, d_h
+        q = rng.normal(size=(g, gs, d))
+        keys = rng.normal(size=(g, 1, n, d))
+        values = rng.normal(size=(g, 1, n, d))
+        logits = scaled_dot_scores(q, keys, d)
+        scores = softmax_normalize(logits)
+        out = attention_output(scores, values)
+        for i in range(g):
+            for j in range(gs):
+                ref_logits = keys[i, 0] @ q[i, j] / np.sqrt(d)
+                e = np.exp(ref_logits - ref_logits.max())
+                ref_scores = e / e.sum()
+                assert np.array_equal(logits[i, j], ref_logits)
+                assert np.array_equal(scores[i, j], ref_scores)
+                assert np.array_equal(out[i, j], ref_scores @ values[i, 0])
+
+    def test_block_rows_checked_once_with_row_messages(self):
+        block = np.full((2, 4), 0.25)
+        rows = attention_rows(3, block)
+        assert [r.step for r in rows] == [3, 3]
+        np.testing.assert_array_equal(rows[1].scores, block[1])
+        for value, message in ((0.5, "sum to 1.25"), (np.nan, "NaN or Inf"), (-0.5, r"\[0, 1\]")):
+            bad = block.copy()
+            bad[1, 0] = value
+            with pytest.raises(ValueError, match=message):
+                attention_rows(3, bad)
 
 
 class TestScalingMaskRanking:

@@ -8,7 +8,8 @@ import pytest
 from conftest import seeded_tokens
 from corm.cli import main
 from corm.manifest import ExperimentManifest, InputSpec
-from corm.policies import Corm, parse_policy
+from corm.model import ToyTransformer
+from corm.policies import Corm, Full, parse_policy
 
 
 def write_model_config(path, **overrides):
@@ -145,6 +146,76 @@ class TestGenerate:
         )
         assert rc == 1
         assert "duplicate" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("policies,runs", [(["full", "corm:8+8"], 2), (["corm:8+8"], 2)])
+    def test_prompt_decoded_once_per_policy_plus_absent_reference(
+        self, workspace, monkeypatch, policies, runs
+    ):
+        seen = []
+        original = ToyTransformer.run
+
+        def counting_run(self, tokens, policy, **kwargs):
+            seen.append(policy)
+            return original(self, tokens, policy, **kwargs)
+
+        monkeypatch.setattr(ToyTransformer, "run", counting_run)
+        argv = ["generate", "--model-config", str(workspace / "model.json"),
+                "--input", str(workspace / "input.txt"), "--out", str(workspace / "once"),
+                "--steps", "4"]
+        for p in policies:
+            argv += ["--policy", p]
+        assert main(argv) == 0
+        assert len(seen) == runs
+        assert isinstance(seen[0], Full)
+
+
+class TestFailLoud:
+    """Malformed settings end in `error:`, exit code 1 and no files written."""
+
+    def run_manifest(self, ws, capsys, **fields):
+        manifest = {
+            "model_config": "model.json",
+            "policies": ["full"],
+            "input": {"kind": "token_ids", "path": "input.txt"},
+            "out": "bad",
+            "generate_steps": 2,
+        }
+        manifest.update(fields)
+        (ws / "m.json").write_text(json.dumps(manifest))
+        rc = main(["generate", "--manifest", str(ws / "m.json")])
+        assert rc == 1
+        assert not os.path.exists(ws / "bad") or not tree(ws / "bad")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        return err
+
+    def test_unknown_input_field(self, workspace, capsys):
+        err = self.run_manifest(
+            workspace, capsys, input={"kind": "token_ids", "path": "input.txt", "lenght": 8}
+        )
+        assert "unknown manifest input fields: lenght" in err
+
+    def test_non_integer_sampling_seed(self, workspace, capsys):
+        err = self.run_manifest(workspace, capsys, seed="x", sampling="topk", top_k=4)
+        assert "'seed' must be an integer" in err
+
+    def test_checkpoints_outside_the_run(self, workspace, capsys):
+        rc = main(
+            [
+                "generate",
+                "--model-config", str(workspace / "model.json"),
+                "--policy", "full",
+                "--input", str(workspace / "input.txt"),
+                "--out", str(workspace / "bad"),
+                "--checkpoints", "0,-3,999",
+            ]
+        )
+        assert rc == 1
+        assert not os.path.exists(workspace / "bad") or not tree(workspace / "bad")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "within 1..72" in err and "-3, 0, 999" in err
 
 
 class TestTraceReplayAnalyze:

@@ -19,6 +19,7 @@ from corm.policies import (
     corm_update,
     gqa_corm_update,
     h2o_update,
+    layer_caches,
     mean_compression_rate,
     parse_policy,
     policy_label,
@@ -119,7 +120,7 @@ class TestKvCacheState:
     def test_append_pads_message_columns_with_false(self):
         c = fresh_cache()
         push(c, 1)
-        c.message = np.array([[True]])
+        c.push_message(np.array([True]), window=4)
         push(c, 2)
         np.testing.assert_array_equal(c.message, [[True, False]])
 
@@ -133,11 +134,68 @@ class TestKvCacheState:
         c = fresh_cache()
         for t in (1, 2, 3):
             push(c, t)
-        c.message = np.array([[True, False, True]])
+        c.push_message(np.array([True, False, True]), window=4)
         c.keep_only(np.array([True, False, True]))
         np.testing.assert_array_equal(c.positions, [1, 3])
         np.testing.assert_array_equal(c.message, [[True, True]])
         c.check()
+
+
+    def test_keep_only_rejects_mask_of_wrong_length(self):
+        c = fresh_cache()
+        for t in (1, 2, 3):
+            push(c, t)
+        with pytest.raises(ValueError, match="2 flags for a cache of 3"):
+            c.keep_only(np.array([True, False]))
+
+    def test_heads_of_a_layer_share_one_block_across_doublings(self):
+        a, b = layer_caches(2, 2, 2)
+        assert a.block is b.block
+        for t in range(1, 41):
+            push(a, t)
+            if t <= 3:
+                push(b, t)
+        assert a.block.capacity >= 40
+        np.testing.assert_array_equal(a.positions, np.arange(1, 41))
+        np.testing.assert_array_equal(b.keys, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        a.check()
+        b.check()
+
+    def test_message_is_oldest_first_after_the_ring_wraps(self):
+        c = fresh_cache()
+        masks = []
+        for t in range(1, 8):
+            push(c, t)
+            masks.append(np.arange(t) % 3 == t % 3)
+            c.push_message(masks[-1], window=3)
+        expect = [np.concatenate([m, np.zeros(7 - m.size, dtype=bool)]) for m in masks[-3:]]
+        np.testing.assert_array_equal(c.message, expect)
+
+    def test_message_columns_past_size_are_never_read(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        clean, dirty = fresh_cache(), fresh_cache()
+        for t in range(1, 60):
+            dirty._ring[:, dirty.size :] = True  # stale columns where the next entry goes
+            push(clean, t)
+            push(dirty, t)
+            dirty._ring[:, dirty.size :] = True
+            scores = rng.dirichlet(np.full(clean.size, 0.4))
+            corm_update(clean, row(t, scores), w=3, r=2, t=t)
+            corm_update(dirty, row(t, scores), w=3, r=2, t=t)
+            dirty.check()
+            np.testing.assert_array_equal(clean.positions, dirty.positions)
+            np.testing.assert_array_equal(clean.message, dirty.message)
+
+    def test_check_raises_value_errors_naming_the_invariant(self):
+        c = fresh_cache()
+        push(c, 1)
+        push(c, 2)
+        c.block.positions[0, 1] = 1
+        with pytest.raises(ValueError, match="strictly increase"):
+            c.check()
+        c.block.sizes[0] = c.block.capacity + 1
+        with pytest.raises(ValueError, match="capacity"):
+            c.check()
 
 
 class TestCormUpdate:
@@ -410,11 +468,8 @@ class TestCompressionRate:
 
     def test_streaming_closed_form_half(self):
         c = fresh_cache()
-        c.positions = np.arange(1, 1025, dtype=np.int64)
-        c.keys = np.zeros((1024, 2))
-        c.values = np.zeros((1024, 2))
-        c.acc_scores = np.zeros(1024)
-        c.message = np.zeros((0, 1024), dtype=bool)
+        for t in range(1, 1025):
+            push(c, t)
         assert compression_rate(c, 2048) == pytest.approx(0.5)
 
     def test_mean_over_heads(self):

@@ -31,6 +31,12 @@ class TestRecord:
             assert tr.rows[t - 1].shape == (2, 4, t)
             assert tr.queries[t - 1].shape == (2, 4, 16)
 
+    def test_check_names_the_broken_step(self, small_model):
+        tr = record(small_model, seeded_tokens(1, 4))
+        tr.rows[2] = tr.rows[2][:, :, :2]
+        with pytest.raises(ValueError, match="step 3 rows have shape"):
+            tr.check()
+
     def test_same_seed_byte_identical_file(self, small_model, tmp_path):
         blobs = []
         for name in ("a.trc", "b.trc"):
