@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ToyTransformer
-from .policies import PolicyConfig, mean_compression_rate
+from .policies import Policy, classify_important, mean_compression_rate
 from .trace import AttentionTrace
 
 __all__ = [
@@ -73,8 +73,7 @@ def sparsity_from_steps(steps: Sequence[np.ndarray]) -> SparsityProfile:
         raise ValueError("no steps to profile")
     acc = np.zeros(steps[0].shape[:2], dtype=np.float64)
     for t, block in enumerate(steps, start=1):
-        mask = block.astype(np.float64) >= 1.0 / t
-        acc += mask.mean(axis=2)
+        acc += classify_important(block.astype(np.float64), t).mean(axis=2)
     per_head = acc / len(steps)
     return SparsityProfile(per_head=per_head, per_layer=per_head.mean(axis=1))
 
@@ -135,8 +134,8 @@ def importance_overlap(trace: AttentionTrace, layer: int, head: int, i: int, j: 
     m = min(i, j) - 1
     if m == 0:
         return 1.0
-    mask_i = trace.rows[i - 1][layer, head].astype(np.float64)[:m] >= 1.0 / i
-    mask_j = trace.rows[j - 1][layer, head].astype(np.float64)[:m] >= 1.0 / j
+    mask_i = classify_important(trace.rows[i - 1][layer, head].astype(np.float64)[:m], i)
+    mask_j = classify_important(trace.rows[j - 1][layer, head].astype(np.float64)[:m], j)
     union = int(np.sum(mask_i | mask_j))
     if union == 0:
         return 1.0
@@ -234,7 +233,7 @@ def output_divergence(logits_ref: np.ndarray, logits_other: np.ndarray) -> Diver
 def compression_curve(
     model: ToyTransformer,
     tokens: Sequence[int],
-    policy: PolicyConfig,
+    policy: Policy,
     checkpoints: Sequence[int],
 ) -> list[tuple[int, float]]:
     """Live model-mean compression rate at each checkpoint step.

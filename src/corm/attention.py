@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "AttentionRow",
     "attention_rows",
+    "check_score_rows",
     "scaled_dot_scores",
     "softmax_normalize",
     "cosine_similarity",
@@ -48,13 +49,13 @@ class AttentionRow:
         if self.scores.ndim != 1 or self.scores.size == 0:
             raise ValueError("scores must be a non-empty 1-D sequence")
         if not validated:
-            _check_score_rows(self.scores)
+            check_score_rows(self.scores)
 
     def __len__(self) -> int:
         return self.scores.size
 
 
-def _check_score_rows(scores: np.ndarray) -> None:
+def check_score_rows(scores: np.ndarray) -> None:
     """Raise ValueError unless every row of `scores` (..., n) is a normalized row.
 
     A row is valid when its entries are finite and within [0, 1] and they
@@ -75,7 +76,7 @@ def _check_score_rows(scores: np.ndarray) -> None:
 
 def attention_rows(step: int, scores: np.ndarray) -> list[AttentionRow]:
     """One AttentionRow per row of a (..., n) score block, checked once as a block."""
-    _check_score_rows(scores)
+    check_score_rows(scores)
     return [AttentionRow(step, row, validated=True) for row in scores.reshape(-1, scores.shape[-1])]
 
 

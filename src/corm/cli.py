@@ -20,7 +20,7 @@ from . import analysis
 from . import trace as trace_mod
 from .manifest import ExperimentManifest, InputSpec, load_manifest
 from .model import init_model, load_model_config
-from .policies import Full, PolicyConfig, mean_compression_rate, parse_policy, policy_label
+from .policies import Full, Policy, mean_compression_rate, parse_policy, policy_label
 from .trace import TraceError
 
 __all__ = ["main"]
@@ -40,10 +40,19 @@ def _parse_synthetic(text: str) -> InputSpec:
     return InputSpec(kind="synthetic", seed=int(parts[0]), length=int(parts[1]))
 
 
+# flags whose argparse dest names the manifest field they override
+_FLAG_FIELDS = (
+    "model_config", "seed", "out", "sampling", "top_k", "trace", "byte_cap",
+    "recent_k", "overlap_pairs", "max_map_steps",
+)
+
+
 def _merge_manifest(args: argparse.Namespace) -> ExperimentManifest:
     m = load_manifest(args.manifest) if args.manifest else ExperimentManifest()
-    if getattr(args, "model_config", None):
-        m.model_config = args.model_config
+    for name in _FLAG_FIELDS:
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(m, name, value)
     if getattr(args, "policy", None):
         m.policies = list(args.policy)
     if getattr(args, "input", None):
@@ -52,28 +61,10 @@ def _merge_manifest(args: argparse.Namespace) -> ExperimentManifest:
         m.input = InputSpec(kind=kind, path=args.input)
     if getattr(args, "synthetic", None):
         m.input = _parse_synthetic(args.synthetic)
-    if getattr(args, "seed", None) is not None:
-        m.seed = args.seed
-    if getattr(args, "out", None):
-        m.out = args.out
     if getattr(args, "checkpoints", None):
         m.checkpoints = _parse_checkpoints(args.checkpoints)
     if getattr(args, "steps", None) is not None:
         m.generate_steps = args.steps
-    if getattr(args, "sampling", None):
-        m.sampling = args.sampling
-    if getattr(args, "top_k", None) is not None:
-        m.top_k = args.top_k
-    if getattr(args, "trace", None):
-        m.trace = args.trace
-    if getattr(args, "byte_cap", None) is not None:
-        m.byte_cap = args.byte_cap
-    if getattr(args, "recent_k", None) is not None:
-        m.recent_k = args.recent_k
-    if getattr(args, "overlap_pairs", None) is not None:
-        m.overlap_pairs = args.overlap_pairs
-    if getattr(args, "max_map_steps", None) is not None:
-        m.max_map_steps = args.max_map_steps
     return m
 
 
@@ -91,7 +82,7 @@ def _require(m: ExperimentManifest, *names: str) -> None:
         raise ValueError(f"input file not found: {m.input.path}")
 
 
-def _parse_policies(m: ExperimentManifest) -> list[PolicyConfig]:
+def _parse_policies(m: ExperimentManifest) -> list[Policy]:
     policies = [parse_policy(p) for p in m.policies]
     labels = [policy_label(p) for p in policies]
     dupes = {lbl for lbl in labels if labels.count(lbl) > 1}

@@ -15,21 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schema import check_fields
 from .trace import DEFAULT_BYTE_CAP
 
 __all__ = ["InputSpec", "ExperimentManifest", "load_manifest"]
 
 _INPUT_KINDS = ("token_ids", "text_bytes", "synthetic")
 
-# JSON field -> (type, may be null), checked before any field is used
+# JSON field -> (type, may be null[, list item type]), checked before any field is used
 _INPUT_FIELDS = {"kind": (str, False), "path": (str, True), "seed": (int, True), "length": (int, True)}
 _MANIFEST_FIELDS = {
     "model_config": (str, True),
-    "policies": (list, False),
+    "policies": (list, False, str),
     "input": (dict, True),
     "out": (str, True),
     "seed": (int, False),
-    "checkpoints": (list, True),
+    "checkpoints": (list, True, int),
     "generate_steps": (int, False),
     "sampling": (str, False),
     "top_k": (int, False),
@@ -39,23 +40,6 @@ _MANIFEST_FIELDS = {
     "overlap_pairs": (int, False),
     "max_map_steps": (int, False),
 }
-_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
-
-
-def _is(value, kind: type) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not integers here
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-
-
-def _check_fields(d: dict, spec: dict, where: str) -> None:
-    """Reject unknown fields and values of the wrong JSON type with ValueError."""
-    unknown = set(d) - set(spec)
-    if unknown:
-        raise ValueError(f"unknown {where} fields: {', '.join(sorted(unknown))}")
-    for name, value in d.items():
-        kind, nullable = spec[name]
-        if not (_is(value, kind) or (nullable and value is None)):
-            raise ValueError(f"{where} field {name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 @dataclass
@@ -148,13 +132,10 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentManifest":
-        _check_fields(d, _MANIFEST_FIELDS, "manifest")
-        for name, kind in (("policies", str), ("checkpoints", int)):
-            if d.get(name) is not None and not all(_is(x, kind) for x in d[name]):
-                raise ValueError(f"manifest field {name!r} must list {_TYPE_NAMES[kind]}s, got {d[name]!r}")
+        check_fields(d, _MANIFEST_FIELDS, "manifest")
         m = cls(**{k: v for k, v in d.items() if k != "input"})
         if d.get("input") is not None:
-            _check_fields(d["input"], _INPUT_FIELDS, "manifest input")
+            check_fields(d["input"], _INPUT_FIELDS, "manifest input")
             m.input = InputSpec(**d["input"])
         for name in ("model_config", "trace", "out"):
             value = getattr(m, name)
@@ -191,8 +172,6 @@ class ExperimentManifest:
 def load_manifest(path) -> ExperimentManifest:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"manifest {path} must be a JSON object")
     m = ExperimentManifest.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
     m.source_path = os.path.abspath(path)
     return m

@@ -52,16 +52,7 @@ from .attention import (
     softmax_normalize,
     stable_argsort_desc,
 )
-from .policies import (
-    CormGqa,
-    Full,
-    KvCacheState,
-    PolicyConfig,
-    apply_policy,
-    layer_caches,
-    policy_label,
-    validate_policy,
-)
+from .policies import Full, KvCacheState, Policy, apply_policy, layer_caches
 from .positional import (
     AbsoluteLearned,
     AbsoluteSinusoidal,
@@ -75,6 +66,7 @@ from .positional import (
     rope_apply_many,
     sinusoidal_table,
 )
+from .schema import check_fields
 
 __all__ = [
     "ModelConfig",
@@ -91,6 +83,21 @@ __all__ = [
 RMS_EPS = 1e-6
 WEIGHTS_MAGIC = b"CORMWTS1"
 WEIGHTS_VERSION = 1
+
+# JSON field -> (type, may be null), checked before any field is used
+_CONFIG_FIELDS = {
+    "n_layers": (int, False),
+    "n_heads": (int, False),
+    "n_kv_heads": (int, True),
+    "d_model": (int, False),
+    "vocab_size": (int, False),
+    "seed": (int, False),
+    "pe": (dict, False),
+    "mlp_ratio": (int, False),
+    "depth_gain": (float, False),
+    "head_gain_jitter": (float, False),
+    "max_positions": (int, False),
+}
 
 
 @dataclass(frozen=True)
@@ -165,23 +172,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        required = ("n_layers", "n_heads", "d_model", "vocab_size", "seed")
-        missing = [k for k in required if k not in d]
+        check_fields(d, _CONFIG_FIELDS, "model config")
+        missing = [k for k in ("n_layers", "n_heads", "d_model", "vocab_size", "seed") if k not in d]
         if missing:
             raise ValueError(f"model config missing fields: {', '.join(missing)}")
-        return cls(
-            n_layers=int(d["n_layers"]),
-            n_heads=int(d["n_heads"]),
-            d_model=int(d["d_model"]),
-            vocab_size=int(d["vocab_size"]),
-            seed=int(d["seed"]),
-            n_kv_heads=int(d["n_kv_heads"]) if d.get("n_kv_heads") is not None else None,
-            pe=pe_from_dict(d["pe"]) if "pe" in d else Rope(),
-            mlp_ratio=int(d.get("mlp_ratio", 4)),
-            depth_gain=float(d.get("depth_gain", 1.35)),
-            head_gain_jitter=float(d.get("head_gain_jitter", 0.3)),
-            max_positions=int(d.get("max_positions", 4096)),
-        )
+        kwargs = {k: v for k, v in d.items() if k != "pe"}
+        for name in ("depth_gain", "head_gain_jitter"):
+            if name in kwargs:
+                kwargs[name] = float(kwargs[name])
+        return cls(**kwargs, pe=pe_from_dict(d["pe"]) if "pe" in d else Rope())
 
 
 def load_model_config(path) -> ModelConfig:
@@ -229,7 +228,7 @@ class RunResult:
 class DecoderState:
     """Mutable decode state for one sequence: caches, step counter, last logits."""
 
-    policy: PolicyConfig
+    policy: Policy
     caches: list[list[KvCacheState]]  # [layer][kv head], one block per layer
     step: int = 0
     last_logits: np.ndarray | None = None
@@ -312,20 +311,14 @@ class ToyTransformer:
             h += self.pos_table[t - 1]
         return h
 
-    def init_state(self, policy: PolicyConfig) -> DecoderState:
-        """Fresh decode state; validates the policy against the model shape."""
-        validate_policy(policy)
+    def init_state(self, policy: Policy) -> DecoderState:
+        """Fresh decode state; checks that the policy can serve the model's heads."""
         c = self.config
-        if isinstance(policy, CormGqa):
-            if policy.group_size is not None and policy.group_size != c.group_size:
-                raise ValueError(
-                    f"policy group size {policy.group_size} does not match the "
-                    f"model's {c.group_size} query heads per kv head"
-                )
-        elif not isinstance(policy, Full) and c.group_size > 1:
+        group = policy.group_size_for(c.n_heads, c.kv_heads)
+        if group != c.group_size:
             raise ValueError(
-                f"{policy_label(policy)} is a per-head policy and cannot run on a "
-                f"grouped-query model (group size {c.group_size}); use gqa_corm or full"
+                f"policy group size {group} does not match the "
+                f"model's {c.group_size} query heads per kv head"
             )
         caches = [layer_caches(c.kv_heads, c.d_h, c.d_h) for _ in range(c.n_layers)]
         return DecoderState(policy=policy, caches=caches)
@@ -370,6 +363,7 @@ class ToyTransformer:
             q_groups = q.reshape(c.kv_heads, gs, c.d_h)
             gain = self.head_gain[li].reshape(c.kv_heads, gs, 1)
             rows_layer: list[AttentionRow] = []
+            head_scores: list[np.ndarray] = []  # per kv head: (group size, entries)
             outs = np.empty((c.kv_heads, gs, c.d_h), dtype=np.float64)
             for a, b in block.equal_size_runs():
                 n = block.sizes[a]
@@ -378,12 +372,13 @@ class ToyTransformer:
                     logits = logits - slopes[a:b] * (t - block.positions[a:b, None, :n])
                 scores = softmax_normalize(logits)
                 rows_layer.extend(attention_rows(t, scores))
+                head_scores.extend(scores)
                 outs[a:b] = attention_output(scores, block.values[a:b, None, :n])
             h = h + outs.reshape(-1) @ lw.wo
             h = h + _gelu(_rms_norm(h) @ lw.w1) @ lw.w2
 
-            for kv, cache in enumerate(caches):
-                apply_policy(state.policy, cache, rows_layer[kv * gs : (kv + 1) * gs], t)
+            for cache, scores in zip(caches, head_scores):
+                apply_policy(state.policy, cache, scores, t)
             rows_all.append(rows_layer)
 
         logits = _rms_norm(h) @ self.out_proj
@@ -391,14 +386,14 @@ class ToyTransformer:
         state.last_logits = logits
         return StepResult(step=t, logits=logits, rows=rows_all, queries=queries)
 
-    def prefill(self, tokens: Sequence[int], policy: PolicyConfig) -> DecoderState:
+    def prefill(self, tokens: Sequence[int], policy: Policy) -> DecoderState:
         """Process a prompt strictly one position at a time, eviction active."""
         return self.run(tokens, policy).state
 
     def run(
         self,
         tokens: Sequence[int],
-        policy: PolicyConfig,
+        policy: Policy,
         *,
         capture: bool = False,
         shadows: Sequence = (),
@@ -473,7 +468,7 @@ class ToyTransformer:
                 on_step(sr.step, state)
         return out
 
-    def perplexity(self, tokens: Sequence[int], policy: PolicyConfig) -> float:
+    def perplexity(self, tokens: Sequence[int], policy: Policy) -> float:
         """exp(mean next-token NLL), teacher-forced, eviction active as in generation."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size < 2:

@@ -1,4 +1,13 @@
-"""KV-cache eviction policies behind one per-head, per-step update interface.
+"""KV-cache eviction policies behind one protocol, and the caches they prune.
+
+Each policy is a frozen dataclass that owns everything about itself: its
+`name` in policy strings, `parse` of the arguments after the name, its
+`label`, its size checks (`__post_init__`, so an invalid config cannot be
+built), how many query heads one of its caches may serve
+(`group_size_for`), and its per-step update (`step`). `POLICIES` registers
+the classes by name: `parse_policy` looks a class up there and
+`apply_policy` calls the policy's `step`, so adding a policy is one class
+plus one registry entry.
 
 Two families live here:
 
@@ -12,11 +21,12 @@ Two families live here:
 
 * Budget-free recency-message eviction (corm): each step's query flags which
   cache entries it considers important -- normalized score at least 1/t at
-  step t -- and the flags of the last `w` queries form a rolling message.
-  Once the message window is full, any entry flagged by none of the last `w`
-  queries and older than the last `r` steps is evicted. `gqa_corm` is the
-  grouped-query variant: query heads sharing one KV head OR their flags
-  together, and an entry must be minor for every head in the group to go.
+  step t (`classify_important`) -- and the flags of the last `w` queries
+  form a rolling message. Once the message window is full, any entry
+  flagged by none of the last `w` queries and older than the last `r` steps
+  is evicted. `gqa_corm` is the grouped-query variant: query heads sharing
+  one KV head OR their flags together, and an entry must be minor for every
+  head in the group to go.
 
 All updates run once per decode step, after the step's attention output has
 been computed, so an eviction affects future steps only. "Recent" always
@@ -33,14 +43,13 @@ them), so blocks, not heads, are the unit that may be updated concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .attention import AttentionRow
-
 __all__ = [
+    "Policy",
     "Full",
     "StreamingLlm",
     "H2O",
@@ -48,104 +57,341 @@ __all__ = [
     "Tova",
     "Corm",
     "CormGqa",
-    "PolicyConfig",
+    "POLICIES",
     "parse_policy",
     "policy_label",
+    "apply_policy",
+    "classify_important",
     "KvBlock",
     "KvCacheState",
     "layer_caches",
-    "classify_important",
-    "corm_update",
-    "gqa_corm_update",
-    "streaming_update",
-    "h2o_update",
-    "scissorhands_update",
-    "tova_update",
-    "apply_policy",
     "compression_rate",
     "mean_compression_rate",
 ]
 
 
 # --------------------------------------------------------------------------
-# Policy configuration (tagged union)
+# The policy protocol
+# --------------------------------------------------------------------------
+
+
+def classify_important(scores: np.ndarray, t: int) -> np.ndarray:
+    """Flags of the step-t scores at least the mean-score threshold 1/t.
+
+    The one home of the importance test that the recency policies, replay
+    and analysis share. The comparison is >= (a score exactly at the
+    average counts as important). Works elementwise on an array of any shape.
+    """
+    return scores >= 1.0 / t
+
+
+def _model_group(n_heads: int, n_kv_heads: int) -> int:
+    """Query heads per kv head of a head layout."""
+    if n_heads < 1:
+        raise ValueError(f"a kv head needs at least one query head, got {n_heads}")
+    if n_kv_heads < 1 or n_heads % n_kv_heads != 0:
+        raise ValueError(f"n_heads={n_heads} not divisible by n_kv_heads={n_kv_heads}")
+    return n_heads // n_kv_heads
+
+
+class Policy:
+    """Protocol of the eviction policies; each subclass is a frozen dataclass.
+
+    Subclasses define `name` (the policy-string name and registry key), the
+    classmethod `parse(args)` (build from the ':'-separated arguments after
+    the name), the `label` (canonical short label, also used for output
+    directory names) and `step`. Every dataclass field is a size that must be
+    >= 1, or None where the field allows it.
+    """
+
+    name: ClassVar[str]
+    label: str
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and value < 1:
+                raise ValueError(f"{self.label}: {f.name} must be >= 1, got {value}")
+
+    def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
+        """Query heads whose rows drive one cache under the given head layout.
+
+        This default is for per-head policies, which need one query head per
+        kv head; it raises ValueError on a grouped layout.
+        """
+        group = _model_group(n_heads, n_kv_heads)
+        if group != 1:
+            raise ValueError(
+                f"{self.label} is a per-head policy; it cannot drive a kv head shared "
+                f"by {group} query heads (use gqa_corm or full)"
+            )
+        return 1
+
+    def step(self, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None = None) -> None:
+        """Update `cache` after decode step t.
+
+        scores: (group, n) float64; row i holds the normalized scores that
+        query head i of the cache's group gave the cache's n entries at step
+        t. masks: optional (group, n) bool importance flags that replace the
+        ones derived from scores (replay flags the recorded scores).
+        """
+        raise NotImplementedError
+
+    def _check(self, cache: KvCacheState, scores: np.ndarray, t: int) -> None:
+        """Raise ValueError unless `scores` is this policy's step-t block for `cache`."""
+        if cache.step != t:
+            raise ValueError(f"cache is at step {cache.step}, update is for step {t}")
+        if scores.ndim != 2 or scores.shape[1] != cache.size:
+            raise ValueError(f"{scores.shape[-1]} scores for a cache of {cache.size} entries")
+        group = self.group_size_for(len(scores), 1)
+        if group != len(scores):
+            raise ValueError(f"policy group size {group} does not match {len(scores)} query heads per kv head")
+
+
+def _sizes(name: str, args: list[str], third: bool = False) -> tuple[int, int, int | None]:
+    """Parse `A+B` (and, if `third`, an optional `:C`) policy arguments."""
+    if not args:
+        raise ValueError(f"policy {name!r} expects sizes, e.g. {name}:8+8")
+    at_most = 2 if third else 1
+    if len(args) > at_most:
+        raise ValueError(f"policy {name!r} takes at most {at_most} ':'-separated arguments")
+    parts = args[0].split("+")
+    if len(parts) != 2:
+        raise ValueError(f"policy {name!r} expects A+B sizes, got {args[0]!r}")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"policy {name!r} expects integer sizes, got {args[0]!r}") from None
+    return a, b, int(args[1]) if len(args) == 2 else None
+
+
+def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarray, n_evict: int) -> None:
+    """Drop the n_evict candidate entries with the lowest ranking value.
+
+    Ties go to the lower original position; candidate indices are in position
+    order already, so a stable sort on the ranking achieves that.
+    """
+    cand_idx = np.flatnonzero(candidates)
+    order = np.lexsort((cache.positions[cand_idx], ranking[cand_idx]))
+    drop = cand_idx[order[:n_evict]]
+    keep = np.ones(cache.size, dtype=bool)
+    keep[drop] = False
+    cache.keep_only(keep)
+
+
+# --------------------------------------------------------------------------
+# The policies
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Full:
+class Full(Policy):
     """Keep everything; the identity policy and the accuracy reference."""
 
+    name = "full"
+    label = "full"
+
+    @classmethod
+    def parse(cls, args: list[str]) -> Full:
+        if args:
+            raise ValueError("policy 'full' takes no sizes")
+        return cls()
+
+    def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
+        return _model_group(n_heads, n_kv_heads)
+
+    def step(self, cache, scores, t, masks=None) -> None:
+        pass
+
 
 @dataclass(frozen=True)
-class StreamingLlm:
+class StreamingLlm(Policy):
+    """Keep the first `sink` positions and the last `recent`; evict the rest."""
+
     sink: int
     recent: int
+    name = "streaming"
+
+    @classmethod
+    def parse(cls, args: list[str]) -> StreamingLlm:
+        sink, recent, _ = _sizes(cls.name, args)
+        return cls(sink, recent)
+
+    @property
+    def label(self) -> str:
+        return f"streaming_{self.sink}+{self.recent}"
+
+    def step(self, cache, scores, t, masks=None) -> None:
+        self._check(cache, scores, t)
+        cache.keep_only((cache.positions <= self.sink) | (cache.positions > t - self.recent))
 
 
 @dataclass(frozen=True)
-class H2O:
+class H2O(Policy):
+    """Accumulated-score eviction: keep heavy hitters plus the recent span.
+
+    Every entry accumulates the normalized score each step's query gives it
+    (raw, never rescaled after evictions). When the cache exceeds
+    heavy+recent, the non-recent entries with the lowest accumulated score
+    are evicted, lowest original position first on ties.
+    """
+
     heavy: int
     recent: int
+    name = "h2o"
+
+    @classmethod
+    def parse(cls, args: list[str]) -> H2O:
+        heavy, recent, _ = _sizes(cls.name, args)
+        return cls(heavy, recent)
+
+    @property
+    def label(self) -> str:
+        return f"h2o_{self.heavy}+{self.recent}"
+
+    def step(self, cache, scores, t, masks=None) -> None:
+        self._check(cache, scores, t)
+        acc = cache.acc_scores
+        acc += scores[0]
+        excess = cache.size - (self.heavy + self.recent)
+        if excess > 0:
+            non_recent = cache.positions <= t - self.recent
+            _evict_lowest(cache, cache.acc_scores, non_recent, min(excess, int(non_recent.sum())))
 
 
 @dataclass(frozen=True)
-class Scissorhands:
+class Scissorhands(Policy):
+    """Windowed importance-count eviction.
+
+    Counts, per entry, how many of the last `window` steps flagged it
+    important (the same flags as corm). When the cache exceeds
+    budget+recent, non-recent entries with the lowest counts go first,
+    lowest original position first on ties.
+    """
+
     budget: int
     recent: int
     window: int
+    name = "scissorhands"
+
+    @classmethod
+    def parse(cls, args: list[str]) -> Scissorhands:
+        budget, recent, window = _sizes(cls.name, args, third=True)
+        return cls(budget, recent, recent if window is None else window)
+
+    @property
+    def label(self) -> str:
+        label = f"scissorhands_{self.budget}+{self.recent}"
+        return label if self.window == self.recent else f"{label}_w{self.window}"
+
+    def step(self, cache, scores, t, masks=None) -> None:
+        self._check(cache, scores, t)
+        flags = classify_important(scores, t) if masks is None else masks
+        message = cache.push_message(flags[0], self.window)
+        excess = cache.size - (self.budget + self.recent)
+        if excess > 0:
+            counts = message.sum(axis=0).astype(np.float64)
+            non_recent = cache.positions <= t - self.recent
+            _evict_lowest(cache, counts, non_recent, min(excess, int(non_recent.sum())))
 
 
 @dataclass(frozen=True)
-class Tova:
+class Tova(Policy):
+    """Evict the entries with the lowest score in the current row once over budget."""
+
     budget: int
+    name = "tova"
+
+    @classmethod
+    def parse(cls, args: list[str]) -> Tova:
+        if len(args) != 1:
+            raise ValueError("policy 'tova' expects one budget, e.g. tova:512")
+        return cls(int(args[0]))
+
+    @property
+    def label(self) -> str:
+        return f"tova_{self.budget}"
+
+    def step(self, cache, scores, t, masks=None) -> None:
+        self._check(cache, scores, t)
+        excess = cache.size - self.budget
+        if excess > 0:
+            _evict_lowest(cache, scores[0], np.ones(cache.size, dtype=bool), excess)
 
 
 @dataclass(frozen=True)
-class Corm:
-    """Recency-message eviction with window `w` and protected recent span `r`.
-
-    threshold="step" compares scores against 1/t with t the absolute decode
-    step (the default); "cache" compares against 1/(current cache size), a
-    documented alternative that is easier to pass once entries were evicted.
-    """
+class Corm(Policy):
+    """Recency-message eviction with window `w` and protected recent span `r`."""
 
     w: int
     r: int
-    threshold: str = "step"
+    name = "corm"
+
+    @classmethod
+    def parse(cls, args: list[str]) -> Corm:
+        w, r, _ = _sizes(cls.name, args)
+        return cls(w, r)
+
+    @property
+    def label(self) -> str:
+        return f"corm_{self.w}+{self.r}"
+
+    def step(self, cache, scores, t, masks=None) -> None:
+        """One recency-message eviction step.
+
+        The step's mask is the OR of the group's rows of flags: an entry is
+        minor only if every query head of the group finds it minor. The mask
+        joins the message (the newest w masks). Nothing is evicted until w
+        masks exist; afterwards the kept set is exactly {flagged in >= 1 of
+        the last w masks} union {entries from the last r steps}.
+        """
+        self._check(cache, scores, t)
+        flags = classify_important(scores, t) if masks is None else masks
+        message = cache.push_message(np.logical_or.reduce(flags, axis=0), self.w)
+        if message.shape[0] < self.w:
+            return
+        cache.keep_only(np.logical_or.reduce(message, axis=0) | (cache.positions > t - self.r))
 
 
 @dataclass(frozen=True)
-class CormGqa:
+class CormGqa(Policy):
     """Grouped-query variant: entries minor for *all* query heads in the group.
 
     group_size=None derives the group size from the model or trace it runs
-    against; an explicit value must match.
+    against; an explicit value must match the model, and must divide a
+    trace's heads.
     """
 
     w: int
     r: int
     group_size: int | None = None
-    threshold: str = "step"
+    name = "gqa_corm"
+
+    @classmethod
+    def parse(cls, args: list[str]) -> CormGqa:
+        return cls(*_sizes(cls.name, args, third=True))
+
+    @property
+    def label(self) -> str:
+        label = f"gqa_corm_{self.w}+{self.r}"
+        return label if self.group_size is None else f"{label}_g{self.group_size}"
+
+    def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
+        model_group = _model_group(n_heads, n_kv_heads)
+        group = model_group if self.group_size is None else self.group_size
+        if n_heads % group != 0:
+            raise ValueError(f"policy group size {group} does not divide {n_heads} heads")
+        return group
+
+    step = Corm.step
 
 
-PolicyConfig = Union[Full, StreamingLlm, H2O, Scissorhands, Tova, Corm, CormGqa]
-
-_POLICY_NAMES = ("full", "streaming", "h2o", "scissorhands", "tova", "corm", "gqa_corm")
-
-
-def _parse_pair(arg: str, name: str) -> tuple[int, int]:
-    parts = arg.split("+")
-    if len(parts) != 2:
-        raise ValueError(f"policy {name!r} expects A+B sizes, got {arg!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"policy {name!r} expects integer sizes, got {arg!r}") from None
-    return a, b
+POLICIES: dict[str, type[Policy]] = {
+    cls.name: cls for cls in (Full, StreamingLlm, H2O, Scissorhands, Tova, Corm, CormGqa)
+}
 
 
-def parse_policy(text: str) -> PolicyConfig:
+def parse_policy(text: str) -> Policy:
     """Parse a policy string in `name[:sizes[...]]` form.
 
     Sizes use A+B shorthand: `streaming:4+1020` (sink+recent),
@@ -153,91 +399,30 @@ def parse_policy(text: str) -> PolicyConfig:
     (window defaults to recent), `corm:256+256` (w+r),
     `gqa_corm:8+8[:group]`, `tova:512`, `full`.
     """
-    parts = text.strip().split(":")
-    name = parts[0].lower()
-    args = parts[1:]
-    if name not in _POLICY_NAMES:
-        raise ValueError(f"unknown policy {text!r}; valid names: {', '.join(_POLICY_NAMES)}")
+    name, *args = text.strip().split(":")
+    cls = POLICIES.get(name.lower())
+    if cls is None:
+        raise ValueError(f"unknown policy {text!r}; valid names: {', '.join(POLICIES)}")
     try:
-        if name == "full":
-            if args:
-                raise ValueError("policy 'full' takes no sizes")
-            return Full()
-        if name == "tova":
-            if len(args) != 1:
-                raise ValueError("policy 'tova' expects one budget, e.g. tova:512")
-            return Tova(budget=int(args[0]))
-        if len(args) < 1:
-            raise ValueError(f"policy {name!r} expects sizes, e.g. {name}:8+8")
-        a, b = _parse_pair(args[0], name)
-        if name == "streaming":
-            _expect_argc(args, 1, name)
-            return StreamingLlm(sink=a, recent=b)
-        if name == "h2o":
-            _expect_argc(args, 1, name)
-            return H2O(heavy=a, recent=b)
-        if name == "scissorhands":
-            _expect_argc(args, 2, name)
-            window = int(args[1]) if len(args) == 2 else b
-            return Scissorhands(budget=a, recent=b, window=window)
-        if name == "corm":
-            _expect_argc(args, 1, name)
-            return Corm(w=a, r=b)
-        _expect_argc(args, 2, name)
-        group = int(args[1]) if len(args) == 2 else None
-        return CormGqa(w=a, r=b, group_size=group)
+        return cls.parse(args)
     except ValueError as exc:
         raise ValueError(f"bad policy string {text!r}: {exc}") from None
 
 
-def _expect_argc(args: list[str], at_most: int, name: str) -> None:
-    if len(args) > at_most:
-        raise ValueError(f"policy {name!r} takes at most {at_most} ':'-separated arguments")
-
-
-def policy_label(policy: PolicyConfig) -> str:
+def policy_label(policy: Policy) -> str:
     """Canonical short label, also used for output directory names."""
-    if isinstance(policy, Full):
-        return "full"
-    if isinstance(policy, StreamingLlm):
-        return f"streaming_{policy.sink}+{policy.recent}"
-    if isinstance(policy, H2O):
-        return f"h2o_{policy.heavy}+{policy.recent}"
-    if isinstance(policy, Scissorhands):
-        label = f"scissorhands_{policy.budget}+{policy.recent}"
-        if policy.window != policy.recent:
-            label += f"_w{policy.window}"
-        return label
-    if isinstance(policy, Tova):
-        return f"tova_{policy.budget}"
-    if isinstance(policy, Corm):
-        return f"corm_{policy.w}+{policy.r}"
-    if isinstance(policy, CormGqa):
-        label = f"gqa_corm_{policy.w}+{policy.r}"
-        if policy.group_size is not None:
-            label += f"_g{policy.group_size}"
-        return label
-    raise TypeError(f"not a policy config: {policy!r}")
+    return policy.label
 
 
-def validate_policy(policy: PolicyConfig) -> None:
-    """Reject non-positive sizes in any policy variant."""
-    sizes = {
-        StreamingLlm: ("sink", "recent"),
-        H2O: ("heavy", "recent"),
-        Scissorhands: ("budget", "recent", "window"),
-        Tova: ("budget",),
-        Corm: ("w", "r"),
-        CormGqa: ("w", "r"),
-    }.get(type(policy), ())
-    for name in sizes:
-        value = getattr(policy, name)
-        if value < 1:
-            raise ValueError(f"{policy_label(policy)}: {name} must be >= 1, got {value}")
-    if isinstance(policy, (Corm, CormGqa)) and policy.threshold not in ("step", "cache"):
-        raise ValueError(f"threshold must be 'step' or 'cache', got {policy.threshold!r}")
-    if isinstance(policy, CormGqa) and policy.group_size is not None and policy.group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {policy.group_size}")
+def apply_policy(
+    policy: Policy, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None = None
+) -> None:
+    """Run one step of `policy` on one kv-head cache (see `Policy.step`).
+
+    The single entry point through which live decoding and replay update a
+    cache: `scores` holds one row per query head attending to it.
+    """
+    policy.step(cache, scores, t, masks)
 
 
 # --------------------------------------------------------------------------
@@ -455,229 +640,6 @@ def layer_caches(n_heads: int, d_k: int, d_v: int) -> list[KvCacheState]:
     """Caches of every kv head of one layer, sharing one fresh block."""
     block = KvBlock(n_heads, d_k, d_v)
     return [KvCacheState(block, h) for h in range(n_heads)]
-
-
-def _require_current_row(cache: KvCacheState, row: AttentionRow, t: int) -> None:
-    if row.step != t:
-        raise ValueError(f"row is for step {row.step}, update is for step {t}")
-    if cache.step != t:
-        raise ValueError(f"cache is at step {cache.step}, update is for step {t}")
-    if len(row) != cache.size:
-        raise ValueError(f"row has {len(row)} scores for a cache of {cache.size} entries")
-
-
-# --------------------------------------------------------------------------
-# Importance classification and per-policy updates
-# --------------------------------------------------------------------------
-
-
-def classify_important(row: AttentionRow, t: int, threshold: str = "step") -> np.ndarray:
-    """Boolean mask of entries whose score is at least the mean-score threshold.
-
-    threshold="step" uses 1/t with t the absolute decode step; "cache" uses
-    1/(row length), i.e. the mean over the surviving entries only. The
-    comparison is >= (a score exactly at the average counts as important).
-    """
-    if t != row.step:
-        raise ValueError(f"t={t} does not match row.step={row.step}")
-    if threshold == "step":
-        cut = 1.0 / t
-    elif threshold == "cache":
-        cut = 1.0 / len(row)
-    else:
-        raise ValueError(f"threshold must be 'step' or 'cache', got {threshold!r}")
-    return row.scores >= cut
-
-
-def _corm_core(cache: KvCacheState, mask: np.ndarray, w: int, r: int, t: int) -> KvCacheState:
-    message = cache.push_message(mask, w)
-    if message.shape[0] < w:
-        return cache
-    keep = np.logical_or.reduce(message, axis=0) | (cache.positions > t - r)
-    cache.keep_only(keep)
-    return cache
-
-
-def corm_update(
-    cache: KvCacheState,
-    row: AttentionRow,
-    w: int,
-    r: int,
-    t: int,
-    threshold: str = "step",
-    mask: np.ndarray | None = None,
-) -> KvCacheState:
-    """One recency-message eviction step.
-
-    Appends the step's importance mask to the rolling message (trimmed to the
-    newest w rows). Nothing is evicted until w masks exist; afterwards the
-    kept set is exactly {flagged important in >= 1 of the last w masks} union
-    {entries from the last r steps}. Message columns are pruned with the same
-    index set as keys/values.
-
-    A precomputed `mask` overrides the row-derived one; trace replay uses
-    this to flag against the originally recorded scores.
-    """
-    if w < 1 or r < 1:
-        raise ValueError(f"window and recent sizes must be >= 1, got w={w}, r={r}")
-    _require_current_row(cache, row, t)
-    if mask is None:
-        mask = classify_important(row, t, threshold)
-    return _corm_core(cache, mask, w, r, t)
-
-
-def gqa_corm_update(
-    cache: KvCacheState,
-    rows: Sequence[AttentionRow],
-    w: int,
-    r: int,
-    t: int,
-    threshold: str = "step",
-    masks: Sequence[np.ndarray] | None = None,
-) -> KvCacheState:
-    """Recency-message eviction on a KV cache shared by a group of query heads.
-
-    The step's mask is the OR of the group's per-head masks: an entry must be
-    minor for every head in the group to be flagged minor.
-    """
-    if w < 1 or r < 1:
-        raise ValueError(f"window and recent sizes must be >= 1, got w={w}, r={r}")
-    if not rows:
-        raise ValueError("gqa_corm_update needs at least one query-head row")
-    if masks is not None and len(masks) != len(rows):
-        raise ValueError(f"{len(masks)} masks for {len(rows)} rows")
-    mask = np.zeros(cache.size, dtype=bool)
-    for i, row in enumerate(rows):
-        _require_current_row(cache, row, t)
-        mask |= masks[i] if masks is not None else classify_important(row, t, threshold)
-    return _corm_core(cache, mask, w, r, t)
-
-
-def streaming_update(
-    cache: KvCacheState, row: AttentionRow, sink: int, recent: int, t: int
-) -> KvCacheState:
-    """Keep the first `sink` positions and the last `recent`; evict the rest."""
-    _require_current_row(cache, row, t)
-    keep = (cache.positions <= sink) | (cache.positions > t - recent)
-    cache.keep_only(keep)
-    return cache
-
-
-def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarray, n_evict: int) -> None:
-    """Drop the n_evict candidate entries with the lowest ranking value.
-
-    Ties go to the lower original position; candidate indices are in position
-    order already, so a stable sort on the ranking achieves that.
-    """
-    cand_idx = np.flatnonzero(candidates)
-    order = np.lexsort((cache.positions[cand_idx], ranking[cand_idx]))
-    drop = cand_idx[order[:n_evict]]
-    keep = np.ones(cache.size, dtype=bool)
-    keep[drop] = False
-    cache.keep_only(keep)
-
-
-def h2o_update(
-    cache: KvCacheState, row: AttentionRow, heavy: int, recent: int, t: int
-) -> KvCacheState:
-    """Accumulated-score eviction: keep heavy hitters plus the recent span.
-
-    Every entry accumulates the normalized score each step's query gives it
-    (raw, never rescaled after evictions). When the cache exceeds
-    heavy+recent, the non-recent entries with the lowest accumulated score
-    are evicted, lowest original position first on ties.
-    """
-    _require_current_row(cache, row, t)
-    acc = cache.acc_scores
-    acc += row.scores
-    excess = cache.size - (heavy + recent)
-    if excess > 0:
-        non_recent = cache.positions <= t - recent
-        _evict_lowest(cache, cache.acc_scores, non_recent, min(excess, int(non_recent.sum())))
-    return cache
-
-
-def scissorhands_update(
-    cache: KvCacheState,
-    row: AttentionRow,
-    budget: int,
-    window: int,
-    recent: int,
-    t: int,
-    mask: np.ndarray | None = None,
-) -> KvCacheState:
-    """Windowed importance-count eviction.
-
-    Counts, per entry, how many of the last `window` steps flagged it
-    important (same >= 1/t mask as the recency policies). When the cache
-    exceeds budget+recent, non-recent entries with the lowest counts go
-    first, lowest original position first on ties.
-    """
-    _require_current_row(cache, row, t)
-    if mask is None:
-        mask = classify_important(row, t)
-    message = cache.push_message(mask, window)
-    excess = cache.size - (budget + recent)
-    if excess > 0:
-        counts = message.sum(axis=0).astype(np.float64)
-        non_recent = cache.positions <= t - recent
-        _evict_lowest(cache, counts, non_recent, min(excess, int(non_recent.sum())))
-    return cache
-
-
-def tova_update(cache: KvCacheState, row: AttentionRow, budget: int, t: int) -> KvCacheState:
-    """Evict the entries with the lowest score in the current row once over budget."""
-    _require_current_row(cache, row, t)
-    excess = cache.size - budget
-    if excess > 0:
-        _evict_lowest(cache, row.scores, np.ones(cache.size, dtype=bool), excess)
-    return cache
-
-
-def apply_policy(
-    policy: PolicyConfig,
-    cache: KvCacheState,
-    rows: Sequence[AttentionRow],
-    t: int,
-    masks: Sequence[np.ndarray] | None = None,
-) -> KvCacheState:
-    """Run one step of `policy` on one kv-head cache.
-
-    `rows` holds one AttentionRow per query head attending to this cache --
-    a single row except under grouped-query attention. Only the grouped
-    recency policy accepts groups larger than one; every other policy is
-    defined per head. Optional `masks` (one per row) override the row-derived
-    importance flags for the mask-driven policies.
-    """
-    if isinstance(policy, CormGqa):
-        if policy.group_size is not None and policy.group_size != len(rows):
-            raise ValueError(
-                f"policy group size {policy.group_size} does not match "
-                f"{len(rows)} query heads per kv head"
-            )
-        return gqa_corm_update(cache, rows, policy.w, policy.r, t, policy.threshold, masks=masks)
-    if isinstance(policy, Full):
-        return cache
-    if len(rows) != 1:
-        raise ValueError(
-            f"{policy_label(policy)} is a per-head policy; it cannot drive a "
-            f"kv head shared by {len(rows)} query heads"
-        )
-    row = rows[0]
-    mask = masks[0] if masks is not None else None
-    if isinstance(policy, Corm):
-        return corm_update(cache, row, policy.w, policy.r, t, policy.threshold, mask=mask)
-    if isinstance(policy, StreamingLlm):
-        return streaming_update(cache, row, policy.sink, policy.recent, t)
-    if isinstance(policy, H2O):
-        return h2o_update(cache, row, policy.heavy, policy.recent, t)
-    if isinstance(policy, Scissorhands):
-        return scissorhands_update(
-            cache, row, policy.budget, policy.window, policy.recent, t, mask=mask
-        )
-    if isinstance(policy, Tova):
-        return tova_update(cache, row, policy.budget, t)
-    raise TypeError(f"not a policy config: {policy!r}")
 
 
 # --------------------------------------------------------------------------

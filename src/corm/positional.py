@@ -14,6 +14,8 @@ from typing import Union
 
 import numpy as np
 
+from .schema import check_fields
+
 __all__ = [
     "Rope",
     "Alibi",
@@ -21,6 +23,7 @@ __all__ = [
     "AbsoluteLearned",
     "NoPositional",
     "PeConfig",
+    "PE_KINDS",
     "pe_from_dict",
     "pe_to_dict",
     "apply_rope",
@@ -67,38 +70,33 @@ class NoPositional:
 
 PeConfig = Union[Rope, Alibi, AbsoluteSinusoidal, AbsoluteLearned, NoPositional]
 
-_PE_KINDS = {
-    "rope": Rope,
-    "alibi": Alibi,
-    "absolute_sinusoidal": AbsoluteSinusoidal,
-    "absolute_learned": AbsoluteLearned,
-    "none": NoPositional,
+# kind name in JSON -> (config class, wire id in weight and trace files)
+PE_KINDS = {
+    "none": (NoPositional, 0),
+    "rope": (Rope, 1),
+    "alibi": (Alibi, 2),
+    "absolute_sinusoidal": (AbsoluteSinusoidal, 3),
+    "absolute_learned": (AbsoluteLearned, 4),
 }
-_PE_TAGS = {
-    Rope: ("rope", 1),
-    Alibi: ("alibi", 2),
-    AbsoluteSinusoidal: ("absolute_sinusoidal", 3),
-    AbsoluteLearned: ("absolute_learned", 4),
-    NoPositional: ("none", 0),
-}
+_PE_FIELDS = {"rope": {"base": (float, False)}, "alibi": {"slopes": (list, True, float)}}
 
 
 def pe_from_dict(d: dict) -> PeConfig:
     """Build a PE config from its JSON form, e.g. {"kind": "rope", "base": 1e4}."""
-    kind = d.get("kind")
-    if kind not in _PE_KINDS:
-        raise ValueError(f"unknown positional encoding {kind!r}; valid: {sorted(_PE_KINDS)}")
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in PE_KINDS:
+        raise ValueError(f"unknown positional encoding {kind!r}; valid: {sorted(PE_KINDS)}")
+    check_fields(d, {"kind": (str, False), **_PE_FIELDS.get(kind, {})}, f"{kind} positional encoding")
     if kind == "rope":
         return Rope(base=float(d.get("base", 10000.0)))
     if kind == "alibi":
         slopes = d.get("slopes")
         return Alibi(slopes=tuple(float(s) for s in slopes) if slopes is not None else None)
-    return _PE_KINDS[kind]()
+    return PE_KINDS[kind][0]()
 
 
 def pe_to_dict(pe: PeConfig) -> dict:
-    kind, _ = _PE_TAGS[type(pe)]
-    out: dict = {"kind": kind}
+    out: dict = {"kind": pe_kind_tag(pe)[0]}
     if isinstance(pe, Rope):
         out["base"] = pe.base
     elif isinstance(pe, Alibi) and pe.slopes is not None:
@@ -108,7 +106,10 @@ def pe_to_dict(pe: PeConfig) -> dict:
 
 def pe_kind_tag(pe: PeConfig) -> tuple[str, int]:
     """(name, wire id) pair used by model/trace serialization."""
-    return _PE_TAGS[type(pe)]
+    for name, (cls, wire_id) in PE_KINDS.items():
+        if type(pe) is cls:
+            return name, wire_id
+    raise TypeError(f"not a positional encoding config: {pe!r}")
 
 
 def _rope_angles(d_h: int, position: float, base: float) -> np.ndarray:

@@ -47,18 +47,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionRow
+from .attention import check_score_rows
 from .model import ToyTransformer
-from .policies import (
-    CormGqa,
-    Full,
-    PolicyConfig,
-    apply_policy,
-    layer_caches,
-    policy_label,
-    validate_policy,
-)
-from .positional import Rope, pe_kind_tag
+from .policies import Full, Policy, apply_policy, classify_important, layer_caches
+from .positional import PE_KINDS, Rope, pe_kind_tag
 
 __all__ = [
     "TraceMeta",
@@ -83,8 +75,6 @@ DEFAULT_BYTE_CAP = 512 * 1024 * 1024
 _HEAD_FMT = "<8sIIIIIIIIdQI"
 _HEAD_FIXED = struct.calcsize(_HEAD_FMT)  # 60
 
-_PE_IDS = {0: "none", 1: "rope", 2: "alibi", 3: "absolute_sinusoidal", 4: "absolute_learned"}
-_PE_TAGS = {name: tag for tag, name in _PE_IDS.items()}
 _NO_VECTOR = np.zeros(0)  # replayed caches track positions only: keys and values have width 0
 
 
@@ -207,7 +197,7 @@ def save(trace: AttentionTrace, path) -> None:
         m.d_model,
         m.d_h,
         m.vocab_size,
-        _PE_TAGS[m.pe_kind],
+        PE_KINDS[m.pe_kind][1],
         m.rope_base,
         m.seed,
         trace.n_steps,
@@ -238,7 +228,8 @@ def load(path) -> AttentionTrace:
     )
     if version != VERSION:
         raise TraceVersionError(f"unsupported trace version {version}, expected {VERSION}")
-    if pe_id not in _PE_IDS:
+    pe_names = {wire_id: name for name, (_, wire_id) in PE_KINDS.items()}
+    if pe_id not in pe_names:
         raise TraceChecksumError(f"unknown positional-encoding id {pe_id}")
     expect = trace_byte_size(n_layers, n_heads, d_h, t_steps)
     if len(blob) != expect:
@@ -270,7 +261,7 @@ def load(path) -> AttentionTrace:
         d_model=d_model,
         d_h=d_h,
         vocab_size=vocab,
-        pe_kind=_PE_IDS[pe_id],
+        pe_kind=pe_names[pe_id],
         rope_base=rope_base,
         seed=seed,
     )
@@ -292,27 +283,8 @@ class PolicySimulator:
     group of `group_size` query heads.
     """
 
-    def __init__(self, policy: PolicyConfig, n_layers: int, n_heads: int, n_kv_heads: int | None = None):
-        validate_policy(policy)
-        n_kv = n_kv_heads if n_kv_heads is not None else n_heads
-        if n_kv < 1 or n_heads % n_kv != 0:
-            raise ValueError(f"n_heads={n_heads} not divisible by n_kv_heads={n_kv}")
-        model_group = n_heads // n_kv
-        if isinstance(policy, CormGqa):
-            group = policy.group_size if policy.group_size is not None else model_group
-            if group < 1 or n_heads % group != 0:
-                raise ValueError(
-                    f"policy group size {group} does not divide {n_heads} heads"
-                )
-        elif isinstance(policy, Full):
-            group = model_group
-        else:
-            if model_group > 1:
-                raise ValueError(
-                    f"{policy_label(policy)} is a per-head policy and cannot replay "
-                    f"a grouped-query trace (group size {model_group})"
-                )
-            group = 1
+    def __init__(self, policy: Policy, n_layers: int, n_heads: int, n_kv_heads: int | None = None):
+        group = policy.group_size_for(n_heads, n_heads if n_kv_heads is None else n_kv_heads)
         self.policy = policy
         self.n_layers = n_layers
         self.n_heads = n_heads
@@ -326,31 +298,35 @@ class PolicySimulator:
         self.t = 0
 
     def step(self, t: int, rows_full) -> None:
-        """Feed step t's full rows: (n_layers, n_heads, t) array or nested lists.
+        """Feed step t's full rows: an (n_layers, n_heads, t) array or nested lists.
 
-        Importance flags are thresholded on the recorded scores themselves (a
-        surviving entry's recorded score is unchanged by restriction), so the
-        flags -- and every mask-driven policy's decisions -- are a pure
-        function of the trace. The restricted row is renormalized to a proper
-        distribution before score-magnitude policies see it.
+        The block is checked once: every row must be finite, within [0, 1]
+        and sum to 1. Importance flags are thresholded on the recorded scores
+        themselves (a surviving entry's recorded score is unchanged by
+        restriction), so the flags -- and every mask-driven policy's
+        decisions -- are a pure function of the trace. The restricted rows
+        are renormalized to proper distributions before score-magnitude
+        policies see them; a restricted row with no mass left is an error.
         """
         if t != self.t + 1:
             raise ValueError(f"steps must be consecutive: got {t} after {self.t}")
+        block = np.asarray(rows_full, dtype=np.float64)
+        if block.shape != (self.n_layers, self.n_heads, t):
+            raise ValueError(f"step {t} rows have shape {block.shape}, expected {(self.n_layers, self.n_heads, t)}")
+        check_score_rows(block)
+        flags = classify_important(block, t)
+        gs = self.group_size
         sizes = 0
         for li in range(self.n_layers):
             for g, cache in enumerate(self.caches[li]):
                 cache.append(_NO_VECTOR, _NO_VECTOR, t)
                 idx = cache.positions - 1  # recorded rows are 0-indexed by position
-                group_rows = []
-                group_masks = []
-                for hd in range(g * self.group_size, (g + 1) * self.group_size):
-                    full = np.asarray(rows_full[li][hd], dtype=np.float64)
-                    if full.shape[0] != t:
-                        raise ValueError(f"step {t} row has {full.shape[0]} scores")
-                    restricted = full[idx]
-                    group_masks.append(restricted >= 1.0 / t)
-                    group_rows.append(AttentionRow(step=t, scores=restricted / restricted.sum()))
-                apply_policy(self.policy, cache, group_rows, t, masks=group_masks)
+                heads = slice(g * gs, (g + 1) * gs)
+                restricted = block[li, heads][:, idx]
+                totals = restricted.sum(axis=1, keepdims=True)
+                if not totals.min() > 0.0:
+                    raise ValueError(f"step {t}, layer {li}: a row restricted to the kept entries sums to 0")
+                apply_policy(self.policy, cache, restricted / totals, t, flags[li, heads][:, idx])
                 self.kept[li][g].append(cache.positions.copy())
                 sizes += cache.size
         self.t = t
@@ -361,7 +337,7 @@ class PolicySimulator:
 class ReplayResult:
     """Per-step kept sets and the model-mean compression curve of one replay."""
 
-    policy: PolicyConfig
+    policy: Policy
     group_size: int
     kept: list[list[list[np.ndarray]]]  # [layer][group][step-1] -> positions
     compression: np.ndarray  # (T,) float64
@@ -370,7 +346,7 @@ class ReplayResult:
         return self.kept[layer][group][t - 1]
 
 
-def replay_policy(trace: AttentionTrace, policy: PolicyConfig) -> ReplayResult:
+def replay_policy(trace: AttentionTrace, policy: Policy) -> ReplayResult:
     """Simulate `policy`'s eviction decisions against a recorded trace.
 
     At each step the recorded full row is restricted to the simulated

@@ -221,7 +221,7 @@ class TestScalingMaskRanking:
         t = 6
         row_q = AttentionRow(step=t, scores=softmax_normalize(scaled_dot_scores(q, keys, 4)))
         row_mq = AttentionRow(step=t, scores=softmax_normalize(scaled_dot_scores(m * q, keys, 4)))
-        mask_mq = classify_important(row_mq, t)
+        mask_mq = classify_important(row_mq.scores, t)
         true_set = np.flatnonzero(mask_mq)
         by_mq = true_set[stable_argsort_desc(row_mq.scores[true_set])]
         by_q = true_set[stable_argsort_desc(row_q.scores[true_set])]

@@ -200,6 +200,17 @@ class TestFailLoud:
         err = self.run_manifest(workspace, capsys, seed="x", sampling="topk", top_k=4)
         assert "'seed' must be an integer" in err
 
+    @pytest.mark.parametrize("value", [None, [2], True])
+    def test_model_config_int_field_of_wrong_type(self, workspace, capsys, value):
+        write_model_config(workspace / "model.json", n_layers=value)
+        err = self.run_manifest(workspace, capsys)
+        assert "model config field 'n_layers' must be an integer" in err
+
+    def test_positional_encoding_field_of_wrong_type(self, workspace, capsys):
+        write_model_config(workspace / "model.json", pe={"kind": "rope", "base": None})
+        err = self.run_manifest(workspace, capsys)
+        assert "field 'base' must be a number" in err
+
     def test_checkpoints_outside_the_run(self, workspace, capsys):
         rc = main(
             [

@@ -1,10 +1,15 @@
 """Eviction policies: hand-simulated fixtures, invariants, and parsing."""
 
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from corm.attention import AttentionRow
+from conftest import seeded_tokens
+from corm.model import ModelConfig, init_model
 from corm.policies import (
+    POLICIES,
     Corm,
     CormGqa,
     Full,
@@ -16,22 +21,17 @@ from corm.policies import (
     apply_policy,
     classify_important,
     compression_rate,
-    corm_update,
-    gqa_corm_update,
-    h2o_update,
     layer_caches,
     mean_compression_rate,
     parse_policy,
     policy_label,
-    scissorhands_update,
-    streaming_update,
-    tova_update,
-    validate_policy,
 )
+from corm.trace import PolicySimulator, replay_policy
 
 
-def row(t: int, scores) -> AttentionRow:
-    return AttentionRow(step=t, scores=np.asarray(scores, dtype=np.float64))
+def rows(*scores) -> np.ndarray:
+    """A (group, n) score block: one row per query head of a cache's group."""
+    return np.array(scores, dtype=np.float64)
 
 
 def fresh_cache() -> KvCacheState:
@@ -75,37 +75,95 @@ class TestPolicyParsing:
             assert ":" not in label and "/" not in label
 
     @pytest.mark.parametrize(
-        "policy", [Corm(w=0, r=1), Corm(w=1, r=0), Tova(budget=0), StreamingLlm(sink=0, recent=5)]
+        "policy",
+        [
+            partial(Corm, w=0, r=1),
+            partial(Corm, w=1, r=0),
+            partial(Tova, budget=0),
+            partial(StreamingLlm, sink=0, recent=5),
+        ],
     )
     def test_nonpositive_sizes_rejected(self, policy):
+        # the size checks run when a config is built
         with pytest.raises(ValueError, match=">= 1"):
-            validate_policy(policy)
+            policy()
+
+
+# Each registered policy's example string, as the README's policy table shows it.
+README_EXAMPLES = {
+    "full": ("full", Full()),
+    "streaming": ("streaming:4+8", StreamingLlm(sink=4, recent=8)),
+    "h2o": ("h2o:4+4", H2O(heavy=4, recent=4)),
+    "scissorhands": ("scissorhands:4+4:2", Scissorhands(budget=4, recent=4, window=2)),
+    "tova": ("tova:8", Tova(budget=8)),
+    "corm": ("corm:4+4", Corm(w=4, r=4)),
+    "gqa_corm": ("gqa_corm:4+4", CormGqa(w=4, r=4)),
+}
+GROUPED = {"full", "gqa_corm"}  # the policies that may serve a grouped-query model
+
+
+@pytest.mark.parametrize("name", list(POLICIES))
+class TestRegistry:
+    """Every registered policy parses, labels, decodes and replays."""
+
+    def test_readme_example_parses_to_its_config(self, name):
+        text, expected = README_EXAMPLES[name]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"| `{text}` |" in readme
+        policy = parse_policy(text)
+        assert policy == expected
+        assert type(policy) is POLICIES[name] and policy.name == name
+
+    def test_label_is_unique_and_file_safe(self, name):
+        label = README_EXAMPLES[name][1].label
+        assert ":" not in label and "/" not in label
+        others = [p.label for n, (_, p) in README_EXAMPLES.items() if n != name]
+        assert label not in others
+
+    def test_decodes_and_replays(self, name, small_model, small_trace):
+        policy = README_EXAMPLES[name][1]
+        res = small_model.run(seeded_tokens(3, 16), policy)
+        assert np.isfinite(res.logits).all()
+        for layer in res.state.caches:
+            for cache in layer:
+                cache.check()
+                assert 1 <= cache.positions[0] and cache.positions[-1] <= 16
+        replay = replay_policy(small_trace, policy)
+        assert np.all((replay.compression >= 0.0) & (replay.compression < 1.0))
+        for t, kept in enumerate(replay.kept[0][0], start=1):
+            assert np.all(np.diff(kept) > 0) and 1 <= kept[0] and kept[-1] <= t
+
+    def test_grouped_query_layout(self, name):
+        policy = README_EXAMPLES[name][1]
+        model = init_model(ModelConfig(n_layers=1, n_heads=4, n_kv_heads=2, d_model=32, vocab_size=64, seed=6))
+        if name in GROUPED:
+            model.init_state(policy)
+            PolicySimulator(policy, 1, 4, 2)
+            return
+        with pytest.raises(ValueError, match="per-head policy"):
+            model.init_state(policy)
+        with pytest.raises(ValueError, match="per-head policy"):
+            PolicySimulator(policy, 1, 4, 2)
+
+
+def test_registry_keeps_the_documented_name_order():
+    # error messages list the names in registry order
+    assert list(POLICIES) == list(README_EXAMPLES)
 
 
 class TestClassifyImportant:
     def test_quarter_threshold(self):
-        mask = classify_important(row(4, [0.4, 0.3, 0.2, 0.1]), t=4)
-        np.testing.assert_array_equal(mask, [True, True, False, False])
+        mask = classify_important(rows([0.4, 0.3, 0.2, 0.1]), t=4)
+        np.testing.assert_array_equal(mask, [[True, True, False, False]])
 
     def test_first_step_always_important(self):
-        np.testing.assert_array_equal(classify_important(row(1, [1.0]), t=1), [True])
+        np.testing.assert_array_equal(classify_important(rows([1.0]), t=1), [[True]])
 
     def test_uniform_survivors_all_important(self):
         # k surviving keys at step t > k: each scores 1/k >= 1/t
         k, t = 4, 9
-        mask = classify_important(row(t, [1.0 / k] * k), t=t)
+        mask = classify_important(rows([1.0 / k] * k), t=t)
         assert mask.all()
-
-    def test_cache_denominator_flag(self):
-        r = row(8, [0.3, 0.3, 0.2, 0.2])
-        assert classify_important(r, 8, threshold="step").all()
-        np.testing.assert_array_equal(
-            classify_important(r, 8, threshold="cache"), [True, True, False, False]
-        )
-
-    def test_step_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            classify_important(row(3, [0.5, 0.5]), t=4)
 
 
 class TestKvCacheState:
@@ -180,8 +238,8 @@ class TestKvCacheState:
             push(dirty, t)
             dirty._ring[:, dirty.size :] = True
             scores = rng.dirichlet(np.full(clean.size, 0.4))
-            corm_update(clean, row(t, scores), w=3, r=2, t=t)
-            corm_update(dirty, row(t, scores), w=3, r=2, t=t)
+            Corm(w=3, r=2).step(clean, rows(scores), t)
+            Corm(w=3, r=2).step(dirty, rows(scores), t)
             dirty.check()
             np.testing.assert_array_equal(clean.positions, dirty.positions)
             np.testing.assert_array_equal(clean.message, dirty.message)
@@ -205,7 +263,7 @@ class TestCormUpdate:
         for t in range(1, w):  # first w-1 steps
             push(c, t)
             scores = np.full(t, 1.0 / t)
-            corm_update(c, row(t, scores), w=w, r=1, t=t)
+            Corm(w=w, r=1).step(c, rows(scores), t)
             assert c.size == t, "cache must grow by exactly one entry per step"
             assert c.message.shape == (t, t)
 
@@ -220,7 +278,7 @@ class TestCormUpdate:
         }
         for t, scores in steps.items():
             push(c, t)
-            corm_update(c, row(t, scores), w=2, r=1, t=t)
+            Corm(w=2, r=1).step(c, rows(scores), t)
             c.check()
             if t < 4:
                 assert c.size == t
@@ -233,23 +291,28 @@ class TestCormUpdate:
         for t in range(1, 33):
             push(c, t)
             scores = rng.dirichlet(np.ones(t))
-            corm_update(c, row(t, scores), w=10**9, r=1, t=t)
+            Corm(w=10**9, r=1).step(c, rows(scores), t)
         assert c.size == 32
 
     def test_bad_sizes_rejected(self):
+        # an invalid config cannot be built, not even from a policy string
+        for text in ("corm:0+1", "corm:1+0"):
+            with pytest.raises(ValueError, match=">= 1"):
+                parse_policy(text)
+
+    def test_step_mismatch_rejected(self):
         c = fresh_cache()
         push(c, 1)
-        with pytest.raises(ValueError, match=">= 1"):
-            corm_update(c, row(1, [1.0]), w=0, r=1, t=1)
-        with pytest.raises(ValueError, match=">= 1"):
-            corm_update(c, row(1, [1.0]), w=1, r=0, t=1)
+        push(c, 2)
+        with pytest.raises(ValueError, match="cache is at step 2, update is for step 3"):
+            Corm(w=2, r=1).step(c, rows([0.5, 0.5]), 3)
 
     def test_row_cache_length_mismatch_rejected(self):
         c = fresh_cache()
         push(c, 1)
         push(c, 2)
         with pytest.raises(ValueError, match="scores for a cache"):
-            corm_update(c, row(2, [1.0]), w=2, r=1, t=2)
+            Corm(w=2, r=1).step(c, rows([1.0]), 2)
 
     @pytest.mark.parametrize("w,r", [(1, 1), (2, 1), (3, 2), (4, 4)])
     def test_recent_keep_and_characterization_fuzz(self, w, r):
@@ -261,11 +324,11 @@ class TestCormUpdate:
         for t in range(1, 120):
             push(c, t)
             scores = rng.dirichlet(np.full(c.size, 0.4))
-            r_t = row(t, scores)
-            mask = classify_important(r_t, t)
+            r_t = rows(scores)
+            mask = classify_important(r_t, t)[0]
             flagged[t] = set(c.positions[mask])
             present = set(c.positions)
-            corm_update(c, r_t, w=w, r=r, t=t)
+            Corm(w=w, r=r).step(c, r_t, t)
             c.check()
             assert c.message.shape[1] == c.size
             kept = set(c.positions)
@@ -283,14 +346,14 @@ class TestStreamingUpdate:
         c = fresh_cache()
         for t in (1, 2, 3):
             push(c, t)
-        streaming_update(c, row(3, [0.2, 0.3, 0.5]), sink=1, recent=1, t=3)
+        StreamingLlm(sink=1, recent=1).step(c, rows([0.2, 0.3, 0.5]), 3)
         np.testing.assert_array_equal(c.positions, [1, 3])
 
     def test_no_eviction_within_budget(self):
         c = fresh_cache()
         for t in range(1, 11):
             push(c, t)
-            streaming_update(c, row(t, np.full(c.size, 1.0 / c.size)), sink=4, recent=6, t=t)
+            StreamingLlm(sink=4, recent=6).step(c, rows(np.full(c.size, 1.0 / c.size)), t)
             assert c.size == t
 
     def test_size_closed_form_over_random_trace(self):
@@ -300,7 +363,7 @@ class TestStreamingUpdate:
         for t in range(1, 101):
             push(c, t)
             scores = rng.dirichlet(np.ones(c.size))
-            streaming_update(c, row(t, scores), sink=sink, recent=recent, t=t)
+            StreamingLlm(sink, recent).step(c, rows(scores), t)
             assert c.size == min(t, sink + recent)
 
 
@@ -309,7 +372,7 @@ class TestH2OUpdate:
         c = fresh_cache()
         for t, scores in enumerate(step_scores, start=1):
             push(c, t)
-            h2o_update(c, row(t, scores), heavy=heavy, recent=recent, t=t)
+            H2O(heavy, recent).step(c, rows(scores), t)
             c.check()
         return c
 
@@ -327,7 +390,7 @@ class TestH2OUpdate:
         c = fresh_cache()
         for t in range(1, 200):
             push(c, t)
-            h2o_update(c, row(t, rng.dirichlet(np.ones(c.size))), heavy=5, recent=3, t=t)
+            H2O(heavy=5, recent=3).step(c, rows(rng.dirichlet(np.ones(c.size))), t)
             assert c.size <= 8
 
 
@@ -342,12 +405,12 @@ class TestScissorhandsUpdate:
         }
         for t, scores in steps.items():
             push(c, t)
-            scissorhands_update(c, row(t, scores), budget=2, window=2, recent=1, t=t)
+            Scissorhands(budget=2, recent=1, window=2).step(c, rows(scores), t)
             c.check()
         # counts over the last 2 masks: key2 lowest among non-recent -> evicted
         np.testing.assert_array_equal(c.positions, [1, 3, 4])
         push(c, 5)
-        scissorhands_update(c, row(5, [0.3, 0.3, 0.2, 0.2]), budget=2, window=2, recent=1, t=5)
+        Scissorhands(budget=2, recent=1, window=2).step(c, rows([0.3, 0.3, 0.2, 0.2]), 5)
         # three-way count tie among non-recent entries: lowest position goes
         np.testing.assert_array_equal(c.positions, [3, 4, 5])
 
@@ -360,7 +423,7 @@ class TestScissorhandsUpdate:
             if c.size > 1:
                 scores[c.positions == 1] = 0.5  # key 1 always far above 1/t
                 scores /= scores.sum()
-            scissorhands_update(c, row(t, scores), budget=3, window=4, recent=2, t=t)
+            Scissorhands(budget=3, recent=2, window=4).step(c, rows(scores), t)
             assert 1 in c.positions, f"always-important key evicted at t={t}"
             assert c.size <= 5
 
@@ -369,9 +432,8 @@ class TestScissorhandsUpdate:
         c = fresh_cache()
         for t in range(1, 150):
             push(c, t)
-            scissorhands_update(
-                c, row(t, rng.dirichlet(np.ones(c.size))), budget=4, window=3, recent=2, t=t
-            )
+            scores = rng.dirichlet(np.ones(c.size))
+            Scissorhands(budget=4, recent=2, window=3).step(c, rows(scores), t)
             assert c.size <= 6
 
 
@@ -380,17 +442,17 @@ class TestTovaUpdate:
         c = fresh_cache()
         for t in (1, 2):
             push(c, t)
-            tova_update(c, row(t, np.full(t, 1.0 / t)), budget=2, t=t)
+            Tova(budget=2).step(c, rows(np.full(t, 1.0 / t)), t)
         assert c.size == 2
 
     def test_lowest_current_score_evicted(self):
         c = fresh_cache()
         for t, scores in [(1, [1.0]), (2, [0.3, 0.7]), (3, [0.2, 0.5, 0.3])]:
             push(c, t)
-            tova_update(c, row(t, scores), budget=2, t=t)
+            Tova(budget=2).step(c, rows(scores), t)
         np.testing.assert_array_equal(c.positions, [2, 3])
         push(c, 4)
-        tova_update(c, row(4, [0.25, 0.25, 0.5]), budget=2, t=4)
+        Tova(budget=2).step(c, rows([0.25, 0.25, 0.5]), 4)
         # tie between positions 2 and 3: lower position evicted
         np.testing.assert_array_equal(c.positions, [3, 4])
 
@@ -399,7 +461,7 @@ class TestTovaUpdate:
         c = fresh_cache()
         for t in range(1, 100):
             push(c, t)
-            tova_update(c, row(t, rng.dirichlet(np.ones(c.size))), budget=6, t=t)
+            Tova(budget=6).step(c, rows(rng.dirichlet(np.ones(c.size))), t)
             assert c.size <= 6
 
 
@@ -411,41 +473,41 @@ class TestGqaCormUpdate:
             push(a, t)
             push(b, t)
             scores = rng.dirichlet(np.full(a.size, 0.5))
-            corm_update(a, row(t, scores), w=3, r=2, t=t)
-            gqa_corm_update(b, [row(t, scores)], w=3, r=2, t=t)
+            Corm(w=3, r=2).step(a, rows(scores), t)
+            CormGqa(w=3, r=2).step(b, rows(scores), t)
             np.testing.assert_array_equal(a.positions, b.positions)
             np.testing.assert_array_equal(a.message, b.message)
 
     def test_or_mask_keeps_key_flagged_by_one_head(self):
         c = fresh_cache()
         push(c, 1)
-        gqa_corm_update(c, [row(1, [1.0]), row(1, [1.0])], w=1, r=1, t=1)
+        CormGqa(w=1, r=1).step(c, rows([1.0], [1.0]), 1)
         push(c, 2)
         # head A flags key 1, head B does not: OR keeps it
-        gqa_corm_update(c, [row(2, [0.6, 0.4]), row(2, [0.4, 0.6])], w=1, r=1, t=2)
+        CormGqa(w=1, r=1).step(c, rows([0.6, 0.4], [0.4, 0.6]), 2)
         np.testing.assert_array_equal(c.positions, [1, 2])
         push(c, 3)
         # no head flags key 1 any more and it is outside recent-1
-        gqa_corm_update(c, [row(3, [0.2, 0.5, 0.3]), row(3, [0.1, 0.3, 0.6])], w=1, r=1, t=3)
+        CormGqa(w=1, r=1).step(c, rows([0.2, 0.5, 0.3], [0.1, 0.3, 0.6]), 3)
         np.testing.assert_array_equal(c.positions, [2, 3])
 
     def test_empty_group_rejected(self):
         c = fresh_cache()
         push(c, 1)
         with pytest.raises(ValueError, match="at least one"):
-            gqa_corm_update(c, [], w=1, r=1, t=1)
+            CormGqa(w=1, r=1).step(c, np.zeros((0, 1)), 1)
 
     def test_group_size_mismatch_rejected_by_dispatcher(self):
         c = fresh_cache()
         push(c, 1)
         with pytest.raises(ValueError, match="group size"):
-            apply_policy(CormGqa(w=1, r=1, group_size=2), c, [row(1, [1.0])], t=1)
+            apply_policy(CormGqa(w=1, r=1, group_size=2), c, rows([1.0]), 1)
 
     def test_per_head_policy_rejects_grouped_rows(self):
         c = fresh_cache()
         push(c, 1)
         with pytest.raises(ValueError, match="per-head policy"):
-            apply_policy(Tova(budget=4), c, [row(1, [1.0]), row(1, [1.0])], t=1)
+            apply_policy(Tova(budget=4), c, rows([1.0], [1.0]), 1)
 
 
 class TestFullPolicy:
@@ -454,7 +516,7 @@ class TestFullPolicy:
         rng = np.random.Generator(np.random.PCG64(0))
         for t in range(1, 20):
             push(c, t)
-            apply_policy(Full(), c, [row(t, rng.dirichlet(np.ones(t)))], t)
+            apply_policy(Full(), c, rows(rng.dirichlet(np.ones(t))), t)
             assert c.size == t
         np.testing.assert_array_equal(c.positions, np.arange(1, 20))
 

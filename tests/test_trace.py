@@ -178,3 +178,28 @@ class TestReplay:
         sim.step(1, tr.rows[0])
         with pytest.raises(ValueError, match="consecutive"):
             sim.step(3, tr.rows[2])
+
+
+class TestReplayRowChecks:
+    """Replay checks each step's block of recorded rows before using it."""
+
+    def test_nan_row_rejected(self):
+        tr = make_synthetic_trace(n_steps=8, seed=8)
+        tr.rows[4][0, 0, 2] = np.nan  # step 5, position 3: evicted under streaming:1+1
+        with pytest.raises(ValueError, match="NaN"):
+            replay_policy(tr, StreamingLlm(sink=1, recent=1))
+
+    def test_row_not_summing_to_one_rejected(self):
+        tr = make_synthetic_trace(n_steps=8, seed=8)
+        tr.rows[4] *= 0.5
+        with pytest.raises(ValueError, match="sum to"):
+            replay_policy(tr, Corm(w=2, r=2))
+
+    def test_restricted_row_without_mass_rejected_without_nan(self):
+        # streaming:1+1 keeps positions 1 and 3 after step 3; step 4's row
+        # puts all its mass on the evicted position 2
+        sim = PolicySimulator(StreamingLlm(sink=1, recent=1), 1, 1)
+        for t, row in ((1, [1.0]), (2, [0.5, 0.5]), (3, [0.2, 0.3, 0.5])):
+            sim.step(t, [[row]])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="sums to 0"):
+            sim.step(4, [[[0.0, 1.0, 0.0, 0.0]]])
