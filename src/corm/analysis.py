@@ -14,14 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ToyTransformer
-from .policies import Policy, classify_important, mean_compression_rate
+from .policies import classify_important
 from .trace import AttentionTrace
 
 __all__ = [
     "SparsityProfile",
     "sparsity_profile",
-    "sparsity_from_steps",
     "query_similarity_map",
     "recent_similarity_fraction",
     "importance_overlap",
@@ -29,8 +27,6 @@ __all__ = [
     "spearman_rank_correlation",
     "Divergence",
     "output_divergence",
-    "compression_curve",
-    "aggregate_curves",
     "write_sparsity_csv",
     "write_similarity_csv",
     "write_recent_fraction_csv",
@@ -67,20 +63,15 @@ class SparsityProfile:
         return 1.0 - self.per_layer
 
 
-def sparsity_from_steps(steps: Sequence[np.ndarray]) -> SparsityProfile:
-    """Profile from per-step (n_layers, n_heads, t) row arrays, t = 1.. in order."""
-    if not steps:
-        raise ValueError("no steps to profile")
-    acc = np.zeros(steps[0].shape[:2], dtype=np.float64)
-    for t, block in enumerate(steps, start=1):
-        acc += classify_important(block.astype(np.float64), t).mean(axis=2)
-    per_head = acc / len(steps)
-    return SparsityProfile(per_head=per_head, per_layer=per_head.mean(axis=1))
-
-
 def sparsity_profile(trace: AttentionTrace) -> SparsityProfile:
     """Important-key fraction profile of a recorded trace."""
-    return sparsity_from_steps(trace.rows)
+    if not trace.rows:
+        raise ValueError("no steps to profile")
+    acc = np.zeros(trace.rows[0].shape[:2], dtype=np.float64)
+    for t, block in enumerate(trace.rows, start=1):
+        acc += classify_important(block.astype(np.float64), t).mean(axis=2)
+    per_head = acc / len(trace.rows)
+    return SparsityProfile(per_head=per_head, per_layer=per_head.mean(axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -194,7 +185,7 @@ def spearman_rank_correlation(x, y) -> float:
 
 
 # --------------------------------------------------------------------------
-# Output divergence and compression curves
+# Output divergence
 # --------------------------------------------------------------------------
 
 
@@ -228,44 +219,6 @@ def output_divergence(logits_ref: np.ndarray, logits_other: np.ndarray) -> Diver
     p = np.exp(logp)
     kl = np.sum(p * (logp - logq), axis=1)
     return Divergence(top1_match=match, kl=np.maximum(kl, 0.0))
-
-
-def compression_curve(
-    model: ToyTransformer,
-    tokens: Sequence[int],
-    policy: Policy,
-    checkpoints: Sequence[int],
-) -> list[tuple[int, float]]:
-    """Live model-mean compression rate at each checkpoint step.
-
-    Checkpoints must be sorted ascending; those beyond the sequence length
-    are skipped.
-    """
-    cps = list(checkpoints)
-    if cps != sorted(cps) or len(set(cps)) != len(cps):
-        raise ValueError("checkpoints must be strictly ascending")
-    if any(c < 1 for c in cps):
-        raise ValueError("checkpoints must be >= 1")
-    want = set(cps)
-    out: list[tuple[int, float]] = []
-
-    def on_step(t, state):
-        if t in want:
-            out.append((t, mean_compression_rate(state.caches, t)))
-
-    model.run(tokens, policy, on_step=on_step)
-    return out
-
-
-def aggregate_curves(curves: Sequence[Sequence[tuple[int, float]]]) -> list[tuple[int, float]]:
-    """Mean rate per checkpoint across several texts' curves (same checkpoints)."""
-    if not curves:
-        raise ValueError("no curves to aggregate")
-    steps = [tuple(t for t, _ in c) for c in curves]
-    if len(set(steps)) != 1:
-        raise ValueError("curves cover different checkpoints")
-    rates = np.array([[r for _, r in c] for c in curves])
-    return [(t, float(m)) for t, m in zip(steps[0], rates.mean(axis=0))]
 
 
 # --------------------------------------------------------------------------

@@ -80,21 +80,6 @@ def attention_rows(step: int, scores: np.ndarray) -> list[AttentionRow]:
     return [AttentionRow(step, row, validated=True) for row in scores.reshape(-1, scores.shape[-1])]
 
 
-def _as_key_matrix(keys, d_h: int) -> np.ndarray:
-    if isinstance(keys, np.ndarray) and keys.ndim >= 2:
-        if keys.shape[-1] != d_h:
-            raise ValueError(f"keys have length {keys.shape[-1]}, expected d_h={d_h}")
-        return keys.astype(np.float64, copy=False)
-    rows = [np.asarray(k, dtype=np.float64) for k in keys]
-    for i, k in enumerate(rows):
-        if k.ndim != 1 or k.shape[0] != d_h:
-            got = k.shape[0] if k.ndim == 1 else f"shape {k.shape}"
-            raise ValueError(f"key {i} has length {got}, expected d_h={d_h}")
-    if not rows:
-        return np.zeros((0, d_h), dtype=np.float64)
-    return np.stack(rows)
-
-
 def scaled_dot_scores(q, keys, d_h: int) -> np.ndarray:
     """Unnormalized attention weights q.k_i / sqrt(d_h) for each key, in order.
 
@@ -111,7 +96,9 @@ def scaled_dot_scores(q, keys, d_h: int) -> np.ndarray:
     if q.ndim == 0 or q.shape[-1] != d_h:
         got = q.shape[0] if q.ndim == 1 else f"shape {q.shape}"
         raise ValueError(f"query has length {got}, expected d_h={d_h}")
-    kmat = _as_key_matrix(keys, d_h)
+    kmat = np.asarray(keys, dtype=np.float64)
+    if kmat.ndim < 2 or kmat.shape[-1] != d_h:
+        raise ValueError(f"keys have shape {kmat.shape}, expected (..., n, d_h={d_h})")
     return np.matmul(kmat, q[..., None])[..., 0] / math.sqrt(d_h)
 
 
@@ -150,8 +137,6 @@ def attention_output(scores, values) -> np.ndarray:
     scores (..., n) and values (..., n, d_v) broadcast over leading axes,
     giving (..., d_v): one call aggregates a block of heads.
     """
-    if isinstance(scores, AttentionRow):
-        scores = scores.scores
     s = np.asarray(scores, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if v.ndim == 1:

@@ -52,7 +52,7 @@ from .attention import (
     softmax_normalize,
     stable_argsort_desc,
 )
-from .policies import Full, KvCacheState, Policy, apply_policy, layer_caches
+from .policies import KvCacheState, Policy, apply_policy, layer_caches
 from .positional import (
     AbsoluteLearned,
     AbsoluteSinusoidal,
@@ -220,8 +220,6 @@ class RunResult:
 
     state: "DecoderState"
     logits: np.ndarray  # (T, vocab_size)
-    step_rows: list[np.ndarray] | None = None  # per step: (L, H, t) float32
-    step_queries: list[np.ndarray] | None = None  # per step: (L, H, d_h) float32
 
 
 @dataclass
@@ -395,42 +393,23 @@ class ToyTransformer:
         tokens: Sequence[int],
         policy: Policy,
         *,
-        capture: bool = False,
-        shadows: Sequence = (),
         on_step: Callable[[int, DecoderState], None] | None = None,
     ) -> RunResult:
         """Teacher-forced pass, returning per-position logits.
 
-        capture=True additionally records every step's full attention rows and
-        query vectors as float32 (the trace storage precision); `shadows` are
-        policy simulators fed those same rows. Both need full rows, so they
-        require the Full policy.
+        `on_step(t, state)` is called after every step, as in `generate`.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("token sequence must be non-empty")
-        want_rows = capture or len(shadows) > 0
-        if want_rows and not isinstance(policy, Full):
-            raise ValueError("row capture and shadow simulation need the full cache policy")
         state = self.init_state(policy)
         logits = np.empty((tokens.size, self.config.vocab_size), dtype=np.float64)
-        step_rows: list[np.ndarray] | None = [] if capture else None
-        step_queries: list[np.ndarray] | None = [] if capture else None
         for i, tok in enumerate(tokens):
             sr = self.decode_step(state, int(tok))
             logits[i] = sr.logits
-            if want_rows:
-                rows_f32 = np.stack(
-                    [np.stack([row.scores for row in layer]) for layer in sr.rows]
-                ).astype(np.float32)
-                if capture:
-                    step_rows.append(rows_f32)
-                    step_queries.append(sr.queries.astype(np.float32))
-                for sh in shadows:
-                    sh.step(sr.step, rows_f32)
             if on_step is not None:
                 on_step(sr.step, state)
-        return RunResult(state=state, logits=logits, step_rows=step_rows, step_queries=step_queries)
+        return RunResult(state=state, logits=logits)
 
     def generate(
         self,

@@ -504,11 +504,6 @@ class KvCacheState:
         self._ring_rows = 0  # masks recorded, at most the window
         self._ring_next = 0  # slot of the oldest mask once the ring is full
 
-    @classmethod
-    def empty(cls, d_k: int = 0, d_v: int = 0) -> "KvCacheState":
-        """A cache that owns a one-head block."""
-        return layer_caches(1, d_k, d_v)[0]
-
     @property
     def size(self) -> int:
         return self.block.sizes[self.head]

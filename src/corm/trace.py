@@ -1,6 +1,6 @@
 """Record full-cache attention traces; persist, load, and replay them.
 
-A trace captures, for every step t of a full-cache run, each (layer, head)'s
+A trace holds, for every step t of a full-cache run, each (layer, head)'s
 normalized attention row over all t positions plus the head's query vector.
 Replaying a trace drives any eviction policy's bookkeeping offline: at each
 step the recorded row is restricted to the simulated surviving set.
@@ -10,8 +10,10 @@ grow the kept set); the restricted row is renormalized before
 score-magnitude policies consume it. Replay approximates a live eviction
 run only when eviction would not have changed downstream queries; the
 divergence between the two regimes is itself something to measure, not
-hide. A live run that keeps the full cache but feeds its rows to shadow
-simulators is, by construction, identical to replaying the recorded trace.
+hide.
+
+Recording rounds rows and queries to float32, the file's storage precision,
+so a recorded trace equals the same trace saved and loaded.
 
 File format "CORMTRC1" (all little-endian), version 1:
 
@@ -36,6 +38,11 @@ File format "CORMTRC1" (all little-endian), version 1:
 
 Loading verifies, in order: magic, version, total length against the closed
 form, then both region checksums. Each failure raises a distinct error type.
+Last, the trace must hold at least one step, and every step's rows are
+checked as replay checks them (finite, within [0, 1], summing to 1 in
+float64), so a damaged trace fails at load and neither replay nor analysis
+consumes it. Loaded rows and queries are
+read-only views of the file's bytes.
 """
 
 from __future__ import annotations
@@ -124,13 +131,6 @@ class AttentionTrace:
     def n_steps(self) -> int:
         return int(self.tokens.size)
 
-    def row(self, layer: int, head: int, t: int) -> np.ndarray:
-        """Step-t scores of one head over all t positions (float32)."""
-        return self.rows[t - 1][layer, head]
-
-    def query(self, layer: int, head: int, t: int) -> np.ndarray:
-        return self.queries[t - 1][layer, head]
-
     def check(self) -> None:
         """Raise ValueError naming the first step whose arrays break the layout."""
         m = self.meta
@@ -156,19 +156,29 @@ def trace_byte_size(n_layers: int, n_heads: int, d_h: int, n_steps: int) -> int:
 def record(
     model: ToyTransformer, tokens: Sequence[int], byte_cap: int = DEFAULT_BYTE_CAP
 ) -> AttentionTrace:
-    """Run the model with the full cache and capture every row and query.
+    """Decode `tokens` with the full cache, keeping every step's rows and queries.
 
+    Rows and queries are rounded to float32, the file's storage precision.
     Refuses sequences whose serialized trace would exceed `byte_cap`,
     reporting the required size.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise ValueError("token sequence must be non-empty")
     need = trace_byte_size(c.n_layers, c.n_heads, c.d_h, int(tokens.size))
     if need > byte_cap:
         raise TraceSizeError(
             f"trace of {tokens.size} steps needs {need} bytes, cap is {byte_cap}"
         )
-    res = model.run(tokens, Full(), capture=True)
+    state = model.init_state(Full())
+    rows: list[np.ndarray] = []
+    queries: list[np.ndarray] = []
+    for tok in tokens:
+        sr = model.decode_step(state, int(tok))
+        block = np.stack([np.stack([row.scores for row in layer]) for layer in sr.rows])
+        rows.append(block.astype(np.float32))
+        queries.append(sr.queries.astype(np.float32))
     kind, _ = pe_kind_tag(c.pe)
     meta = TraceMeta(
         n_layers=c.n_layers,
@@ -181,7 +191,7 @@ def record(
         rope_base=c.pe.base if isinstance(c.pe, Rope) else 0.0,
         seed=c.seed,
     )
-    return AttentionTrace(meta=meta, tokens=tokens, rows=res.step_rows, queries=res.step_queries)
+    return AttentionTrace(meta=meta, tokens=tokens, rows=rows, queries=queries)
 
 
 def save(trace: AttentionTrace, path) -> None:
@@ -216,7 +226,10 @@ def save(trace: AttentionTrace, path) -> None:
 
 
 def load(path) -> AttentionTrace:
-    """Read a trace file, verifying magic, version, length, and checksums."""
+    """Read a trace file, verifying magic, version, length, checksums and rows.
+
+    The returned rows and queries are read-only views of the file's bytes.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:8] != MAGIC:
@@ -237,22 +250,27 @@ def load(path) -> AttentionTrace:
     hdr_end = _HEAD_FIXED + 4 * t_steps
     payload_end = len(blob) - 8
     stored_hdr, stored_payload = struct.unpack_from("<II", blob, payload_end)
-    if zlib.crc32(blob[:hdr_end]) != stored_hdr:
+    view = memoryview(blob)
+    if zlib.crc32(view[:hdr_end]) != stored_hdr:
         raise TraceChecksumError(f"header region (bytes 0..{hdr_end}) checksum mismatch")
-    if zlib.crc32(blob[hdr_end:payload_end]) != stored_payload:
+    if zlib.crc32(view[hdr_end:payload_end]) != stored_payload:
         raise TraceChecksumError(
             f"payload region (bytes {hdr_end}..{payload_end}) checksum mismatch"
         )
+    if t_steps == 0:
+        raise TraceError("trace holds no steps")
     tokens = np.frombuffer(blob, dtype="<u4", count=t_steps, offset=_HEAD_FIXED).astype(np.int64)
-    floats = np.frombuffer(blob[hdr_end:payload_end], dtype="<f4")
+    floats = np.frombuffer(blob, dtype="<f4", count=(payload_end - hdr_end) // 4, offset=hdr_end)
     rows: list[np.ndarray] = []
     queries: list[np.ndarray] = []
     offset = 0
     for t in range(1, t_steps + 1):
         count = n_layers * n_heads * (t + d_h)
         block = floats[offset : offset + count].reshape(n_layers, n_heads, t + d_h)
-        rows.append(np.ascontiguousarray(block[:, :, :t]))
-        queries.append(np.ascontiguousarray(block[:, :, t:]))
+        rows_t = block[:, :, :t]
+        check_score_rows(rows_t.astype(np.float64))
+        rows.append(rows_t)
+        queries.append(block[:, :, t:])
         offset += count
     meta = TraceMeta(
         n_layers=n_layers,
@@ -276,11 +294,10 @@ def load(path) -> AttentionTrace:
 class PolicySimulator:
     """Steps a policy's cache bookkeeping from externally supplied full rows.
 
-    Used both by offline replay (rows come from a trace) and by shadow
-    bookkeeping during a live full-cache run (rows come from the decoder).
-    Per-head policies simulate one cache per query head and require an
-    ungrouped head layout; the grouped recency policy simulates one cache per
-    group of `group_size` query heads.
+    Offline replay feeds it a trace's rows, one step at a time. Per-head
+    policies simulate one cache per query head and require an ungrouped head
+    layout; the grouped recency policy simulates one cache per group of
+    `group_size` query heads.
     """
 
     def __init__(self, policy: Policy, n_layers: int, n_heads: int, n_kv_heads: int | None = None):

@@ -5,14 +5,11 @@ import pytest
 
 from conftest import make_synthetic_trace, seeded_tokens
 from corm.analysis import (
-    aggregate_curves,
-    compression_curve,
     importance_overlap,
     output_divergence,
     overlap_similarity_samples,
     query_similarity_map,
     recent_similarity_fraction,
-    sparsity_from_steps,
     sparsity_profile,
     spearman_rank_correlation,
     write_curve_csv,
@@ -21,7 +18,7 @@ from corm.analysis import (
     write_similarity_csv,
     write_sparsity_csv,
 )
-from corm.policies import Corm, Full, StreamingLlm
+from corm.policies import Corm, Full, StreamingLlm, mean_compression_rate
 
 
 def uniform_trace(n_steps=10):
@@ -54,12 +51,6 @@ class TestSparsity:
     def test_values_in_unit_interval_and_positive(self, small_trace):
         profile = sparsity_profile(small_trace)
         assert np.all(profile.per_head > 0.0) and np.all(profile.per_head <= 1.0)
-
-    def test_trace_and_live_paths_agree(self, small_model, small_trace):
-        res = small_model.run(seeded_tokens(5, 64), Full(), capture=True)
-        live = sparsity_from_steps(res.step_rows)
-        from_trace = sparsity_profile(small_trace)
-        np.testing.assert_array_equal(live.per_head, from_trace.per_head)
 
 
 class TestQuerySimilarityMap:
@@ -199,34 +190,37 @@ class TestOutputDivergence:
 
 
 class TestCompressionCurve:
+    """Live model-mean compression rates, sampled at checkpoints by `run`'s step hook."""
+
+    @staticmethod
+    def curve(model, tokens, policy, checkpoints):
+        out = []
+
+        def on_step(t, state):
+            if t in checkpoints:
+                out.append((t, mean_compression_rate(state.caches, t)))
+
+        model.run(tokens, policy, on_step=on_step)
+        return out
+
     def test_full_policy_all_zero(self, small_model):
-        curve = compression_curve(small_model, seeded_tokens(7, 24), Full(), [8, 16, 24])
+        curve = self.curve(small_model, seeded_tokens(7, 24), Full(), [8, 16, 24])
         assert curve == [(8, 0.0), (16, 0.0), (24, 0.0)]
 
     def test_streaming_closed_form(self, small_model):
         sink, recent = 2, 6
-        curve = compression_curve(
-            small_model, seeded_tokens(8, 32), StreamingLlm(sink, recent), [4, 16, 32]
-        )
+        curve = self.curve(small_model, seeded_tokens(8, 32), StreamingLlm(sink, recent), [4, 16, 32])
+        assert [t for t, _ in curve] == [4, 16, 32]
         for t, rate in curve:
             assert rate == pytest.approx(1.0 - min(t, sink + recent) / t)
 
     def test_corm_rate_nondecreasing(self, small_model):
         checkpoints = [16, 32, 64, 96, 128]
-        curve = compression_curve(small_model, seeded_tokens(9, 128), Corm(w=4, r=4), checkpoints)
+        curve = self.curve(small_model, seeded_tokens(9, 128), Corm(w=4, r=4), checkpoints)
         rates = [r for _, r in curve]
+        assert len(rates) == len(checkpoints)
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
         assert rates[-1] > 0.0
-
-    def test_checkpoints_validated(self, small_model):
-        with pytest.raises(ValueError, match="ascending"):
-            compression_curve(small_model, seeded_tokens(9, 8), Full(), [4, 2])
-
-    def test_aggregate(self):
-        agg = aggregate_curves([[(2, 0.0), (4, 0.5)], [(2, 1.0), (4, 0.5)]])
-        assert agg == [(2, 0.5), (4, 0.5)]
-        with pytest.raises(ValueError, match="different checkpoints"):
-            aggregate_curves([[(2, 0.0)], [(3, 0.0)]])
 
 
 class TestWriters:

@@ -1,8 +1,10 @@
 """End-to-end CLI runs: manifests, file inventories, determinism, cleanup."""
 
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import seeded_tokens
@@ -10,6 +12,7 @@ from corm.cli import main
 from corm.manifest import ExperimentManifest, InputSpec
 from corm.model import ToyTransformer
 from corm.policies import Corm, Full, parse_policy
+from corm.trace import load, save
 
 
 def write_model_config(path, **overrides):
@@ -227,6 +230,22 @@ class TestFailLoud:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "within 1..72" in err and "-3, 0, 999" in err
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["replay", "--policy", "full"]], ids=["analyze", "replay"]
+    )
+    def test_trace_with_nan_row(self, workspace, capsys, command):
+        good, bad = workspace / "run.trc", workspace / "nan.trc"
+        argv = ["--model-config", str(workspace / "model.json"), "--input", str(workspace / "input.txt")]
+        assert main(["trace", *argv, "--trace", str(good)]) == 0
+        rec = load(good)
+        rows = [r.copy() for r in rec.rows]
+        rows[9][0, 1, 3] = np.nan  # step 10 of the 40-step, 1-layer, 2-head trace
+        save(dataclasses.replace(rec, rows=rows), bad)
+        rc = main([*command, "--trace", str(bad), "--out", str(workspace / "bad")])
+        assert rc == 1
+        assert not os.path.exists(workspace / "bad")
+        assert capsys.readouterr().err.startswith("error: scores contain NaN or Inf")
 
 
 class TestTraceReplayAnalyze:

@@ -35,7 +35,7 @@ def rows(*scores) -> np.ndarray:
 
 
 def fresh_cache() -> KvCacheState:
-    return KvCacheState.empty(d_k=2, d_v=2)
+    return layer_caches(1, 2, 2)[0]
 
 
 def push(cache: KvCacheState, t: int) -> None:

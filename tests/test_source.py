@@ -1,6 +1,7 @@
 """Rules the package's own source must keep."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "corm").glob("*.py"))
@@ -16,3 +17,13 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/corm: {', '.join(found)}"
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves its name in `__all__` breaks `from corm.x import *`
+    dangling = []
+    for path in SOURCES:
+        name = "corm" if path.stem == "__init__" else f"corm.{path.stem}"
+        module = importlib.import_module(name)
+        dangling += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not dangling, f"names in __all__ that do not exist: {', '.join(dangling)}"
