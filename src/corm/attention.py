@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "AttentionRow",
-    "attention_rows",
     "check_score_rows",
     "scaled_dot_scores",
     "softmax_normalize",
@@ -34,8 +33,7 @@ class AttentionRow:
     `scores[i]` is the softmax weight the step-`step` query put on the i-th
     surviving cache entry. Scores are validated on construction: finite,
     within [0, 1], and summing to 1 within 1e-6. `validated=True` skips the
-    value checks for scores already checked as part of a block (see
-    `attention_rows`).
+    value checks for scores valid by construction, such as a softmax row.
     """
 
     step: int
@@ -72,12 +70,6 @@ def check_score_rows(scores: np.ndarray) -> None:
         totals = np.ravel(totals)
         total = float(totals[np.argmax(np.abs(totals - 1.0))])
         raise ValueError(f"scores sum to {total}, expected 1 within {SUM_TOL}")
-
-
-def attention_rows(step: int, scores: np.ndarray) -> list[AttentionRow]:
-    """One AttentionRow per row of a (..., n) score block, checked once as a block."""
-    check_score_rows(scores)
-    return [AttentionRow(step, row, validated=True) for row in scores.reshape(-1, scores.shape[-1])]
 
 
 def scaled_dot_scores(q, keys, d_h: int) -> np.ndarray:

@@ -92,26 +92,52 @@ def _parse_policies(m: ExperimentManifest) -> list[Policy]:
 
 
 class _Outputs:
-    """Tracks written paths so a failed command can remove partial outputs."""
+    """Paths a command writes, removed again if the command fails.
 
-    def __init__(self, root: str):
+    `with _Outputs(root) as out:` creates `root` (None: no output directory)
+    and hands out paths with `path` (under root) and `track` (anywhere).
+    Leaving the block by an exception removes every such file, then every
+    directory this command created, `root` included; a directory that
+    existed before the command is kept.
+    """
+
+    def __init__(self, root: str | None):
         self.root = root
-        self.written: list[str] = []
-        os.makedirs(root, exist_ok=True)
+        self.files: list[str] = []
+        self.made: list[str] = []  # directories created here, parents first
+
+    def __enter__(self) -> _Outputs:
+        if self.root is not None:
+            self._makedirs(self.root)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
+        for p in self.files:
+            if os.path.isfile(p):
+                os.remove(p)
+        for d in reversed(self.made):
+            if os.path.isdir(d) and not os.listdir(d):
+                os.rmdir(d)
+
+    def _makedirs(self, d: str) -> None:
+        missing = []
+        while d and not os.path.isdir(d):
+            missing.append(d)
+            d = os.path.dirname(d)
+        for new in reversed(missing):
+            os.mkdir(new)
+            self.made.append(new)
 
     def path(self, *parts: str) -> str:
         p = os.path.join(self.root, *parts)
-        os.makedirs(os.path.dirname(p), exist_ok=True)
-        self.written.append(p)
-        return p
+        self._makedirs(os.path.dirname(p))
+        return self.track(p)
 
-    def cleanup(self) -> None:
-        for p in self.written:
-            if os.path.isfile(p):
-                os.remove(p)
-        for p in sorted({os.path.dirname(p) for p in self.written}, reverse=True):
-            if os.path.isdir(p) and not os.listdir(p) and os.path.abspath(p) != os.path.abspath(self.root):
-                os.rmdir(p)
+    def track(self, p: str) -> str:
+        self.files.append(p)
+        return p
 
 
 def _copy_manifest(m: ExperimentManifest, out: _Outputs) -> None:
@@ -185,8 +211,7 @@ def cmd_generate(m: ExperimentManifest) -> int:
     total = int(tokens.size) + m.generate_steps
     checkpoints = sorted(m.checkpoints) if m.checkpoints else [total]
     _check_checkpoints(checkpoints, total)
-    out = _Outputs(m.out)
-    try:
+    with _Outputs(m.out) as out:
         _copy_manifest(m, out)
         # The full policy's prompt logits are the divergence reference: decode
         # it first and reuse them, or decode the reference alone when absent.
@@ -196,10 +221,7 @@ def cmd_generate(m: ExperimentManifest) -> int:
             logits = _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits)
             if policy is full:
                 full_logits = logits
-        return 0
-    except BaseException:
-        out.cleanup()
-        raise
+    return 0
 
 
 def cmd_ppl(m: ExperimentManifest) -> int:
@@ -207,18 +229,14 @@ def cmd_ppl(m: ExperimentManifest) -> int:
     model = init_model(load_model_config(m.model_config))
     tokens = m.input.load(model.config.vocab_size)
     policies = _parse_policies(m)
-    out = _Outputs(m.out)
-    try:
+    with _Outputs(m.out) as out:
         _copy_manifest(m, out)
         with open(out.path("perplexity.csv"), "w", encoding="utf-8") as fh:
             fh.write("policy,perplexity\n")
             for policy in policies:
                 ppl = model.perplexity(tokens, policy)
                 fh.write(f"{policy_label(policy)},{repr(float(ppl))}\n")
-        return 0
-    except BaseException:
-        out.cleanup()
-        raise
+    return 0
 
 
 def cmd_trace(m: ExperimentManifest) -> int:
@@ -228,23 +246,11 @@ def cmd_trace(m: ExperimentManifest) -> int:
     model = init_model(load_model_config(m.model_config))
     tokens = m.input.load(model.config.vocab_size)
     rec = trace_mod.record(model, tokens, byte_cap=m.byte_cap)
-    written: list[str] = []
-    try:
+    with _Outputs(m.out) as out:
         if m.out is not None:
-            out = _Outputs(m.out)
             _copy_manifest(m, out)
-            written = out.written
-            target = m.trace if m.trace is not None else out.path("trace.bin")
-        else:
-            target = m.trace
-        written.append(target)
-        trace_mod.save(rec, target)
-        return 0
-    except BaseException:
-        for p in written:
-            if os.path.isfile(p):
-                os.remove(p)
-        raise
+        trace_mod.save(rec, out.track(m.trace) if m.trace is not None else out.path("trace.bin"))
+    return 0
 
 
 def cmd_replay(m: ExperimentManifest) -> int:
@@ -253,8 +259,7 @@ def cmd_replay(m: ExperimentManifest) -> int:
         raise ValueError(f"trace file not found: {m.trace}")
     rec = trace_mod.load(m.trace)
     policies = _parse_policies(m)
-    out = _Outputs(m.out)
-    try:
+    with _Outputs(m.out) as out:
         _copy_manifest(m, out)
         summary_rows = []
         for policy in policies:
@@ -269,20 +274,19 @@ def cmd_replay(m: ExperimentManifest) -> int:
             fh.write("policy,final_compression,mean_compression\n")
             for label, final, mean in summary_rows:
                 fh.write(f"{label},{repr(final)},{repr(mean)}\n")
-        return 0
-    except BaseException:
-        out.cleanup()
-        raise
+    return 0
 
 
 def cmd_analyze(m: ExperimentManifest) -> int:
     _require(m, "trace", "out")
     if not os.path.exists(m.trace):
         raise ValueError(f"trace file not found: {m.trace}")
+    for name, least in (("max_map_steps", 1), ("recent_k", 1), ("overlap_pairs", 2)):
+        if getattr(m, name) < least:
+            raise ValueError(f"{name.replace('_', '-')} must be >= {least}, got {getattr(m, name)}")
     rec = trace_mod.load(m.trace)
     meta = rec.meta
-    out = _Outputs(m.out)
-    try:
+    with _Outputs(m.out) as out:
         _copy_manifest(m, out)
         profile = analysis.sparsity_profile(rec)
         analysis.write_sparsity_csv(out.path("sparsity.csv"), profile)
@@ -322,10 +326,7 @@ def cmd_analyze(m: ExperimentManifest) -> int:
                 },
             },
         )
-        return 0
-    except BaseException:
-        out.cleanup()
-        raise
+    return 0
 
 
 # --------------------------------------------------------------------------

@@ -47,7 +47,6 @@ import numpy as np
 from .attention import (
     AttentionRow,
     attention_output,
-    attention_rows,
     scaled_dot_scores,
     softmax_normalize,
     stable_argsort_desc,
@@ -369,7 +368,8 @@ class ToyTransformer:
                 if slopes is not None:
                     logits = logits - slopes[a:b] * (t - block.positions[a:b, None, :n])
                 scores = softmax_normalize(logits)
-                rows_layer.extend(attention_rows(t, scores))
+                # softmax output is finite, in [0, 1] and normalized by construction
+                rows_layer.extend(AttentionRow(t, row, validated=True) for row in scores.reshape(-1, n))
                 head_scores.extend(scores)
                 outs[a:b] = attention_output(scores, block.values[a:b, None, :n])
             h = h + outs.reshape(-1) @ lw.wo

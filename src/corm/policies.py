@@ -32,13 +32,15 @@ All updates run once per decode step, after the step's attention output has
 been computed, so an eviction affects future steps only. "Recent" always
 means absolute positions (the last r generated steps), not cache slots.
 
-Storage: each layer's caches live in one KvBlock, a preallocated
-(kv_heads, capacity, d) array pair that doubles when a head fills it; each
-(layer, kv-head) cache is a KvCacheState handle on one head of it
-(`layer_caches`). Appends write the next free row and evictions compact
-survivors to the front, both in place. The recency message is a ring of
-mask rows per cache. Heads of one block share its arrays (a growth replaces
-them), so blocks, not heads, are the unit that may be updated concurrently.
+Storage: each layer's caches live in one KvBlock, whose per-entry arrays
+(keys, values, positions, acc_scores and the recency message, each
+(kv_heads, capacity, ...)) are preallocated and double when a head fills
+them; each (layer, kv-head) cache is a KvCacheState handle on one head of it
+(`layer_caches`) that holds nothing but its block, head and step. Appends
+write the next free row and evictions compact survivors to the front, both
+in place and in every per-entry array alike. Heads of one block share its
+arrays (a growth replaces them), so blocks, not heads, are the unit that may
+be updated concurrently.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ class Scissorhands(Policy):
         message = cache.push_message(flags[0], self.window)
         excess = cache.size - (self.budget + self.recent)
         if excess > 0:
-            counts = message.sum(axis=0).astype(np.float64)
+            counts = message.sum(axis=1).astype(np.float64)
             non_recent = cache.positions <= t - self.recent
             _evict_lowest(cache, counts, non_recent, min(excess, int(non_recent.sum())))
 
@@ -348,9 +350,9 @@ class Corm(Policy):
         self._check(cache, scores, t)
         flags = classify_important(scores, t) if masks is None else masks
         message = cache.push_message(np.logical_or.reduce(flags, axis=0), self.w)
-        if message.shape[0] < self.w:
+        if message.shape[1] < self.w:
             return
-        cache.keep_only(np.logical_or.reduce(message, axis=0) | (cache.positions > t - self.r))
+        cache.keep_only(np.logical_or.reduce(message, axis=1) | (cache.positions > t - self.r))
 
 
 @dataclass(frozen=True)
@@ -432,13 +434,23 @@ def apply_policy(
 
 INITIAL_CAPACITY = 16  # entries per head before a block first doubles
 
+# The per-entry arrays of a KvBlock, each (n_heads, capacity, ...): row i of
+# head h in every one of them belongs to the same cache entry.
+ENTRY_ARRAYS = ("keys", "values", "positions", "acc_scores", "message")
+
 
 class KvBlock:
-    """Keys and values of every kv head of one layer, in one preallocated block.
+    """Every per-entry array of every kv head of one layer, preallocated.
 
     keys (n_heads, capacity, d_k) and values (n_heads, capacity, d_v) hold
     head h's surviving entries in rows [0, sizes[h]), oldest first;
-    positions and acc_scores (n_heads, capacity) are row-aligned with them.
+    positions and acc_scores (n_heads, capacity) and message
+    (n_heads, capacity, slots) are row-aligned with them (`ENTRY_ARRAYS`).
+    message[h, i, (s - 1) % window] is True when step s's query flagged
+    entry i important. Its slot count stays 0 under policies that keep no
+    message and doubles up to the window as steps are recorded
+    (`grow_message`), so a huge window costs only the steps seen.
+
     Rows past a head's size are free and never read. When a head fills its
     rows, capacity doubles for the whole block, so appends cost amortized
     O(1) and heads of one layer stay in one contiguous array that attention
@@ -448,10 +460,12 @@ class KvBlock:
     """
 
     def __init__(self, n_heads: int, d_k: int, d_v: int):
-        self.keys = np.zeros((n_heads, INITIAL_CAPACITY, d_k), dtype=np.float64)
-        self.values = np.zeros((n_heads, INITIAL_CAPACITY, d_v), dtype=np.float64)
-        self.positions = np.zeros((n_heads, INITIAL_CAPACITY), dtype=np.int64)
-        self.acc_scores = np.zeros((n_heads, INITIAL_CAPACITY), dtype=np.float64)
+        cap = INITIAL_CAPACITY
+        self.keys = np.zeros((n_heads, cap, d_k), dtype=np.float64)
+        self.values = np.zeros((n_heads, cap, d_v), dtype=np.float64)
+        self.positions = np.zeros((n_heads, cap), dtype=np.int64)
+        self.acc_scores = np.zeros((n_heads, cap), dtype=np.float64)
+        self.message = np.zeros((n_heads, cap, 0), dtype=bool)
         self.sizes = [0] * n_heads
 
     @property
@@ -461,11 +475,24 @@ class KvBlock:
     def grow(self) -> None:
         """Double the capacity of every head, keeping all rows in place."""
         cap = self.capacity
-        for name in ("keys", "values", "positions", "acc_scores"):
+        for name in ENTRY_ARRAYS:
             old = getattr(self, name)
-            new = np.zeros((old.shape[0], 2 * cap) + old.shape[2:], dtype=old.dtype)
+            # zeros_like keeps old's memory order, so the message stays slot-major
+            new = np.zeros_like(old, shape=(old.shape[0], 2 * cap) + old.shape[2:])
             new[:, :cap] = old
             setattr(self, name, new)
+
+    def grow_message(self, slots: int) -> None:
+        """Widen every entry's message to `slots` slots, keeping the recorded ones.
+
+        The message is stored slot-major, so the flags one step gave a head's
+        entries are contiguous: the per-step mask write and the reductions
+        over the window run over contiguous memory.
+        """
+        m = self.message
+        new = np.zeros((m.shape[0], slots, m.shape[1]), dtype=bool).transpose(0, 2, 1)
+        new[:, :, : m.shape[2]] = m
+        self.message = new
 
     def equal_size_runs(self) -> list[tuple[int, int]]:
         """[start, stop) ranges of consecutive heads holding equally many entries."""
@@ -482,27 +509,26 @@ class KvBlock:
 class KvCacheState:
     """Surviving entries of one (layer, kv-head), with policy bookkeeping.
 
-    A handle on one head of a KvBlock: keys, values, positions and
-    acc_scores are views of the head's first `size` block rows, so they are
-    valid until the next append or keep_only. Row i belongs to the entry
-    generated at absolute step positions[i]; `acc_scores` accumulates
-    normalized attention per entry.
+    A stateless view of one head of a KvBlock apart from `step`, the last
+    step appended: keys, values, positions, acc_scores and message are
+    views of the head's first `size` block rows, valid until the next
+    append or keep_only. Row i belongs to the entry generated at absolute
+    step positions[i]; `acc_scores` accumulates normalized attention per
+    entry.
 
-    `message` holds the most recent importance masks (one bool row per step,
-    oldest first), column-aligned with the entries. It is stored as a ring
-    of rows whose row count doubles up to the policy's window, so a huge
-    window costs only the rows actually recorded. Ring columns past `size`
-    are stale; append clears a column before it becomes an entry's, so they
-    are never read.
+    `message` holds the importance masks of the most recent steps, one bool
+    row per step, oldest first, column-aligned with the entries. Policies
+    that keep it record one mask per step with `push_message`, after that
+    step's append; the view shows the masks of steps up to `step`, so it is
+    current once the step's mask is recorded.
     """
+
+    __slots__ = ("block", "head", "step")
 
     def __init__(self, block: KvBlock, head: int):
         self.block = block
         self.head = head
         self.step = 0
-        self._ring = np.zeros((0, 0), dtype=bool)
-        self._ring_rows = 0  # masks recorded, at most the window
-        self._ring_next = 0  # slot of the oldest mask once the ring is full
 
     @property
     def size(self) -> int:
@@ -526,17 +552,17 @@ class KvCacheState:
 
     @property
     def message(self) -> np.ndarray:
-        if not self._ring_rows:
-            return np.zeros((0, self.size), dtype=bool)
-        ring = self._ring[: self._ring_rows, : self.size]
-        k = self._ring_next
-        return np.concatenate([ring[k:], ring[:k]]) if k else ring
+        rows = self.block.message[self.head, : self.size, : self.step]
+        slots = rows.shape[1]
+        # once more steps than slots exist, the oldest kept step sits at slot step % slots
+        k = self.step % slots if 0 < slots < self.step else 0
+        return np.concatenate([rows[:, k:], rows[:, :k]], axis=1).T if k else rows.T
 
     def append(self, key, value, position: int) -> None:
         """Add the entry generated at `position` in the head's next free row.
 
-        Recorded message rows get a False column for the new entry (a query
-        recorded before the entry existed never flagged it).
+        The row's message slots are cleared (a query recorded before the
+        entry existed never flagged it).
         """
         if position <= self.step:
             raise ValueError(f"position {position} not after step {self.step}")
@@ -544,57 +570,37 @@ class KvCacheState:
         n = block.sizes[h]
         if n == block.capacity:
             block.grow()
-        block.keys[h, n] = key
-        block.values[h, n] = value
-        block.positions[h, n] = position
-        block.acc_scores[h, n] = 0.0
-        if self._ring_rows:
-            if n == self._ring.shape[1]:
-                self._widen_ring()
-            else:
-                self._ring[:, n] = False
+        for name, x in zip(ENTRY_ARRAYS, (key, value, position, 0.0, False)):
+            getattr(block, name)[h, n] = x
         block.sizes[h] = n + 1
         self.step = position
 
-    def _widen_ring(self) -> None:
-        ring = np.zeros((self._ring.shape[0], self.block.capacity), dtype=bool)
-        ring[:, : self._ring.shape[1]] = self._ring
-        self._ring = ring
-
     def push_message(self, mask: np.ndarray, window: int) -> np.ndarray:
-        """Record one step's importance mask, keeping the newest `window` masks.
+        """Record the importance mask of step `step`, keeping the newest `window` masks.
 
-        Returns the kept masks as a (rows, size) view in ring order, which is
-        oldest first only until the ring wraps: fit for reductions over the
-        window, not for reading its order (use `message` for that).
+        Call once per step. Returns the kept masks as a (size, rows) view,
+        entries first, in slot order, which is oldest first only until the
+        window wraps: fit for reductions over the window (axis 1), not for
+        reading its order (use `message` for that).
         """
-        n = self.size
+        n, s = self.size, self.step
         if mask.shape != (n,):
             raise ValueError(f"mask has shape {mask.shape} for a cache of {n} entries")
-        if self._ring.shape[0] > window:
-            raise ValueError(f"message holds {self._ring.shape[0]} rows, window is {window}")
-        if self._ring.shape[1] < n:
-            self._widen_ring()
-        rows = self._ring_rows
-        if rows == self._ring.shape[0] == window:
-            slot = self._ring_next
-            self._ring_next = (slot + 1) % window
-        else:
-            if rows == self._ring.shape[0]:
-                # not wrapped yet: wrapping starts only once `window` rows exist
-                ring = np.zeros((min(2 * rows or 1, window), self._ring.shape[1]), dtype=bool)
-                ring[:rows] = self._ring
-                self._ring = ring
-            slot = rows
-            self._ring_rows = rows + 1
-        self._ring[slot, :n] = mask
-        return self._ring[: self._ring_rows, :n]
+        block = self.block
+        slots = block.message.shape[2]
+        if slots > window:
+            raise ValueError(f"message has {slots} slots, window is {window}")
+        if slots < min(s, window):
+            block.grow_message(min(max(2 * slots, s), window))
+        rows = block.message[self.head, :n]
+        rows[:, (s - 1) % window] = mask
+        return rows[:, :s]
 
     def keep_only(self, keep: np.ndarray) -> None:
         """Compact the cache to the entries where `keep` is True, in place.
 
-        Survivors move, in order, to the front rows of the head's block rows;
-        message columns move with them.
+        Survivors move, in order, to the front of the head's block rows, in
+        every per-entry array.
         """
         n = self.size
         if len(keep) != n:
@@ -604,11 +610,10 @@ class KvCacheState:
         if k == n:
             return
         block, h = self.block, self.head
-        for arr in (block.keys[h], block.values[h], block.positions[h], block.acc_scores[h]):
-            arr[:k] = arr[idx]
-        if self._ring_rows:
-            ring = self._ring[: self._ring_rows]
-            ring[:, :k] = ring[:, idx]
+        for name in ENTRY_ARRAYS:
+            arr = getattr(block, name)[h]
+            if arr.size:  # zero-width rows (replay's keys, an unused message) hold nothing
+                arr[:k] = arr[idx]
         block.sizes[h] = k
 
     def check(self) -> None:
@@ -617,18 +622,12 @@ class KvCacheState:
         if not 0 <= n <= block.capacity:
             raise ValueError(f"size {n} outside 0..capacity {block.capacity}")
         heads = len(block.sizes)
-        for name in ("keys", "values", "positions", "acc_scores"):
+        for name in ENTRY_ARRAYS:
             shape = getattr(block, name).shape[:2]
             if shape != (heads, block.capacity):
                 raise ValueError(f"block {name} has shape {shape}, expected ({heads}, {block.capacity})")
         if np.any(np.diff(self.positions) <= 0):
             raise ValueError("positions must strictly increase")
-        if self._ring_rows > self._ring.shape[0]:
-            raise ValueError(f"message counts {self._ring_rows} rows in a ring of {self._ring.shape[0]}")
-        if self._ring_rows and self._ring.shape[1] < n:
-            raise ValueError(f"message ring has {self._ring.shape[1]} columns for {n} entries")
-        if self.message.shape != (self._ring_rows, n):
-            raise ValueError(f"message exposes shape {self.message.shape}, expected ({self._ring_rows}, {n})")
 
 
 def layer_caches(n_heads: int, d_k: int, d_v: int) -> list[KvCacheState]:

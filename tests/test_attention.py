@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from corm.attention import (
     AttentionRow,
     attention_output,
-    attention_rows,
+    check_score_rows,
     cosine_similarity,
     scaled_dot_scores,
     softmax_normalize,
@@ -198,14 +198,12 @@ class TestHeadBatching:
 
     def test_block_rows_checked_once_with_row_messages(self):
         block = np.full((2, 4), 0.25)
-        rows = attention_rows(3, block)
-        assert [r.step for r in rows] == [3, 3]
-        np.testing.assert_array_equal(rows[1].scores, block[1])
+        check_score_rows(block)
         for value, message in ((0.5, "sum to 1.25"), (np.nan, "NaN or Inf"), (-0.5, r"\[0, 1\]")):
             bad = block.copy()
             bad[1, 0] = value
             with pytest.raises(ValueError, match=message):
-                attention_rows(3, bad)
+                check_score_rows(bad)
 
 
 class TestScalingMaskRanking:

@@ -121,7 +121,7 @@ class TestGenerate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "valid names" in err
-        assert not os.path.exists(workspace / "bad") or not tree(workspace / "bad")
+        assert not os.path.exists(workspace / "bad")
 
     def test_missing_input_file_reported(self, workspace, capsys):
         rc = main(
@@ -188,7 +188,7 @@ class TestFailLoud:
         (ws / "m.json").write_text(json.dumps(manifest))
         rc = main(["generate", "--manifest", str(ws / "m.json")])
         assert rc == 1
-        assert not os.path.exists(ws / "bad") or not tree(ws / "bad")
+        assert not os.path.exists(ws / "bad")
         err = capsys.readouterr().err
         assert err.startswith("error:")
         return err
@@ -226,7 +226,7 @@ class TestFailLoud:
             ]
         )
         assert rc == 1
-        assert not os.path.exists(workspace / "bad") or not tree(workspace / "bad")
+        assert not os.path.exists(workspace / "bad")
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "within 1..72" in err and "-3, 0, 999" in err
@@ -246,6 +246,21 @@ class TestFailLoud:
         assert rc == 1
         assert not os.path.exists(workspace / "bad")
         assert capsys.readouterr().err.startswith("error: scores contain NaN or Inf")
+
+
+    @pytest.mark.parametrize(
+        "flag,value,least",
+        [("--max-map-steps", "-3", 1), ("--max-map-steps", "0", 1), ("--recent-k", "0", 1),
+         ("--overlap-pairs", "1", 2)],
+    )
+    def test_analyze_settings_checked_before_any_output(self, workspace, capsys, flag, value, least):
+        trc = workspace / "run.trc"
+        argv = ["--model-config", str(workspace / "model.json"), "--input", str(workspace / "input.txt")]
+        assert main(["trace", *argv, "--trace", str(trc)]) == 0
+        rc = main(["analyze", "--trace", str(trc), "--out", str(workspace / "bad"), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be >= {least}, got {value}")
+        assert not os.path.exists(workspace / "bad")
 
 
 class TestTraceReplayAnalyze:
@@ -309,7 +324,27 @@ class TestTraceReplayAnalyze:
         )
         assert rc == 1
         assert "does not divide" in capsys.readouterr().err
-        assert not tree(out), "partial outputs must be removed"
+        assert not os.path.exists(out), "partial outputs must be removed"
+
+    def test_failed_command_keeps_an_output_directory_that_existed(self, traced, capsys):
+        out = traced / "kept"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        rc = main(
+            [
+                "replay",
+                "--trace", str(traced / "run.trc"),
+                "--policy", "streaming:2+2",
+                "--policy", "gqa_corm:2+2:3",
+                "--out", str(out / "nested"),
+            ]
+        )
+        assert rc == 1
+        assert "does not divide" in capsys.readouterr().err
+        assert tree(out) == {"notes.txt": b"mine"}
+        assert main(["replay", "--trace", str(traced / "run.trc"), "--policy", "gqa_corm:2+2:3",
+                     "--out", str(out)]) == 1
+        assert tree(out) == {"notes.txt": b"mine"}
 
     def test_corrupt_trace_surfaces_checksum_error(self, traced, capsys):
         blob = bytearray((traced / "run.trc").read_bytes())

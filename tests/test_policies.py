@@ -180,7 +180,8 @@ class TestKvCacheState:
         push(c, 1)
         c.push_message(np.array([True]), window=4)
         push(c, 2)
-        np.testing.assert_array_equal(c.message, [[True, False]])
+        c.push_message(np.array([False, True]), window=4)
+        np.testing.assert_array_equal(c.message, [[True, False], [False, True]])
 
     def test_out_of_order_append_rejected(self):
         c = fresh_cache()
@@ -190,12 +191,12 @@ class TestKvCacheState:
 
     def test_keep_only_prunes_message_columns(self):
         c = fresh_cache()
-        for t in (1, 2, 3):
-            push(c, t)
-        c.push_message(np.array([True, False, True]), window=4)
+        for mask in ([True], [True, False], [True, False, True]):
+            push(c, len(mask))
+            c.push_message(np.array(mask), window=4)
         c.keep_only(np.array([True, False, True]))
         np.testing.assert_array_equal(c.positions, [1, 3])
-        np.testing.assert_array_equal(c.message, [[True, True]])
+        np.testing.assert_array_equal(c.message, [[True, False], [True, False], [True, True]])
         c.check()
 
 
@@ -233,16 +234,44 @@ class TestKvCacheState:
         rng = np.random.Generator(np.random.PCG64(5))
         clean, dirty = fresh_cache(), fresh_cache()
         for t in range(1, 60):
-            dirty._ring[:, dirty.size :] = True  # stale columns where the next entry goes
+            dirty.block.message[0, dirty.size :] = True  # stale rows where the next entry goes
             push(clean, t)
             push(dirty, t)
-            dirty._ring[:, dirty.size :] = True
+            dirty.block.message[0, dirty.size :] = True
             scores = rng.dirichlet(np.full(clean.size, 0.4))
             Corm(w=3, r=2).step(clean, rows(scores), t)
             Corm(w=3, r=2).step(dirty, rows(scores), t)
             dirty.check()
             np.testing.assert_array_equal(clean.positions, dirty.positions)
             np.testing.assert_array_equal(clean.message, dirty.message)
+
+    def test_message_of_one_head_survives_a_growth_another_head_triggers(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        shared = layer_caches(2, 2, 2)
+        solo = [fresh_cache(), fresh_cache()]
+        policy = Corm(w=3, r=2)
+        for t in range(1, 41):
+            for h in (0, 1):
+                push(shared[h], t)
+                push(solo[h], t)
+                # head 0 keeps every entry (uniform scores are all >= 1/t) and so
+                # doubles the shared block; head 1 evicts and stays small
+                scores = np.full(t, 1.0 / t) if h == 0 else rng.dirichlet(np.full(solo[h].size, 0.4))
+                policy.step(shared[h], rows(scores), t)
+                policy.step(solo[h], rows(scores), t)
+            for a, b in zip(shared, solo):
+                np.testing.assert_array_equal(a.positions, b.positions)
+                np.testing.assert_array_equal(a.message, b.message)
+        assert shared[0].size == 40 and shared[1].size < 16
+
+    def test_window_smaller_than_the_recorded_message_rejected(self):
+        c = fresh_cache()
+        for t in (1, 2, 3):
+            push(c, t)
+            c.push_message(np.ones(t, dtype=bool), window=4)
+        push(c, 4)
+        with pytest.raises(ValueError, match="window is 2"):
+            c.push_message(np.ones(4, dtype=bool), window=2)
 
     def test_check_raises_value_errors_naming_the_invariant(self):
         c = fresh_cache()

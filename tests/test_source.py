@@ -27,3 +27,17 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         dangling += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not dangling, f"names in __all__ that do not exist: {', '.join(dangling)}"
+
+
+def test_private_attributes_read_only_through_self_or_cls():
+    # a `_name` belongs to its own class: other objects use its public methods
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert not found, f"private attributes read from outside their object: {', '.join(found)}"
