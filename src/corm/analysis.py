@@ -91,7 +91,10 @@ def query_similarity_map(trace: AttentionTrace, layer: int, head: int, max_steps
     if np.any(norms == 0.0):
         raise ValueError("zero query vector: cosine similarity undefined")
     qn = q / norms[:, None]
-    return np.tril(qn @ qn.T, k=-1)
+    sim = qn @ qn.T
+    # zero the diagonal and upper triangle in place: np.tril would copy the map
+    np.copyto(sim, 0.0, where=~np.tri(t_max, k=-1, dtype=bool))
+    return sim
 
 
 def recent_similarity_fraction(sim_map: np.ndarray, k: int) -> float:
@@ -250,8 +253,8 @@ def write_similarity_csv(path, sim_map: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         n = sim_map.shape[0]
         for i in range(n):
-            cells = [_fmt(sim_map[i, j]) if j < i else "" for j in range(n)]
-            fh.write(",".join(cells) + "\n")
+            # repr of the row's Python floats, as _fmt writes each one
+            fh.write(",".join([*map(repr, sim_map[i, :i].tolist()), *[""] * (n - i)]) + "\n")
 
 
 def write_recent_fraction_csv(path, rows: Sequence[tuple[int, int, int, float]]) -> None:

@@ -193,7 +193,7 @@ def _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits) ->
     )
     _write_tokens(out.path(label, "tokens.txt"), generated)
     analysis.write_curve_csv(out.path(label, "compression.csv"), curve)
-    if not isinstance(policy, Full):
+    if policy != Full():
         div = analysis.output_divergence(full_logits, res.logits)
         analysis.write_divergence_csv(out.path(label, "divergence_vs_full.csv"), div)
     return res.logits
@@ -215,7 +215,7 @@ def cmd_generate(m: ExperimentManifest) -> int:
         _copy_manifest(m, out)
         # The full policy's prompt logits are the divergence reference: decode
         # it first and reuse them, or decode the reference alone when absent.
-        full = next((p for p in policies if isinstance(p, Full)), None)
+        full = next((p for p in policies if p == Full()), None)
         full_logits = None if full is not None else model.run(tokens, Full()).logits
         for policy in sorted(policies, key=lambda p: p is not full):
             logits = _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits)

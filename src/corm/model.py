@@ -13,12 +13,12 @@ ramp builds that heterogeneity in (deeper layers sharper, heads jittered).
 Set depth_gain=1 and head_gain_jitter=0 for statistically uniform layers.
 
 Prefill is strictly token-by-token: the eviction policy's update hook runs
-per layer and kv head after every position, during prompt processing exactly
-as during generation. Each layer keeps its kv heads' entries in one
-preallocated block (see `corm.policies.KvBlock`); evicted entries are
-compacted away in place, and each entry's original absolute position is
-retained so rotary encoding and position-based bookkeeping stay correct
-after eviction.
+once per layer, for all of its kv heads at once, after every position,
+during prompt processing exactly as during generation. Each layer keeps its
+kv heads' entries in one preallocated block (`corm.policies.KvCacheState`);
+evicted entries are compacted away in place, and each entry's original
+absolute position is retained so rotary encoding and position-based
+bookkeeping stay correct after eviction.
 
 Attention is computed per layer in one call for each run of consecutive kv
 heads whose caches hold equally many entries, with their query heads: the
@@ -51,7 +51,7 @@ from .attention import (
     softmax_normalize,
     stable_argsort_desc,
 )
-from .policies import KvCacheState, Policy, apply_policy, layer_caches
+from .policies import KvCacheState, Policy, apply_policy
 from .positional import (
     AbsoluteLearned,
     AbsoluteSinusoidal,
@@ -226,7 +226,7 @@ class DecoderState:
     """Mutable decode state for one sequence: caches, step counter, last logits."""
 
     policy: Policy
-    caches: list[list[KvCacheState]]  # [layer][kv head], one block per layer
+    caches: list[KvCacheState]  # [layer]: one block of every kv head of the layer
     step: int = 0
     last_logits: np.ndarray | None = None
 
@@ -317,7 +317,7 @@ class ToyTransformer:
                 f"policy group size {group} does not match the "
                 f"model's {c.group_size} query heads per kv head"
             )
-        caches = [layer_caches(c.kv_heads, c.d_h, c.d_h) for _ in range(c.n_layers)]
+        caches = [KvCacheState(c.kv_heads, c.d_h, c.d_h) for _ in range(c.n_layers)]
         return DecoderState(policy=policy, caches=caches)
 
     # -- stepping ----------------------------------------------------------
@@ -351,32 +351,31 @@ class ToyTransformer:
                 qk = rope_apply_many(np.concatenate([q, k])[:, None, :], pos, c.pe.base)[:, 0, :]
                 q, k = qk[: c.n_heads], qk[c.n_heads :]
             queries[li] = q
-            caches = state.caches[li]
-            for kv, cache in enumerate(caches):
-                cache.append(k[kv], v[kv], t)
-            block = caches[0].block
+            cache = state.caches[li]
+            cache.append(k, v, t)
 
             # query heads grouped by the kv head they read: (kv heads, group size, ...)
             q_groups = q.reshape(c.kv_heads, gs, c.d_h)
             gain = self.head_gain[li].reshape(c.kv_heads, gs, 1)
             rows_layer: list[AttentionRow] = []
-            head_scores: list[np.ndarray] = []  # per kv head: (group size, entries)
             outs = np.empty((c.kv_heads, gs, c.d_h), dtype=np.float64)
-            for a, b in block.equal_size_runs():
-                n = block.sizes[a]
-                logits = scaled_dot_scores(q_groups[a:b], block.keys[a:b, None, :n], c.d_h) * gain[a:b]
+            runs = cache.equal_size_runs()
+            # the policy's scores: the one run's block, or zero past each kv head's size
+            layer_scores = None if len(runs) == 1 else np.zeros((c.kv_heads, gs, cache.width))
+            for a, b, n in runs:
+                logits = scaled_dot_scores(q_groups[a:b], cache.keys[a:b, None, :n], c.d_h) * gain[a:b]
                 if slopes is not None:
-                    logits = logits - slopes[a:b] * (t - block.positions[a:b, None, :n])
+                    logits = logits - slopes[a:b] * (t - cache.positions[a:b, None, :n])
                 scores = softmax_normalize(logits)
                 # softmax output is finite, in [0, 1] and normalized by construction
                 rows_layer.extend(AttentionRow(t, row, validated=True) for row in scores.reshape(-1, n))
-                head_scores.extend(scores)
-                outs[a:b] = attention_output(scores, block.values[a:b, None, :n])
+                if layer_scores is not None:
+                    layer_scores[a:b, :, :n] = scores
+                outs[a:b] = attention_output(scores, cache.values[a:b, None, :n])
             h = h + outs.reshape(-1) @ lw.wo
             h = h + _gelu(_rms_norm(h) @ lw.w1) @ lw.w2
 
-            for cache, scores in zip(caches, head_scores):
-                apply_policy(state.policy, cache, scores, t)
+            apply_policy(state.policy, cache, scores if layer_scores is None else layer_scores, t)
             rows_all.append(rows_layer)
 
         logits = _rms_norm(h) @ self.out_proj

@@ -4,7 +4,8 @@ Each policy is a frozen dataclass that owns everything about itself: its
 `name` in policy strings, `parse` of the arguments after the name, its
 `label`, its size checks (`__post_init__`, so an invalid config cannot be
 built), how many query heads one of its caches may serve
-(`group_size_for`), and its per-step update (`step`). `POLICIES` registers
+(`group_size_for`), and its per-step update of a block of caches (`step`),
+which updates every head of the block at once. `POLICIES` registers
 the classes by name: `parse_policy` looks a class up there and
 `apply_policy` calls the policy's `step`, so adding a policy is one class
 plus one registry entry.
@@ -32,15 +33,17 @@ All updates run once per decode step, after the step's attention output has
 been computed, so an eviction affects future steps only. "Recent" always
 means absolute positions (the last r generated steps), not cache slots.
 
-Storage: each layer's caches live in one KvBlock, whose per-entry arrays
-(keys, values, positions, acc_scores and the recency message, each
-(kv_heads, capacity, ...)) are preallocated and double when a head fills
-them; each (layer, kv-head) cache is a KvCacheState handle on one head of it
-(`layer_caches`) that holds nothing but its block, head and step. Appends
-write the next free row and evictions compact survivors to the front, both
-in place and in every per-entry array alike. Heads of one block share its
-arrays (a growth replaces them), so blocks, not heads, are the unit that may
-be updated concurrently.
+Storage: a KvCacheState is a block of caches, one per head: every kv head
+of one layer in decode, or every (layer, group) cache in replay. Its
+per-entry arrays (keys, values, positions, acc_scores and the recency
+message, each (heads, capacity, ...)) are preallocated and double when a
+head fills them. An append writes every head's next free row; a policy step
+flags, records its message and builds its keep mask for all heads in one
+array operation each, and picks budget evictions by a row-wise argmin. Only
+heads that drop an entry are compacted, survivors to the front, in place and
+in every per-entry array alike. The heads of a block share its arrays (a
+growth replaces them), so blocks are the unit that may be updated
+concurrently.
 """
 
 from __future__ import annotations
@@ -64,9 +67,7 @@ __all__ = [
     "policy_label",
     "apply_policy",
     "classify_important",
-    "KvBlock",
     "KvCacheState",
-    "layer_caches",
     "compression_rate",
     "mean_compression_rate",
 ]
@@ -130,24 +131,29 @@ class Policy:
         return 1
 
     def step(self, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None = None) -> None:
-        """Update `cache` after decode step t.
+        """Update every head of the `cache` block after decode step t.
 
-        scores: (group, n) float64; row i holds the normalized scores that
-        query head i of the cache's group gave the cache's n entries at step
-        t. masks: optional (group, n) bool importance flags that replace the
+        scores: (heads, group, m) float64 with m = cache.width; scores[h, i]
+        holds the normalized scores that query head i of head h's group gave
+        head h's entries at step t, zero past the head's size. masks:
+        optional (heads, group, m) bool importance flags that replace the
         ones derived from scores (replay flags the recorded scores).
         """
         raise NotImplementedError
 
-    def _check(self, cache: KvCacheState, scores: np.ndarray, t: int) -> None:
-        """Raise ValueError unless `scores` is this policy's step-t block for `cache`."""
+    def _check(self, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None) -> None:
+        """Raise ValueError unless `scores` and `masks` are this policy's step-t block for `cache`."""
         if cache.step != t:
             raise ValueError(f"cache is at step {cache.step}, update is for step {t}")
-        if scores.ndim != 2 or scores.shape[1] != cache.size:
-            raise ValueError(f"{scores.shape[-1]} scores for a cache of {cache.size} entries")
-        group = self.group_size_for(len(scores), 1)
-        if group != len(scores):
-            raise ValueError(f"policy group size {group} does not match {len(scores)} query heads per kv head")
+        if scores.ndim != 3 or scores.shape[0] != cache.n_heads or scores.shape[2] != cache.width:
+            raise ValueError(
+                f"{scores.shape} scores for a cache block of {cache.n_heads} heads of up to {cache.width} entries"
+            )
+        group = self.group_size_for(scores.shape[1], 1)
+        if group != scores.shape[1]:
+            raise ValueError(f"policy group size {group} does not match {scores.shape[1]} query heads per kv head")
+        if masks is not None and masks.shape != scores.shape:
+            raise ValueError(f"masks of shape {masks.shape} for scores of shape {scores.shape}")
 
 
 def _sizes(name: str, args: list[str], third: bool = False) -> tuple[int, int, int | None]:
@@ -167,17 +173,23 @@ def _sizes(name: str, args: list[str], third: bool = False) -> tuple[int, int, i
     return a, b, int(args[1]) if len(args) == 2 else None
 
 
-def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarray, n_evict: int) -> None:
-    """Drop the n_evict candidate entries with the lowest ranking value.
+def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarray, budget: int) -> None:
+    """Drop from each head its candidate entries with the lowest ranking until it holds `budget`.
 
-    Ties go to the lower original position; candidate indices are in position
-    order already, so a stable sort on the ranking achieves that.
+    ranking and candidates are (heads, width); a head with too few
+    candidates drops them all. Each round drops, in every head that still
+    must, the row-wise argmin of the ranking over the candidates left.
+    argmin returns the first minimum and a head's entries are in position
+    order, so ties go to the lower original position.
     """
-    cand_idx = np.flatnonzero(candidates)
-    order = np.lexsort((cache.positions[cand_idx], ranking[cand_idx]))
-    drop = cand_idx[order[:n_evict]]
-    keep = np.ones(cache.size, dtype=bool)
-    keep[drop] = False
+    n_evict = np.minimum([n - budget for n in cache.sizes], np.add.reduce(candidates, axis=1))
+    ranking = np.where(candidates, ranking, np.inf)
+    keep = np.ones(ranking.shape, dtype=bool)
+    for k in range(max(n_evict.tolist())):
+        rows = (n_evict > k).nonzero()[0]
+        cols = ranking[rows].argmin(axis=1)
+        keep[rows, cols] = False
+        ranking[rows, cols] = np.inf
     cache.keep_only(keep)
 
 
@@ -224,8 +236,9 @@ class StreamingLlm(Policy):
         return f"streaming_{self.sink}+{self.recent}"
 
     def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t)
-        cache.keep_only((cache.positions <= self.sink) | (cache.positions > t - self.recent))
+        self._check(cache, scores, t, masks)
+        positions = cache.positions[:, : scores.shape[2]]
+        cache.keep_only((positions <= self.sink) | (positions > t - self.recent))
 
 
 @dataclass(frozen=True)
@@ -252,13 +265,13 @@ class H2O(Policy):
         return f"h2o_{self.heavy}+{self.recent}"
 
     def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t)
-        acc = cache.acc_scores
-        acc += scores[0]
-        excess = cache.size - (self.heavy + self.recent)
-        if excess > 0:
-            non_recent = cache.positions <= t - self.recent
-            _evict_lowest(cache, cache.acc_scores, non_recent, min(excess, int(non_recent.sum())))
+        self._check(cache, scores, t, masks)
+        m = scores.shape[2]
+        acc = cache.acc_scores[:, :m]
+        acc += scores[:, 0]
+        if cache.width > self.heavy + self.recent:
+            non_recent = cache.positions[:, :m] <= t - self.recent
+            _evict_lowest(cache, acc, non_recent, self.heavy + self.recent)
 
 
 @dataclass(frozen=True)
@@ -287,14 +300,13 @@ class Scissorhands(Policy):
         return label if self.window == self.recent else f"{label}_w{self.window}"
 
     def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t)
+        self._check(cache, scores, t, masks)
         flags = classify_important(scores, t) if masks is None else masks
-        message = cache.push_message(flags[0], self.window)
-        excess = cache.size - (self.budget + self.recent)
-        if excess > 0:
-            counts = message.sum(axis=1).astype(np.float64)
-            non_recent = cache.positions <= t - self.recent
-            _evict_lowest(cache, counts, non_recent, min(excess, int(non_recent.sum())))
+        message = cache.push_message(flags[:, 0], self.window)
+        if cache.width > self.budget + self.recent:
+            counts = message.sum(axis=2)
+            non_recent = cache.positions[:, : scores.shape[2]] <= t - self.recent
+            _evict_lowest(cache, counts, non_recent, self.budget + self.recent)
 
 
 @dataclass(frozen=True)
@@ -315,10 +327,10 @@ class Tova(Policy):
         return f"tova_{self.budget}"
 
     def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t)
-        excess = cache.size - self.budget
-        if excess > 0:
-            _evict_lowest(cache, scores[0], np.ones(cache.size, dtype=bool), excess)
+        self._check(cache, scores, t, masks)
+        if cache.width > self.budget:
+            held = cache.positions[:, : scores.shape[2]] <= t
+            _evict_lowest(cache, scores[:, 0], held, self.budget)
 
 
 @dataclass(frozen=True)
@@ -347,12 +359,13 @@ class Corm(Policy):
         masks exist; afterwards the kept set is exactly {flagged in >= 1 of
         the last w masks} union {entries from the last r steps}.
         """
-        self._check(cache, scores, t)
+        self._check(cache, scores, t, masks)
         flags = classify_important(scores, t) if masks is None else masks
-        message = cache.push_message(np.logical_or.reduce(flags, axis=0), self.w)
-        if message.shape[1] < self.w:
+        message = cache.push_message(np.logical_or.reduce(flags, axis=1), self.w)
+        if message.shape[2] < self.w:
             return
-        cache.keep_only(np.logical_or.reduce(message, axis=1) | (cache.positions > t - self.r))
+        positions = cache.positions[:, : scores.shape[2]]
+        cache.keep_only(np.logical_or.reduce(message, axis=2) | (positions > t - self.r))
 
 
 @dataclass(frozen=True)
@@ -419,10 +432,11 @@ def policy_label(policy: Policy) -> str:
 def apply_policy(
     policy: Policy, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None = None
 ) -> None:
-    """Run one step of `policy` on one kv-head cache (see `Policy.step`).
+    """Run one step of `policy` on every head of one cache block (see `Policy.step`).
 
-    The single entry point through which live decoding and replay update a
-    cache: `scores` holds one row per query head attending to it.
+    The single entry point through which live decoding (once per layer) and
+    replay (once per step) update caches: `scores[h]` holds one row per
+    query head attending to head h.
     """
     policy.step(cache, scores, t, masks)
 
@@ -433,54 +447,137 @@ def apply_policy(
 
 
 INITIAL_CAPACITY = 16  # entries per head before a block first doubles
+FREE = np.iinfo(np.int64).max  # the position of every free row: later than any step
 
-# The per-entry arrays of a KvBlock, each (n_heads, capacity, ...): row i of
-# head h in every one of them belongs to the same cache entry.
+# The per-entry arrays of a KvCacheState, each (n_heads, capacity, ...): row i
+# of head h in every one of them belongs to the same cache entry.
 ENTRY_ARRAYS = ("keys", "values", "positions", "acc_scores", "message")
 
 
-class KvBlock:
-    """Every per-entry array of every kv head of one layer, preallocated.
+class KvCacheState:
+    """Surviving entries of a block of kv-head caches, with policy bookkeeping.
 
-    keys (n_heads, capacity, d_k) and values (n_heads, capacity, d_v) hold
-    head h's surviving entries in rows [0, sizes[h]), oldest first;
-    positions and acc_scores (n_heads, capacity) and message
+    One block holds every kv head of one layer in decode, or every
+    (layer, group) cache in replay; a policy step updates all of its heads
+    at once. keys (n_heads, capacity, d_k) and values (n_heads, capacity,
+    d_v) hold head h's surviving entries in rows [0, sizes[h]), oldest
+    first; positions and acc_scores (n_heads, capacity) and message
     (n_heads, capacity, slots) are row-aligned with them (`ENTRY_ARRAYS`).
+    Row i of head h belongs to the entry generated at absolute step
+    positions[h, i]; acc_scores accumulates normalized attention per entry.
+    `step` is the last step appended.
+
     message[h, i, (s - 1) % window] is True when step s's query flagged
     entry i important. Its slot count stays 0 under policies that keep no
     message and doubles up to the window as steps are recorded
-    (`grow_message`), so a huge window costs only the steps seen.
+    (`push_message`), so a huge window costs only the steps seen.
 
-    Rows past a head's size are free and never read. When a head fills its
-    rows, capacity doubles for the whole block, so appends cost amortized
-    O(1) and heads of one layer stay in one contiguous array that attention
-    can batch over. Each head is used through a KvCacheState handle (see
-    `layer_caches`); the block holds no reference back to its handles, so a
-    layer's caches are freed as soon as the last handle goes.
+    Rows past a head's size are free: their position is FREE, and their
+    other arrays hold stale values that are never read. A free row thus
+    reads as recent in every policy's position test, so no policy picks it
+    as a candidate and keep masks keep it. When a head fills its rows,
+    capacity doubles for the whole block, so appends cost amortized O(1) and
+    the heads stay in one contiguous array that attention can batch over.
+
+    `sizes` is a Python list: on a few heads, list arithmetic costs a
+    fraction of a numpy call.
     """
 
     def __init__(self, n_heads: int, d_k: int, d_v: int):
         cap = INITIAL_CAPACITY
         self.keys = np.zeros((n_heads, cap, d_k), dtype=np.float64)
         self.values = np.zeros((n_heads, cap, d_v), dtype=np.float64)
-        self.positions = np.zeros((n_heads, cap), dtype=np.int64)
+        self.positions = np.full((n_heads, cap), FREE, dtype=np.int64)
         self.acc_scores = np.zeros((n_heads, cap), dtype=np.float64)
         self.message = np.zeros((n_heads, cap, 0), dtype=bool)
         self.sizes = [0] * n_heads
+        self.step = 0
+
+    @property
+    def n_heads(self) -> int:
+        return len(self.sizes)
 
     @property
     def capacity(self) -> int:
         return self.positions.shape[1]
+
+    @property
+    def size(self) -> int:
+        """Entries held by all heads together."""
+        return sum(self.sizes)
+
+    @property
+    def width(self) -> int:
+        """Entries of the fullest head: the last axis of a step's scores."""
+        return max(self.sizes)
+
+    def head_positions(self, h: int) -> np.ndarray:
+        """Positions of head h's entries, oldest first (a view)."""
+        return self.positions[h, : self.sizes[h]]
+
+    def head_message(self, h: int) -> np.ndarray:
+        """Head h's recorded masks, one bool row per step, oldest first.
+
+        Column-aligned with the head's entries; covers the steps up to
+        `step`, so it is current once the step's mask is recorded.
+        """
+        n, s = self.sizes[h], self.step
+        rows = self.message[h, :n, :s]
+        slots = rows.shape[1]
+        # once more steps than slots exist, the oldest kept step sits at slot step % slots
+        k = s % slots if 0 < slots < s else 0
+        return np.concatenate([rows[:, k:], rows[:, :k]], axis=1).T if k else rows.T
+
+    def equal_size_runs(self) -> list[tuple[int, int, int]]:
+        """(start, stop, size) of each run of consecutive heads holding equally many entries."""
+        sizes = self.sizes
+        runs, start = [], 0
+        for h in range(1, len(sizes)):
+            if sizes[h] != sizes[start]:
+                runs.append((start, h, sizes[start]))
+                start = h
+        runs.append((start, len(sizes), sizes[start]))
+        return runs
 
     def grow(self) -> None:
         """Double the capacity of every head, keeping all rows in place."""
         cap = self.capacity
         for name in ENTRY_ARRAYS:
             old = getattr(self, name)
-            # zeros_like keeps old's memory order, so the message stays slot-major
-            new = np.zeros_like(old, shape=(old.shape[0], 2 * cap) + old.shape[2:])
+            # full_like keeps old's memory order, so the message stays slot-major
+            fill = FREE if name == "positions" else 0
+            new = np.full_like(old, fill, shape=(old.shape[0], 2 * cap) + old.shape[2:])
             new[:, :cap] = old
             setattr(self, name, new)
+
+    def append(self, keys, values, position: int) -> None:
+        """Add the entry generated at `position` to every head, in its next free row.
+
+        keys (n_heads, d_k) and values (n_heads, d_v) hold one row per head.
+        The rows' message slots are cleared (a query recorded before the
+        entry existed never flagged it).
+        """
+        if position <= self.step:
+            raise ValueError(f"position {position} not after step {self.step}")
+        sizes = self.sizes
+        lo, hi = min(sizes), max(sizes)
+        if hi == self.capacity:
+            self.grow()
+        # equal heads write one column of each array, others one row per head:
+        # on a few heads that costs less than one fancy-indexed write
+        rows = [(slice(None), lo)] if lo == hi else enumerate(sizes)
+        with_vectors = self.keys.shape[2] > 0  # replay's caches hold positions only
+        with_message = self.message.shape[2] > 0
+        for h, n in rows:
+            if with_vectors:
+                self.keys[h, n] = keys[h]
+                self.values[h, n] = values[h]
+            self.positions[h, n] = position
+            self.acc_scores[h, n] = 0.0
+            if with_message:
+                self.message[h, n] = False
+        self.sizes = [n + 1 for n in sizes]
+        self.step = position
 
     def grow_message(self, slots: int) -> None:
         """Widen every entry's message to `slots` slots, keeping the recorded ones.
@@ -494,146 +591,62 @@ class KvBlock:
         new[:, :, : m.shape[2]] = m
         self.message = new
 
-    def equal_size_runs(self) -> list[tuple[int, int]]:
-        """[start, stop) ranges of consecutive heads holding equally many entries."""
-        sizes = self.sizes
-        runs, start = [], 0
-        for h in range(1, len(sizes)):
-            if sizes[h] != sizes[start]:
-                runs.append((start, h))
-                start = h
-        runs.append((start, len(sizes)))
-        return runs
-
-
-class KvCacheState:
-    """Surviving entries of one (layer, kv-head), with policy bookkeeping.
-
-    A stateless view of one head of a KvBlock apart from `step`, the last
-    step appended: keys, values, positions, acc_scores and message are
-    views of the head's first `size` block rows, valid until the next
-    append or keep_only. Row i belongs to the entry generated at absolute
-    step positions[i]; `acc_scores` accumulates normalized attention per
-    entry.
-
-    `message` holds the importance masks of the most recent steps, one bool
-    row per step, oldest first, column-aligned with the entries. Policies
-    that keep it record one mask per step with `push_message`, after that
-    step's append; the view shows the masks of steps up to `step`, so it is
-    current once the step's mask is recorded.
-    """
-
-    __slots__ = ("block", "head", "step")
-
-    def __init__(self, block: KvBlock, head: int):
-        self.block = block
-        self.head = head
-        self.step = 0
-
-    @property
-    def size(self) -> int:
-        return self.block.sizes[self.head]
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.block.keys[self.head, : self.size]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.block.values[self.head, : self.size]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.block.positions[self.head, : self.size]
-
-    @property
-    def acc_scores(self) -> np.ndarray:
-        return self.block.acc_scores[self.head, : self.size]
-
-    @property
-    def message(self) -> np.ndarray:
-        rows = self.block.message[self.head, : self.size, : self.step]
-        slots = rows.shape[1]
-        # once more steps than slots exist, the oldest kept step sits at slot step % slots
-        k = self.step % slots if 0 < slots < self.step else 0
-        return np.concatenate([rows[:, k:], rows[:, :k]], axis=1).T if k else rows.T
-
-    def append(self, key, value, position: int) -> None:
-        """Add the entry generated at `position` in the head's next free row.
-
-        The row's message slots are cleared (a query recorded before the
-        entry existed never flagged it).
-        """
-        if position <= self.step:
-            raise ValueError(f"position {position} not after step {self.step}")
-        block, h = self.block, self.head
-        n = block.sizes[h]
-        if n == block.capacity:
-            block.grow()
-        for name, x in zip(ENTRY_ARRAYS, (key, value, position, 0.0, False)):
-            getattr(block, name)[h, n] = x
-        block.sizes[h] = n + 1
-        self.step = position
-
     def push_message(self, mask: np.ndarray, window: int) -> np.ndarray:
-        """Record the importance mask of step `step`, keeping the newest `window` masks.
+        """Record the (n_heads, width) importance mask of step `step`, keeping the newest `window`.
 
-        Call once per step. Returns the kept masks as a (size, rows) view,
-        entries first, in slot order, which is oldest first only until the
-        window wraps: fit for reductions over the window (axis 1), not for
-        reading its order (use `message` for that).
+        Call once per step. Returns the kept masks as an (n_heads, width,
+        rows) view, in slot order, which is oldest first only until the
+        window wraps: fit for reductions over the window (axis 2), not for
+        reading its order (use `head_message` for that).
         """
-        n, s = self.size, self.step
-        if mask.shape != (n,):
-            raise ValueError(f"mask has shape {mask.shape} for a cache of {n} entries")
-        block = self.block
-        slots = block.message.shape[2]
+        m, s = self.width, self.step
+        if mask.shape != (self.n_heads, m):
+            raise ValueError(f"mask has shape {mask.shape} for {self.n_heads} caches of up to {m} entries")
+        slots = self.message.shape[2]
         if slots > window:
             raise ValueError(f"message has {slots} slots, window is {window}")
         if slots < min(s, window):
-            block.grow_message(min(max(2 * slots, s), window))
-        rows = block.message[self.head, :n]
-        rows[:, (s - 1) % window] = mask
-        return rows[:, :s]
+            self.grow_message(min(max(2 * slots, s), window))
+        rows = self.message[:, :m]
+        rows[:, :, (s - 1) % window] = mask
+        return rows[:, :, :s]
 
     def keep_only(self, keep: np.ndarray) -> None:
-        """Compact the cache to the entries where `keep` is True, in place.
+        """Compact each head to its entries where `keep` (n_heads, width) is True, in place.
 
-        Survivors move, in order, to the front of the head's block rows, in
-        every per-entry array.
+        Flags past a head's size are ignored. Only heads with a False flag
+        move: their survivors move, in order, to the front of the head's
+        rows, in every per-entry array, and the rows they leave become free.
         """
-        n = self.size
-        if len(keep) != n:
-            raise ValueError(f"keep mask has {len(keep)} flags for a cache of {n} entries")
-        idx = np.asarray(keep).nonzero()[0]
-        k = idx.size
-        if k == n:
-            return
-        block, h = self.block, self.head
-        for name in ENTRY_ARRAYS:
-            arr = getattr(block, name)[h]
-            if arr.size:  # zero-width rows (replay's keys, an unused message) hold nothing
-                arr[:k] = arr[idx]
-        block.sizes[h] = k
+        if keep.shape != (self.n_heads, self.width):
+            raise ValueError(f"keep mask has shape {keep.shape} for {self.n_heads} caches of up to {self.width} entries")
+        sizes = self.sizes
+        for h in (~np.logical_and.reduce(keep, axis=1)).nonzero()[0].tolist():
+            n = sizes[h]
+            idx = keep[h, :n].nonzero()[0]
+            k = idx.size
+            for name in ENTRY_ARRAYS:
+                arr = getattr(self, name)[h]
+                if arr.size:
+                    arr[:k] = arr[idx]
+            self.positions[h, k:n] = FREE
+            sizes[h] = k
 
     def check(self) -> None:
         """Raise ValueError naming the first broken layout invariant."""
-        block, n = self.block, self.size
-        if not 0 <= n <= block.capacity:
-            raise ValueError(f"size {n} outside 0..capacity {block.capacity}")
-        heads = len(block.sizes)
+        cap, heads = self.capacity, self.n_heads
+        for h, n in enumerate(self.sizes):
+            if not 0 <= n <= cap:
+                raise ValueError(f"head {h}: size {n} outside 0..capacity {cap}")
         for name in ENTRY_ARRAYS:
-            shape = getattr(block, name).shape[:2]
-            if shape != (heads, block.capacity):
-                raise ValueError(f"block {name} has shape {shape}, expected ({heads}, {block.capacity})")
-        if np.any(np.diff(self.positions) <= 0):
-            raise ValueError("positions must strictly increase")
-
-
-def layer_caches(n_heads: int, d_k: int, d_v: int) -> list[KvCacheState]:
-    """Caches of every kv head of one layer, sharing one fresh block."""
-    block = KvBlock(n_heads, d_k, d_v)
-    return [KvCacheState(block, h) for h in range(n_heads)]
+            shape = getattr(self, name).shape[:2]
+            if shape != (heads, cap):
+                raise ValueError(f"block {name} has shape {shape}, expected ({heads}, {cap})")
+        for h, n in enumerate(self.sizes):
+            if np.any(np.diff(self.positions[h, :n]) <= 0):
+                raise ValueError(f"head {h}: positions must strictly increase")
+            if np.any(self.positions[h, n:] != FREE):
+                raise ValueError(f"head {h}: a free row holds a position")
 
 
 # --------------------------------------------------------------------------
@@ -641,14 +654,13 @@ def layer_caches(n_heads: int, d_k: int, d_v: int) -> list[KvCacheState]:
 # --------------------------------------------------------------------------
 
 
-def compression_rate(state: KvCacheState, t: int) -> float:
-    """1 - (cache size / t): the fraction of generated entries evicted so far."""
+def compression_rate(cache: KvCacheState, t: int) -> np.ndarray:
+    """Per head, 1 - (cache size / t): the fraction of generated entries evicted so far."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    return 1.0 - state.size / t
+    return 1.0 - np.array(cache.sizes) / t
 
 
-def mean_compression_rate(caches: Sequence[Sequence[KvCacheState]], t: int) -> float:
-    """Model-wide rate: mean over every (layer, kv-head) cache."""
-    rates = [compression_rate(c, t) for layer in caches for c in layer]
-    return float(np.mean(rates))
+def mean_compression_rate(caches: Sequence[KvCacheState], t: int) -> float:
+    """Model-wide rate: mean over every (layer, kv-head) cache of the layers' blocks."""
+    return float(np.mean(np.concatenate([compression_rate(c, t) for c in caches])))

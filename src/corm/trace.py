@@ -56,7 +56,7 @@ import numpy as np
 
 from .attention import check_score_rows
 from .model import ToyTransformer
-from .policies import Full, Policy, apply_policy, classify_important, layer_caches
+from .policies import Full, KvCacheState, Policy, apply_policy, classify_important
 from .positional import PE_KINDS, Rope, pe_kind_tag
 
 __all__ = [
@@ -81,8 +81,6 @@ VERSION = 1
 DEFAULT_BYTE_CAP = 512 * 1024 * 1024
 _HEAD_FMT = "<8sIIIIIIIIdQI"
 _HEAD_FIXED = struct.calcsize(_HEAD_FMT)  # 60
-
-_NO_VECTOR = np.zeros(0)  # replayed caches track positions only: keys and values have width 0
 
 
 class TraceError(Exception):
@@ -297,7 +295,9 @@ class PolicySimulator:
     Offline replay feeds it a trace's rows, one step at a time. Per-head
     policies simulate one cache per query head and require an ungrouped head
     layout; the grouped recency policy simulates one cache per group of
-    `group_size` query heads.
+    `group_size` query heads. All n_layers * n_groups caches are the heads
+    of one block, layer-major, so each step is one policy update; they
+    track positions only (keys and values have width 0).
     """
 
     def __init__(self, policy: Policy, n_layers: int, n_heads: int, n_kv_heads: int | None = None):
@@ -307,7 +307,10 @@ class PolicySimulator:
         self.n_heads = n_heads
         self.group_size = group
         self.n_groups = n_heads // group
-        self.caches = [layer_caches(self.n_groups, 0, 0) for _ in range(n_layers)]
+        self.cache = KvCacheState(n_layers * self.n_groups, 0, 0)
+        self._no_vector = np.zeros((n_layers * self.n_groups, 0))
+        # index of each (cache, query head) row in a step's (n_layers * n_heads) rows
+        self._row_ids = np.arange(n_layers * n_heads).reshape(-1, group, 1)
         self.kept: list[list[list[np.ndarray]]] = [
             [[] for _ in range(self.n_groups)] for _ in range(n_layers)
         ]
@@ -327,27 +330,31 @@ class PolicySimulator:
         """
         if t != self.t + 1:
             raise ValueError(f"steps must be consecutive: got {t} after {self.t}")
-        block = np.asarray(rows_full, dtype=np.float64)
+        block = np.asarray(rows_full)
         if block.shape != (self.n_layers, self.n_heads, t):
             raise ValueError(f"step {t} rows have shape {block.shape}, expected {(self.n_layers, self.n_heads, t)}")
-        check_score_rows(block)
-        flags = classify_important(block, t)
-        gs = self.group_size
-        sizes = 0
-        for li in range(self.n_layers):
-            for g, cache in enumerate(self.caches[li]):
-                cache.append(_NO_VECTOR, _NO_VECTOR, t)
-                idx = cache.positions - 1  # recorded rows are 0-indexed by position
-                heads = slice(g * gs, (g + 1) * gs)
-                restricted = block[li, heads][:, idx]
-                totals = restricted.sum(axis=1, keepdims=True)
-                if not totals.min() > 0.0:
-                    raise ValueError(f"step {t}, layer {li}: a row restricted to the kept entries sums to 0")
-                apply_policy(self.policy, cache, restricted / totals, t, flags[li, heads][:, idx])
-                self.kept[li][g].append(cache.positions.copy())
-                sizes += cache.size
+        # float64 rows, each followed by a zero: the score a free cache row reads
+        rows = np.zeros((self.n_layers, self.n_heads, t + 1))
+        rows[:, :, :t] = block
+        check_score_rows(rows[:, :, :t])
+        cache = self.cache
+        cache.append(self._no_vector, self._no_vector, t)
+        # every cache's rows restricted to its entries, zero past its size; a
+        # recorded row is 0-indexed by position, and a free row's FREE maps to t
+        idx = np.minimum(cache.positions[:, : cache.width], t + 1) - 1
+        restricted = np.take(rows, self._row_ids * (t + 1) + idx[:, None, :])
+        totals = np.empty((cache.n_heads, self.group_size, 1))
+        for a, b, n in cache.equal_size_runs():  # sums over exactly each row's entries
+            totals[a:b] = restricted[a:b, :, :n].sum(axis=2, keepdims=True)
+        if not totals.min() > 0.0:
+            layer = int(np.argmax(totals.min(axis=(1, 2)) <= 0.0)) // self.n_groups
+            raise ValueError(f"step {t}, layer {layer}: a row restricted to the kept entries sums to 0")
+        flags = classify_important(restricted, t)
+        apply_policy(self.policy, cache, restricted / totals, t, flags)
+        for c, n in enumerate(cache.sizes):
+            self.kept[c // self.n_groups][c % self.n_groups].append(cache.positions[c, :n].copy())
         self.t = t
-        self.compression.append(1.0 - sizes / (self.n_layers * self.n_groups * t))
+        self.compression.append(1.0 - cache.size / (self.n_layers * self.n_groups * t))
 
 
 @dataclass

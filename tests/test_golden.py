@@ -1,11 +1,16 @@
-"""Pinned output bits: logits and final kept positions of 80-step decodes.
+"""Pinned output bits of 80-step decodes and of replays of 80-step traces.
 
-Each digest is a SHA-256 over ``logits.tobytes()`` followed by the final kept
-positions of every (layer, kv-head) cache. A change to summation order
-anywhere in the decode path -- attention batching, softmax reductions,
+Each decode digest is a SHA-256 over ``logits.tobytes()`` followed by the
+final kept positions of every (layer, kv-head) cache. A change to summation
+order anywhere in the decode path -- attention batching, softmax reductions,
 rotary or absolute position tables, cache growth -- changes a digest. 80
-steps take the full cache across several capacity doublings. A deliberate
-change of output bits must record new digests and say why.
+steps take the full cache across several capacity doublings.
+
+Each replay digest is a SHA-256 over the replay's ``compression.tobytes()``
+followed by every kept set ``kept_at(l, g, t)``, layer-major, then group,
+then step: it pins each policy's decisions at every step of the trace, not
+only the final cache. A deliberate change of output bits must record new
+digests and say why.
 """
 
 import hashlib
@@ -14,8 +19,9 @@ import pytest
 
 from conftest import seeded_tokens
 from corm.model import ModelConfig, init_model
-from corm.policies import parse_policy
+from corm.policies import POLICIES, parse_policy
 from corm.positional import AbsoluteSinusoidal, Alibi, Rope
+from corm.trace import record, replay_policy
 
 STEPS = 80
 
@@ -50,12 +56,50 @@ def decode_digest(model_name: str, policy: str) -> str:
     model = init_model(MODELS[model_name])
     res = model.run(seeded_tokens(11, STEPS), parse_policy(policy))
     h = hashlib.sha256(res.logits.tobytes())
-    for layer in res.state.caches:
-        for cache in layer:
-            h.update(cache.positions.astype("<i8").tobytes())
+    for cache in res.state.caches:
+        for head in range(cache.n_heads):
+            h.update(cache.head_positions(head).astype("<i8").tobytes())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("model_name,policy", sorted(GOLDEN))
 def test_decode_bits_match_golden_digest(model_name, policy):
     assert decode_digest(model_name, policy) == GOLDEN[(model_name, policy)]
+
+
+REPLAY_GOLDEN = {
+    ("rope_2l4h", "full"): "6211065ca563f309e6ac41f4e37a35248f7394ae14bc00c2acdc07f253a36b47",
+    ("rope_2l4h", "streaming:4+12"): "ac4fa2ffe0cb27d564cbd2864049884436fbfdfe0c2f1aebef05c24c0e820863",
+    ("rope_2l4h", "h2o:16+16"): "db9d9849c9c5c23e4e2977ce2f703994dbbb8932e4b08d13b654e4ab06aa0d96",
+    ("rope_2l4h", "scissorhands:16+16"): "26354ff61d2db0a2247ba81f29f8c95a0439930bdac7d7435c7f5f53bff79da8",
+    ("rope_2l4h", "tova:24"): "8da97a02d29cff3c13075777a715fb480a5ec6eec0eba524ccf07893605beea3",
+    ("rope_2l4h", "corm:8+8"): "9527845fd18b9fb6ddeafc7c35f4113e534fe0ef9c0b5d9cf13c3ce76b9139f2",
+    ("rope_2l4h", "gqa_corm:8+8"): "9527845fd18b9fb6ddeafc7c35f4113e534fe0ef9c0b5d9cf13c3ce76b9139f2",
+    ("sinusoidal_4l8h_kv2", "full"): "6211065ca563f309e6ac41f4e37a35248f7394ae14bc00c2acdc07f253a36b47",
+    ("sinusoidal_4l8h_kv2", "gqa_corm:8+8"): "9dcfd50651d07e12215b3571efdb795568b43514af098236b6d7ca7cf92e5ceb",
+}
+
+
+@pytest.fixture(scope="module")
+def traces():
+    names = {name for name, _ in REPLAY_GOLDEN}
+    return {name: record(init_model(MODELS[name]), seeded_tokens(11, STEPS)) for name in names}
+
+
+def replay_digest(trace, policy: str) -> str:
+    res = replay_policy(trace, parse_policy(policy))
+    h = hashlib.sha256(res.compression.tobytes())
+    for layer in range(trace.meta.n_layers):
+        for group in range(trace.meta.n_heads // res.group_size):
+            for t in range(1, trace.n_steps + 1):
+                h.update(res.kept_at(layer, group, t).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_replay_golden_covers_every_registered_policy():
+    assert {policy.split(":")[0] for model, policy in REPLAY_GOLDEN if model == "rope_2l4h"} == set(POLICIES)
+
+
+@pytest.mark.parametrize("trace_name,policy", sorted(REPLAY_GOLDEN))
+def test_replay_bits_match_golden_digest(traces, trace_name, policy):
+    assert replay_digest(traces[trace_name], policy) == REPLAY_GOLDEN[(trace_name, policy)]

@@ -70,10 +70,9 @@ class TestPrefill:
     def test_full_policy_caches_hold_every_token(self, small_model):
         tokens = seeded_tokens(2, 40)
         state = small_model.prefill(tokens, Full())
-        for layer in state.caches:
-            for cache in layer:
-                assert cache.size == 40
-                np.testing.assert_array_equal(cache.positions, np.arange(1, 41))
+        for cache in state.caches:
+            np.testing.assert_array_equal(cache.sizes, 40)
+            np.testing.assert_array_equal(cache.positions[:, :40], np.tile(np.arange(1, 41), (cache.n_heads, 1)))
 
     def test_wide_window_matches_full_exactly(self, small_model):
         # the message window holds w masks after step w, so "never filled"
@@ -81,11 +80,12 @@ class TestPrefill:
         tokens = seeded_tokens(3, 24)
         full = small_model.prefill(tokens, Full())
         wide = small_model.prefill(tokens, Corm(w=25, r=1))
-        for lf, lw in zip(full.caches, wide.caches):
-            for cf, cw in zip(lf, lw):
-                np.testing.assert_array_equal(cf.keys, cw.keys)
-                np.testing.assert_array_equal(cf.values, cw.values)
-                np.testing.assert_array_equal(cf.positions, cw.positions)
+        for cf, cw in zip(full.caches, wide.caches):
+            np.testing.assert_array_equal(cf.sizes, cw.sizes)
+            n = cf.width
+            np.testing.assert_array_equal(cf.keys[:, :n], cw.keys[:, :n])
+            np.testing.assert_array_equal(cf.values[:, :n], cw.values[:, :n])
+            np.testing.assert_array_equal(cf.positions[:, :n], cw.positions[:, :n])
 
     def test_512_token_corm_compresses_and_reproduces(self, small_model):
         from corm.policies import mean_compression_rate
@@ -155,9 +155,8 @@ class TestDecodeOracle:
             for layer_rows in sr.rows:
                 for row in layer_rows:
                     assert len(row) == t
-        for layer in state.caches:
-            for cache in layer:
-                assert cache.positions.max() <= 12
+        for cache in state.caches:
+            assert max(cache.head_positions(h).max() for h in range(cache.n_heads)) <= 12
 
     def test_unbounded_recency_window_is_bit_identical_to_full(self, small_model):
         tokens = seeded_tokens(8, 200)
@@ -174,8 +173,10 @@ class TestDecodeOracle:
         d_h = cfg.d_h
         saw_eviction = False
         for t, tok in enumerate(seeded_tokens(9, 30, vocab=32), start=1):
+            cache = state.caches[0]
             before = [
-                (c.keys.copy(), c.positions.copy()) for c in state.caches[0]
+                (cache.keys[h, : cache.sizes[h]].copy(), cache.head_positions(h).copy())
+                for h in range(cache.n_heads)
             ]
             sr = model.decode_step(state, int(tok))
             for hd in range(cfg.n_heads):
@@ -185,8 +186,7 @@ class TestDecodeOracle:
                 row = sr.rows[0][hd]
                 assert len(row) == prev_pos.size + 1
                 assert abs(row.scores.sum() - 1.0) < 1e-6
-                cache = state.caches[0][hd]
-                new_key = cache.keys[cache.positions == t][0]
+                new_key = cache.keys[hd, : cache.sizes[hd]][cache.head_positions(hd) == t][0]
                 keys = np.vstack([prev_keys, new_key])
                 q = sr.queries[0, hd]
                 gain = model.head_gain[0, hd]
@@ -217,7 +217,7 @@ class TestGqaConsistency:
     def test_gqa_caches_are_shared_per_group(self):
         model = init_model(ModelConfig(**BASE, seed=15, n_kv_heads=2))
         state = model.prefill(seeded_tokens(11, 10), Full())
-        assert len(state.caches[0]) == 2
+        assert state.caches[0].n_heads == 2
         assert model._kv_head(0) == 0 and model._kv_head(1) == 0
         assert model._kv_head(2) == 1 and model._kv_head(3) == 1
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import seeded_tokens
+from conftest import make_synthetic_trace, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import (
     POLICIES,
@@ -21,7 +21,6 @@ from corm.policies import (
     apply_policy,
     classify_important,
     compression_rate,
-    layer_caches,
     mean_compression_rate,
     parse_policy,
     policy_label,
@@ -30,16 +29,17 @@ from corm.trace import PolicySimulator, replay_policy
 
 
 def rows(*scores) -> np.ndarray:
-    """A (group, n) score block: one row per query head of a cache's group."""
-    return np.array(scores, dtype=np.float64)
+    """The (1, group, n) score block of a one-head cache: one row per query head of its group."""
+    return np.array(scores, dtype=np.float64)[None]
 
 
-def fresh_cache() -> KvCacheState:
-    return layer_caches(1, 2, 2)[0]
+def fresh_cache(heads: int = 1) -> KvCacheState:
+    return KvCacheState(heads, 2, 2)
 
 
 def push(cache: KvCacheState, t: int) -> None:
-    cache.append([float(t), 0.0], [0.0, float(t)], t)
+    """Append step t to every head: key (t, 0), value (0, t)."""
+    cache.append(np.tile([float(t), 0.0], (cache.n_heads, 1)), np.tile([0.0, float(t)], (cache.n_heads, 1)), t)
 
 
 class TestPolicyParsing:
@@ -124,10 +124,11 @@ class TestRegistry:
         policy = README_EXAMPLES[name][1]
         res = small_model.run(seeded_tokens(3, 16), policy)
         assert np.isfinite(res.logits).all()
-        for layer in res.state.caches:
-            for cache in layer:
-                cache.check()
-                assert 1 <= cache.positions[0] and cache.positions[-1] <= 16
+        for cache in res.state.caches:
+            cache.check()
+            for h in range(cache.n_heads):
+                kept = cache.head_positions(h)
+                assert 1 <= kept[0] and kept[-1] <= 16
         replay = replay_policy(small_trace, policy)
         assert np.all((replay.compression >= 0.0) & (replay.compression < 1.0))
         for t, kept in enumerate(replay.kept[0][0], start=1):
@@ -154,10 +155,10 @@ def test_registry_keeps_the_documented_name_order():
 class TestClassifyImportant:
     def test_quarter_threshold(self):
         mask = classify_important(rows([0.4, 0.3, 0.2, 0.1]), t=4)
-        np.testing.assert_array_equal(mask, [[True, True, False, False]])
+        np.testing.assert_array_equal(mask, [[[True, True, False, False]]])
 
     def test_first_step_always_important(self):
-        np.testing.assert_array_equal(classify_important(rows([1.0]), t=1), [[True]])
+        np.testing.assert_array_equal(classify_important(rows([1.0]), t=1), [[[True]]])
 
     def test_uniform_survivors_all_important(self):
         # k surviving keys at step t > k: each scores 1/k >= 1/t
@@ -173,15 +174,15 @@ class TestKvCacheState:
             push(c, t)
             c.check()
         assert c.size == 3
-        np.testing.assert_array_equal(c.positions, [1, 2, 3])
+        np.testing.assert_array_equal(c.head_positions(0), [1, 2, 3])
 
     def test_append_pads_message_columns_with_false(self):
         c = fresh_cache()
         push(c, 1)
-        c.push_message(np.array([True]), window=4)
+        c.push_message(np.array([[True]]), window=4)
         push(c, 2)
-        c.push_message(np.array([False, True]), window=4)
-        np.testing.assert_array_equal(c.message, [[True, False], [False, True]])
+        c.push_message(np.array([[False, True]]), window=4)
+        np.testing.assert_array_equal(c.head_message(0), [[True, False], [False, True]])
 
     def test_out_of_order_append_rejected(self):
         c = fresh_cache()
@@ -193,32 +194,39 @@ class TestKvCacheState:
         c = fresh_cache()
         for mask in ([True], [True, False], [True, False, True]):
             push(c, len(mask))
-            c.push_message(np.array(mask), window=4)
-        c.keep_only(np.array([True, False, True]))
-        np.testing.assert_array_equal(c.positions, [1, 3])
-        np.testing.assert_array_equal(c.message, [[True, False], [True, False], [True, True]])
+            c.push_message(np.array([mask]), window=4)
+        c.keep_only(np.array([[True, False, True]]))
+        np.testing.assert_array_equal(c.head_positions(0), [1, 3])
+        np.testing.assert_array_equal(c.head_message(0), [[True, False], [True, False], [True, True]])
         c.check()
-
 
     def test_keep_only_rejects_mask_of_wrong_length(self):
         c = fresh_cache()
         for t in (1, 2, 3):
             push(c, t)
-        with pytest.raises(ValueError, match="2 flags for a cache of 3"):
-            c.keep_only(np.array([True, False]))
+        with pytest.raises(ValueError, match=r"shape \(1, 2\) for 1 caches of up to 3"):
+            c.keep_only(np.array([[True, False]]))
+
+    def test_keep_only_ignores_flags_past_a_heads_size(self):
+        c = fresh_cache(2)
+        for t in (1, 2, 3):
+            push(c, t)
+        c.keep_only(np.array([[True, True, True], [False, True, True]]))
+        c.keep_only(np.array([[True, False, True], [True, True, False]]))  # head 1's third flag is past its size
+        np.testing.assert_array_equal(c.sizes, [2, 2])
+        np.testing.assert_array_equal(c.head_positions(0), [1, 3])
+        np.testing.assert_array_equal(c.head_positions(1), [2, 3])
 
     def test_heads_of_a_layer_share_one_block_across_doublings(self):
-        a, b = layer_caches(2, 2, 2)
-        assert a.block is b.block
+        c = fresh_cache(2)
         for t in range(1, 41):
-            push(a, t)
-            if t <= 3:
-                push(b, t)
-        assert a.block.capacity >= 40
-        np.testing.assert_array_equal(a.positions, np.arange(1, 41))
-        np.testing.assert_array_equal(b.keys, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        a.check()
-        b.check()
+            push(c, t)
+            if t > 3:  # head 1 drops each new entry and keeps steps 1..3
+                c.keep_only(np.arange(c.width) < np.array([[t], [3]]))
+        assert c.capacity >= 40
+        np.testing.assert_array_equal(c.head_positions(0), np.arange(1, 41))
+        np.testing.assert_array_equal(c.keys[1, : c.sizes[1]], [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        c.check()
 
     def test_message_is_oldest_first_after_the_ring_wraps(self):
         c = fresh_cache()
@@ -226,63 +234,143 @@ class TestKvCacheState:
         for t in range(1, 8):
             push(c, t)
             masks.append(np.arange(t) % 3 == t % 3)
-            c.push_message(masks[-1], window=3)
+            c.push_message(masks[-1][None], window=3)
         expect = [np.concatenate([m, np.zeros(7 - m.size, dtype=bool)]) for m in masks[-3:]]
-        np.testing.assert_array_equal(c.message, expect)
+        np.testing.assert_array_equal(c.head_message(0), expect)
 
     def test_message_columns_past_size_are_never_read(self):
         rng = np.random.Generator(np.random.PCG64(5))
         clean, dirty = fresh_cache(), fresh_cache()
         for t in range(1, 60):
-            dirty.block.message[0, dirty.size :] = True  # stale rows where the next entry goes
+            dirty.message[0, dirty.size :] = True  # stale rows where the next entry goes
             push(clean, t)
             push(dirty, t)
-            dirty.block.message[0, dirty.size :] = True
+            dirty.message[0, dirty.size :] = True
             scores = rng.dirichlet(np.full(clean.size, 0.4))
             Corm(w=3, r=2).step(clean, rows(scores), t)
             Corm(w=3, r=2).step(dirty, rows(scores), t)
             dirty.check()
-            np.testing.assert_array_equal(clean.positions, dirty.positions)
-            np.testing.assert_array_equal(clean.message, dirty.message)
+            np.testing.assert_array_equal(clean.head_positions(0), dirty.head_positions(0))
+            np.testing.assert_array_equal(clean.head_message(0), dirty.head_message(0))
 
     def test_message_of_one_head_survives_a_growth_another_head_triggers(self):
+        # head 0 keeps every entry (uniform scores are all >= 1/t) and so
+        # doubles the shared block; head 1 evicts and stays small
         rng = np.random.Generator(np.random.PCG64(9))
-        shared = layer_caches(2, 2, 2)
+        shared = fresh_cache(2)
         solo = [fresh_cache(), fresh_cache()]
         policy = Corm(w=3, r=2)
         for t in range(1, 41):
-            for h in (0, 1):
-                push(shared[h], t)
-                push(solo[h], t)
-                # head 0 keeps every entry (uniform scores are all >= 1/t) and so
-                # doubles the shared block; head 1 evicts and stays small
-                scores = np.full(t, 1.0 / t) if h == 0 else rng.dirichlet(np.full(solo[h].size, 0.4))
-                policy.step(shared[h], rows(scores), t)
-                policy.step(solo[h], rows(scores), t)
-            for a, b in zip(shared, solo):
-                np.testing.assert_array_equal(a.positions, b.positions)
-                np.testing.assert_array_equal(a.message, b.message)
-        assert shared[0].size == 40 and shared[1].size < 16
+            push(shared, t)
+            blocks = []
+            for h, cache in enumerate(solo):
+                push(cache, t)
+                scores = np.full(t, 1.0 / t) if h == 0 else rng.dirichlet(np.full(cache.size, 0.4))
+                policy.step(cache, rows(scores), t)
+                blocks.append(scores)
+            padded = np.zeros((2, 1, shared.width))
+            for h, scores in enumerate(blocks):
+                padded[h, 0, : scores.size] = scores
+            policy.step(shared, padded, t)
+            for h, cache in enumerate(solo):
+                np.testing.assert_array_equal(shared.head_positions(h), cache.head_positions(0))
+                np.testing.assert_array_equal(shared.head_message(h), cache.head_message(0))
+        np.testing.assert_array_equal(shared.sizes[0], 40)
+        assert shared.sizes[1] < 16
 
     def test_window_smaller_than_the_recorded_message_rejected(self):
         c = fresh_cache()
         for t in (1, 2, 3):
             push(c, t)
-            c.push_message(np.ones(t, dtype=bool), window=4)
+            c.push_message(np.ones((1, t), dtype=bool), window=4)
         push(c, 4)
         with pytest.raises(ValueError, match="window is 2"):
-            c.push_message(np.ones(4, dtype=bool), window=2)
+            c.push_message(np.ones((1, 4), dtype=bool), window=2)
 
     def test_check_raises_value_errors_naming_the_invariant(self):
         c = fresh_cache()
         push(c, 1)
         push(c, 2)
-        c.block.positions[0, 1] = 1
+        c.positions[0, 1] = 1
         with pytest.raises(ValueError, match="strictly increase"):
             c.check()
-        c.block.sizes[0] = c.block.capacity + 1
+        c.positions[0, 1] = 2
+        c.positions[0, 5] = 3
+        with pytest.raises(ValueError, match="free row holds a position"):
+            c.check()
+        c.sizes[0] = c.capacity + 1
         with pytest.raises(ValueError, match="capacity"):
             c.check()
+
+
+def lexsort_kept(positions, ranking, candidates, excess):
+    """Per-head reference: drop the `excess` candidates lowest by (ranking, position)."""
+    cand = np.flatnonzero(candidates)
+    order = np.lexsort((positions[cand], ranking[cand]))
+    return np.delete(positions, cand[order[: max(excess, 0)]])
+
+
+class TestBlockEviction:
+    """One block step in which three heads must drop 0, 1 and 2 entries."""
+
+    T = 8
+
+    def block(self) -> KvCacheState:
+        # sizes 6, 7, 8 after step 8: over a budget of 6 by 0, 1 and 2
+        c = fresh_cache(3)
+        for t in range(1, self.T + 1):
+            push(c, t)
+        c.keep_only(np.array([[False, False] + [True] * 6, [False] + [True] * 7, [True] * 8]))
+        return c
+
+    def scores(self, c) -> np.ndarray:
+        # every head's minimum is tied at three entries
+        weights = np.zeros((3, 1, c.width))
+        for h, n in enumerate(c.sizes):
+            w = np.linspace(2.0, 3.0, n)
+            w[[1, 3, 4]] = 1.0
+            weights[h, 0, :n] = w / w.sum()
+        return weights
+
+    @pytest.mark.parametrize(
+        "policy,ranking,non_recent",
+        [
+            (H2O(heavy=4, recent=2), "scores", True),
+            (Scissorhands(budget=4, recent=2, window=4), "flags", True),
+            (Tova(budget=6), "scores", False),
+        ],
+    )
+    def test_each_head_drops_its_excess_lowest_position_first(self, policy, ranking, non_recent):
+        c = self.block()
+        scores = self.scores(c)
+        t = self.T
+        before = [c.head_positions(h).copy() for h in range(3)]
+        expect = []
+        for h, positions in enumerate(before):
+            n = positions.size
+            rank = scores[h, 0, :n] if ranking == "scores" else classify_important(scores[h, 0, :n], t).astype(float)
+            candidates = positions <= t - 2 if non_recent else np.ones(n, dtype=bool)
+            expect.append(lexsort_kept(positions, rank, candidates, n - 6))
+        policy.step(c, scores, t)
+        c.check()
+        np.testing.assert_array_equal(c.sizes, [6, 6, 6])
+        for h in range(3):
+            np.testing.assert_array_equal(c.head_positions(h), expect[h])
+            dropped = np.setdiff1d(before[h], c.head_positions(h))
+            assert dropped.size == h
+            # the dropped entries are the lowest positions among the tied minimum
+            assert set(dropped) <= set(before[h][[1, 3, 4]])
+            assert np.all(dropped == before[h][[1, 3, 4]][:h])
+
+    def test_replay_with_unequal_cache_sizes_raises_no_float_warning(self):
+        trace = make_synthetic_trace(n_layers=2, n_heads=3, n_steps=40, seed=8)
+        sim = PolicySimulator(Corm(w=2, r=1), 2, 3)
+        unequal = False
+        with np.errstate(all="raise"):
+            for t in range(1, trace.n_steps + 1):
+                sim.step(t, trace.rows[t - 1])
+                unequal |= len(set(sim.cache.sizes)) > 1
+        assert unequal, "fixture never left the caches at unequal sizes"
 
 
 class TestCormUpdate:
@@ -294,7 +382,7 @@ class TestCormUpdate:
             scores = np.full(t, 1.0 / t)
             Corm(w=w, r=1).step(c, rows(scores), t)
             assert c.size == t, "cache must grow by exactly one entry per step"
-            assert c.message.shape == (t, t)
+            assert c.head_message(0).shape == (t, t)
 
     def test_hand_simulation_four_keys(self):
         """w=2, r=1: key 1 minor in the two newest rows and not recent -> evicted."""
@@ -311,8 +399,8 @@ class TestCormUpdate:
             c.check()
             if t < 4:
                 assert c.size == t
-        np.testing.assert_array_equal(c.positions, [2, 3, 4])
-        assert c.message.shape == (2, 3)
+        np.testing.assert_array_equal(c.head_positions(0), [2, 3, 4])
+        assert c.head_message(0).shape == (2, 3)
 
     def test_window_larger_than_trace_never_evicts(self):
         c = fresh_cache()
@@ -343,6 +431,19 @@ class TestCormUpdate:
         with pytest.raises(ValueError, match="scores for a cache"):
             Corm(w=2, r=1).step(c, rows([1.0]), 2)
 
+    def test_scores_for_another_head_count_rejected(self):
+        c = fresh_cache(2)
+        push(c, 1)
+        with pytest.raises(ValueError, match="scores for a cache block of 2 heads"):
+            Corm(w=2, r=1).step(c, rows([1.0]), 1)
+
+    def test_mask_shape_mismatch_rejected(self):
+        c = fresh_cache()
+        push(c, 1)
+        push(c, 2)
+        with pytest.raises(ValueError, match="masks of shape"):
+            Corm(w=2, r=1).step(c, rows([0.5, 0.5]), 2, np.ones((1, 1, 1), dtype=bool))
+
     @pytest.mark.parametrize("w,r", [(1, 1), (2, 1), (3, 2), (4, 4)])
     def test_recent_keep_and_characterization_fuzz(self, w, r):
         """Live-style fuzz: the kept set always equals the window-union oracle
@@ -354,13 +455,13 @@ class TestCormUpdate:
             push(c, t)
             scores = rng.dirichlet(np.full(c.size, 0.4))
             r_t = rows(scores)
-            mask = classify_important(r_t, t)[0]
-            flagged[t] = set(c.positions[mask])
-            present = set(c.positions)
+            mask = classify_important(r_t, t)[0, 0]
+            flagged[t] = set(c.head_positions(0)[mask])
+            present = set(c.head_positions(0))
             Corm(w=w, r=r).step(c, r_t, t)
             c.check()
-            assert c.message.shape[1] == c.size
-            kept = set(c.positions)
+            assert c.head_message(0).shape[1] == c.size
+            kept = set(c.head_positions(0))
             recent = {p for p in present if p > t - r}
             assert recent <= kept, f"recent entry evicted at t={t}"
             if t >= w:
@@ -376,7 +477,7 @@ class TestStreamingUpdate:
         for t in (1, 2, 3):
             push(c, t)
         StreamingLlm(sink=1, recent=1).step(c, rows([0.2, 0.3, 0.5]), 3)
-        np.testing.assert_array_equal(c.positions, [1, 3])
+        np.testing.assert_array_equal(c.head_positions(0), [1, 3])
 
     def test_no_eviction_within_budget(self):
         c = fresh_cache()
@@ -412,7 +513,7 @@ class TestH2OUpdate:
     def test_lowest_accumulation_evicted_first(self):
         # accumulations after step 3: key1=2.2, key2=0.4, key3=0.4 (recent)
         c = self.run_steps([[1.0], [0.7, 0.3], [0.5, 0.1, 0.4]], heavy=1, recent=1)
-        np.testing.assert_array_equal(c.positions, [1, 3])
+        np.testing.assert_array_equal(c.head_positions(0), [1, 3])
 
     def test_size_bounded(self):
         rng = np.random.Generator(np.random.PCG64(13))
@@ -437,11 +538,11 @@ class TestScissorhandsUpdate:
             Scissorhands(budget=2, recent=1, window=2).step(c, rows(scores), t)
             c.check()
         # counts over the last 2 masks: key2 lowest among non-recent -> evicted
-        np.testing.assert_array_equal(c.positions, [1, 3, 4])
+        np.testing.assert_array_equal(c.head_positions(0), [1, 3, 4])
         push(c, 5)
         Scissorhands(budget=2, recent=1, window=2).step(c, rows([0.3, 0.3, 0.2, 0.2]), 5)
         # three-way count tie among non-recent entries: lowest position goes
-        np.testing.assert_array_equal(c.positions, [3, 4, 5])
+        np.testing.assert_array_equal(c.head_positions(0), [3, 4, 5])
 
     def test_always_important_key_outlives_never_important(self):
         rng = np.random.Generator(np.random.PCG64(3))
@@ -450,10 +551,10 @@ class TestScissorhandsUpdate:
             push(c, t)
             scores = np.full(c.size, 0.5 / (c.size - 1)) if c.size > 1 else np.array([1.0])
             if c.size > 1:
-                scores[c.positions == 1] = 0.5  # key 1 always far above 1/t
+                scores[c.head_positions(0) == 1] = 0.5  # key 1 always far above 1/t
                 scores /= scores.sum()
             Scissorhands(budget=3, recent=2, window=4).step(c, rows(scores), t)
-            assert 1 in c.positions, f"always-important key evicted at t={t}"
+            assert 1 in c.head_positions(0), f"always-important key evicted at t={t}"
             assert c.size <= 5
 
     def test_size_bounded(self):
@@ -479,11 +580,11 @@ class TestTovaUpdate:
         for t, scores in [(1, [1.0]), (2, [0.3, 0.7]), (3, [0.2, 0.5, 0.3])]:
             push(c, t)
             Tova(budget=2).step(c, rows(scores), t)
-        np.testing.assert_array_equal(c.positions, [2, 3])
+        np.testing.assert_array_equal(c.head_positions(0), [2, 3])
         push(c, 4)
         Tova(budget=2).step(c, rows([0.25, 0.25, 0.5]), 4)
         # tie between positions 2 and 3: lower position evicted
-        np.testing.assert_array_equal(c.positions, [3, 4])
+        np.testing.assert_array_equal(c.head_positions(0), [3, 4])
 
     def test_size_bounded(self):
         rng = np.random.Generator(np.random.PCG64(31))
@@ -504,8 +605,8 @@ class TestGqaCormUpdate:
             scores = rng.dirichlet(np.full(a.size, 0.5))
             Corm(w=3, r=2).step(a, rows(scores), t)
             CormGqa(w=3, r=2).step(b, rows(scores), t)
-            np.testing.assert_array_equal(a.positions, b.positions)
-            np.testing.assert_array_equal(a.message, b.message)
+            np.testing.assert_array_equal(a.head_positions(0), b.head_positions(0))
+            np.testing.assert_array_equal(a.head_message(0), b.head_message(0))
 
     def test_or_mask_keeps_key_flagged_by_one_head(self):
         c = fresh_cache()
@@ -514,17 +615,17 @@ class TestGqaCormUpdate:
         push(c, 2)
         # head A flags key 1, head B does not: OR keeps it
         CormGqa(w=1, r=1).step(c, rows([0.6, 0.4], [0.4, 0.6]), 2)
-        np.testing.assert_array_equal(c.positions, [1, 2])
+        np.testing.assert_array_equal(c.head_positions(0), [1, 2])
         push(c, 3)
         # no head flags key 1 any more and it is outside recent-1
         CormGqa(w=1, r=1).step(c, rows([0.2, 0.5, 0.3], [0.1, 0.3, 0.6]), 3)
-        np.testing.assert_array_equal(c.positions, [2, 3])
+        np.testing.assert_array_equal(c.head_positions(0), [2, 3])
 
     def test_empty_group_rejected(self):
         c = fresh_cache()
         push(c, 1)
         with pytest.raises(ValueError, match="at least one"):
-            CormGqa(w=1, r=1).step(c, np.zeros((0, 1)), 1)
+            CormGqa(w=1, r=1).step(c, np.zeros((1, 0, 1)), 1)
 
     def test_group_size_mismatch_rejected_by_dispatcher(self):
         c = fresh_cache()
@@ -547,7 +648,7 @@ class TestFullPolicy:
             push(c, t)
             apply_policy(Full(), c, rows(rng.dirichlet(np.ones(t))), t)
             assert c.size == t
-        np.testing.assert_array_equal(c.positions, np.arange(1, 20))
+        np.testing.assert_array_equal(c.head_positions(0), np.arange(1, 20))
 
 
 class TestCompressionRate:
@@ -555,20 +656,27 @@ class TestCompressionRate:
         c = fresh_cache()
         for t in (1, 2, 3):
             push(c, t)
-        assert compression_rate(c, 3) == 0.0
+        np.testing.assert_array_equal(compression_rate(c, 3), [0.0])
 
     def test_streaming_closed_form_half(self):
         c = fresh_cache()
         for t in range(1, 1025):
             push(c, t)
-        assert compression_rate(c, 2048) == pytest.approx(0.5)
+        np.testing.assert_allclose(compression_rate(c, 2048), [0.5])
+
+    def test_rate_per_head_of_a_block(self):
+        c = fresh_cache(2)
+        for t in (1, 2):
+            push(c, t)
+        c.keep_only(np.array([[True, True], [False, True]]))
+        np.testing.assert_array_equal(compression_rate(c, 2), [0.0, 0.5])
 
     def test_mean_over_heads(self):
         a, b = fresh_cache(), fresh_cache()
         push(a, 1)
         push(a, 2)
         push(b, 1)
-        assert mean_compression_rate([[a, b]], 2) == pytest.approx(0.25)
+        assert mean_compression_rate([a, b], 2) == pytest.approx(0.25)
 
     def test_invalid_t_rejected(self):
         with pytest.raises(ValueError):

@@ -41,3 +41,34 @@ def test_private_attributes_read_only_through_self_or_cls():
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     ]
     assert not found, f"private attributes read from outside their object: {', '.join(found)}"
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every bare and dotted-attribute name inside `node`."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_policies_reached_only_through_apply_policy():
+    # one update path: outside policies.py no code dispatches on a policy's
+    # class or calls a policy's step; decode and replay call apply_policy
+    from corm.policies import POLICIES
+
+    classes = {cls.__name__ for cls in POLICIES.values()}
+    found = []
+    for path in SOURCES:
+        if path.name == "policies.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
+                hit = _names(node.args[1]) & classes
+            elif isinstance(func, ast.Attribute) and func.attr == "step":
+                receiver = _names(func.value)
+                hit = receiver & classes or {n for n in receiver if "polic" in n.lower()}
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, f"policy reached outside apply_policy: {', '.join(found)}"
