@@ -79,21 +79,20 @@ def sparsity_profile(trace: AttentionTrace) -> SparsityProfile:
 # --------------------------------------------------------------------------
 
 
-def query_similarity_map(trace: AttentionTrace, layer: int, head: int, max_steps: int | None = None) -> np.ndarray:
+def query_similarity_map(trace: AttentionTrace, layer: int, head: int) -> np.ndarray:
     """Strictly lower-triangular cosine map of one head's query vectors.
 
     Entry (i, j) for j < i (0-based) is the cosine similarity between the
     queries of steps i+1 and j+1; the diagonal and upper triangle are zero.
     """
-    t_max = trace.n_steps if max_steps is None else min(max_steps, trace.n_steps)
-    q = np.stack([trace.queries[t][layer, head] for t in range(t_max)]).astype(np.float64)
+    q = np.stack([queries[layer, head] for queries in trace.queries]).astype(np.float64)
     norms = np.linalg.norm(q, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("zero query vector: cosine similarity undefined")
     qn = q / norms[:, None]
     sim = qn @ qn.T
     # zero the diagonal and upper triangle in place: np.tril would copy the map
-    np.copyto(sim, 0.0, where=~np.tri(t_max, k=-1, dtype=bool))
+    np.copyto(sim, 0.0, where=~np.tri(len(q), k=-1, dtype=bool))
     return sim
 
 

@@ -264,12 +264,9 @@ def cmd_replay(m: ExperimentManifest) -> int:
         summary_rows = []
         for policy in policies:
             label = policy_label(policy)
-            result = trace_mod.replay_policy(rec, policy)
-            curve = list(enumerate(result.compression, start=1))
-            analysis.write_curve_csv(out.path(label, "compression.csv"), curve)
-            summary_rows.append(
-                (label, float(result.compression[-1]), float(result.compression.mean()))
-            )
+            rates = trace_mod.replay_policy(rec, policy).compression
+            analysis.write_curve_csv(out.path(label, "compression.csv"), list(enumerate(rates, start=1)))
+            summary_rows.append((label, float(rates[-1]), float(rates.mean())))
         with open(out.path("comparison.csv"), "w", encoding="utf-8") as fh:
             fh.write("policy,final_compression,mean_compression\n")
             for label, final, mean in summary_rows:

@@ -37,6 +37,7 @@ w1, w2; output projection; head-gain jitter. All normal draws use scale
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -131,12 +132,23 @@ class ModelConfig:
             raise ValueError(f"n_heads={self.n_heads} not divisible by n_kv_heads={kv}")
         if self.vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        for name in ("d_h", "mlp_ratio", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("depth_gain", "head_gain_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if isinstance(self.pe, Rope) and self.d_h % 2 != 0:
             raise ValueError(f"rotary encoding needs even head dimension, got d_h={self.d_h}")
-        if isinstance(self.pe, Alibi) and self.pe.slopes is not None and len(self.pe.slopes) != self.n_heads:
-            raise ValueError(
-                f"{len(self.pe.slopes)} alibi slopes for {self.n_heads} heads"
-            )
+        if isinstance(self.pe, Rope) and not (math.isfinite(self.pe.base) and self.pe.base > 0):
+            raise ValueError(f"rope base must be finite and > 0, got {self.pe.base}")
+        if isinstance(self.pe, AbsoluteSinusoidal) and self.d_model % 2 != 0:
+            raise ValueError(f"sinusoidal encoding needs even d_model, got {self.d_model}")
+        if isinstance(self.pe, Alibi) and self.pe.slopes is not None:
+            if len(self.pe.slopes) != self.n_heads:
+                raise ValueError(f"{len(self.pe.slopes)} alibi slopes for {self.n_heads} heads")
+            if not all(math.isfinite(s) for s in self.pe.slopes):
+                raise ValueError(f"alibi slopes must be finite, got {list(self.pe.slopes)}")
 
     @property
     def kv_heads(self) -> int:
@@ -223,11 +235,10 @@ class RunResult:
 
 @dataclass
 class DecoderState:
-    """Mutable decode state for one sequence: caches, step counter, last logits."""
+    """Mutable decode state for one sequence: caches (their `step` is the last step) and last logits."""
 
     policy: Policy
     caches: list[KvCacheState]  # [layer]: one block of every kv head of the layer
-    step: int = 0
     last_logits: np.ndarray | None = None
 
 
@@ -317,7 +328,7 @@ class ToyTransformer:
                 f"policy group size {group} does not match the "
                 f"model's {c.group_size} query heads per kv head"
             )
-        caches = [KvCacheState(c.kv_heads, c.d_h, c.d_h) for _ in range(c.n_layers)]
+        caches = [KvCacheState(c.kv_heads, c.d_h) for _ in range(c.n_layers)]
         return DecoderState(policy=policy, caches=caches)
 
     # -- stepping ----------------------------------------------------------
@@ -334,7 +345,7 @@ class ToyTransformer:
         c = self.config
         if not 0 <= token < c.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary of {c.vocab_size}")
-        t = state.step + 1
+        t = state.caches[0].step + 1
         gs = c.group_size
         h = self._embed(token, t)
         rows_all: list[list[AttentionRow]] = []
@@ -352,7 +363,7 @@ class ToyTransformer:
                 q, k = qk[: c.n_heads], qk[c.n_heads :]
             queries[li] = q
             cache = state.caches[li]
-            cache.append(k, v, t)
+            cache.append(k, v)
 
             # query heads grouped by the kv head they read: (kv heads, group size, ...)
             q_groups = q.reshape(c.kv_heads, gs, c.d_h)
@@ -375,11 +386,10 @@ class ToyTransformer:
             h = h + outs.reshape(-1) @ lw.wo
             h = h + _gelu(_rms_norm(h) @ lw.w1) @ lw.w2
 
-            apply_policy(state.policy, cache, scores if layer_scores is None else layer_scores, t)
+            apply_policy(state.policy, cache, scores if layer_scores is None else layer_scores)
             rows_all.append(rows_layer)
 
         logits = _rms_norm(h) @ self.out_proj
-        state.step = t
         state.last_logits = logits
         return StepResult(step=t, logits=logits, rows=rows_all, queries=queries)
 

@@ -30,8 +30,10 @@ Two families live here:
   head in the group to go.
 
 All updates run once per decode step, after the step's attention output has
-been computed, so an eviction affects future steps only. "Recent" always
-means absolute positions (the last r generated steps), not cache slots.
+been computed, so an eviction affects future steps only. The step t is the
+block's own counter (`KvCacheState.step`, advanced by `append`); no caller
+passes it. "Recent" always means absolute positions (the last r generated
+steps), not cache slots.
 
 Storage: a KvCacheState is a block of caches, one per head: every kv head
 of one layer in decode, or every (layer, group) cache in replay. Its
@@ -130,8 +132,8 @@ class Policy:
             )
         return 1
 
-    def step(self, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None = None) -> None:
-        """Update every head of the `cache` block after decode step t.
+    def step(self, cache: KvCacheState, scores: np.ndarray, masks: np.ndarray | None = None) -> None:
+        """Update every head of the `cache` block after its latest step t = cache.step.
 
         scores: (heads, group, m) float64 with m = cache.width; scores[h, i]
         holds the normalized scores that query head i of head h's group gave
@@ -141,10 +143,8 @@ class Policy:
         """
         raise NotImplementedError
 
-    def _check(self, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None) -> None:
-        """Raise ValueError unless `scores` and `masks` are this policy's step-t block for `cache`."""
-        if cache.step != t:
-            raise ValueError(f"cache is at step {cache.step}, update is for step {t}")
+    def _check(self, cache: KvCacheState, scores: np.ndarray, masks: np.ndarray | None) -> None:
+        """Raise ValueError unless `scores` and `masks` are this policy's block for `cache`."""
         if scores.ndim != 3 or scores.shape[0] != cache.n_heads or scores.shape[2] != cache.width:
             raise ValueError(
                 f"{scores.shape} scores for a cache block of {cache.n_heads} heads of up to {cache.width} entries"
@@ -214,7 +214,7 @@ class Full(Policy):
     def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
         return _model_group(n_heads, n_kv_heads)
 
-    def step(self, cache, scores, t, masks=None) -> None:
+    def step(self, cache, scores, masks=None) -> None:
         pass
 
 
@@ -235,10 +235,10 @@ class StreamingLlm(Policy):
     def label(self) -> str:
         return f"streaming_{self.sink}+{self.recent}"
 
-    def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t, masks)
+    def step(self, cache, scores, masks=None) -> None:
+        self._check(cache, scores, masks)
         positions = cache.positions[:, : scores.shape[2]]
-        cache.keep_only((positions <= self.sink) | (positions > t - self.recent))
+        cache.keep_only((positions <= self.sink) | (positions > cache.step - self.recent))
 
 
 @dataclass(frozen=True)
@@ -264,13 +264,13 @@ class H2O(Policy):
     def label(self) -> str:
         return f"h2o_{self.heavy}+{self.recent}"
 
-    def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t, masks)
+    def step(self, cache, scores, masks=None) -> None:
+        self._check(cache, scores, masks)
         m = scores.shape[2]
         acc = cache.acc_scores[:, :m]
         acc += scores[:, 0]
         if cache.width > self.heavy + self.recent:
-            non_recent = cache.positions[:, :m] <= t - self.recent
+            non_recent = cache.positions[:, :m] <= cache.step - self.recent
             _evict_lowest(cache, acc, non_recent, self.heavy + self.recent)
 
 
@@ -299,13 +299,13 @@ class Scissorhands(Policy):
         label = f"scissorhands_{self.budget}+{self.recent}"
         return label if self.window == self.recent else f"{label}_w{self.window}"
 
-    def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t, masks)
-        flags = classify_important(scores, t) if masks is None else masks
+    def step(self, cache, scores, masks=None) -> None:
+        self._check(cache, scores, masks)
+        flags = classify_important(scores, cache.step) if masks is None else masks
         message = cache.push_message(flags[:, 0], self.window)
         if cache.width > self.budget + self.recent:
             counts = message.sum(axis=2)
-            non_recent = cache.positions[:, : scores.shape[2]] <= t - self.recent
+            non_recent = cache.positions[:, : scores.shape[2]] <= cache.step - self.recent
             _evict_lowest(cache, counts, non_recent, self.budget + self.recent)
 
 
@@ -326,10 +326,10 @@ class Tova(Policy):
     def label(self) -> str:
         return f"tova_{self.budget}"
 
-    def step(self, cache, scores, t, masks=None) -> None:
-        self._check(cache, scores, t, masks)
+    def step(self, cache, scores, masks=None) -> None:
+        self._check(cache, scores, masks)
         if cache.width > self.budget:
-            held = cache.positions[:, : scores.shape[2]] <= t
+            held = cache.positions[:, : scores.shape[2]] <= cache.step
             _evict_lowest(cache, scores[:, 0], held, self.budget)
 
 
@@ -350,7 +350,7 @@ class Corm(Policy):
     def label(self) -> str:
         return f"corm_{self.w}+{self.r}"
 
-    def step(self, cache, scores, t, masks=None) -> None:
+    def step(self, cache, scores, masks=None) -> None:
         """One recency-message eviction step.
 
         The step's mask is the OR of the group's rows of flags: an entry is
@@ -359,13 +359,13 @@ class Corm(Policy):
         masks exist; afterwards the kept set is exactly {flagged in >= 1 of
         the last w masks} union {entries from the last r steps}.
         """
-        self._check(cache, scores, t, masks)
-        flags = classify_important(scores, t) if masks is None else masks
+        self._check(cache, scores, masks)
+        flags = classify_important(scores, cache.step) if masks is None else masks
         message = cache.push_message(np.logical_or.reduce(flags, axis=1), self.w)
-        if message.shape[2] < self.w:
+        if cache.step < self.w:
             return
         positions = cache.positions[:, : scores.shape[2]]
-        cache.keep_only(np.logical_or.reduce(message, axis=2) | (positions > t - self.r))
+        cache.keep_only(np.logical_or.reduce(message, axis=2) | (positions > cache.step - self.r))
 
 
 @dataclass(frozen=True)
@@ -429,16 +429,14 @@ def policy_label(policy: Policy) -> str:
     return policy.label
 
 
-def apply_policy(
-    policy: Policy, cache: KvCacheState, scores: np.ndarray, t: int, masks: np.ndarray | None = None
-) -> None:
+def apply_policy(policy: Policy, cache: KvCacheState, scores: np.ndarray, masks: np.ndarray | None = None) -> None:
     """Run one step of `policy` on every head of one cache block (see `Policy.step`).
 
     The single entry point through which live decoding (once per layer) and
     replay (once per step) update caches: `scores[h]` holds one row per
     query head attending to head h.
     """
-    policy.step(cache, scores, t, masks)
+    policy.step(cache, scores, masks)
 
 
 # --------------------------------------------------------------------------
@@ -459,13 +457,14 @@ class KvCacheState:
 
     One block holds every kv head of one layer in decode, or every
     (layer, group) cache in replay; a policy step updates all of its heads
-    at once. keys (n_heads, capacity, d_k) and values (n_heads, capacity,
-    d_v) hold head h's surviving entries in rows [0, sizes[h]), oldest
-    first; positions and acc_scores (n_heads, capacity) and message
-    (n_heads, capacity, slots) are row-aligned with them (`ENTRY_ARRAYS`).
+    at once. keys and values, each (n_heads, capacity, d), hold head h's
+    surviving entries in rows [0, sizes[h]), oldest first; positions and
+    acc_scores (n_heads, capacity) and message (n_heads, capacity, slots)
+    are row-aligned with them (`ENTRY_ARRAYS`).
     Row i of head h belongs to the entry generated at absolute step
     positions[h, i]; acc_scores accumulates normalized attention per entry.
-    `step` is the last step appended.
+    `step` is the last step appended: the one step counter of decode and
+    replay, from which every policy step reads its t.
 
     message[h, i, (s - 1) % window] is True when step s's query flagged
     entry i important. Its slot count stays 0 under policies that keep no
@@ -483,10 +482,10 @@ class KvCacheState:
     fraction of a numpy call.
     """
 
-    def __init__(self, n_heads: int, d_k: int, d_v: int):
+    def __init__(self, n_heads: int, d: int):
         cap = INITIAL_CAPACITY
-        self.keys = np.zeros((n_heads, cap, d_k), dtype=np.float64)
-        self.values = np.zeros((n_heads, cap, d_v), dtype=np.float64)
+        self.keys = np.zeros((n_heads, cap, d), dtype=np.float64)
+        self.values = np.zeros((n_heads, cap, d), dtype=np.float64)
         self.positions = np.full((n_heads, cap), FREE, dtype=np.int64)
         self.acc_scores = np.zeros((n_heads, cap), dtype=np.float64)
         self.message = np.zeros((n_heads, cap, 0), dtype=bool)
@@ -550,15 +549,14 @@ class KvCacheState:
             new[:, :cap] = old
             setattr(self, name, new)
 
-    def append(self, keys, values, position: int) -> None:
-        """Add the entry generated at `position` to every head, in its next free row.
+    def append(self, keys, values) -> None:
+        """Add the entry of step `step + 1` to every head, in its next free row.
 
-        keys (n_heads, d_k) and values (n_heads, d_v) hold one row per head.
-        The rows' message slots are cleared (a query recorded before the
-        entry existed never flagged it).
+        keys and values, each (n_heads, d), hold one row per head. The rows'
+        message slots are cleared (a query recorded before the entry existed
+        never flagged it).
         """
-        if position <= self.step:
-            raise ValueError(f"position {position} not after step {self.step}")
+        position = self.step + 1
         sizes = self.sizes
         lo, hi = min(sizes), max(sizes)
         if hi == self.capacity:

@@ -2,8 +2,9 @@
 
 A trace holds, for every step t of a full-cache run, each (layer, head)'s
 normalized attention row over all t positions plus the head's query vector.
-Replaying a trace drives any eviction policy's bookkeeping offline: at each
-step the recorded row is restricted to the simulated surviving set.
+Replaying a trace (`replay_policy`) steps a `PolicySimulator`, which drives
+a policy's bookkeeping offline: at each step the recorded row is restricted
+to the simulated surviving set.
 Importance flags are thresholded on the recorded scores (so replayed
 decisions depend on the trace alone, and growing the recency window can only
 grow the kept set); the restricted row is renormalized before
@@ -56,7 +57,7 @@ import numpy as np
 
 from .attention import check_score_rows
 from .model import ToyTransformer
-from .policies import Full, KvCacheState, Policy, apply_policy, classify_important
+from .policies import FREE, Full, KvCacheState, Policy, apply_policy, classify_important
 from .positional import PE_KINDS, Rope, pe_kind_tag
 
 __all__ = [
@@ -72,7 +73,6 @@ __all__ = [
     "save",
     "load",
     "PolicySimulator",
-    "ReplayResult",
     "replay_policy",
 ]
 
@@ -193,7 +193,8 @@ def record(
 
 
 def save(trace: AttentionTrace, path) -> None:
-    """Serialize to the documented binary format (see module docstring)."""
+    """Check the trace's layout (`AttentionTrace.check`), then write the binary format (module docstring)."""
+    trace.check()
     m = trace.meta
     header = struct.pack(
         _HEAD_FMT,
@@ -297,7 +298,9 @@ class PolicySimulator:
     layout; the grouped recency policy simulates one cache per group of
     `group_size` query heads. All n_layers * n_groups caches are the heads
     of one block, layer-major, so each step is one policy update; they
-    track positions only (keys and values have width 0).
+    track positions only (keys and values have width 0). After step t (the
+    block's `step`), `kept[t - 1]` holds every cache's positions as one
+    (n_layers * n_groups, width) array, FREE past each cache's size.
     """
 
     def __init__(self, policy: Policy, n_layers: int, n_heads: int, n_kv_heads: int | None = None):
@@ -307,18 +310,25 @@ class PolicySimulator:
         self.n_heads = n_heads
         self.group_size = group
         self.n_groups = n_heads // group
-        self.cache = KvCacheState(n_layers * self.n_groups, 0, 0)
+        self.cache = KvCacheState(n_layers * self.n_groups, 0)
         self._no_vector = np.zeros((n_layers * self.n_groups, 0))
         # index of each (cache, query head) row in a step's (n_layers * n_heads) rows
         self._row_ids = np.arange(n_layers * n_heads).reshape(-1, group, 1)
-        self.kept: list[list[list[np.ndarray]]] = [
-            [[] for _ in range(self.n_groups)] for _ in range(n_layers)
-        ]
-        self.compression: list[float] = []
-        self.t = 0
+        self.kept: list[np.ndarray] = []
+        self._rates: list[float] = []
 
-    def step(self, t: int, rows_full) -> None:
-        """Feed step t's full rows: an (n_layers, n_heads, t) array or nested lists.
+    @property
+    def compression(self) -> np.ndarray:
+        """(T,) float64: the model-mean compression rate after each step."""
+        return np.asarray(self._rates)
+
+    def kept_at(self, layer: int, group: int, t: int) -> np.ndarray:
+        """Positions cache (layer, group) held after step t, oldest first."""
+        row = self.kept[t - 1][layer * self.n_groups + group]
+        return row[row != FREE]
+
+    def step(self, rows_full) -> None:
+        """Feed the next step t's full rows: an (n_layers, n_heads, t) array or nested lists.
 
         The block is checked once: every row must be finite, within [0, 1]
         and sum to 1. Importance flags are thresholded on the recorded scores
@@ -328,8 +338,8 @@ class PolicySimulator:
         are renormalized to proper distributions before score-magnitude
         policies see them; a restricted row with no mass left is an error.
         """
-        if t != self.t + 1:
-            raise ValueError(f"steps must be consecutive: got {t} after {self.t}")
+        cache = self.cache
+        t = cache.step + 1
         block = np.asarray(rows_full)
         if block.shape != (self.n_layers, self.n_heads, t):
             raise ValueError(f"step {t} rows have shape {block.shape}, expected {(self.n_layers, self.n_heads, t)}")
@@ -337,8 +347,7 @@ class PolicySimulator:
         rows = np.zeros((self.n_layers, self.n_heads, t + 1))
         rows[:, :, :t] = block
         check_score_rows(rows[:, :, :t])
-        cache = self.cache
-        cache.append(self._no_vector, self._no_vector, t)
+        cache.append(self._no_vector, self._no_vector)
         # every cache's rows restricted to its entries, zero past its size; a
         # recorded row is 0-indexed by position, and a free row's FREE maps to t
         idx = np.minimum(cache.positions[:, : cache.width], t + 1) - 1
@@ -350,41 +359,22 @@ class PolicySimulator:
             layer = int(np.argmax(totals.min(axis=(1, 2)) <= 0.0)) // self.n_groups
             raise ValueError(f"step {t}, layer {layer}: a row restricted to the kept entries sums to 0")
         flags = classify_important(restricted, t)
-        apply_policy(self.policy, cache, restricted / totals, t, flags)
-        for c, n in enumerate(cache.sizes):
-            self.kept[c // self.n_groups][c % self.n_groups].append(cache.positions[c, :n].copy())
-        self.t = t
-        self.compression.append(1.0 - cache.size / (self.n_layers * self.n_groups * t))
+        apply_policy(self.policy, cache, restricted / totals, flags)
+        self.kept.append(cache.positions[:, : cache.width].copy())
+        self._rates.append(1.0 - cache.size / (self.n_layers * self.n_groups * t))
 
 
-@dataclass
-class ReplayResult:
-    """Per-step kept sets and the model-mean compression curve of one replay."""
-
-    policy: Policy
-    group_size: int
-    kept: list[list[list[np.ndarray]]]  # [layer][group][step-1] -> positions
-    compression: np.ndarray  # (T,) float64
-
-    def kept_at(self, layer: int, group: int, t: int) -> np.ndarray:
-        return self.kept[layer][group][t - 1]
-
-
-def replay_policy(trace: AttentionTrace, policy: Policy) -> ReplayResult:
+def replay_policy(trace: AttentionTrace, policy: Policy) -> PolicySimulator:
     """Simulate `policy`'s eviction decisions against a recorded trace.
 
     At each step the recorded full row is restricted to the simulated
     surviving positions and renormalized to sum to 1 before the policy sees
-    it. Returns the kept-set timeline per (layer, group) plus the compression
-    curve averaged over layers and groups.
+    it. Returns the simulator stepped through the whole trace: its kept-set
+    timeline per (layer, group) (`kept_at`) and its compression curve
+    averaged over layers and groups.
     """
     m = trace.meta
     sim = PolicySimulator(policy, m.n_layers, m.n_heads, m.n_kv_heads)
-    for t in range(1, trace.n_steps + 1):
-        sim.step(t, trace.rows[t - 1])
-    return ReplayResult(
-        policy=policy,
-        group_size=sim.group_size,
-        kept=sim.kept,
-        compression=np.asarray(sim.compression),
-    )
+    for rows in trace.rows:
+        sim.step(rows)
+    return sim

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,38 @@ class TestFailLoud:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "within 1..72" in err and "-3, 0, 999" in err
+
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            ({"d_model": 0}, "d_h must be >= 1, got 0"),
+            ({"mlp_ratio": -1}, "mlp_ratio must be >= 1"),
+            ({"mlp_ratio": 0}, "mlp_ratio must be >= 1"),
+            ({"max_positions": 0}, "max_positions must be >= 1"),
+            ({"depth_gain": float("nan")}, "depth_gain must be finite"),
+            ({"head_gain_jitter": float("inf")}, "head_gain_jitter must be finite"),
+            ({"pe": {"kind": "rope", "base": 0}}, "rope base must be finite and > 0"),
+            ({"pe": {"kind": "rope", "base": float("inf")}}, "rope base must be finite and > 0"),
+            ({"pe": {"kind": "alibi", "slopes": [0.5, float("nan")]}}, "alibi slopes must be finite"),
+            ({"d_model": 17, "n_heads": 1, "pe": {"kind": "absolute_sinusoidal"}}, "sinusoidal encoding needs even d_model"),
+        ],
+        ids=["d_h", "mlp_ratio", "mlp_ratio_zero", "max_positions", "depth_gain", "head_gain_jitter",
+             "rope_base_zero", "rope_base_inf", "alibi_slopes", "sinusoidal_odd_d_model"],
+    )
+    def test_out_of_range_model_config(self, workspace, capsys, fields, named):
+        # JSON's NaN and Infinity load as floats, so range checks, not type checks, must catch them
+        write_model_config(workspace / "model.json", **fields)
+        out = workspace / "bad.trc"
+        argv = ["trace", "--model-config", str(workspace / "model.json"), "--input", str(workspace / "input.txt")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--trace", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and named in captured.err
+        assert "Warning" not in captured.err and not caught
 
     @pytest.mark.parametrize(
         "command", [["analyze"], ["replay", "--policy", "full"]], ids=["analyze", "replay"]

@@ -34,12 +34,13 @@ def rows(*scores) -> np.ndarray:
 
 
 def fresh_cache(heads: int = 1) -> KvCacheState:
-    return KvCacheState(heads, 2, 2)
+    return KvCacheState(heads, 2)
 
 
-def push(cache: KvCacheState, t: int) -> None:
-    """Append step t to every head: key (t, 0), value (0, t)."""
-    cache.append(np.tile([float(t), 0.0], (cache.n_heads, 1)), np.tile([0.0, float(t)], (cache.n_heads, 1)), t)
+def push(cache: KvCacheState) -> None:
+    """Append the next step t to every head: key (t, 0), value (0, t)."""
+    t = float(cache.step + 1)
+    cache.append(np.tile([t, 0.0], (cache.n_heads, 1)), np.tile([0.0, t], (cache.n_heads, 1)))
 
 
 class TestPolicyParsing:
@@ -131,7 +132,8 @@ class TestRegistry:
                 assert 1 <= kept[0] and kept[-1] <= 16
         replay = replay_policy(small_trace, policy)
         assert np.all((replay.compression >= 0.0) & (replay.compression < 1.0))
-        for t, kept in enumerate(replay.kept[0][0], start=1):
+        for t in range(1, small_trace.n_steps + 1):
+            kept = replay.kept_at(0, 0, t)
             assert np.all(np.diff(kept) > 0) and 1 <= kept[0] and kept[-1] <= t
 
     def test_grouped_query_layout(self, name):
@@ -171,29 +173,23 @@ class TestKvCacheState:
     def test_append_grows_all_parallel_arrays(self):
         c = fresh_cache()
         for t in (1, 2, 3):
-            push(c, t)
+            push(c)
             c.check()
         assert c.size == 3
         np.testing.assert_array_equal(c.head_positions(0), [1, 2, 3])
 
     def test_append_pads_message_columns_with_false(self):
         c = fresh_cache()
-        push(c, 1)
+        push(c)
         c.push_message(np.array([[True]]), window=4)
-        push(c, 2)
+        push(c)
         c.push_message(np.array([[False, True]]), window=4)
         np.testing.assert_array_equal(c.head_message(0), [[True, False], [False, True]])
-
-    def test_out_of_order_append_rejected(self):
-        c = fresh_cache()
-        push(c, 2)
-        with pytest.raises(ValueError, match="not after"):
-            push(c, 2)
 
     def test_keep_only_prunes_message_columns(self):
         c = fresh_cache()
         for mask in ([True], [True, False], [True, False, True]):
-            push(c, len(mask))
+            push(c)
             c.push_message(np.array([mask]), window=4)
         c.keep_only(np.array([[True, False, True]]))
         np.testing.assert_array_equal(c.head_positions(0), [1, 3])
@@ -203,14 +199,14 @@ class TestKvCacheState:
     def test_keep_only_rejects_mask_of_wrong_length(self):
         c = fresh_cache()
         for t in (1, 2, 3):
-            push(c, t)
+            push(c)
         with pytest.raises(ValueError, match=r"shape \(1, 2\) for 1 caches of up to 3"):
             c.keep_only(np.array([[True, False]]))
 
     def test_keep_only_ignores_flags_past_a_heads_size(self):
         c = fresh_cache(2)
         for t in (1, 2, 3):
-            push(c, t)
+            push(c)
         c.keep_only(np.array([[True, True, True], [False, True, True]]))
         c.keep_only(np.array([[True, False, True], [True, True, False]]))  # head 1's third flag is past its size
         np.testing.assert_array_equal(c.sizes, [2, 2])
@@ -220,7 +216,7 @@ class TestKvCacheState:
     def test_heads_of_a_layer_share_one_block_across_doublings(self):
         c = fresh_cache(2)
         for t in range(1, 41):
-            push(c, t)
+            push(c)
             if t > 3:  # head 1 drops each new entry and keeps steps 1..3
                 c.keep_only(np.arange(c.width) < np.array([[t], [3]]))
         assert c.capacity >= 40
@@ -232,7 +228,7 @@ class TestKvCacheState:
         c = fresh_cache()
         masks = []
         for t in range(1, 8):
-            push(c, t)
+            push(c)
             masks.append(np.arange(t) % 3 == t % 3)
             c.push_message(masks[-1][None], window=3)
         expect = [np.concatenate([m, np.zeros(7 - m.size, dtype=bool)]) for m in masks[-3:]]
@@ -243,12 +239,12 @@ class TestKvCacheState:
         clean, dirty = fresh_cache(), fresh_cache()
         for t in range(1, 60):
             dirty.message[0, dirty.size :] = True  # stale rows where the next entry goes
-            push(clean, t)
-            push(dirty, t)
+            push(clean)
+            push(dirty)
             dirty.message[0, dirty.size :] = True
             scores = rng.dirichlet(np.full(clean.size, 0.4))
-            Corm(w=3, r=2).step(clean, rows(scores), t)
-            Corm(w=3, r=2).step(dirty, rows(scores), t)
+            Corm(w=3, r=2).step(clean, rows(scores))
+            Corm(w=3, r=2).step(dirty, rows(scores))
             dirty.check()
             np.testing.assert_array_equal(clean.head_positions(0), dirty.head_positions(0))
             np.testing.assert_array_equal(clean.head_message(0), dirty.head_message(0))
@@ -261,17 +257,17 @@ class TestKvCacheState:
         solo = [fresh_cache(), fresh_cache()]
         policy = Corm(w=3, r=2)
         for t in range(1, 41):
-            push(shared, t)
+            push(shared)
             blocks = []
             for h, cache in enumerate(solo):
-                push(cache, t)
+                push(cache)
                 scores = np.full(t, 1.0 / t) if h == 0 else rng.dirichlet(np.full(cache.size, 0.4))
-                policy.step(cache, rows(scores), t)
+                policy.step(cache, rows(scores))
                 blocks.append(scores)
             padded = np.zeros((2, 1, shared.width))
             for h, scores in enumerate(blocks):
                 padded[h, 0, : scores.size] = scores
-            policy.step(shared, padded, t)
+            policy.step(shared, padded)
             for h, cache in enumerate(solo):
                 np.testing.assert_array_equal(shared.head_positions(h), cache.head_positions(0))
                 np.testing.assert_array_equal(shared.head_message(h), cache.head_message(0))
@@ -281,16 +277,16 @@ class TestKvCacheState:
     def test_window_smaller_than_the_recorded_message_rejected(self):
         c = fresh_cache()
         for t in (1, 2, 3):
-            push(c, t)
+            push(c)
             c.push_message(np.ones((1, t), dtype=bool), window=4)
-        push(c, 4)
+        push(c)
         with pytest.raises(ValueError, match="window is 2"):
             c.push_message(np.ones((1, 4), dtype=bool), window=2)
 
     def test_check_raises_value_errors_naming_the_invariant(self):
         c = fresh_cache()
-        push(c, 1)
-        push(c, 2)
+        push(c)
+        push(c)
         c.positions[0, 1] = 1
         with pytest.raises(ValueError, match="strictly increase"):
             c.check()
@@ -319,7 +315,7 @@ class TestBlockEviction:
         # sizes 6, 7, 8 after step 8: over a budget of 6 by 0, 1 and 2
         c = fresh_cache(3)
         for t in range(1, self.T + 1):
-            push(c, t)
+            push(c)
         c.keep_only(np.array([[False, False] + [True] * 6, [False] + [True] * 7, [True] * 8]))
         return c
 
@@ -351,7 +347,7 @@ class TestBlockEviction:
             rank = scores[h, 0, :n] if ranking == "scores" else classify_important(scores[h, 0, :n], t).astype(float)
             candidates = positions <= t - 2 if non_recent else np.ones(n, dtype=bool)
             expect.append(lexsort_kept(positions, rank, candidates, n - 6))
-        policy.step(c, scores, t)
+        policy.step(c, scores)
         c.check()
         np.testing.assert_array_equal(c.sizes, [6, 6, 6])
         for h in range(3):
@@ -368,7 +364,7 @@ class TestBlockEviction:
         unequal = False
         with np.errstate(all="raise"):
             for t in range(1, trace.n_steps + 1):
-                sim.step(t, trace.rows[t - 1])
+                sim.step(trace.rows[t - 1])
                 unequal |= len(set(sim.cache.sizes)) > 1
         assert unequal, "fixture never left the caches at unequal sizes"
 
@@ -378,9 +374,9 @@ class TestCormUpdate:
         c = fresh_cache()
         w = 5
         for t in range(1, w):  # first w-1 steps
-            push(c, t)
+            push(c)
             scores = np.full(t, 1.0 / t)
-            Corm(w=w, r=1).step(c, rows(scores), t)
+            Corm(w=w, r=1).step(c, rows(scores))
             assert c.size == t, "cache must grow by exactly one entry per step"
             assert c.head_message(0).shape == (t, t)
 
@@ -394,8 +390,8 @@ class TestCormUpdate:
             4: [0.2, 0.3, 0.3, 0.2],
         }
         for t, scores in steps.items():
-            push(c, t)
-            Corm(w=2, r=1).step(c, rows(scores), t)
+            push(c)
+            Corm(w=2, r=1).step(c, rows(scores))
             c.check()
             if t < 4:
                 assert c.size == t
@@ -406,9 +402,9 @@ class TestCormUpdate:
         c = fresh_cache()
         rng = np.random.Generator(np.random.PCG64(0))
         for t in range(1, 33):
-            push(c, t)
+            push(c)
             scores = rng.dirichlet(np.ones(t))
-            Corm(w=10**9, r=1).step(c, rows(scores), t)
+            Corm(w=10**9, r=1).step(c, rows(scores))
         assert c.size == 32
 
     def test_bad_sizes_rejected(self):
@@ -417,32 +413,25 @@ class TestCormUpdate:
             with pytest.raises(ValueError, match=">= 1"):
                 parse_policy(text)
 
-    def test_step_mismatch_rejected(self):
-        c = fresh_cache()
-        push(c, 1)
-        push(c, 2)
-        with pytest.raises(ValueError, match="cache is at step 2, update is for step 3"):
-            Corm(w=2, r=1).step(c, rows([0.5, 0.5]), 3)
-
     def test_row_cache_length_mismatch_rejected(self):
         c = fresh_cache()
-        push(c, 1)
-        push(c, 2)
+        push(c)
+        push(c)
         with pytest.raises(ValueError, match="scores for a cache"):
-            Corm(w=2, r=1).step(c, rows([1.0]), 2)
+            Corm(w=2, r=1).step(c, rows([1.0]))
 
     def test_scores_for_another_head_count_rejected(self):
         c = fresh_cache(2)
-        push(c, 1)
+        push(c)
         with pytest.raises(ValueError, match="scores for a cache block of 2 heads"):
-            Corm(w=2, r=1).step(c, rows([1.0]), 1)
+            Corm(w=2, r=1).step(c, rows([1.0]))
 
     def test_mask_shape_mismatch_rejected(self):
         c = fresh_cache()
-        push(c, 1)
-        push(c, 2)
+        push(c)
+        push(c)
         with pytest.raises(ValueError, match="masks of shape"):
-            Corm(w=2, r=1).step(c, rows([0.5, 0.5]), 2, np.ones((1, 1, 1), dtype=bool))
+            Corm(w=2, r=1).step(c, rows([0.5, 0.5]), np.ones((1, 1, 1), dtype=bool))
 
     @pytest.mark.parametrize("w,r", [(1, 1), (2, 1), (3, 2), (4, 4)])
     def test_recent_keep_and_characterization_fuzz(self, w, r):
@@ -452,13 +441,13 @@ class TestCormUpdate:
         c = fresh_cache()
         flagged: dict[int, set[int]] = {}
         for t in range(1, 120):
-            push(c, t)
+            push(c)
             scores = rng.dirichlet(np.full(c.size, 0.4))
             r_t = rows(scores)
             mask = classify_important(r_t, t)[0, 0]
             flagged[t] = set(c.head_positions(0)[mask])
             present = set(c.head_positions(0))
-            Corm(w=w, r=r).step(c, r_t, t)
+            Corm(w=w, r=r).step(c, r_t)
             c.check()
             assert c.head_message(0).shape[1] == c.size
             kept = set(c.head_positions(0))
@@ -475,15 +464,15 @@ class TestStreamingUpdate:
     def test_positions_one_and_three_kept(self):
         c = fresh_cache()
         for t in (1, 2, 3):
-            push(c, t)
-        StreamingLlm(sink=1, recent=1).step(c, rows([0.2, 0.3, 0.5]), 3)
+            push(c)
+        StreamingLlm(sink=1, recent=1).step(c, rows([0.2, 0.3, 0.5]))
         np.testing.assert_array_equal(c.head_positions(0), [1, 3])
 
     def test_no_eviction_within_budget(self):
         c = fresh_cache()
         for t in range(1, 11):
-            push(c, t)
-            StreamingLlm(sink=4, recent=6).step(c, rows(np.full(c.size, 1.0 / c.size)), t)
+            push(c)
+            StreamingLlm(sink=4, recent=6).step(c, rows(np.full(c.size, 1.0 / c.size)))
             assert c.size == t
 
     def test_size_closed_form_over_random_trace(self):
@@ -491,9 +480,9 @@ class TestStreamingUpdate:
         sink, recent = 3, 5
         c = fresh_cache()
         for t in range(1, 101):
-            push(c, t)
+            push(c)
             scores = rng.dirichlet(np.ones(c.size))
-            StreamingLlm(sink, recent).step(c, rows(scores), t)
+            StreamingLlm(sink, recent).step(c, rows(scores))
             assert c.size == min(t, sink + recent)
 
 
@@ -501,8 +490,8 @@ class TestH2OUpdate:
     def run_steps(self, step_scores, heavy, recent):
         c = fresh_cache()
         for t, scores in enumerate(step_scores, start=1):
-            push(c, t)
-            H2O(heavy, recent).step(c, rows(scores), t)
+            push(c)
+            H2O(heavy, recent).step(c, rows(scores))
             c.check()
         return c
 
@@ -519,8 +508,8 @@ class TestH2OUpdate:
         rng = np.random.Generator(np.random.PCG64(13))
         c = fresh_cache()
         for t in range(1, 200):
-            push(c, t)
-            H2O(heavy=5, recent=3).step(c, rows(rng.dirichlet(np.ones(c.size))), t)
+            push(c)
+            H2O(heavy=5, recent=3).step(c, rows(rng.dirichlet(np.ones(c.size))))
             assert c.size <= 8
 
 
@@ -534,13 +523,13 @@ class TestScissorhandsUpdate:
             4: [0.3, 0.1, 0.3, 0.3],
         }
         for t, scores in steps.items():
-            push(c, t)
-            Scissorhands(budget=2, recent=1, window=2).step(c, rows(scores), t)
+            push(c)
+            Scissorhands(budget=2, recent=1, window=2).step(c, rows(scores))
             c.check()
         # counts over the last 2 masks: key2 lowest among non-recent -> evicted
         np.testing.assert_array_equal(c.head_positions(0), [1, 3, 4])
-        push(c, 5)
-        Scissorhands(budget=2, recent=1, window=2).step(c, rows([0.3, 0.3, 0.2, 0.2]), 5)
+        push(c)
+        Scissorhands(budget=2, recent=1, window=2).step(c, rows([0.3, 0.3, 0.2, 0.2]))
         # three-way count tie among non-recent entries: lowest position goes
         np.testing.assert_array_equal(c.head_positions(0), [3, 4, 5])
 
@@ -548,12 +537,12 @@ class TestScissorhandsUpdate:
         rng = np.random.Generator(np.random.PCG64(3))
         c = fresh_cache()
         for t in range(1, 60):
-            push(c, t)
+            push(c)
             scores = np.full(c.size, 0.5 / (c.size - 1)) if c.size > 1 else np.array([1.0])
             if c.size > 1:
                 scores[c.head_positions(0) == 1] = 0.5  # key 1 always far above 1/t
                 scores /= scores.sum()
-            Scissorhands(budget=3, recent=2, window=4).step(c, rows(scores), t)
+            Scissorhands(budget=3, recent=2, window=4).step(c, rows(scores))
             assert 1 in c.head_positions(0), f"always-important key evicted at t={t}"
             assert c.size <= 5
 
@@ -561,9 +550,9 @@ class TestScissorhandsUpdate:
         rng = np.random.Generator(np.random.PCG64(29))
         c = fresh_cache()
         for t in range(1, 150):
-            push(c, t)
+            push(c)
             scores = rng.dirichlet(np.ones(c.size))
-            Scissorhands(budget=4, recent=2, window=3).step(c, rows(scores), t)
+            Scissorhands(budget=4, recent=2, window=3).step(c, rows(scores))
             assert c.size <= 6
 
 
@@ -571,18 +560,18 @@ class TestTovaUpdate:
     def test_identity_under_budget(self):
         c = fresh_cache()
         for t in (1, 2):
-            push(c, t)
-            Tova(budget=2).step(c, rows(np.full(t, 1.0 / t)), t)
+            push(c)
+            Tova(budget=2).step(c, rows(np.full(t, 1.0 / t)))
         assert c.size == 2
 
     def test_lowest_current_score_evicted(self):
         c = fresh_cache()
         for t, scores in [(1, [1.0]), (2, [0.3, 0.7]), (3, [0.2, 0.5, 0.3])]:
-            push(c, t)
-            Tova(budget=2).step(c, rows(scores), t)
+            push(c)
+            Tova(budget=2).step(c, rows(scores))
         np.testing.assert_array_equal(c.head_positions(0), [2, 3])
-        push(c, 4)
-        Tova(budget=2).step(c, rows([0.25, 0.25, 0.5]), 4)
+        push(c)
+        Tova(budget=2).step(c, rows([0.25, 0.25, 0.5]))
         # tie between positions 2 and 3: lower position evicted
         np.testing.assert_array_equal(c.head_positions(0), [3, 4])
 
@@ -590,8 +579,8 @@ class TestTovaUpdate:
         rng = np.random.Generator(np.random.PCG64(31))
         c = fresh_cache()
         for t in range(1, 100):
-            push(c, t)
-            Tova(budget=6).step(c, rows(rng.dirichlet(np.ones(c.size))), t)
+            push(c)
+            Tova(budget=6).step(c, rows(rng.dirichlet(np.ones(c.size))))
             assert c.size <= 6
 
 
@@ -600,44 +589,44 @@ class TestGqaCormUpdate:
         rng = np.random.Generator(np.random.PCG64(2))
         a, b = fresh_cache(), fresh_cache()
         for t in range(1, 40):
-            push(a, t)
-            push(b, t)
+            push(a)
+            push(b)
             scores = rng.dirichlet(np.full(a.size, 0.5))
-            Corm(w=3, r=2).step(a, rows(scores), t)
-            CormGqa(w=3, r=2).step(b, rows(scores), t)
+            Corm(w=3, r=2).step(a, rows(scores))
+            CormGqa(w=3, r=2).step(b, rows(scores))
             np.testing.assert_array_equal(a.head_positions(0), b.head_positions(0))
             np.testing.assert_array_equal(a.head_message(0), b.head_message(0))
 
     def test_or_mask_keeps_key_flagged_by_one_head(self):
         c = fresh_cache()
-        push(c, 1)
-        CormGqa(w=1, r=1).step(c, rows([1.0], [1.0]), 1)
-        push(c, 2)
+        push(c)
+        CormGqa(w=1, r=1).step(c, rows([1.0], [1.0]))
+        push(c)
         # head A flags key 1, head B does not: OR keeps it
-        CormGqa(w=1, r=1).step(c, rows([0.6, 0.4], [0.4, 0.6]), 2)
+        CormGqa(w=1, r=1).step(c, rows([0.6, 0.4], [0.4, 0.6]))
         np.testing.assert_array_equal(c.head_positions(0), [1, 2])
-        push(c, 3)
+        push(c)
         # no head flags key 1 any more and it is outside recent-1
-        CormGqa(w=1, r=1).step(c, rows([0.2, 0.5, 0.3], [0.1, 0.3, 0.6]), 3)
+        CormGqa(w=1, r=1).step(c, rows([0.2, 0.5, 0.3], [0.1, 0.3, 0.6]))
         np.testing.assert_array_equal(c.head_positions(0), [2, 3])
 
     def test_empty_group_rejected(self):
         c = fresh_cache()
-        push(c, 1)
+        push(c)
         with pytest.raises(ValueError, match="at least one"):
-            CormGqa(w=1, r=1).step(c, np.zeros((1, 0, 1)), 1)
+            CormGqa(w=1, r=1).step(c, np.zeros((1, 0, 1)))
 
     def test_group_size_mismatch_rejected_by_dispatcher(self):
         c = fresh_cache()
-        push(c, 1)
+        push(c)
         with pytest.raises(ValueError, match="group size"):
-            apply_policy(CormGqa(w=1, r=1, group_size=2), c, rows([1.0]), 1)
+            apply_policy(CormGqa(w=1, r=1, group_size=2), c, rows([1.0]))
 
     def test_per_head_policy_rejects_grouped_rows(self):
         c = fresh_cache()
-        push(c, 1)
+        push(c)
         with pytest.raises(ValueError, match="per-head policy"):
-            apply_policy(Tova(budget=4), c, rows([1.0], [1.0]), 1)
+            apply_policy(Tova(budget=4), c, rows([1.0], [1.0]))
 
 
 class TestFullPolicy:
@@ -645,8 +634,8 @@ class TestFullPolicy:
         c = fresh_cache()
         rng = np.random.Generator(np.random.PCG64(0))
         for t in range(1, 20):
-            push(c, t)
-            apply_policy(Full(), c, rows(rng.dirichlet(np.ones(t))), t)
+            push(c)
+            apply_policy(Full(), c, rows(rng.dirichlet(np.ones(t))))
             assert c.size == t
         np.testing.assert_array_equal(c.head_positions(0), np.arange(1, 20))
 
@@ -655,27 +644,27 @@ class TestCompressionRate:
     def test_full_cache_rate_zero(self):
         c = fresh_cache()
         for t in (1, 2, 3):
-            push(c, t)
+            push(c)
         np.testing.assert_array_equal(compression_rate(c, 3), [0.0])
 
     def test_streaming_closed_form_half(self):
         c = fresh_cache()
         for t in range(1, 1025):
-            push(c, t)
+            push(c)
         np.testing.assert_allclose(compression_rate(c, 2048), [0.5])
 
     def test_rate_per_head_of_a_block(self):
         c = fresh_cache(2)
         for t in (1, 2):
-            push(c, t)
+            push(c)
         c.keep_only(np.array([[True, True], [False, True]]))
         np.testing.assert_array_equal(compression_rate(c, 2), [0.0, 0.5])
 
     def test_mean_over_heads(self):
         a, b = fresh_cache(), fresh_cache()
-        push(a, 1)
-        push(a, 2)
-        push(b, 1)
+        push(a)
+        push(a)
+        push(b)
         assert mean_compression_rate([a, b], 2) == pytest.approx(0.25)
 
     def test_invalid_t_rejected(self):

@@ -72,3 +72,22 @@ def test_policies_reached_only_through_apply_policy():
             if hit:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, f"policy reached outside apply_policy: {', '.join(found)}"
+
+
+def test_only_the_cache_block_assigns_a_step():
+    # the cache block's `step` is the one step counter: decode and replay derive t from it
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.ClassDef) and top.name == "KvCacheState":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(isinstance(t, ast.Attribute) and t.attr == "step" for t in targets):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, f"a step assigned outside KvCacheState: {', '.join(found)}"

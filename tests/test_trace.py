@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_synthetic_trace, seeded_tokens
 from corm.model import ModelConfig, init_model
-from corm.policies import Corm, CormGqa, Full, StreamingLlm, Tova
+from corm.policies import Corm, CormGqa, Full, StreamingLlm, Tova, parse_policy
 from corm.trace import (
     PolicySimulator,
     TraceChecksumError,
@@ -113,6 +113,21 @@ class TestSaveLoad:
         with pytest.raises(TraceChecksumError, match="header region"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "damage,match",
+        [("narrow_rows", r"step 3 rows have shape \(1, 1, 2\)"), ("few_tokens", "5 row blocks and 5 query blocks for 4 tokens")],
+    )
+    def test_malformed_trace_rejected_before_the_file_is_opened(self, tmp_path, damage, match):
+        tr = make_synthetic_trace(n_steps=5, seed=9)
+        if damage == "narrow_rows":
+            tr.rows[2] = tr.rows[2][:, :, :2]
+        else:
+            tr = dataclasses.replace(tr, tokens=tr.tokens[:4])
+        path = tmp_path / "t.trc"
+        with pytest.raises(ValueError, match=match):
+            save(tr, path)
+        assert not path.exists()
+
     def test_trace_without_steps_rejected(self, small_trace, tmp_path):
         # a well-formed file whose replay would have no step to report
         path = tmp_path / "t.trc"
@@ -166,7 +181,7 @@ class TestReplay:
         tr = make_synthetic_trace(n_heads=4, n_steps=18, seed=4)
         result = replay_policy(tr, CormGqa(w=2, r=1, group_size=2))
         assert result.group_size == 2
-        assert len(result.kept[0]) == 2
+        assert result.n_groups == 2
 
     def test_group_shape_mismatch_rejected(self):
         tr = make_synthetic_trace(n_heads=4, n_steps=6, seed=5)
@@ -185,11 +200,27 @@ class TestReplay:
         replay_policy(tr, Full())
 
     def test_steps_must_be_consecutive(self):
+        # the simulator is at step 1, so it takes step 2's rows only
         tr = make_synthetic_trace(n_steps=4, seed=7)
         sim = PolicySimulator(Full(), 1, 1, 1)
-        sim.step(1, tr.rows[0])
-        with pytest.raises(ValueError, match="consecutive"):
-            sim.step(3, tr.rows[2])
+        sim.step(tr.rows[0])
+        with pytest.raises(ValueError, match=r"step 2 rows have shape \(1, 1, 3\), expected \(1, 1, 2\)"):
+            sim.step(tr.rows[2])
+
+    @pytest.mark.parametrize("policy,unequal_sizes", [("corm:8+8", True), ("h2o:16+16", False)])
+    def test_kept_at_equals_the_live_cache_after_every_step(self, small_trace, policy, unequal_sizes):
+        # kept_at strips the FREE padding of the shorter caches in each step's block
+        sim = PolicySimulator(parse_policy(policy), 2, 4)
+        unequal = False
+        for t, rows in enumerate(small_trace.rows, start=1):
+            sim.step(rows)
+            unequal |= len(set(sim.cache.sizes)) > 1
+            for layer in range(2):
+                for group in range(sim.n_groups):
+                    kept = sim.kept_at(layer, group, t)
+                    assert kept.dtype == np.int64 and kept.flags.c_contiguous
+                    np.testing.assert_array_equal(kept, sim.cache.head_positions(layer * sim.n_groups + group))
+        assert unequal == unequal_sizes
 
 
 class TestReplayRowChecks:
@@ -211,7 +242,7 @@ class TestReplayRowChecks:
         # streaming:1+1 keeps positions 1 and 3 after step 3; step 4's row
         # puts all its mass on the evicted position 2
         sim = PolicySimulator(StreamingLlm(sink=1, recent=1), 1, 1)
-        for t, row in ((1, [1.0]), (2, [0.5, 0.5]), (3, [0.2, 0.3, 0.5])):
-            sim.step(t, [[row]])
+        for row in ([1.0], [0.5, 0.5], [0.2, 0.3, 0.5]):
+            sim.step([[row]])
         with np.errstate(all="raise"), pytest.raises(ValueError, match="sums to 0"):
-            sim.step(4, [[[0.0, 1.0, 0.0, 0.0]]])
+            sim.step([[[0.0, 1.0, 0.0, 0.0]]])
