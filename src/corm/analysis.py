@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .attention import cosine_similarity
 from .policies import classify_important
 from .trace import AttentionTrace
 
@@ -46,21 +47,13 @@ __all__ = [
 class SparsityProfile:
     """Mean fraction of keys scoring at least 1/t, per head and per layer.
 
-    A smaller important-key fraction means a sparser head; `sparsity` is the
+    A smaller important-key fraction means a sparser head; sparsity is the
     complementary fraction. Values are means over steps; aggregate over texts
     by averaging profiles.
     """
 
     per_head: np.ndarray  # (n_layers, n_heads)
     per_layer: np.ndarray  # (n_layers,), mean over heads
-
-    @property
-    def sparsity_per_head(self) -> np.ndarray:
-        return 1.0 - self.per_head
-
-    @property
-    def sparsity_per_layer(self) -> np.ndarray:
-        return 1.0 - self.per_layer
 
 
 def sparsity_profile(trace: AttentionTrace) -> SparsityProfile:
@@ -152,9 +145,7 @@ def overlap_similarity_samples(
     for n in range(n_pairs):
         i = int(rng.integers(3, t_max + 1))
         j = int(rng.integers(2, i))
-        qi = trace.queries[i - 1][layer, head].astype(np.float64)
-        qj = trace.queries[j - 1][layer, head].astype(np.float64)
-        cos[n] = qi @ qj / (np.linalg.norm(qi) * np.linalg.norm(qj))
+        cos[n] = cosine_similarity(trace.queries[i - 1][layer, head], trace.queries[j - 1][layer, head])
         jac[n] = importance_overlap(trace, layer, head, i, j)
     return cos, jac
 
@@ -197,14 +188,6 @@ class Divergence:
 
     top1_match: np.ndarray  # (T,) bool
     kl: np.ndarray  # (T,) float64, KL(reference || other)
-
-    @property
-    def top1_agreement(self) -> float:
-        return float(self.top1_match.mean())
-
-    @property
-    def mean_kl(self) -> float:
-        return float(self.kl.mean())
 
 
 def output_divergence(logits_ref: np.ndarray, logits_other: np.ndarray) -> Divergence:

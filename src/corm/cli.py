@@ -65,6 +65,8 @@ def _merge_manifest(args: argparse.Namespace) -> ExperimentManifest:
         m.checkpoints = _parse_checkpoints(args.checkpoints)
     if getattr(args, "steps", None) is not None:
         m.generate_steps = args.steps
+    if m.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {m.seed}")
     return m
 
 

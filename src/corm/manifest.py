@@ -57,6 +57,8 @@ class InputSpec:
         if self.kind == "synthetic":
             if self.seed is None or self.length is None or self.length < 1:
                 raise ValueError("synthetic input needs an explicit seed and a length >= 1")
+            if self.seed < 0:
+                raise ValueError(f"synthetic input seed must be >= 0, got {self.seed}")
         elif self.path is None:
             raise ValueError(f"input kind {self.kind!r} needs a path")
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -77,10 +76,10 @@ __all__ = [
     "init_model",
     "load_model_config",
     "save_model_config",
-    "weight_checksum",
 ]
 
 RMS_EPS = 1e-6
+_LOG_F32_MAX = math.log(float(np.finfo(np.float32).max))
 WEIGHTS_MAGIC = b"CORMWTS1"
 WEIGHTS_VERSION = 1
 
@@ -130,6 +129,8 @@ class ModelConfig:
         kv = self.kv_heads
         if kv < 1 or self.n_heads % kv != 0:
             raise ValueError(f"n_heads={self.n_heads} not divisible by n_kv_heads={kv}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
         for name in ("d_h", "mlp_ratio", "max_positions"):
@@ -138,6 +139,15 @@ class ModelConfig:
         for name in ("depth_gain", "head_gain_jitter"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # head gains are at most max(1, |depth_gain|**(n_layers - 1)) * exp(|head_gain_jitter|); in logs, no overflow
+        log_gain = abs(self.head_gain_jitter)
+        if abs(self.depth_gain) > 1.0:
+            log_gain += (self.n_layers - 1) * math.log(abs(self.depth_gain))
+        if log_gain >= _LOG_F32_MAX:
+            raise ValueError(
+                f"depth_gain={self.depth_gain} over {self.n_layers} layers with head_gain_jitter="
+                f"{self.head_gain_jitter} gives head gains that overflow float32"
+            )
         if isinstance(self.pe, Rope) and self.d_h % 2 != 0:
             raise ValueError(f"rotary encoding needs even head dimension, got d_h={self.d_h}")
         if isinstance(self.pe, Rope) and not (math.isfinite(self.pe.base) and self.pe.base > 0):
@@ -393,10 +403,6 @@ class ToyTransformer:
         state.last_logits = logits
         return StepResult(step=t, logits=logits, rows=rows_all, queries=queries)
 
-    def prefill(self, tokens: Sequence[int], policy: Policy) -> DecoderState:
-        """Process a prompt strictly one position at a time, eviction active."""
-        return self.run(tokens, policy).state
-
     def run(
         self,
         tokens: Sequence[int],
@@ -592,8 +598,3 @@ class ToyTransformer:
 def init_model(config: ModelConfig) -> ToyTransformer:
     """Build a model with freshly drawn seeded weights."""
     return ToyTransformer(config)
-
-
-def weight_checksum(model: ToyTransformer) -> int:
-    """CRC32 of the first-drawn weight (the token embedding), for determinism checks."""
-    return zlib.crc32(model.embedding.astype("<f4").tobytes(order="C"))

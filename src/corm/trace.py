@@ -4,7 +4,9 @@ A trace holds, for every step t of a full-cache run, each (layer, head)'s
 normalized attention row over all t positions plus the head's query vector.
 Replaying a trace (`replay_policy`) steps a `PolicySimulator`, which drives
 a policy's bookkeeping offline: at each step the recorded row is restricted
-to the simulated surviving set.
+to the simulated surviving set. The simulator keeps no history of kept
+sets, only its live cache block and the compression curve, so replay needs
+O(caches x cache width) memory beyond the trace.
 Importance flags are thresholded on the recorded scores (so replayed
 decisions depend on the trace alone, and growing the recency window can only
 grow the kept set); the restricted row is renormalized before
@@ -57,7 +59,7 @@ import numpy as np
 
 from .attention import check_score_rows
 from .model import ToyTransformer
-from .policies import FREE, Full, KvCacheState, Policy, apply_policy, classify_important
+from .policies import Full, KvCacheState, Policy, apply_policy, classify_important
 from .positional import PE_KINDS, Rope, pe_kind_tag
 
 __all__ = [
@@ -212,16 +214,15 @@ def save(trace: AttentionTrace, path) -> None:
         trace.n_steps,
     )
     header += trace.tokens.astype("<u4").tobytes()
-    chunks = []
-    for rows_t, queries_t in zip(trace.rows, trace.queries):
-        block = np.concatenate([rows_t, queries_t], axis=2)  # (L, H, t + d_h)
-        chunks.append(block.astype("<f4").tobytes(order="C"))
-    payload = b"".join(chunks)
-    trailer = struct.pack("<II", zlib.crc32(header), zlib.crc32(payload))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
-        fh.write(trailer)
+        crc = 0  # the payload is written and checksummed one step at a time, never held whole
+        for rows_t, queries_t in zip(trace.rows, trace.queries):
+            block = np.concatenate([rows_t, queries_t], axis=2)  # (L, H, t + d_h)
+            chunk = block.astype("<f4").tobytes(order="C")
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<II", zlib.crc32(header), crc))
 
 
 def load(path) -> AttentionTrace:
@@ -298,9 +299,9 @@ class PolicySimulator:
     layout; the grouped recency policy simulates one cache per group of
     `group_size` query heads. All n_layers * n_groups caches are the heads
     of one block, layer-major, so each step is one policy update; they
-    track positions only (keys and values have width 0). After step t (the
-    block's `step`), `kept[t - 1]` holds every cache's positions as one
-    (n_layers * n_groups, width) array, FREE past each cache's size.
+    track positions only (keys and values have width 0). No history is
+    kept: after step t, `cache.head_positions(layer * n_groups + group)` is
+    the positions cache (layer, group) holds, until the next step.
     """
 
     def __init__(self, policy: Policy, n_layers: int, n_heads: int, n_kv_heads: int | None = None):
@@ -314,18 +315,12 @@ class PolicySimulator:
         self._no_vector = np.zeros((n_layers * self.n_groups, 0))
         # index of each (cache, query head) row in a step's (n_layers * n_heads) rows
         self._row_ids = np.arange(n_layers * n_heads).reshape(-1, group, 1)
-        self.kept: list[np.ndarray] = []
         self._rates: list[float] = []
 
     @property
     def compression(self) -> np.ndarray:
         """(T,) float64: the model-mean compression rate after each step."""
         return np.asarray(self._rates)
-
-    def kept_at(self, layer: int, group: int, t: int) -> np.ndarray:
-        """Positions cache (layer, group) held after step t, oldest first."""
-        row = self.kept[t - 1][layer * self.n_groups + group]
-        return row[row != FREE]
 
     def step(self, rows_full) -> None:
         """Feed the next step t's full rows: an (n_layers, n_heads, t) array or nested lists.
@@ -360,7 +355,6 @@ class PolicySimulator:
             raise ValueError(f"step {t}, layer {layer}: a row restricted to the kept entries sums to 0")
         flags = classify_important(restricted, t)
         apply_policy(self.policy, cache, restricted / totals, flags)
-        self.kept.append(cache.positions[:, : cache.width].copy())
         self._rates.append(1.0 - cache.size / (self.n_layers * self.n_groups * t))
 
 
@@ -369,9 +363,8 @@ def replay_policy(trace: AttentionTrace, policy: Policy) -> PolicySimulator:
 
     At each step the recorded full row is restricted to the simulated
     surviving positions and renormalized to sum to 1 before the policy sees
-    it. Returns the simulator stepped through the whole trace: its kept-set
-    timeline per (layer, group) (`kept_at`) and its compression curve
-    averaged over layers and groups.
+    it. Returns the simulator stepped through the whole trace: its final
+    caches and its compression curve averaged over layers and groups.
     """
     m = trace.meta
     sim = PolicySimulator(policy, m.n_layers, m.n_heads, m.n_kv_heads)

@@ -1,6 +1,8 @@
-"""Shared fixtures: small models, seeded token streams, synthetic traces."""
+"""Shared fixtures: small models, seeded token streams, synthetic traces, stepped replays."""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import HealthCheck, settings
 
 from corm.attention import softmax_normalize
 from corm.model import ModelConfig, init_model
-from corm.trace import AttentionTrace, TraceMeta
+from corm.policies import Policy
+from corm.trace import AttentionTrace, PolicySimulator, TraceMeta
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -54,6 +57,19 @@ def make_synthetic_trace(
     )
     tokens = seeded_tokens(seed, n_steps)
     return AttentionTrace(meta=meta, tokens=tokens, rows=rows, queries=queries)
+
+
+def replay_steps(trace: AttentionTrace, policy: Policy) -> Iterator[tuple[int, PolicySimulator]]:
+    """Replay `trace` under `policy`, yielding (t, simulator) after each step t.
+
+    Cache (layer, group) holds `sim.cache.head_positions(layer * sim.n_groups + group)`
+    after step t: a view of the live block, so copy it to keep it past the next step.
+    """
+    m = trace.meta
+    sim = PolicySimulator(policy, m.n_layers, m.n_heads, m.n_kv_heads)
+    for t, rows in enumerate(trace.rows, start=1):
+        sim.step(rows)
+        yield t, sim
 
 
 @pytest.fixture(scope="session")

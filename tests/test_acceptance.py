@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_trace, seeded_tokens
+from conftest import make_synthetic_trace, replay_steps, seeded_tokens
 from corm.attention import scaled_dot_scores, stable_argsort_desc
 from corm.cli import main
 from corm.model import ModelConfig, ToyTransformer, init_model
@@ -83,11 +83,10 @@ def test_criterion_02_kept_set_matches_brute_force_characterization():
         tr = make_synthetic_trace(n_steps=n_steps, seed=9000 + i, sharpness=5.0)
         for w in (1, 2, 4):
             for r in (1, 2, 4):
-                result = replay_policy(tr, Corm(w=w, r=r))
                 oracle = _brute_force_corm_kept(tr.rows, w, r)
-                for t in range(1, n_steps + 1):
+                for t, sim in replay_steps(tr, Corm(w=w, r=r)):
                     np.testing.assert_array_equal(
-                        result.kept_at(0, 0, t), oracle[t - 1],
+                        sim.cache.head_positions(0), oracle[t - 1],
                         err_msg=f"trace {i}, w={w}, r={r}, t={t}",
                     )
     report(2, "100 traces x 9 (w,r) configs: kept set == brute-force characterization")
@@ -102,14 +101,13 @@ def test_criterion_03_recent_entries_never_evicted():
         w = int(rng.integers(1, 7))
         r = int(rng.integers(1, 7))
         tr = make_synthetic_trace(n_steps=n_steps, seed=int(rng.integers(1 << 30)), sharpness=5.0)
-        result = replay_policy(tr, Corm(w=w, r=r))
         prev = np.array([], dtype=np.int64)
-        for t in range(1, n_steps + 1):
-            kept = result.kept_at(0, 0, t)
+        for t, sim in replay_steps(tr, Corm(w=w, r=r)):
+            kept = sim.cache.head_positions(0)
             present = np.append(prev, t)
             recent = present[present > t - r]
             assert np.all(np.isin(recent, kept)), f"recent entry lost at t={t} (w={w}, r={r})"
-            prev = kept
+            prev = kept.copy()
         total_steps += n_steps
     report(3, f"{total_steps} fuzzed steps: recent-r entries always survive")
 
@@ -120,12 +118,14 @@ def test_criterion_04_window_monotonicity():
     model = init_model(ModelConfig(n_layers=2, n_heads=4, d_model=64, vocab_size=256, seed=21))
     for s in range(20):
         tr = record(model, seeded_tokens(1000 + s, 96))
-        results = [replay_policy(tr, Corm(w=w, r=4)) for w in (4, 8, 16)]
-        for li in range(2):
-            for g in range(4):
-                for t in range(1, 97):
-                    k4, k8, k16 = (set(res.kept_at(li, g, t)) for res in results)
+        replays = [replay_steps(tr, Corm(w=w, r=4)) for w in (4, 8, 16)]
+        for steps in zip(*replays):
+            t = steps[0][0]
+            for li in range(2):
+                for g in range(4):
+                    k4, k8, k16 = (set(sim.cache.head_positions(li * 4 + g)) for _, sim in steps)
                     assert k4 <= k8 <= k16, f"trace {s}, layer {li}, head {g}, t={t}"
+        assert t == 96
     report(4, "20 traces: kept-set grows monotonically in w at every step")
 
 
@@ -142,9 +142,8 @@ def test_criterion_05_budget_compliance_and_streaming_closed_form():
     for i in range(10):
         tr = make_synthetic_trace(n_steps=250, seed=400 + i, sharpness=2.0)
         for policy, bound in policies:
-            result = replay_policy(tr, policy)
-            for t in range(1, 251):
-                assert result.kept_at(0, 0, t).size <= bound, f"{policy} over bound at t={t}"
+            for t, sim in replay_steps(tr, policy):
+                assert sim.cache.head_positions(0).size <= bound, f"{policy} over bound at t={t}"
                 steps_checked += 1
     assert steps_checked == 10_000
     tr = make_synthetic_trace(n_steps=2048, seed=55, sharpness=2.0)
@@ -231,14 +230,14 @@ def test_criterion_09_gqa_degeneration():
         tr = make_synthetic_trace(n_heads=2, n_steps=n_steps, seed=7000 + i, sharpness=4.0)
         w = int(rng.integers(1, 5))
         r = int(rng.integers(1, 5))
-        per_head = replay_policy(tr, Corm(w=w, r=r))
-        grouped = replay_policy(tr, CormGqa(w=w, r=r, group_size=1))
-        for g in range(2):
-            for t in range(1, n_steps + 1):
+        replays = zip(replay_steps(tr, Corm(w=w, r=r)), replay_steps(tr, CormGqa(w=w, r=r, group_size=1)))
+        for (t, per_head), (_, grouped) in replays:
+            for g in range(2):
                 np.testing.assert_array_equal(
-                    per_head.kept_at(0, g, t), grouped.kept_at(0, g, t),
+                    per_head.cache.head_positions(g), grouped.cache.head_positions(g),
                     err_msg=f"trace {i}, head {g}, t={t}",
                 )
+        assert t == n_steps
 
     class HeadDirect(ToyTransformer):
         def _kv_head(self, head: int) -> int:

@@ -42,7 +42,7 @@ class TestSparsity:
     def test_uniform_rows_fully_dense(self):
         profile = sparsity_profile(uniform_trace())
         np.testing.assert_allclose(profile.per_head, 1.0)  # score == mean counts (>=)
-        np.testing.assert_allclose(profile.sparsity_per_head, 0.0)
+        np.testing.assert_allclose(1.0 - profile.per_head, 0.0)
 
     def test_one_hot_rows_closed_form(self):
         n = 10
@@ -157,22 +157,22 @@ class TestOutputDivergence:
         rng = np.random.Generator(np.random.PCG64(4))
         logits = rng.normal(size=(12, 16))
         div = output_divergence(logits, logits)
-        assert div.top1_agreement == 1.0
-        assert div.mean_kl == 0.0
+        assert div.top1_match.mean() == 1.0
+        assert div.kl.mean() == 0.0
 
     def test_shift_invariance(self):
         rng = np.random.Generator(np.random.PCG64(5))
         logits = rng.normal(size=(6, 8))
         div = output_divergence(logits, logits + 3.5)
-        assert div.top1_agreement == 1.0
-        assert div.mean_kl == pytest.approx(0.0, abs=1e-12)
+        assert div.top1_match.mean() == 1.0
+        assert div.kl.mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_kl_oracle(self):
         a = np.array([[np.log(0.75), np.log(0.25)]])
         b = np.array([[np.log(0.5), np.log(0.5)]])
         div = output_divergence(a, b)
         expected = 0.75 * np.log(0.75 / 0.5) + 0.25 * np.log(0.25 / 0.5)
-        assert div.mean_kl == pytest.approx(expected, abs=1e-12)
+        assert div.kl.mean() == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes differ"):
@@ -183,8 +183,8 @@ class TestOutputDivergence:
         a = small_model.run(tokens, Full()).logits
         b = small_model.run(tokens, Corm(w=10**9, r=10**9)).logits
         div = output_divergence(a, b)
-        assert div.top1_agreement == 1.0
-        assert div.mean_kl == 0.0
+        assert div.top1_match.mean() == 1.0
+        assert div.kl.mean() == 0.0
 
     def test_frozen_corm_fixture(self, small_model):
         """Regression constants computed once for this exact configuration."""
@@ -192,8 +192,8 @@ class TestOutputDivergence:
         lf = small_model.run(tokens, Full()).logits
         lc = small_model.run(tokens, Corm(w=8, r=8)).logits
         div = output_divergence(lf, lc)
-        assert div.top1_agreement == pytest.approx(0.515625, abs=1e-12)
-        assert div.mean_kl == pytest.approx(0.07523634749919109, rel=1e-9)
+        assert div.top1_match.mean() == pytest.approx(0.515625, abs=1e-12)
+        assert div.kl.mean() == pytest.approx(0.07523634749919109, rel=1e-9)
 
 
 class TestCompressionCurve:

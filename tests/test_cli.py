@@ -215,6 +215,27 @@ class TestFailLoud:
         err = self.run_manifest(workspace, capsys)
         assert "field 'base' must be a number" in err
 
+    def test_negative_sampling_seed(self, workspace, capsys):
+        err = self.run_manifest(workspace, capsys, seed=-1, sampling="topk", top_k=4)
+        assert "seed must be >= 0, got -1" in err
+
+    def test_negative_analyze_seed(self, workspace, capsys):
+        argv = ["--model-config", str(workspace / "model.json"), "--input", str(workspace / "input.txt")]
+        assert main(["trace", *argv, "--trace", str(workspace / "run.trc")]) == 0
+        (workspace / "m.json").write_text(json.dumps({"trace": "run.trc", "out": "bad", "seed": -2}))
+        rc = main(["analyze", "--manifest", str(workspace / "m.json")])
+        assert rc == 1
+        assert not os.path.exists(workspace / "bad")
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -2")
+
+    def test_negative_synthetic_input_seed(self, workspace, capsys):
+        out = workspace / "bad"
+        argv = ["--model-config", str(workspace / "model.json"), "--policy", "full", "--out", str(out)]
+        rc = main(["generate", *argv, "--synthetic=-1:8"])
+        assert rc == 1
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err.startswith("error: synthetic input seed must be >= 0, got -1")
+
     def test_checkpoints_outside_the_run(self, workspace, capsys):
         rc = main(
             [
@@ -245,9 +266,15 @@ class TestFailLoud:
             ({"pe": {"kind": "rope", "base": float("inf")}}, "rope base must be finite and > 0"),
             ({"pe": {"kind": "alibi", "slopes": [0.5, float("nan")]}}, "alibi slopes must be finite"),
             ({"d_model": 17, "n_heads": 1, "pe": {"kind": "absolute_sinusoidal"}}, "sinusoidal encoding needs even d_model"),
+            ({"depth_gain": 1e308, "n_layers": 3}, "gives head gains that overflow float32"),
+            ({"depth_gain": 5.0, "n_layers": 60}, "gives head gains that overflow float32"),
+            ({"depth_gain": -5.0, "n_layers": 60}, "gives head gains that overflow float32"),
+            ({"seed": -3}, "seed must lie in [0, 2**64), got -3"),
+            ({"seed": 2**64}, "seed must lie in [0, 2**64), got 18446744073709551616"),
         ],
         ids=["d_h", "mlp_ratio", "mlp_ratio_zero", "max_positions", "depth_gain", "head_gain_jitter",
-             "rope_base_zero", "rope_base_inf", "alibi_slopes", "sinusoidal_odd_d_model"],
+             "rope_base_zero", "rope_base_inf", "alibi_slopes", "sinusoidal_odd_d_model",
+             "depth_gain_overflow", "depth_gain_deep", "depth_gain_negative", "seed_negative", "seed_over_u64"],
     )
     def test_out_of_range_model_config(self, workspace, capsys, fields, named):
         # JSON's NaN and Infinity load as floats, so range checks, not type checks, must catch them

@@ -7,21 +7,21 @@ rotary or absolute position tables, cache growth -- changes a digest. 80
 steps take the full cache across several capacity doublings.
 
 Each replay digest is a SHA-256 over the replay's ``compression.tobytes()``
-followed by every kept set ``kept_at(l, g, t)``, layer-major, then group,
-then step: it pins each policy's decisions at every step of the trace, not
-only the final cache. A deliberate change of output bits must record new
-digests and say why.
+followed by every kept set, the live cache (l, g) read after step t,
+layer-major, then group, then step: it pins each policy's decisions at every
+step of the trace, not only the final cache. A deliberate change of output
+bits must record new digests and say why.
 """
 
 import hashlib
 
 import pytest
 
-from conftest import seeded_tokens
+from conftest import replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, parse_policy
 from corm.positional import AbsoluteSinusoidal, Alibi, Rope
-from corm.trace import record, replay_policy
+from corm.trace import record
 
 STEPS = 80
 
@@ -87,12 +87,14 @@ def traces():
 
 
 def replay_digest(trace, policy: str) -> str:
-    res = replay_policy(trace, parse_policy(policy))
-    h = hashlib.sha256(res.compression.tobytes())
-    for layer in range(trace.meta.n_layers):
-        for group in range(trace.meta.n_heads // res.group_size):
-            for t in range(1, trace.n_steps + 1):
-                h.update(res.kept_at(layer, group, t).astype("<i8").tobytes())
+    # kept[cache][t - 1]; cache index layer * n_groups + group runs layer-major, then group
+    kept: dict[int, list[bytes]] = {}
+    for _, sim in replay_steps(trace, parse_policy(policy)):
+        for i in range(sim.cache.n_heads):
+            kept.setdefault(i, []).append(sim.cache.head_positions(i).astype("<i8").tobytes())
+    h = hashlib.sha256(sim.compression.tobytes())
+    for i in sorted(kept):
+        h.update(b"".join(kept[i]))
     return h.hexdigest()
 
 

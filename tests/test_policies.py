@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_trace, seeded_tokens
+from conftest import make_synthetic_trace, replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import (
     POLICIES,
@@ -25,7 +25,7 @@ from corm.policies import (
     parse_policy,
     policy_label,
 )
-from corm.trace import PolicySimulator, replay_policy
+from corm.trace import PolicySimulator
 
 
 def rows(*scores) -> np.ndarray:
@@ -130,11 +130,10 @@ class TestRegistry:
             for h in range(cache.n_heads):
                 kept = cache.head_positions(h)
                 assert 1 <= kept[0] and kept[-1] <= 16
-        replay = replay_policy(small_trace, policy)
-        assert np.all((replay.compression >= 0.0) & (replay.compression < 1.0))
-        for t in range(1, small_trace.n_steps + 1):
-            kept = replay.kept_at(0, 0, t)
+        for t, sim in replay_steps(small_trace, policy):
+            kept = sim.cache.head_positions(0)
             assert np.all(np.diff(kept) > 0) and 1 <= kept[0] and kept[-1] <= t
+        assert np.all((sim.compression >= 0.0) & (sim.compression < 1.0))
 
     def test_grouped_query_layout(self, name):
         policy = README_EXAMPLES[name][1]

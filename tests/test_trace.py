@@ -2,13 +2,14 @@
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_trace, seeded_tokens
+from conftest import make_synthetic_trace, replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
-from corm.policies import Corm, CormGqa, Full, StreamingLlm, Tova, parse_policy
+from corm.policies import Corm, CormGqa, Full, StreamingLlm, Tova
 from corm.trace import (
     PolicySimulator,
     TraceChecksumError,
@@ -22,6 +23,16 @@ from corm.trace import (
     save,
     trace_byte_size,
 )
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes that Python and numpy allocate while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRecord:
@@ -84,6 +95,12 @@ class TestSaveLoad:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(back.queries, small_trace.queries):
             np.testing.assert_array_equal(a, b)
+
+    def test_save_streams_the_payload(self, small_trace, tmp_path):
+        # one step's chunk at a time: holding the whole payload, or its chunks, would peak above it
+        payload = trace_byte_size(2, 4, 16, small_trace.n_steps) - 60 - 4 * small_trace.n_steps - 8
+        peak = peak_bytes(lambda: save(small_trace, tmp_path / "t.trc"))
+        assert peak < payload // 2, f"save peaked at {peak} bytes for a {payload}-byte payload"
 
     def test_truncated_file_is_checksum_error(self, small_trace, tmp_path):
         path = tmp_path / "t.trc"
@@ -157,24 +174,22 @@ class TestSaveLoad:
 class TestReplay:
     def test_full_keeps_every_position(self):
         tr = make_synthetic_trace(n_layers=1, n_heads=2, n_steps=20, seed=1)
-        result = replay_policy(tr, Full())
-        for t in range(1, 21):
+        for t, sim in replay_steps(tr, Full()):
             for g in range(2):
-                np.testing.assert_array_equal(result.kept_at(0, g, t), np.arange(1, t + 1))
-        assert np.all(result.compression == 0.0)
+                np.testing.assert_array_equal(sim.cache.head_positions(g), np.arange(1, t + 1))
+        assert np.all(sim.compression == 0.0)
 
     def test_streaming_one_plus_one_keeps_first_and_last(self):
         tr = make_synthetic_trace(n_steps=15, seed=2)
-        result = replay_policy(tr, StreamingLlm(sink=1, recent=1))
-        for t in range(2, 16):
-            np.testing.assert_array_equal(result.kept_at(0, 0, t), [1, t])
+        for t, sim in replay_steps(tr, StreamingLlm(sink=1, recent=1)):
+            if t >= 2:
+                np.testing.assert_array_equal(sim.cache.head_positions(0), [1, t])
 
     def test_replay_is_deterministic(self):
         tr = make_synthetic_trace(n_steps=25, seed=3)
-        a = replay_policy(tr, Corm(w=2, r=2))
-        b = replay_policy(tr, Corm(w=2, r=2))
-        for t in range(1, 26):
-            np.testing.assert_array_equal(a.kept_at(0, 0, t), b.kept_at(0, 0, t))
+        for (t, a), (_, b) in zip(replay_steps(tr, Corm(w=2, r=2)), replay_steps(tr, Corm(w=2, r=2))):
+            np.testing.assert_array_equal(a.cache.head_positions(0), b.cache.head_positions(0))
+        assert t == 25
         np.testing.assert_array_equal(a.compression, b.compression)
 
     def test_gqa_grouping_on_ungrouped_trace(self):
@@ -207,20 +222,12 @@ class TestReplay:
         with pytest.raises(ValueError, match=r"step 2 rows have shape \(1, 1, 3\), expected \(1, 1, 2\)"):
             sim.step(tr.rows[2])
 
-    @pytest.mark.parametrize("policy,unequal_sizes", [("corm:8+8", True), ("h2o:16+16", False)])
-    def test_kept_at_equals_the_live_cache_after_every_step(self, small_trace, policy, unequal_sizes):
-        # kept_at strips the FREE padding of the shorter caches in each step's block
-        sim = PolicySimulator(parse_policy(policy), 2, 4)
-        unequal = False
-        for t, rows in enumerate(small_trace.rows, start=1):
-            sim.step(rows)
-            unequal |= len(set(sim.cache.sizes)) > 1
-            for layer in range(2):
-                for group in range(sim.n_groups):
-                    kept = sim.kept_at(layer, group, t)
-                    assert kept.dtype == np.int64 and kept.flags.c_contiguous
-                    np.testing.assert_array_equal(kept, sim.cache.head_positions(layer * sim.n_groups + group))
-        assert unequal == unequal_sizes
+    def test_replay_memory_does_not_grow_with_the_steps(self):
+        # the simulator keeps its live block and one rate per step, no kept-set history:
+        # a 1024-step full replay whose history would hold T**2/2 int64 stays under 1 MB
+        tr = make_synthetic_trace(n_steps=1024, seed=3)
+        peak = peak_bytes(lambda: replay_policy(tr, Full()))
+        assert peak < 1_000_000, f"replay peaked at {peak} bytes"
 
 
 class TestReplayRowChecks:
