@@ -253,7 +253,8 @@ class DecoderState:
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_EPS)
+    # np.mean's own arithmetic (a sum, then a true divide by the count) without its dispatch
+    return x / np.sqrt(np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1] + RMS_EPS)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:

@@ -37,15 +37,18 @@ steps), not cache slots.
 
 Storage: a KvCacheState is a block of caches, one per head: every kv head
 of one layer in decode, or every (layer, group) cache in replay. Its
-per-entry arrays (keys, values, positions, acc_scores and the recency
-message, each (heads, capacity, ...)) are preallocated and double when a
-head fills them. An append writes every head's next free row; a policy step
-flags, records its message and builds its keep mask for all heads in one
-array operation each, and picks budget evictions by a row-wise argmin. Only
-heads that drop an entry are compacted, survivors to the front, in place and
-in every per-entry array alike. The heads of a block share its arrays (a
-growth replaces them), so blocks are the unit that may be updated
-concurrently.
+per-entry arrays, each (heads, capacity, ...), are preallocated and double
+when a head fills them. Every block has keys, values (zero-width in
+replay) and positions; the policy that reads them adds the rest on first
+use: acc_scores under h2o, the recency message under corm, gqa_corm and
+scissorhands, and the message's per-entry counts under scissorhands. An
+append writes every head's next free row; a policy step flags, records its
+message and builds its keep mask for all heads in one array operation
+each, and picks budget evictions by a row-wise argmin. Only heads that drop
+an entry are compacted, survivors to the front by one slice move per run,
+in place and in every allocated per-entry array alike. The heads of a block
+share its arrays (a growth replaces them), so blocks are the unit that may
+be updated concurrently.
 """
 
 from __future__ import annotations
@@ -111,6 +114,9 @@ class Policy:
 
     name: ClassVar[str]
     label: str
+    # True when `step` reads score values even where masks are given; replay
+    # renormalizes the restricted rows only for these policies
+    reads_magnitudes: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -136,10 +142,14 @@ class Policy:
         """Update every head of the `cache` block after its latest step t = cache.step.
 
         scores: (heads, group, m) float64 with m = cache.width; scores[h, i]
-        holds the normalized scores that query head i of head h's group gave
-        head h's entries at step t, zero past the head's size. masks:
-        optional (heads, group, m) bool importance flags that replace the
-        ones derived from scores (replay flags the recorded scores).
+        holds the scores that query head i of head h's group gave head h's
+        entries at step t, zero past the head's size. masks: optional
+        (heads, group, m) bool importance flags that replace the ones derived
+        from scores (replay flags the recorded scores). Scores are normalized
+        over the head's entries, except where masks are given to a policy
+        that does not read magnitudes (`reads_magnitudes` False): replay
+        then passes the recorded scores restricted to the entries, as they
+        are.
         """
         raise NotImplementedError
 
@@ -254,6 +264,7 @@ class H2O(Policy):
     heavy: int
     recent: int
     name = "h2o"
+    reads_magnitudes = True
 
     @classmethod
     def parse(cls, args: list[str]) -> H2O:
@@ -266,11 +277,9 @@ class H2O(Policy):
 
     def step(self, cache, scores, masks=None) -> None:
         self._check(cache, scores, masks)
-        m = scores.shape[2]
-        acc = cache.acc_scores[:, :m]
-        acc += scores[:, 0]
+        acc = cache.accumulate(scores[:, 0])
         if cache.width > self.heavy + self.recent:
-            non_recent = cache.positions[:, :m] <= cache.step - self.recent
+            non_recent = cache.positions[:, : scores.shape[2]] <= cache.step - self.recent
             _evict_lowest(cache, acc, non_recent, self.heavy + self.recent)
 
 
@@ -302,11 +311,11 @@ class Scissorhands(Policy):
     def step(self, cache, scores, masks=None) -> None:
         self._check(cache, scores, masks)
         flags = classify_important(scores, cache.step) if masks is None else masks
-        message = cache.push_message(flags[:, 0], self.window)
+        cache.push_message(flags[:, 0], self.window)
         if cache.width > self.budget + self.recent:
-            counts = message.sum(axis=2)
-            non_recent = cache.positions[:, : scores.shape[2]] <= cache.step - self.recent
-            _evict_lowest(cache, counts, non_recent, self.budget + self.recent)
+            m = scores.shape[2]
+            non_recent = cache.positions[:, :m] <= cache.step - self.recent
+            _evict_lowest(cache, cache.message_counts()[:, :m], non_recent, self.budget + self.recent)
 
 
 @dataclass(frozen=True)
@@ -315,6 +324,7 @@ class Tova(Policy):
 
     budget: int
     name = "tova"
+    reads_magnitudes = True
 
     @classmethod
     def parse(cls, args: list[str]) -> Tova:
@@ -448,8 +458,9 @@ INITIAL_CAPACITY = 16  # entries per head before a block first doubles
 FREE = np.iinfo(np.int64).max  # the position of every free row: later than any step
 
 # The per-entry arrays of a KvCacheState, each (n_heads, capacity, ...): row i
-# of head h in every one of them belongs to the same cache entry.
-ENTRY_ARRAYS = ("keys", "values", "positions", "acc_scores", "message")
+# of head h in every one of them belongs to the same cache entry. acc_scores
+# and counts are None until a policy first reads them.
+ENTRY_ARRAYS = ("keys", "values", "positions", "acc_scores", "message", "counts")
 
 
 class KvCacheState:
@@ -457,19 +468,32 @@ class KvCacheState:
 
     One block holds every kv head of one layer in decode, or every
     (layer, group) cache in replay; a policy step updates all of its heads
-    at once. keys and values, each (n_heads, capacity, d), hold head h's
-    surviving entries in rows [0, sizes[h]), oldest first; positions and
-    acc_scores (n_heads, capacity) and message (n_heads, capacity, slots)
-    are row-aligned with them (`ENTRY_ARRAYS`).
-    Row i of head h belongs to the entry generated at absolute step
-    positions[h, i]; acc_scores accumulates normalized attention per entry.
-    `step` is the last step appended: the one step counter of decode and
-    replay, from which every policy step reads its t.
+    at once. Head h's surviving entries sit in rows [0, sizes[h]) of every
+    per-entry array (`ENTRY_ARRAYS`), oldest first; row i belongs to the
+    entry generated at absolute step positions[h, i]. `step` is the last
+    step appended: the one step counter of decode and replay, from which
+    every policy step reads its t.
+
+    A block holds only the per-entry arrays its policy reads:
+
+    - keys and values, each (n_heads, capacity, d), under every policy; d
+      is 0 in replay, whose caches track positions only;
+    - positions, (n_heads, capacity) int64, under every policy;
+    - acc_scores, (n_heads, capacity) float64, the normalized attention
+      each entry has accumulated (`accumulate`): h2o only, None until its
+      first step;
+    - message, (n_heads, capacity, slots) bool, the recency message
+      (`push_message`): corm, gqa_corm and scissorhands; it has 0 slots
+      under the other policies;
+    - counts, (n_heads, capacity) int64, each entry's flags in the message
+      (`message_counts`): scissorhands only, None until its first step.
 
     message[h, i, (s - 1) % window] is True when step s's query flagged
-    entry i important. Its slot count stays 0 under policies that keep no
-    message and doubles up to the window as steps are recorded
-    (`push_message`), so a huge window costs only the steps seen.
+    entry i important. Its slot count stays 0 until a mask is pushed and
+    doubles up to the window as steps are recorded, so a huge window costs
+    only the steps seen. Once allocated, counts is kept equal to the sum of
+    each entry's message slots: a push adds its mask and subtracts the one
+    it overwrites.
 
     Rows past a head's size are free: their position is FREE, and their
     other arrays hold stale values that are never read. A free row thus
@@ -487,8 +511,9 @@ class KvCacheState:
         self.keys = np.zeros((n_heads, cap, d), dtype=np.float64)
         self.values = np.zeros((n_heads, cap, d), dtype=np.float64)
         self.positions = np.full((n_heads, cap), FREE, dtype=np.int64)
-        self.acc_scores = np.zeros((n_heads, cap), dtype=np.float64)
+        self.acc_scores: np.ndarray | None = None
         self.message = np.zeros((n_heads, cap, 0), dtype=bool)
+        self.counts: np.ndarray | None = None
         self.sizes = [0] * n_heads
         self.step = 0
 
@@ -543,6 +568,8 @@ class KvCacheState:
         cap = self.capacity
         for name in ENTRY_ARRAYS:
             old = getattr(self, name)
+            if old is None:
+                continue
             # full_like keeps old's memory order, so the message stays slot-major
             fill = FREE if name == "positions" else 0
             new = np.full_like(old, fill, shape=(old.shape[0], 2 * cap) + old.shape[2:])
@@ -553,8 +580,8 @@ class KvCacheState:
         """Add the entry of step `step + 1` to every head, in its next free row.
 
         keys and values, each (n_heads, d), hold one row per head. The rows'
-        message slots are cleared (a query recorded before the entry existed
-        never flagged it).
+        message slots, count and accumulated score are cleared (a query
+        recorded before the entry existed never flagged it).
         """
         position = self.step + 1
         sizes = self.sizes
@@ -565,17 +592,29 @@ class KvCacheState:
         # on a few heads that costs less than one fancy-indexed write
         rows = [(slice(None), lo)] if lo == hi else enumerate(sizes)
         with_vectors = self.keys.shape[2] > 0  # replay's caches hold positions only
-        with_message = self.message.shape[2] > 0
+        message = self.message if self.message.shape[2] > 0 else None
+        acc, counts = self.acc_scores, self.counts
         for h, n in rows:
             if with_vectors:
                 self.keys[h, n] = keys[h]
                 self.values[h, n] = values[h]
             self.positions[h, n] = position
-            self.acc_scores[h, n] = 0.0
-            if with_message:
-                self.message[h, n] = False
+            if acc is not None:
+                acc[h, n] = 0.0
+            if message is not None:
+                message[h, n] = False
+            if counts is not None:
+                counts[h, n] = 0
         self.sizes = [n + 1 for n in sizes]
         self.step = position
+
+    def accumulate(self, scores: np.ndarray) -> np.ndarray:
+        """Add the (n_heads, m) scores to the first m rows' accumulated scores; return those rows (a view)."""
+        if self.acc_scores is None:
+            self.acc_scores = np.zeros(self.positions.shape)
+        acc = self.acc_scores[:, : scores.shape[1]]
+        acc += scores
+        return acc
 
     def grow_message(self, slots: int) -> None:
         """Widen every entry's message to `slots` slots, keeping the recorded ones.
@@ -592,10 +631,11 @@ class KvCacheState:
     def push_message(self, mask: np.ndarray, window: int) -> np.ndarray:
         """Record the (n_heads, width) importance mask of step `step`, keeping the newest `window`.
 
-        Call once per step. Returns the kept masks as an (n_heads, width,
-        rows) view, in slot order, which is oldest first only until the
-        window wraps: fit for reductions over the window (axis 2), not for
-        reading its order (use `head_message` for that).
+        Call once per step. Keeps `counts`, once allocated, equal to the
+        message's sums. Returns the kept masks as an (n_heads, width, rows)
+        view, in slot order, which is oldest first only until the window
+        wraps: fit for reductions over the window (axis 2), not for reading
+        its order (use `head_message` for that).
         """
         m, s = self.width, self.step
         if mask.shape != (self.n_heads, m):
@@ -606,27 +646,49 @@ class KvCacheState:
         if slots < min(s, window):
             self.grow_message(min(max(2 * slots, s), window))
         rows = self.message[:, :m]
-        rows[:, :, (s - 1) % window] = mask
+        slot = (s - 1) % window
+        if self.counts is not None:
+            counts = self.counts[:, :m]
+            counts -= rows[:, :, slot]
+            counts += mask
+        rows[:, :, slot] = mask
         return rows[:, :, :s]
+
+    def message_counts(self) -> np.ndarray:
+        """(n_heads, capacity) int64: the flags each row holds in the message.
+
+        Summed from the message on the first call; from then on every push
+        keeps it current, at one add and one subtract per step.
+        """
+        if self.counts is None:
+            self.counts = np.add.reduce(self.message, axis=2, dtype=np.int64)
+        return self.counts
 
     def keep_only(self, keep: np.ndarray) -> None:
         """Compact each head to its entries where `keep` (n_heads, width) is True, in place.
 
-        Flags past a head's size are ignored. Only heads with a False flag
-        move: their survivors move, in order, to the front of the head's
-        rows, in every per-entry array, and the rows they leave become free.
+        Flags past a head's size are ignored. Only heads that drop an entry
+        move: each run of survivors after a dropped entry moves up behind the
+        survivors before it, by one slice assignment per allocated per-entry
+        array, and the rows left at the end become free.
         """
         if keep.shape != (self.n_heads, self.width):
             raise ValueError(f"keep mask has shape {keep.shape} for {self.n_heads} caches of up to {self.width} entries")
-        sizes = self.sizes
-        for h in (~np.logical_and.reduce(keep, axis=1)).nonzero()[0].tolist():
+        sizes, width = self.sizes, keep.shape[1]
+        dropped: dict[int, list[int]] = {}
+        for flat in np.flatnonzero(np.logical_not(keep)).tolist():
+            h, i = divmod(flat, width)
+            if i < sizes[h]:
+                dropped.setdefault(h, []).append(i)
+        arrays = [a for a in (getattr(self, name) for name in ENTRY_ARRAYS) if a is not None and a.size]
+        for h, gone in dropped.items():
             n = sizes[h]
-            idx = keep[h, :n].nonzero()[0]
-            k = idx.size
-            for name in ENTRY_ARRAYS:
-                arr = getattr(self, name)[h]
-                if arr.size:
-                    arr[:k] = arr[idx]
+            k = gone[0]  # the survivors before the first dropped entry stay in place
+            for start, stop in zip([i + 1 for i in gone], gone[1:] + [n]):
+                if start < stop:
+                    for arr in arrays:
+                        arr[h, k : k + stop - start] = arr[h, start:stop]
+                    k += stop - start
             self.positions[h, k:n] = FREE
             sizes[h] = k
 
@@ -637,14 +699,16 @@ class KvCacheState:
             if not 0 <= n <= cap:
                 raise ValueError(f"head {h}: size {n} outside 0..capacity {cap}")
         for name in ENTRY_ARRAYS:
-            shape = getattr(self, name).shape[:2]
-            if shape != (heads, cap):
-                raise ValueError(f"block {name} has shape {shape}, expected ({heads}, {cap})")
+            arr = getattr(self, name)
+            if arr is not None and arr.shape[:2] != (heads, cap):
+                raise ValueError(f"block {name} has shape {arr.shape[:2]}, expected ({heads}, {cap})")
         for h, n in enumerate(self.sizes):
             if np.any(np.diff(self.positions[h, :n]) <= 0):
                 raise ValueError(f"head {h}: positions must strictly increase")
             if np.any(self.positions[h, n:] != FREE):
                 raise ValueError(f"head {h}: a free row holds a position")
+            if self.counts is not None and np.any(self.counts[h, :n] != self.message[h, :n].sum(axis=1)):
+                raise ValueError(f"head {h}: a message count differs from the message's sum")
 
 
 # --------------------------------------------------------------------------

@@ -9,11 +9,11 @@ sets, only its live cache block and the compression curve, so replay needs
 O(caches x cache width) memory beyond the trace.
 Importance flags are thresholded on the recorded scores (so replayed
 decisions depend on the trace alone, and growing the recency window can only
-grow the kept set); the restricted row is renormalized before
-score-magnitude policies consume it. Replay approximates a live eviction
-run only when eviction would not have changed downstream queries; the
-divergence between the two regimes is itself something to measure, not
-hide.
+grow the kept set); the restricted row is renormalized only for the
+policies that read score magnitudes (`Policy.reads_magnitudes`). Replay
+approximates a live eviction run only when eviction would not have changed
+downstream queries; the divergence between the two regimes is itself
+something to measure, not hide.
 
 Recording rounds rows and queries to float32, the file's storage precision,
 so a recorded trace equals the same trace saved and loaded.
@@ -329,9 +329,11 @@ class PolicySimulator:
         and sum to 1. Importance flags are thresholded on the recorded scores
         themselves (a surviving entry's recorded score is unchanged by
         restriction), so the flags -- and every mask-driven policy's
-        decisions -- are a pure function of the trace. The restricted rows
-        are renormalized to proper distributions before score-magnitude
-        policies see them; a restricted row with no mass left is an error.
+        decisions -- are a pure function of the trace. A restricted row with
+        no mass left (its kept entries sum to 0 or less) is an error under
+        every policy. Only policies that read score magnitudes
+        (`Policy.reads_magnitudes`) see the restricted rows renormalized to
+        proper distributions; the others get them as recorded.
         """
         cache = self.cache
         t = cache.step + 1
@@ -347,14 +349,19 @@ class PolicySimulator:
         # recorded row is 0-indexed by position, and a free row's FREE maps to t
         idx = np.minimum(cache.positions[:, : cache.width], t + 1) - 1
         restricted = np.take(rows, self._row_ids * (t + 1) + idx[:, None, :])
-        totals = np.empty((cache.n_heads, self.group_size, 1))
-        for a, b, n in cache.equal_size_runs():  # sums over exactly each row's entries
-            totals[a:b] = restricted[a:b, :, :n].sum(axis=2, keepdims=True)
-        if not totals.min() > 0.0:
-            layer = int(np.argmax(totals.min(axis=(1, 2)) <= 0.0)) // self.n_groups
+        normalize = self.policy.reads_magnitudes
+        if normalize or restricted.min() < 0.0:
+            mass = totals = np.empty((cache.n_heads, self.group_size, 1))
+            for a, b, n in cache.equal_size_runs():  # sums over exactly each row's entries
+                totals[a:b] = restricted[a:b, :, :n].sum(axis=2, keepdims=True)
+        else:
+            # a row of scores >= 0 sums to more than 0 exactly when its max does
+            mass = restricted.max(axis=2, keepdims=True)
+        if not mass.min() > 0.0:
+            layer = int(np.argmax(mass.min(axis=(1, 2)) <= 0.0)) // self.n_groups
             raise ValueError(f"step {t}, layer {layer}: a row restricted to the kept entries sums to 0")
         flags = classify_important(restricted, t)
-        apply_policy(self.policy, cache, restricted / totals, flags)
+        apply_policy(self.policy, cache, restricted / totals if normalize else restricted, flags)
         self._rates.append(1.0 - cache.size / (self.n_layers * self.n_groups * t))
 
 
@@ -362,9 +369,10 @@ def replay_policy(trace: AttentionTrace, policy: Policy) -> PolicySimulator:
     """Simulate `policy`'s eviction decisions against a recorded trace.
 
     At each step the recorded full row is restricted to the simulated
-    surviving positions and renormalized to sum to 1 before the policy sees
-    it. Returns the simulator stepped through the whole trace: its final
-    caches and its compression curve averaged over layers and groups.
+    surviving positions, flagged, and renormalized to sum to 1 for the
+    policies that read score magnitudes (`PolicySimulator.step`). Returns
+    the simulator stepped through the whole trace: its final caches and its
+    compression curve averaged over layers and groups.
     """
     m = trace.meta
     sim = PolicySimulator(policy, m.n_layers, m.n_heads, m.n_kv_heads)

@@ -10,13 +10,24 @@ from hypothesis import HealthCheck, settings
 
 from corm.attention import softmax_normalize
 from corm.model import ModelConfig, init_model
-from corm.policies import Policy
+from corm.policies import H2O, Corm, CormGqa, Full, Policy, Scissorhands, StreamingLlm, Tova
 from corm.trace import AttentionTrace, PolicySimulator, TraceMeta
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
+
+# Each registered policy's example string, as the README's policy table shows it.
+README_EXAMPLES = {
+    "full": ("full", Full()),
+    "streaming": ("streaming:4+8", StreamingLlm(sink=4, recent=8)),
+    "h2o": ("h2o:4+4", H2O(heavy=4, recent=4)),
+    "scissorhands": ("scissorhands:4+4:2", Scissorhands(budget=4, recent=4, window=2)),
+    "tova": ("tova:8", Tova(budget=8)),
+    "corm": ("corm:4+4", Corm(w=4, r=4)),
+    "gqa_corm": ("gqa_corm:4+4", CormGqa(w=4, r=4)),
+}
 
 
 def seeded_tokens(seed: int, length: int, vocab: int = 256) -> np.ndarray:

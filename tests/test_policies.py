@@ -5,10 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_synthetic_trace, replay_steps, seeded_tokens
+from conftest import README_EXAMPLES, make_synthetic_trace, replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import (
+    ENTRY_ARRAYS,
+    FREE,
     POLICIES,
     Corm,
     CormGqa,
@@ -90,16 +94,6 @@ class TestPolicyParsing:
             policy()
 
 
-# Each registered policy's example string, as the README's policy table shows it.
-README_EXAMPLES = {
-    "full": ("full", Full()),
-    "streaming": ("streaming:4+8", StreamingLlm(sink=4, recent=8)),
-    "h2o": ("h2o:4+4", H2O(heavy=4, recent=4)),
-    "scissorhands": ("scissorhands:4+4:2", Scissorhands(budget=4, recent=4, window=2)),
-    "tova": ("tova:8", Tova(budget=8)),
-    "corm": ("corm:4+4", Corm(w=4, r=4)),
-    "gqa_corm": ("gqa_corm:4+4", CormGqa(w=4, r=4)),
-}
 GROUPED = {"full", "gqa_corm"}  # the policies that may serve a grouped-query model
 
 
@@ -151,6 +145,41 @@ class TestRegistry:
 def test_registry_keeps_the_documented_name_order():
     # error messages list the names in registry order
     assert list(POLICIES) == list(README_EXAMPLES)
+
+
+def assert_same_blocks(a: KvCacheState, b: KvCacheState) -> None:
+    """Equal sizes, steps and every per-entry array, allocated in both or in neither."""
+    assert a.sizes == b.sizes and a.step == b.step
+    for name in ENTRY_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+@pytest.mark.parametrize("name", [name for name, cls in POLICIES.items() if not cls.reads_magnitudes])
+def test_policies_that_read_no_magnitudes_ignore_them(name):
+    # replay passes such a policy its restricted rows unnormalized, with the
+    # masks: a copy fed the renormalized rows must make the same decisions
+    policy = README_EXAMPLES[name][1]
+    group = 2 if name in GROUPED else 1
+    trace = make_synthetic_trace(n_layers=1, n_heads=3 * group, n_steps=48, seed=17)
+    raw, normalized = KvCacheState(3, 0), KvCacheState(3, 0)
+    none = np.zeros((3, 0))
+    for t, block in enumerate(trace.rows, start=1):
+        raw.append(none, none)
+        normalized.append(none, none)
+        rows_by_cache = block[0].reshape(3, group, t).astype(np.float64)
+        restricted = np.zeros((3, group, raw.width))
+        for h in range(3):
+            restricted[h, :, : raw.sizes[h]] = rows_by_cache[h][:, raw.head_positions(h) - 1]
+        masks = classify_important(restricted, t)
+        totals = restricted.sum(axis=2, keepdims=True)
+        policy.step(normalized, restricted / totals, masks)
+        policy.step(raw, restricted, masks)
+        assert_same_blocks(raw, normalized)
+    if name != "full":
+        assert raw.size < 3 * trace.n_steps, "fixture never evicted"
 
 
 class TestClassifyImportant:
@@ -296,6 +325,86 @@ class TestKvCacheState:
         c.sizes[0] = c.capacity + 1
         with pytest.raises(ValueError, match="capacity"):
             c.check()
+
+
+def grown_block(heads: int, d: int, steps: int, seed: int = 0) -> KvCacheState:
+    """A block of `steps` appended entries with every per-entry array allocated and filled."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    c = KvCacheState(heads, d)
+    c.message_counts()
+    for _ in range(steps):
+        advance(c, rng)
+    return c
+
+
+def advance(c: KvCacheState, rng: np.random.Generator) -> None:
+    """Append one step and give every row a message flag and an accumulated score."""
+    c.append(rng.normal(size=(c.n_heads, c.keys.shape[2])), rng.normal(size=(c.n_heads, c.keys.shape[2])))
+    c.push_message(rng.random((c.n_heads, c.width)) < 0.5, window=3)
+    c.accumulate(rng.random((c.n_heads, c.width)))
+
+
+def compact_like_a_list(c: KvCacheState, keep: np.ndarray) -> None:
+    """Apply `keep_only` and compare it with a list-based compaction of every per-entry array."""
+    expect = {
+        name: [[arr[h, i].copy() for i in range(n) if keep[h, i]] for h, n in enumerate(c.sizes)]
+        for name in ENTRY_ARRAYS
+        if (arr := getattr(c, name)) is not None
+    }
+    c.keep_only(keep)
+    c.check()
+    for name, heads in expect.items():
+        arr = getattr(c, name)
+        for h, rows_kept in enumerate(heads):
+            assert c.sizes[h] == len(rows_kept)
+            kept = arr[h, : c.sizes[h]]
+            np.testing.assert_array_equal(kept, np.reshape(rows_kept, kept.shape), err_msg=f"{name}, head {h}")
+    for h, n in enumerate(c.sizes):
+        assert np.all(c.positions[h, n:] == FREE)
+
+
+class TestKeepOnlyAgainstLists:
+    @pytest.mark.parametrize("d", [0, 2], ids=["replay_layout", "decode_layout"])
+    @pytest.mark.parametrize(
+        "dropped",
+        [
+            [[0], [9]],  # the first row; the last row
+            [[1, 2, 5, 7, 8], [0, 3, 4, 9]],  # several separate runs
+            [list(range(10)), []],  # all entries; none
+            [[], []],
+        ],
+        ids=["first_and_last", "separate_runs", "all_and_none", "none"],
+    )
+    def test_drop_patterns(self, d, dropped):
+        c = grown_block(2, d, 10)
+        keep = np.ones((2, 10), dtype=bool)
+        for h, rows_dropped in enumerate(dropped):
+            keep[h, rows_dropped] = False
+        compact_like_a_list(c, keep)
+
+    @pytest.mark.parametrize("d", [0, 2], ids=["replay_layout", "decode_layout"])
+    def test_growth_between_compactions(self, d):
+        rng = np.random.Generator(np.random.PCG64(4))
+        c = grown_block(3, d, 12)
+        compact_like_a_list(c, np.arange(12) % np.array([[3], [5], [12]]) != 1)
+        for _ in range(10):  # head 2 passes 16 rows, so the block doubles
+            advance(c, rng)
+        assert c.capacity == 32
+        compact_like_a_list(c, np.arange(c.width) % np.array([[2], [4], [7]]) != 0)
+
+    @given(data=st.data(), heads=st.integers(1, 4), d=st.sampled_from([0, 2]), seed=st.integers(0, 2**16))
+    def test_random_histories(self, data, heads, d, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        c = grown_block(heads, d, data.draw(st.integers(1, 8)), seed)
+        for _ in range(data.draw(st.integers(1, 6))):
+            keep = np.ones((heads, c.width), dtype=bool)
+            for h, n in enumerate(c.sizes):
+                if n and data.draw(st.booleans()):
+                    keep[h, data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = False
+                keep[h, n:] = data.draw(st.booleans())  # flags past a head's size are ignored
+            compact_like_a_list(c, keep)
+            for _ in range(data.draw(st.integers(0, 12))):
+                advance(c, rng)
 
 
 def lexsort_kept(positions, ranking, candidates, excess):
@@ -544,6 +653,22 @@ class TestScissorhandsUpdate:
             Scissorhands(budget=3, recent=2, window=4).step(c, rows(scores))
             assert 1 in c.head_positions(0), f"always-important key evicted at t={t}"
             assert c.size <= 5
+
+    def test_running_count_equals_the_window_sum(self, small_model, small_trace):
+        # the window of 3 is far shorter than the run, so the message ring wraps
+        policy = Scissorhands(budget=4, recent=4, window=3)
+        state = small_model.init_state(policy)
+        for tok in seeded_tokens(3, 24):
+            small_model.decode_step(state, int(tok))
+            for cache in state.caches:
+                cache.check()
+        assert all(cache.counts is not None for cache in state.caches)
+        for t, sim in replay_steps(small_trace, policy):
+            sim.cache.check()
+        assert sim.cache.counts is not None
+        sim.cache.counts[0, 0] += 1
+        with pytest.raises(ValueError, match="message count differs"):
+            sim.cache.check()
 
     def test_size_bounded(self):
         rng = np.random.Generator(np.random.PCG64(29))

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_trace, replay_steps, seeded_tokens
+from conftest import README_EXAMPLES, make_synthetic_trace, replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
-from corm.policies import Corm, CormGqa, Full, StreamingLlm, Tova
+from corm.policies import POLICIES, Corm, CormGqa, Full, StreamingLlm, Tova
 from corm.trace import (
     PolicySimulator,
     TraceChecksumError,
@@ -253,3 +253,31 @@ class TestReplayRowChecks:
             sim.step([[row]])
         with np.errstate(all="raise"), pytest.raises(ValueError, match="sums to 0"):
             sim.step([[[0.0, 1.0, 0.0, 0.0]]])
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    @pytest.mark.parametrize(
+        "kept,fails",
+        [
+            ([0.0, 0.0], True),
+            # within check_score_rows' tolerance: the max is above 0 but the sum is below
+            ([1e-13, -5e-13], True),
+            ([0.0, 1e-300], False),
+        ],
+        ids=["zeros", "negative_sum", "tiny_mass"],
+    )
+    def test_zero_mass_check_under_every_policy(self, name, kept, fails):
+        # layer 1's cache is cut to position 1 after step 3, so step 4's row
+        # keeps positions 1 and 4; layer 0 keeps all four and has mass
+        sim = PolicySimulator(README_EXAMPLES[name][1], 2, 1)
+        for row in ([1.0], [0.5, 0.5], [0.2, 0.3, 0.5]):
+            sim.step([[row], [row]])
+        sim.cache.keep_only(np.array([[True, True, True], [True, False, False]]))
+        first, last = kept
+        block = [[[0.25] * 4], [[first, 0.5, 0.5 - first - last, last]]]
+        with np.errstate(all="raise"):
+            if fails:
+                with pytest.raises(ValueError, match="step 4, layer 1: a row restricted to the kept entries sums to 0"):
+                    sim.step(block)
+            else:
+                sim.step(block)
+                assert sim.cache.step == 4
