@@ -58,8 +58,6 @@ class SparsityProfile:
 
 def sparsity_profile(trace: AttentionTrace) -> SparsityProfile:
     """Important-key fraction profile of a recorded trace."""
-    if not trace.rows:
-        raise ValueError("no steps to profile")
     acc = np.zeros(trace.rows[0].shape[:2], dtype=np.float64)
     for t, block in enumerate(trace.rows, start=1):
         acc += classify_important(block.astype(np.float64), t).mean(axis=2)

@@ -25,9 +25,10 @@ Two families live here:
   step t (`classify_important`) -- and the flags of the last `w` queries
   form a rolling message. Once the message window is full, any entry
   flagged by none of the last `w` queries and older than the last `r` steps
-  is evicted. `gqa_corm` is the grouped-query variant: query heads sharing
-  one KV head OR their flags together, and an entry must be minor for every
-  head in the group to go.
+  is evicted. "Flagged by one of the last w" is "last flagged after step
+  t - w", so corm keeps only each entry's last flagged step. `gqa_corm` is
+  the grouped-query variant: query heads sharing one KV head OR their flags
+  together, and an entry must be minor for every head in the group to go.
 
 All updates run once per decode step, after the step's attention output has
 been computed, so an eviction affects future steps only. The step t is the
@@ -40,13 +41,13 @@ of one layer in decode, or every (layer, group) cache in replay. Its
 per-entry arrays, each (heads, capacity, ...), are preallocated and double
 when a head fills them. Every block has keys, values (zero-width in
 replay) and positions; the policy that reads them adds the rest on first
-use: acc_scores under h2o, the recency message under corm, gqa_corm and
-scissorhands, and the message's per-entry counts under scissorhands. An
-append writes every head's next free row; a policy step flags, records its
-message and builds its keep mask for all heads in one array operation
-each, and picks budget evictions by a row-wise argmin. Only heads that drop
-an entry are compacted, survivors to the front by one slice move per run,
-in place and in every allocated per-entry array alike. The heads of a block
+use: acc_scores under h2o, each entry's last flagged step under corm and
+gqa_corm, and the windowed message with its per-entry counts under
+scissorhands. An append writes every head's next free row; a policy step
+flags, records its flags and builds its keep mask for all heads in one
+array operation each, and picks budget evictions by a row-wise argmin.
+Only heads that drop an entry are compacted, survivors to the front by one
+slice move per run, in place and in every allocated per-entry array alike. The heads of a block
 share its arrays (a growth replaces them), so blocks are the unit that may
 be updated concurrently.
 """
@@ -364,18 +365,21 @@ class Corm(Policy):
         """One recency-message eviction step.
 
         The step's mask is the OR of the group's rows of flags: an entry is
-        minor only if every query head of the group finds it minor. The mask
-        joins the message (the newest w masks). Nothing is evicted until w
-        masks exist; afterwards the kept set is exactly {flagged in >= 1 of
-        the last w masks} union {entries from the last r steps}.
+        minor only if every query head of the group finds it minor. The
+        entries it flags record step t as their last flagged step. Nothing
+        is evicted until w masks exist; afterwards the kept set is exactly
+        {flagged in >= 1 of the last w masks} union {entries from the last
+        r steps}, and an entry was flagged in one of the last w masks
+        exactly when its last flagged step is after t - w.
         """
         self._check(cache, scores, masks)
-        flags = classify_important(scores, cache.step) if masks is None else masks
-        message = cache.push_message(np.logical_or.reduce(flags, axis=1), self.w)
-        if cache.step < self.w:
+        t = cache.step
+        flags = classify_important(scores, t) if masks is None else masks
+        flagged_at = cache.flag(np.logical_or.reduce(flags, axis=1))
+        if t < self.w:
             return
         positions = cache.positions[:, : scores.shape[2]]
-        cache.keep_only(np.logical_or.reduce(message, axis=2) | (positions > cache.step - self.r))
+        cache.keep_only((flagged_at > t - self.w) | (positions > t - self.r))
 
 
 @dataclass(frozen=True)
@@ -458,9 +462,9 @@ INITIAL_CAPACITY = 16  # entries per head before a block first doubles
 FREE = np.iinfo(np.int64).max  # the position of every free row: later than any step
 
 # The per-entry arrays of a KvCacheState, each (n_heads, capacity, ...): row i
-# of head h in every one of them belongs to the same cache entry. acc_scores
-# and counts are None until a policy first reads them.
-ENTRY_ARRAYS = ("keys", "values", "positions", "acc_scores", "message", "counts")
+# of head h in every one of them belongs to the same cache entry. acc_scores,
+# flagged_at and counts are None until a policy first reads them.
+ENTRY_ARRAYS = ("keys", "values", "positions", "acc_scores", "flagged_at", "message", "counts")
 
 
 class KvCacheState:
@@ -482,16 +486,20 @@ class KvCacheState:
     - acc_scores, (n_heads, capacity) float64, the normalized attention
       each entry has accumulated (`accumulate`): h2o only, None until its
       first step;
-    - message, (n_heads, capacity, slots) bool, the recency message
-      (`push_message`): corm, gqa_corm and scissorhands; it has 0 slots
-      under the other policies;
+    - flagged_at, (n_heads, capacity) int64, the last step whose mask
+      flagged each entry, 0 if none has (`flag`): corm and gqa_corm only,
+      None until their first step;
+    - message, (n_heads, capacity, slots) bool, the windowed message
+      (`push_message`): scissorhands only; it has 0 slots under the other
+      policies;
     - counts, (n_heads, capacity) int64, each entry's flags in the message
       (`message_counts`): scissorhands only, None until its first step.
 
-    message[h, i, (s - 1) % window] is True when step s's query flagged
-    entry i important. Its slot count stays 0 until a mask is pushed and
-    doubles up to the window as steps are recorded, so a huge window costs
-    only the steps seen. Once allocated, counts is kept equal to the sum of
+    A flagged_at entry is 0 or a step from its entry's position up to
+    `step`. message[h, i, (s - 1) % window] is True when step s's query
+    flagged entry i important. Its slot count stays 0 until a mask is
+    pushed and doubles up to the window as steps are recorded, so a huge
+    window costs only the steps seen. Once allocated, counts is kept equal to the sum of
     each entry's message slots: a push adds its mask and subtracts the one
     it overwrites.
 
@@ -512,6 +520,7 @@ class KvCacheState:
         self.values = np.zeros((n_heads, cap, d), dtype=np.float64)
         self.positions = np.full((n_heads, cap), FREE, dtype=np.int64)
         self.acc_scores: np.ndarray | None = None
+        self.flagged_at: np.ndarray | None = None
         self.message = np.zeros((n_heads, cap, 0), dtype=bool)
         self.counts: np.ndarray | None = None
         self.sizes = [0] * n_heads
@@ -580,8 +589,8 @@ class KvCacheState:
         """Add the entry of step `step + 1` to every head, in its next free row.
 
         keys and values, each (n_heads, d), hold one row per head. The rows'
-        message slots, count and accumulated score are cleared (a query
-        recorded before the entry existed never flagged it).
+        accumulated score, last flagged step, message slots and count are
+        cleared (a query recorded before the entry existed never flagged it).
         """
         position = self.step + 1
         sizes = self.sizes
@@ -593,7 +602,7 @@ class KvCacheState:
         rows = [(slice(None), lo)] if lo == hi else enumerate(sizes)
         with_vectors = self.keys.shape[2] > 0  # replay's caches hold positions only
         message = self.message if self.message.shape[2] > 0 else None
-        acc, counts = self.acc_scores, self.counts
+        acc, flagged_at, counts = self.acc_scores, self.flagged_at, self.counts
         for h, n in rows:
             if with_vectors:
                 self.keys[h, n] = keys[h]
@@ -601,6 +610,8 @@ class KvCacheState:
             self.positions[h, n] = position
             if acc is not None:
                 acc[h, n] = 0.0
+            if flagged_at is not None:
+                flagged_at[h, n] = 0
             if message is not None:
                 message[h, n] = False
             if counts is not None:
@@ -616,6 +627,17 @@ class KvCacheState:
         acc += scores
         return acc
 
+    def flag(self, mask: np.ndarray) -> np.ndarray:
+        """Record `step` as the last flagged step of the first m rows where the (n_heads, m) mask is True.
+
+        Returns those rows' last flagged steps (a view).
+        """
+        if self.flagged_at is None:
+            self.flagged_at = np.zeros(self.positions.shape, dtype=np.int64)
+        flagged_at = self.flagged_at[:, : mask.shape[1]]
+        np.copyto(flagged_at, self.step, where=mask)
+        return flagged_at
+
     def grow_message(self, slots: int) -> None:
         """Widen every entry's message to `slots` slots, keeping the recorded ones.
 
@@ -628,14 +650,12 @@ class KvCacheState:
         new[:, :, : m.shape[2]] = m
         self.message = new
 
-    def push_message(self, mask: np.ndarray, window: int) -> np.ndarray:
+    def push_message(self, mask: np.ndarray, window: int) -> None:
         """Record the (n_heads, width) importance mask of step `step`, keeping the newest `window`.
 
         Call once per step. Keeps `counts`, once allocated, equal to the
-        message's sums. Returns the kept masks as an (n_heads, width, rows)
-        view, in slot order, which is oldest first only until the window
-        wraps: fit for reductions over the window (axis 2), not for reading
-        its order (use `head_message` for that).
+        message's sums. The slots are in ring order, oldest first only
+        until the window wraps (`head_message` reads them oldest first).
         """
         m, s = self.width, self.step
         if mask.shape != (self.n_heads, m):
@@ -652,7 +672,6 @@ class KvCacheState:
             counts -= rows[:, :, slot]
             counts += mask
         rows[:, :, slot] = mask
-        return rows[:, :, :s]
 
     def message_counts(self) -> np.ndarray:
         """(n_heads, capacity) int64: the flags each row holds in the message.
@@ -709,6 +728,10 @@ class KvCacheState:
                 raise ValueError(f"head {h}: a free row holds a position")
             if self.counts is not None and np.any(self.counts[h, :n] != self.message[h, :n].sum(axis=1)):
                 raise ValueError(f"head {h}: a message count differs from the message's sum")
+            if self.flagged_at is not None:
+                flagged, positions = self.flagged_at[h, :n], self.positions[h, :n]
+                if np.any((flagged < 0) | (flagged > self.step) | ((flagged != 0) & (flagged < positions))):
+                    raise ValueError(f"head {h}: flagged_at must be 0 or a step from its entry's position to {self.step}")
 
 
 # --------------------------------------------------------------------------

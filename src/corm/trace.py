@@ -2,6 +2,13 @@
 
 A trace holds, for every step t of a full-cache run, each (layer, head)'s
 normalized attention row over all t positions plus the head's query vector.
+An `AttentionTrace` is valid by construction: building one checks its
+header fields, its tokens against the vocabulary, every step's row and
+query shapes, and every step's rows (finite, within [0, 1], summing to 1
+in float64), once, and stores rows and queries as read-only arrays. Both
+ways to get a trace, `record` and `load`, build it through that check, so
+nothing downstream checks a row again.
+
 Replaying a trace (`replay_policy`) steps a `PolicySimulator`, which drives
 a policy's bookkeeping offline: at each step the recorded row is restricted
 to the simulated surviving set. The simulator keeps no history of kept
@@ -41,11 +48,10 @@ File format "CORMTRC1" (all little-endian), version 1:
 
 Loading verifies, in order: magic, version, total length against the closed
 form, then both region checksums. Each failure raises a distinct error type.
-Last, the trace must hold at least one step, and every step's rows are
-checked as replay checks them (finite, within [0, 1], summing to 1 in
-float64), so a damaged trace fails at load and neither replay nor analysis
-consumes it. Loaded rows and queries are
-read-only views of the file's bytes.
+Last, the trace must hold at least one step, and the trace it builds runs
+the construction checks, so a damaged trace fails at load and neither
+replay nor analysis consumes it. Loaded rows and queries are read-only
+views of the file's bytes.
 """
 
 from __future__ import annotations
@@ -117,33 +123,79 @@ class TraceMeta:
     rope_base: float
     seed: int
 
+    def __post_init__(self) -> None:
+        for name in ("n_layers", "n_heads", "d_h"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"trace {name} must be >= 1, got {getattr(self, name)}")
+        if self.n_kv_heads < 1 or self.n_heads % self.n_kv_heads != 0:
+            raise ValueError(f"trace n_kv_heads must be >= 1 and divide n_heads={self.n_heads}, got {self.n_kv_heads}")
+        if self.d_model != self.n_heads * self.d_h:
+            raise ValueError(
+                f"trace d_model must equal n_heads * d_h = {self.n_heads * self.d_h}, got {self.d_model}"
+            )
+        if self.vocab_size < 2:
+            raise ValueError(f"trace vocab_size must be >= 2, got {self.vocab_size}")
 
-@dataclass
+
+def _read_only(a) -> np.ndarray:
+    """`a` as a read-only array that no writeable array shares memory with.
+
+    An array that is writeable, or a view of a writeable array, is copied;
+    a read-only array over immutable memory (a loaded file's bytes) is not.
+    """
+    a = np.asarray(a)
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if a.flags.writeable or owner.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class AttentionTrace:
-    """Full-cache rows and query vectors of one recorded run."""
+    """Full-cache rows and query vectors of one recorded run, valid by construction.
+
+    Building a trace raises ValueError naming the first broken field, token
+    or step: the header fields (`TraceMeta`), a token outside the
+    vocabulary, a row or query block of the wrong shape, or a step whose
+    rows are not normalized (`check_score_rows`, once per step). The trace
+    then stores tokens, rows and queries as read-only arrays, copying any
+    that were writeable or views of a writeable array, so it stays valid
+    and replay and analysis read its rows unchecked.
+    """
 
     meta: TraceMeta
     tokens: np.ndarray  # (T,) int64
-    rows: list[np.ndarray]  # index t-1: (n_layers, n_heads, t) float32
-    queries: list[np.ndarray]  # index t-1: (n_layers, n_heads, d_h) float32
+    rows: tuple[np.ndarray, ...]  # index t-1: (n_layers, n_heads, t), float32 when recorded or loaded
+    queries: tuple[np.ndarray, ...]  # index t-1: (n_layers, n_heads, d_h)
 
-    @property
-    def n_steps(self) -> int:
-        return int(self.tokens.size)
-
-    def check(self) -> None:
-        """Raise ValueError naming the first step whose arrays break the layout."""
+    def __post_init__(self) -> None:
         m = self.meta
-        if not len(self.rows) == len(self.queries) == self.n_steps:
-            raise ValueError(
-                f"{len(self.rows)} row blocks and {len(self.queries)} query blocks "
-                f"for {self.n_steps} tokens"
-            )
-        for t, (r, q) in enumerate(zip(self.rows, self.queries), start=1):
+        tokens = _read_only(np.asarray(self.tokens, dtype=np.int64))
+        rows = tuple(_read_only(r) for r in self.rows)
+        queries = tuple(_read_only(q) for q in self.queries)
+        if tokens.ndim != 1 or tokens.size == 0:
+            raise ValueError("trace tokens must be a non-empty 1-D sequence")
+        if not len(rows) == len(queries) == tokens.size:
+            raise ValueError(f"{len(rows)} row blocks and {len(queries)} query blocks for {tokens.size} tokens")
+        if not (tokens.min() >= 0 and tokens.max() < m.vocab_size):
+            bad = int(tokens[(tokens < 0) | (tokens >= m.vocab_size)][0])
+            raise ValueError(f"trace token {bad} outside vocab_size {m.vocab_size}")
+        for t, (r, q) in enumerate(zip(rows, queries), start=1):
             if r.shape != (m.n_layers, m.n_heads, t):
                 raise ValueError(f"step {t} rows have shape {r.shape}, expected {(m.n_layers, m.n_heads, t)}")
             if q.shape != (m.n_layers, m.n_heads, m.d_h):
                 raise ValueError(f"step {t} queries have shape {q.shape}, expected {(m.n_layers, m.n_heads, m.d_h)}")
+            check_score_rows(r.astype(np.float64))
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "queries", queries)
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.tokens.size)
 
 
 def trace_byte_size(n_layers: int, n_heads: int, d_h: int, n_steps: int) -> int:
@@ -177,8 +229,11 @@ def record(
     for tok in tokens:
         sr = model.decode_step(state, int(tok))
         block = np.stack([np.stack([row.scores for row in layer]) for layer in sr.rows])
-        rows.append(block.astype(np.float32))
-        queries.append(sr.queries.astype(np.float32))
+        rows_t, queries_t = block.astype(np.float32), sr.queries.astype(np.float32)
+        # nothing else holds these fresh arrays, so read-only they need no copy in the trace
+        rows_t.flags.writeable = queries_t.flags.writeable = False
+        rows.append(rows_t)
+        queries.append(queries_t)
     kind, _ = pe_kind_tag(c.pe)
     meta = TraceMeta(
         n_layers=c.n_layers,
@@ -195,8 +250,7 @@ def record(
 
 
 def save(trace: AttentionTrace, path) -> None:
-    """Check the trace's layout (`AttentionTrace.check`), then write the binary format (module docstring)."""
-    trace.check()
+    """Write the binary format (module docstring); the trace was checked when it was built."""
     m = trace.meta
     header = struct.pack(
         _HEAD_FMT,
@@ -259,19 +313,6 @@ def load(path) -> AttentionTrace:
         )
     if t_steps == 0:
         raise TraceError("trace holds no steps")
-    tokens = np.frombuffer(blob, dtype="<u4", count=t_steps, offset=_HEAD_FIXED).astype(np.int64)
-    floats = np.frombuffer(blob, dtype="<f4", count=(payload_end - hdr_end) // 4, offset=hdr_end)
-    rows: list[np.ndarray] = []
-    queries: list[np.ndarray] = []
-    offset = 0
-    for t in range(1, t_steps + 1):
-        count = n_layers * n_heads * (t + d_h)
-        block = floats[offset : offset + count].reshape(n_layers, n_heads, t + d_h)
-        rows_t = block[:, :, :t]
-        check_score_rows(rows_t.astype(np.float64))
-        rows.append(rows_t)
-        queries.append(block[:, :, t:])
-        offset += count
     meta = TraceMeta(
         n_layers=n_layers,
         n_heads=n_heads,
@@ -283,6 +324,17 @@ def load(path) -> AttentionTrace:
         rope_base=rope_base,
         seed=seed,
     )
+    tokens = np.frombuffer(blob, dtype="<u4", count=t_steps, offset=_HEAD_FIXED).astype(np.int64)
+    floats = np.frombuffer(blob, dtype="<f4", count=(payload_end - hdr_end) // 4, offset=hdr_end)
+    rows: list[np.ndarray] = []
+    queries: list[np.ndarray] = []
+    offset = 0
+    for t in range(1, t_steps + 1):
+        count = n_layers * n_heads * (t + d_h)
+        block = floats[offset : offset + count].reshape(n_layers, n_heads, t + d_h)
+        rows.append(block[:, :, :t])
+        queries.append(block[:, :, t:])
+        offset += count
     return AttentionTrace(meta=meta, tokens=tokens, rows=rows, queries=queries)
 
 
@@ -292,29 +344,34 @@ def load(path) -> AttentionTrace:
 
 
 class PolicySimulator:
-    """Steps a policy's cache bookkeeping from externally supplied full rows.
+    """Steps a policy's cache bookkeeping through a trace's recorded rows.
 
-    Offline replay feeds it a trace's rows, one step at a time. Per-head
-    policies simulate one cache per query head and require an ungrouped head
-    layout; the grouped recency policy simulates one cache per group of
-    `group_size` query heads. All n_layers * n_groups caches are the heads
-    of one block, layer-major, so each step is one policy update; they
-    track positions only (keys and values have width 0). No history is
-    kept: after step t, `cache.head_positions(layer * n_groups + group)` is
-    the positions cache (layer, group) holds, until the next step.
+    Each `step` feeds the trace's next step. Per-head policies simulate one
+    cache per query head and require an ungrouped head layout; the grouped
+    recency policy simulates one cache per group of `group_size` query
+    heads. All n_layers * n_groups caches are the heads of one block,
+    layer-major, so each step is one policy update; they track positions
+    only (keys and values have width 0). No history is kept: after step t,
+    `cache.head_positions(layer * n_groups + group)` is the positions cache
+    (layer, group) holds, until the next step.
     """
 
-    def __init__(self, policy: Policy, n_layers: int, n_heads: int, n_kv_heads: int | None = None):
-        group = policy.group_size_for(n_heads, n_heads if n_kv_heads is None else n_kv_heads)
+    def __init__(self, policy: Policy, trace: AttentionTrace):
+        m = trace.meta
+        group = policy.group_size_for(m.n_heads, m.n_kv_heads)
         self.policy = policy
-        self.n_layers = n_layers
-        self.n_heads = n_heads
+        self.trace = trace
+        self.n_layers = m.n_layers
+        self.n_heads = m.n_heads
         self.group_size = group
-        self.n_groups = n_heads // group
-        self.cache = KvCacheState(n_layers * self.n_groups, 0)
-        self._no_vector = np.zeros((n_layers * self.n_groups, 0))
-        # index of each (cache, query head) row in a step's (n_layers * n_heads) rows
-        self._row_ids = np.arange(n_layers * n_heads).reshape(-1, group, 1)
+        self.n_groups = m.n_heads // group
+        self.cache = KvCacheState(m.n_layers * self.n_groups, 0)
+        self._no_vector = np.zeros((m.n_layers * self.n_groups, 0))
+        # step t's rows in columns [0, t) of each (layer, head) row; column t,
+        # not yet written, is the zero a free cache row reads
+        self._rows = np.zeros((m.n_layers, m.n_heads, trace.n_steps + 1))
+        # flat index of column 0 of each (cache, query head) row of _rows
+        self._row_base = (np.arange(m.n_layers * m.n_heads) * (trace.n_steps + 1)).reshape(-1, group, 1)
         self._rates: list[float] = []
 
     @property
@@ -322,11 +379,11 @@ class PolicySimulator:
         """(T,) float64: the model-mean compression rate after each step."""
         return np.asarray(self._rates)
 
-    def step(self, rows_full) -> None:
-        """Feed the next step t's full rows: an (n_layers, n_heads, t) array or nested lists.
+    def step(self) -> None:
+        """Feed the trace's next step t = cache.step + 1.
 
-        The block is checked once: every row must be finite, within [0, 1]
-        and sum to 1. Importance flags are thresholded on the recorded scores
+        The rows are not checked again: the trace checked them when it was
+        built. Importance flags are thresholded on the recorded scores
         themselves (a surviving entry's recorded score is unchanged by
         restriction), so the flags -- and every mask-driven policy's
         decisions -- are a pure function of the trace. A restricted row with
@@ -337,18 +394,15 @@ class PolicySimulator:
         """
         cache = self.cache
         t = cache.step + 1
-        block = np.asarray(rows_full)
-        if block.shape != (self.n_layers, self.n_heads, t):
-            raise ValueError(f"step {t} rows have shape {block.shape}, expected {(self.n_layers, self.n_heads, t)}")
-        # float64 rows, each followed by a zero: the score a free cache row reads
-        rows = np.zeros((self.n_layers, self.n_heads, t + 1))
-        rows[:, :, :t] = block
-        check_score_rows(rows[:, :, :t])
+        if t > self.trace.n_steps:
+            raise ValueError(f"the trace holds {self.trace.n_steps} steps, so there is no step {t}")
+        rows = self._rows
+        rows[:, :, :t] = self.trace.rows[t - 1]
         cache.append(self._no_vector, self._no_vector)
         # every cache's rows restricted to its entries, zero past its size; a
         # recorded row is 0-indexed by position, and a free row's FREE maps to t
         idx = np.minimum(cache.positions[:, : cache.width], t + 1) - 1
-        restricted = np.take(rows, self._row_ids * (t + 1) + idx[:, None, :])
+        restricted = np.take(rows, self._row_base + idx[:, None, :])
         normalize = self.policy.reads_magnitudes
         if normalize or restricted.min() < 0.0:
             mass = totals = np.empty((cache.n_heads, self.group_size, 1))
@@ -374,8 +428,7 @@ def replay_policy(trace: AttentionTrace, policy: Policy) -> PolicySimulator:
     the simulator stepped through the whole trace: its final caches and its
     compression curve averaged over layers and groups.
     """
-    m = trace.meta
-    sim = PolicySimulator(policy, m.n_layers, m.n_heads, m.n_kv_heads)
-    for rows in trace.rows:
-        sim.step(rows)
+    sim = PolicySimulator(policy, trace)
+    for _ in range(trace.n_steps):
+        sim.step()
     return sim

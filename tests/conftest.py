@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
 from typing import Iterator
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, settings
 from corm.attention import softmax_normalize
 from corm.model import ModelConfig, init_model
 from corm.policies import H2O, Corm, CormGqa, Full, Policy, Scissorhands, StreamingLlm, Tova
+from corm.positional import PE_KINDS
 from corm.trace import AttentionTrace, PolicySimulator, TraceMeta
 
 settings.register_profile(
@@ -35,26 +38,12 @@ def seeded_tokens(seed: int, length: int, vocab: int = 256) -> np.ndarray:
     return rng.integers(0, vocab, size=length, dtype=np.int64)
 
 
-def make_synthetic_trace(
-    n_layers: int = 1,
-    n_heads: int = 1,
-    n_steps: int = 32,
-    seed: int = 0,
-    d_h: int = 4,
-    sharpness: float = 4.0,
-) -> AttentionTrace:
-    """Random full-cache trace; higher sharpness means peakier rows."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rows = []
-    queries = []
-    for t in range(1, n_steps + 1):
-        logits = rng.normal(size=(n_layers, n_heads, t)) * sharpness
-        block = np.empty_like(logits)
-        for li in range(n_layers):
-            for hd in range(n_heads):
-                block[li, hd] = softmax_normalize(logits[li, hd])
-        rows.append(block.astype(np.float32))
-        queries.append(rng.normal(size=(n_layers, n_heads, d_h)).astype(np.float32))
+def trace_of(rows, queries=None, d_h: int = 4, seed: int = 0) -> AttentionTrace:
+    """A trace of the given per-step (n_layers, n_heads, t) rows; queries default to zeros."""
+    rows = [np.asarray(block) for block in rows]
+    n_layers, n_heads = rows[0].shape[:2]
+    if queries is None:
+        queries = [np.zeros((n_layers, n_heads, d_h), dtype=np.float32) for _ in rows]
     meta = TraceMeta(
         n_layers=n_layers,
         n_heads=n_heads,
@@ -66,8 +55,60 @@ def make_synthetic_trace(
         rope_base=10000.0,
         seed=seed,
     )
-    tokens = seeded_tokens(seed, n_steps)
-    return AttentionTrace(meta=meta, tokens=tokens, rows=rows, queries=queries)
+    return AttentionTrace(meta=meta, tokens=seeded_tokens(seed, len(rows)), rows=rows, queries=queries)
+
+
+def synthetic_blocks(
+    n_layers: int = 1,
+    n_heads: int = 1,
+    n_steps: int = 32,
+    seed: int = 0,
+    d_h: int = 4,
+    sharpness: float = 4.0,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Random float32 full-cache rows and queries, one block per step; higher sharpness means peakier rows."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = []
+    queries = []
+    for t in range(1, n_steps + 1):
+        logits = rng.normal(size=(n_layers, n_heads, t)) * sharpness
+        block = np.empty_like(logits)
+        for li in range(n_layers):
+            for hd in range(n_heads):
+                block[li, hd] = softmax_normalize(logits[li, hd])
+        rows.append(block.astype(np.float32))
+        queries.append(rng.normal(size=(n_layers, n_heads, d_h)).astype(np.float32))
+    return rows, queries
+
+
+def make_synthetic_trace(
+    n_layers: int = 1,
+    n_heads: int = 1,
+    n_steps: int = 32,
+    seed: int = 0,
+    d_h: int = 4,
+    sharpness: float = 4.0,
+) -> AttentionTrace:
+    """Random full-cache trace; higher sharpness means peakier rows."""
+    rows, queries = synthetic_blocks(n_layers, n_heads, n_steps, seed, d_h, sharpness)
+    return trace_of(rows, queries, d_h=d_h, seed=seed)
+
+
+def write_trace_file(path, tokens, blocks, **header) -> None:
+    """Write a trace file from raw header fields and per-step (n_layers, n_heads, t + d_h) blocks.
+
+    `header` holds `TraceMeta`'s fields. Nothing is checked: the file's
+    length and checksums match its bytes whatever the fields and blocks say,
+    so loading it reaches the checks a trace runs when it is built.
+    """
+    fields = [header[k] for k in ("n_layers", "n_heads", "n_kv_heads", "d_model", "d_h", "vocab_size")]
+    pe_id = PE_KINDS[header["pe_kind"]][1]
+    head = struct.pack(
+        "<8sIIIIIIIIdQI", b"CORMTRC1", 1, *fields, pe_id, header["rope_base"], header["seed"], len(tokens)
+    )
+    head += np.asarray(tokens, dtype="<u4").tobytes()
+    payload = b"".join(np.asarray(block, dtype="<f4").tobytes() for block in blocks)
+    path.write_bytes(head + payload + struct.pack("<II", zlib.crc32(head), zlib.crc32(payload)))
 
 
 def replay_steps(trace: AttentionTrace, policy: Policy) -> Iterator[tuple[int, PolicySimulator]]:
@@ -76,10 +117,9 @@ def replay_steps(trace: AttentionTrace, policy: Policy) -> Iterator[tuple[int, P
     Cache (layer, group) holds `sim.cache.head_positions(layer * sim.n_groups + group)`
     after step t: a view of the live block, so copy it to keep it past the next step.
     """
-    m = trace.meta
-    sim = PolicySimulator(policy, m.n_layers, m.n_heads, m.n_kv_heads)
-    for t, rows in enumerate(trace.rows, start=1):
-        sim.step(rows)
+    sim = PolicySimulator(policy, trace)
+    for t in range(1, trace.n_steps + 1):
+        sim.step()
         yield t, sim
 
 

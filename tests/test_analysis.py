@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_trace, seeded_tokens
+from conftest import seeded_tokens, synthetic_blocks, trace_of
 from corm.analysis import (
     importance_overlap,
     output_divergence,
@@ -24,18 +24,18 @@ from corm.policies import Corm, Full, StreamingLlm, mean_compression_rate
 
 
 def uniform_trace(n_steps=10):
-    tr = make_synthetic_trace(n_steps=n_steps, seed=0)
+    rows, queries = synthetic_blocks(n_steps=n_steps, seed=0)
     for t in range(1, n_steps + 1):
-        tr.rows[t - 1][...] = 1.0 / t
-    return tr
+        rows[t - 1][...] = 1.0 / t
+    return trace_of(rows, queries)
 
 
 def one_hot_trace(n_steps=10):
-    tr = make_synthetic_trace(n_steps=n_steps, seed=0)
+    rows, queries = synthetic_blocks(n_steps=n_steps, seed=0)
     for t in range(1, n_steps + 1):
-        tr.rows[t - 1][...] = 0.0
-        tr.rows[t - 1][:, :, 0] = 1.0
-    return tr
+        rows[t - 1][...] = 0.0
+        rows[t - 1][:, :, 0] = 1.0
+    return trace_of(rows, queries)
 
 
 class TestSparsity:
@@ -57,21 +57,21 @@ class TestSparsity:
 
 class TestQuerySimilarityMap:
     def test_repeated_queries_all_ones(self):
-        tr = make_synthetic_trace(n_steps=6, seed=1)
-        fixed = tr.queries[0][0, 0]
+        rows, queries = synthetic_blocks(n_steps=6, seed=1)
+        fixed = queries[0][0, 0]
         for t in range(6):
-            tr.queries[t][0, 0] = fixed
-        sim = query_similarity_map(tr, 0, 0)
+            queries[t][0, 0] = fixed
+        sim = query_similarity_map(trace_of(rows, queries), 0, 0)
         for i in range(1, 6):
             np.testing.assert_allclose(sim[i, :i], 1.0, atol=1e-6)
         assert np.all(sim[np.triu_indices(6)] == 0.0)
 
     def test_three_query_hand_fixture(self):
-        tr = make_synthetic_trace(n_steps=3, seed=2, d_h=2)
+        rows, queries = synthetic_blocks(n_steps=3, seed=2, d_h=2)
         qs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=np.float32)
         for t in range(3):
-            tr.queries[t][0, 0] = qs[t]
-        sim = query_similarity_map(tr, 0, 0)
+            queries[t][0, 0] = qs[t]
+        sim = query_similarity_map(trace_of(rows, queries, d_h=2), 0, 0)
         assert sim[1, 0] == pytest.approx(0.0, abs=1e-7)
         assert sim[2, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-7)
         assert sim[2, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-7)
@@ -115,11 +115,11 @@ class TestImportanceOverlap:
         assert importance_overlap(small_trace, 0, 0, 9, 9) == 1.0
 
     def test_disjoint_masks_zero(self):
-        tr = make_synthetic_trace(n_steps=6, seed=3)
+        rows, queries = synthetic_blocks(n_steps=6, seed=3)
         # over the common prefix of 3 keys: step 4 flags key 1, step 5 flags keys 2-3
-        tr.rows[3][0, 0] = np.array([0.97, 0.01, 0.01, 0.01], dtype=np.float32)
-        tr.rows[4][0, 0] = np.array([0.01, 0.48, 0.48, 0.015, 0.015], dtype=np.float32)
-        assert importance_overlap(tr, 0, 0, 4, 5) == 0.0
+        rows[3][0, 0] = np.array([0.97, 0.01, 0.01, 0.01], dtype=np.float32)
+        rows[4][0, 0] = np.array([0.01, 0.48, 0.48, 0.015, 0.015], dtype=np.float32)
+        assert importance_overlap(trace_of(rows, queries), 0, 0, 4, 5) == 0.0
 
     def test_first_step_pair_defined(self, small_trace):
         assert importance_overlap(small_trace, 0, 0, 1, 5) == 1.0  # empty prefix

@@ -8,12 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import seeded_tokens
+from conftest import seeded_tokens, write_trace_file
 from corm.cli import main
 from corm.manifest import ExperimentManifest, InputSpec
 from corm.model import ToyTransformer
 from corm.policies import Corm, Full, parse_policy
-from corm.trace import load, save
+from corm.trace import load
 
 
 def write_model_config(path, **overrides):
@@ -299,13 +299,52 @@ class TestFailLoud:
         argv = ["--model-config", str(workspace / "model.json"), "--input", str(workspace / "input.txt")]
         assert main(["trace", *argv, "--trace", str(good)]) == 0
         rec = load(good)
-        rows = [r.copy() for r in rec.rows]
-        rows[9][0, 1, 3] = np.nan  # step 10 of the 40-step, 1-layer, 2-head trace
-        save(dataclasses.replace(rec, rows=rows), bad)
+        blocks = [np.concatenate([r, q], axis=2) for r, q in zip(rec.rows, rec.queries)]
+        blocks[9][0, 1, 3] = np.nan  # step 10 of the 40-step, 1-layer, 2-head trace
+        write_trace_file(bad, rec.tokens, blocks, **dataclasses.asdict(rec.meta))
         rc = main([*command, "--trace", str(bad), "--out", str(workspace / "bad")])
         assert rc == 1
         assert not os.path.exists(workspace / "bad")
         assert capsys.readouterr().err.startswith("error: scores contain NaN or Inf")
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["replay", "--policy", "full"]], ids=["analyze", "replay"]
+    )
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            ({"n_layers": 0}, "trace n_layers must be >= 1, got 0"),
+            ({"n_heads": 0, "n_kv_heads": 0, "d_model": 0}, "trace n_heads must be >= 1, got 0"),
+            ({"d_h": 0, "d_model": 0}, "trace d_h must be >= 1, got 0"),
+            ({"n_kv_heads": 3}, "trace n_kv_heads must be >= 1 and divide n_heads=2, got 3"),
+            ({"d_model": 999}, "trace d_model must equal n_heads * d_h = 16, got 999"),
+            ({"vocab_size": 1}, "trace vocab_size must be >= 2, got 1"),
+            ({"vocab_size": 16, "token": 400}, "trace token 400 outside vocab_size 16"),
+        ],
+        ids=["n_layers", "n_heads", "d_h", "n_kv_heads", "d_model", "vocab_size", "token"],
+    )
+    def test_trace_with_inconsistent_header(self, workspace, capsys, command, fields, named):
+        # a well-formed file (length and checksums match) whose fields contradict each other
+        header = dict(n_layers=1, n_heads=2, n_kv_heads=2, d_model=16, d_h=8, vocab_size=64,
+                      pe_kind="rope", rope_base=10000.0, seed=3)
+        header.update(fields)
+        tokens = seeded_tokens(1, 12, vocab=min(header["vocab_size"], 64))
+        if "token" in header:
+            tokens[5] = header.pop("token")
+        blocks = [
+            np.concatenate(
+                [np.full((header["n_layers"], header["n_heads"], t), 1.0 / t),
+                 np.ones((header["n_layers"], header["n_heads"], header["d_h"]))],
+                axis=2,
+            )
+            for t in range(1, tokens.size + 1)
+        ]
+        bad = workspace / "bad.trc"
+        write_trace_file(bad, tokens, blocks, **header)
+        rc = main([*command, "--trace", str(bad), "--out", str(workspace / "bad")])
+        assert rc == 1
+        assert not os.path.exists(workspace / "bad")
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
 
     @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from corm.policies import (
     parse_policy,
     policy_label,
 )
-from corm.trace import PolicySimulator
+from corm.trace import PolicySimulator, record
 
 
 def rows(*scores) -> np.ndarray:
@@ -132,14 +132,15 @@ class TestRegistry:
     def test_grouped_query_layout(self, name):
         policy = README_EXAMPLES[name][1]
         model = init_model(ModelConfig(n_layers=1, n_heads=4, n_kv_heads=2, d_model=32, vocab_size=64, seed=6))
+        trace = record(model, seeded_tokens(6, 4, vocab=64))
         if name in GROUPED:
             model.init_state(policy)
-            PolicySimulator(policy, 1, 4, 2)
+            PolicySimulator(policy, trace)
             return
         with pytest.raises(ValueError, match="per-head policy"):
             model.init_state(policy)
         with pytest.raises(ValueError, match="per-head policy"):
-            PolicySimulator(policy, 1, 4, 2)
+            PolicySimulator(policy, trace)
 
 
 def test_registry_keeps_the_documented_name_order():
@@ -265,21 +266,23 @@ class TestKvCacheState:
     def test_message_columns_past_size_are_never_read(self):
         rng = np.random.Generator(np.random.PCG64(5))
         clean, dirty = fresh_cache(), fresh_cache()
+        policy = Scissorhands(budget=3, recent=2, window=3)
         for t in range(1, 60):
             dirty.message[0, dirty.size :] = True  # stale rows where the next entry goes
             push(clean)
             push(dirty)
             dirty.message[0, dirty.size :] = True
             scores = rng.dirichlet(np.full(clean.size, 0.4))
-            Corm(w=3, r=2).step(clean, rows(scores))
-            Corm(w=3, r=2).step(dirty, rows(scores))
+            policy.step(clean, rows(scores))
+            policy.step(dirty, rows(scores))
             dirty.check()
             np.testing.assert_array_equal(clean.head_positions(0), dirty.head_positions(0))
             np.testing.assert_array_equal(clean.head_message(0), dirty.head_message(0))
 
     def test_message_of_one_head_survives_a_growth_another_head_triggers(self):
         # head 0 keeps every entry (uniform scores are all >= 1/t) and so
-        # doubles the shared block; head 1 evicts and stays small
+        # doubles the shared block; head 1 evicts and stays small. Corm's
+        # message is each entry's last flagged step
         rng = np.random.Generator(np.random.PCG64(9))
         shared = fresh_cache(2)
         solo = [fresh_cache(), fresh_cache()]
@@ -298,7 +301,7 @@ class TestKvCacheState:
             policy.step(shared, padded)
             for h, cache in enumerate(solo):
                 np.testing.assert_array_equal(shared.head_positions(h), cache.head_positions(0))
-                np.testing.assert_array_equal(shared.head_message(h), cache.head_message(0))
+                np.testing.assert_array_equal(shared.flagged_at[h, : shared.sizes[h]], cache.flagged_at[0, : cache.size])
         np.testing.assert_array_equal(shared.sizes[0], 40)
         assert shared.sizes[1] < 16
 
@@ -326,6 +329,22 @@ class TestKvCacheState:
         with pytest.raises(ValueError, match="capacity"):
             c.check()
 
+    @pytest.mark.parametrize(
+        "entry,value",
+        [(1, -1), (1, 4), (2, 1)],
+        ids=["negative", "after_the_step", "before_the_entry"],
+    )
+    def test_check_rejects_a_flagged_at_outside_its_entry_and_step(self, entry, value):
+        c = fresh_cache()
+        for t in (1, 2, 3):
+            push(c)
+            c.flag(np.ones((1, t), dtype=bool))
+        c.flagged_at[0, 1] = 0  # never flagged: allowed
+        c.check()
+        c.flagged_at[0, entry] = value  # entry 1 holds position 2, entry 2 position 3, the step is 3
+        with pytest.raises(ValueError, match="flagged_at"):
+            c.check()
+
 
 def grown_block(heads: int, d: int, steps: int, seed: int = 0) -> KvCacheState:
     """A block of `steps` appended entries with every per-entry array allocated and filled."""
@@ -338,9 +357,10 @@ def grown_block(heads: int, d: int, steps: int, seed: int = 0) -> KvCacheState:
 
 
 def advance(c: KvCacheState, rng: np.random.Generator) -> None:
-    """Append one step and give every row a message flag and an accumulated score."""
+    """Append one step and give every row a message flag, a last flagged step and an accumulated score."""
     c.append(rng.normal(size=(c.n_heads, c.keys.shape[2])), rng.normal(size=(c.n_heads, c.keys.shape[2])))
     c.push_message(rng.random((c.n_heads, c.width)) < 0.5, window=3)
+    c.flag(rng.random((c.n_heads, c.width)) < 0.5)
     c.accumulate(rng.random((c.n_heads, c.width)))
 
 
@@ -468,11 +488,9 @@ class TestBlockEviction:
 
     def test_replay_with_unequal_cache_sizes_raises_no_float_warning(self):
         trace = make_synthetic_trace(n_layers=2, n_heads=3, n_steps=40, seed=8)
-        sim = PolicySimulator(Corm(w=2, r=1), 2, 3)
         unequal = False
         with np.errstate(all="raise"):
-            for t in range(1, trace.n_steps + 1):
-                sim.step(trace.rows[t - 1])
+            for t, sim in replay_steps(trace, Corm(w=2, r=1)):
                 unequal |= len(set(sim.cache.sizes)) > 1
         assert unequal, "fixture never left the caches at unequal sizes"
 
@@ -486,7 +504,8 @@ class TestCormUpdate:
             scores = np.full(t, 1.0 / t)
             Corm(w=w, r=1).step(c, rows(scores))
             assert c.size == t, "cache must grow by exactly one entry per step"
-            assert c.head_message(0).shape == (t, t)
+            # uniform scores flag every entry at every step
+            np.testing.assert_array_equal(c.flagged_at[0, : c.size], np.full(t, t))
 
     def test_hand_simulation_four_keys(self):
         """w=2, r=1: key 1 minor in the two newest rows and not recent -> evicted."""
@@ -504,7 +523,8 @@ class TestCormUpdate:
             if t < 4:
                 assert c.size == t
         np.testing.assert_array_equal(c.head_positions(0), [2, 3, 4])
-        assert c.head_message(0).shape == (2, 3)
+        # keys 2 and 3 last flagged at step 4 (0.3 >= 1/4), key 4 never (0.2 < 1/4)
+        np.testing.assert_array_equal(c.flagged_at[0, : c.size], [4, 4, 0])
 
     def test_window_larger_than_trace_never_evicts(self):
         c = fresh_cache()
@@ -543,29 +563,33 @@ class TestCormUpdate:
 
     @pytest.mark.parametrize("w,r", [(1, 1), (2, 1), (3, 2), (4, 4)])
     def test_recent_keep_and_characterization_fuzz(self, w, r):
-        """Live-style fuzz: the kept set always equals the window-union oracle
-        and never loses an entry from the last r steps."""
+        """Live-style fuzz on a block of 3 heads, under corm and under gqa_corm
+        with groups of 2: each head's kept set always equals the window-union
+        oracle over its group's ORed flags and never loses an entry from the
+        last r steps."""
         rng = np.random.Generator(np.random.PCG64(41 * w + r))
-        c = fresh_cache()
-        flagged: dict[int, set[int]] = {}
-        for t in range(1, 120):
-            push(c)
-            scores = rng.dirichlet(np.full(c.size, 0.4))
-            r_t = rows(scores)
-            mask = classify_important(r_t, t)[0, 0]
-            flagged[t] = set(c.head_positions(0)[mask])
-            present = set(c.head_positions(0))
-            Corm(w=w, r=r).step(c, r_t)
-            c.check()
-            assert c.head_message(0).shape[1] == c.size
-            kept = set(c.head_positions(0))
-            recent = {p for p in present if p > t - r}
-            assert recent <= kept, f"recent entry evicted at t={t}"
-            if t >= w:
-                union = set()
-                for s in range(t - w + 1, t + 1):
-                    union |= flagged[s]
-                assert kept == (union & present) | recent
+        for policy, group in ((Corm(w=w, r=r), 1), (CormGqa(w=w, r=r, group_size=2), 2)):
+            c = fresh_cache(3)
+            flagged: list[dict[int, set[int]]] = [{} for _ in range(3)]
+            for t in range(1, 120):
+                push(c)
+                scores = np.zeros((3, group, c.width))
+                for h, n in enumerate(c.sizes):
+                    scores[h, :, :n] = rng.dirichlet(np.full(n, 0.4), size=group)
+                mask = np.logical_or.reduce(classify_important(scores, t), axis=1)
+                present = []
+                for h, n in enumerate(c.sizes):
+                    flagged[h][t] = set(c.head_positions(h)[mask[h, :n]])
+                    present.append(set(c.head_positions(h)))
+                policy.step(c, scores)
+                c.check()
+                for h in range(3):
+                    kept = set(c.head_positions(h))
+                    recent = {p for p in present[h] if p > t - r}
+                    assert recent <= kept, f"{policy.label}: recent entry of head {h} evicted at t={t}"
+                    if t >= w:
+                        union = set().union(*(flagged[h][s] for s in range(t - w + 1, t + 1)))
+                        assert kept == (union & present[h]) | recent, f"{policy.label}, head {h}, t={t}"
 
 
 class TestStreamingUpdate:
@@ -719,7 +743,7 @@ class TestGqaCormUpdate:
             Corm(w=3, r=2).step(a, rows(scores))
             CormGqa(w=3, r=2).step(b, rows(scores))
             np.testing.assert_array_equal(a.head_positions(0), b.head_positions(0))
-            np.testing.assert_array_equal(a.head_message(0), b.head_message(0))
+            np.testing.assert_array_equal(a.flagged_at[0, : a.size], b.flagged_at[0, : b.size])
 
     def test_or_mask_keeps_key_flagged_by_one_head(self):
         c = fresh_cache()

@@ -91,3 +91,25 @@ def test_only_the_cache_block_assigns_a_step():
                 if any(isinstance(t, ast.Attribute) and t.attr == "step" for t in targets):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, f"a step assigned outside KvCacheState: {', '.join(found)}"
+
+
+def test_rows_checked_only_by_attention_and_trace_construction():
+    # a trace checks its rows once, when it is built, so replay and analysis
+    # read them unchecked: no other code calls the row check
+    found = []
+    for path in SOURCES:
+        if path.name == "attention.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for top in tree.body
+            if path.name == "trace.py" and isinstance(top, ast.ClassDef) and top.name == "AttentionTrace"
+            for node in ast.walk(top)
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "check_score_rows" in _names(node.func) and id(node) not in allowed
+        ]
+    assert not found, f"rows checked outside AttentionTrace: {', '.join(found)}"

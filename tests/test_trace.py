@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import README_EXAMPLES, make_synthetic_trace, replay_steps, seeded_tokens
+import corm.trace as trace_mod
+from conftest import (
+    README_EXAMPLES,
+    make_synthetic_trace,
+    replay_steps,
+    seeded_tokens,
+    synthetic_blocks,
+    trace_of,
+    write_trace_file,
+)
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, Corm, CormGqa, Full, StreamingLlm, Tova
 from corm.trace import (
@@ -38,7 +47,6 @@ def peak_bytes(fn) -> int:
 class TestRecord:
     def test_shapes_cover_every_position(self, small_model):
         tr = record(small_model, seeded_tokens(1, 16))
-        tr.check()
         assert len(tr.rows) == 16
         for t in range(1, 17):
             assert tr.rows[t - 1].shape == (2, 4, t)
@@ -59,9 +67,10 @@ class TestRecord:
 
     def test_check_names_the_broken_step(self, small_model):
         tr = record(small_model, seeded_tokens(1, 4))
-        tr.rows[2] = tr.rows[2][:, :, :2]
+        rows = list(tr.rows)
+        rows[2] = rows[2][:, :, :2]
         with pytest.raises(ValueError, match="step 3 rows have shape"):
-            tr.check()
+            dataclasses.replace(tr, rows=rows)
 
     def test_same_seed_byte_identical_file(self, small_model, tmp_path):
         blobs = []
@@ -135,20 +144,22 @@ class TestSaveLoad:
         [("narrow_rows", r"step 3 rows have shape \(1, 1, 2\)"), ("few_tokens", "5 row blocks and 5 query blocks for 4 tokens")],
     )
     def test_malformed_trace_rejected_before_the_file_is_opened(self, tmp_path, damage, match):
+        # a malformed trace cannot be built, so it never reaches save
         tr = make_synthetic_trace(n_steps=5, seed=9)
-        if damage == "narrow_rows":
-            tr.rows[2] = tr.rows[2][:, :, :2]
-        else:
-            tr = dataclasses.replace(tr, tokens=tr.tokens[:4])
+        rows = list(tr.rows)
+        rows[2] = rows[2][:, :, :2]
         path = tmp_path / "t.trc"
         with pytest.raises(ValueError, match=match):
-            save(tr, path)
+            if damage == "narrow_rows":
+                save(dataclasses.replace(tr, rows=rows), path)
+            else:
+                save(dataclasses.replace(tr, tokens=tr.tokens[:4]), path)
         assert not path.exists()
 
     def test_trace_without_steps_rejected(self, small_trace, tmp_path):
         # a well-formed file whose replay would have no step to report
         path = tmp_path / "t.trc"
-        save(dataclasses.replace(small_trace, tokens=small_trace.tokens[:0], rows=[], queries=[]), path)
+        write_trace_file(path, [], [], **dataclasses.asdict(small_trace.meta))
         with pytest.raises(TraceError, match="no steps"):
             load(path)
 
@@ -215,12 +226,14 @@ class TestReplay:
         replay_policy(tr, Full())
 
     def test_steps_must_be_consecutive(self):
-        # the simulator is at step 1, so it takes step 2's rows only
+        # each step feeds the trace's next step, and there is none past its last
         tr = make_synthetic_trace(n_steps=4, seed=7)
-        sim = PolicySimulator(Full(), 1, 1, 1)
-        sim.step(tr.rows[0])
-        with pytest.raises(ValueError, match=r"step 2 rows have shape \(1, 1, 3\), expected \(1, 1, 2\)"):
-            sim.step(tr.rows[2])
+        sim = PolicySimulator(Full(), tr)
+        for t in range(1, 5):
+            sim.step()
+            np.testing.assert_array_equal(sim.cache.head_positions(0), np.arange(1, t + 1))
+        with pytest.raises(ValueError, match="the trace holds 4 steps, so there is no step 5"):
+            sim.step()
 
     def test_replay_memory_does_not_grow_with_the_steps(self):
         # the simulator keeps its live block and one rate per step, no kept-set history:
@@ -231,28 +244,64 @@ class TestReplay:
 
 
 class TestReplayRowChecks:
-    """Replay checks each step's block of recorded rows before using it."""
+    """A trace checks its rows once, when it is built; replay reads them unchecked."""
 
     def test_nan_row_rejected(self):
-        tr = make_synthetic_trace(n_steps=8, seed=8)
-        tr.rows[4][0, 0, 2] = np.nan  # step 5, position 3: evicted under streaming:1+1
+        rows, queries = synthetic_blocks(n_steps=8, seed=8)
+        rows[4][0, 0, 2] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            replay_policy(tr, StreamingLlm(sink=1, recent=1))
+            trace_of(rows, queries)
+        tr = make_synthetic_trace(n_steps=8, seed=8)
+        with pytest.raises(ValueError, match="read-only"):
+            tr.rows[4][0, 0, 2] = np.nan
+        # a read-only view of the caller's writeable array is copied too
+        rows, queries = synthetic_blocks(n_steps=8, seed=8)
+        view = rows[4].view()
+        view.flags.writeable = False
+        tr = trace_of(rows[:4] + [view] + rows[5:], queries)
+        rows[4][0, 0, 2] = np.nan
+        assert np.isfinite(tr.rows[4]).all()
 
     def test_row_not_summing_to_one_rejected(self):
-        tr = make_synthetic_trace(n_steps=8, seed=8)
-        tr.rows[4] *= 0.5
+        rows, queries = synthetic_blocks(n_steps=8, seed=8)
+        rows[4] *= 0.5
         with pytest.raises(ValueError, match="sum to"):
-            replay_policy(tr, Corm(w=2, r=2))
+            trace_of(rows, queries)
+        tr = make_synthetic_trace(n_steps=8, seed=8)
+        with pytest.raises(ValueError, match="read-only"):
+            tr.rows[4] *= 0.5
+
+    def test_load_checks_each_step_once_and_replay_never(self, small_model, small_trace, tmp_path, monkeypatch):
+        checked = []
+        real = trace_mod.check_score_rows
+
+        def counting(rows):
+            checked.append(rows.shape)
+            real(rows)
+
+        monkeypatch.setattr(trace_mod, "check_score_rows", counting)
+        path = tmp_path / "t.trc"
+        save(small_trace, path)
+        assert checked == []
+        trace = load(path)
+        assert checked == [(2, 4, t) for t in range(1, trace.n_steps + 1)]
+        checked.clear()
+        record(small_model, seeded_tokens(1, 8))
+        assert checked == [(2, 4, t) for t in range(1, 9)]
+        for name, (_, policy) in README_EXAMPLES.items():
+            checked.clear()
+            replay_policy(trace, policy)
+            assert checked == [], f"replay under {name} checked rows again"
 
     def test_restricted_row_without_mass_rejected_without_nan(self):
         # streaming:1+1 keeps positions 1 and 3 after step 3; step 4's row
         # puts all its mass on the evicted position 2
-        sim = PolicySimulator(StreamingLlm(sink=1, recent=1), 1, 1)
-        for row in ([1.0], [0.5, 0.5], [0.2, 0.3, 0.5]):
-            sim.step([[row]])
+        trace = trace_of([[[row]] for row in ([1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.0, 1.0, 0.0, 0.0])])
+        sim = PolicySimulator(StreamingLlm(sink=1, recent=1), trace)
+        for _ in range(3):
+            sim.step()
         with np.errstate(all="raise"), pytest.raises(ValueError, match="sums to 0"):
-            sim.step([[[0.0, 1.0, 0.0, 0.0]]])
+            sim.step()
 
     @pytest.mark.parametrize("name", list(POLICIES))
     @pytest.mark.parametrize(
@@ -268,16 +317,17 @@ class TestReplayRowChecks:
     def test_zero_mass_check_under_every_policy(self, name, kept, fails):
         # layer 1's cache is cut to position 1 after step 3, so step 4's row
         # keeps positions 1 and 4; layer 0 keeps all four and has mass
-        sim = PolicySimulator(README_EXAMPLES[name][1], 2, 1)
-        for row in ([1.0], [0.5, 0.5], [0.2, 0.3, 0.5]):
-            sim.step([[row], [row]])
-        sim.cache.keep_only(np.array([[True, True, True], [True, False, False]]))
         first, last = kept
-        block = [[[0.25] * 4], [[first, 0.5, 0.5 - first - last, last]]]
+        blocks = [[[row], [row]] for row in ([1.0], [0.5, 0.5], [0.2, 0.3, 0.5])]
+        blocks.append([[[0.25] * 4], [[first, 0.5, 0.5 - first - last, last]]])
+        sim = PolicySimulator(README_EXAMPLES[name][1], trace_of(blocks))
+        for _ in range(3):
+            sim.step()
+        sim.cache.keep_only(np.array([[True, True, True], [True, False, False]]))
         with np.errstate(all="raise"):
             if fails:
                 with pytest.raises(ValueError, match="step 4, layer 1: a row restricted to the kept entries sums to 0"):
-                    sim.step(block)
+                    sim.step()
             else:
-                sim.step(block)
+                sim.step()
                 assert sim.cache.step == 4
