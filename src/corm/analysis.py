@@ -77,10 +77,7 @@ def query_similarity_map(trace: AttentionTrace, layer: int, head: int) -> np.nda
     queries of steps i+1 and j+1; the diagonal and upper triangle are zero.
     """
     q = np.stack([queries[layer, head] for queries in trace.queries]).astype(np.float64)
-    norms = np.linalg.norm(q, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero query vector: cosine similarity undefined")
-    qn = q / norms[:, None]
+    qn = q / np.linalg.norm(q, axis=1)[:, None]  # a trace holds no zero query
     sim = qn @ qn.T
     # zero the diagonal and upper triangle in place: np.tril would copy the map
     np.copyto(sim, 0.0, where=~np.tri(len(q), k=-1, dtype=bool))

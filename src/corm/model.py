@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,7 +59,6 @@ from .positional import (
     Rope,
     alibi_slopes,
     pe_from_dict,
-    pe_kind_tag,
     pe_to_dict,
     rope_apply_many,
     sinusoidal_table,
@@ -80,8 +78,6 @@ __all__ = [
 
 RMS_EPS = 1e-6
 _LOG_F32_MAX = math.log(float(np.finfo(np.float32).max))
-WEIGHTS_MAGIC = b"CORMWTS1"
-WEIGHTS_VERSION = 1
 
 # JSON field -> (type, may be null), checked before any field is used
 _CONFIG_FIELDS = {
@@ -524,76 +520,6 @@ class ToyTransformer:
             h = h + outs.transpose(1, 0, 2).reshape(T, -1) @ lw.wo
             h = h + _gelu(_rms_norm(h) @ lw.w1) @ lw.w2
         return _rms_norm(h) @ self.out_proj
-
-    # -- weight persistence --------------------------------------------------
-
-    def _weight_arrays(self) -> list[np.ndarray]:
-        arrays = [self.embedding]
-        if self.pos_table is not None:
-            arrays.append(self.pos_table)
-        for lw in self.layers:
-            arrays.extend([lw.wq, lw.wk, lw.wv, lw.wo, lw.w1, lw.w2])
-        arrays.append(self.out_proj)
-        arrays.append(self.head_gain)
-        return arrays
-
-    def save_weights(self, path) -> None:
-        """Binary weight dump: magic, version, dims header, float32 payload.
-
-        Layout (little-endian): 8-byte magic "CORMWTS1"; u32 version; u32 each
-        of n_layers, n_heads, n_kv_heads, d_model, vocab_size, mlp_hidden,
-        table_rows (0 without a learned table), pe kind id; then every weight
-        array row-major float32 in draw order, head gains last.
-        """
-        c = self.config
-        _, pe_id = pe_kind_tag(c.pe)
-        header = struct.pack(
-            "<8sIIIIIIIII",
-            WEIGHTS_MAGIC,
-            WEIGHTS_VERSION,
-            c.n_layers,
-            c.n_heads,
-            c.kv_heads,
-            c.d_model,
-            c.vocab_size,
-            c.mlp_hidden,
-            0 if self.pos_table is None else c.max_positions,
-            pe_id,
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for arr in self._weight_arrays():
-                fh.write(arr.astype("<f4").tobytes(order="C"))
-
-    def load_weights(self, path) -> None:
-        """Load weights saved by save_weights into this model (dims must match)."""
-        c = self.config
-        head_fmt = "<8sIIIIIIIII"
-        head_size = struct.calcsize(head_fmt)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < head_size:
-            raise ValueError("weight file truncated before header")
-        magic, version, nl, nh, nkv, dm, vs, mh, rows, pe_id = struct.unpack_from(head_fmt, blob)
-        if magic != WEIGHTS_MAGIC:
-            raise ValueError(f"bad weight-file magic {magic!r}")
-        if version != WEIGHTS_VERSION:
-            raise ValueError(f"unsupported weight-file version {version}")
-        expect = (c.n_layers, c.n_heads, c.kv_heads, c.d_model, c.vocab_size, c.mlp_hidden)
-        if (nl, nh, nkv, dm, vs, mh) != expect:
-            raise ValueError(f"weight dims {(nl, nh, nkv, dm, vs, mh)} do not match config {expect}")
-        if pe_id != pe_kind_tag(c.pe)[1]:
-            raise ValueError("weight file was saved with a different positional encoding")
-        offset = head_size
-        for arr in self._weight_arrays():
-            nbytes = arr.size * 4
-            if offset + nbytes > len(blob):
-                raise ValueError("weight file truncated inside payload")
-            loaded = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=offset)
-            arr[...] = loaded.reshape(arr.shape).astype(np.float64)
-            offset += nbytes
-        if offset != len(blob):
-            raise ValueError("trailing bytes after weight payload")
 
 
 def init_model(config: ModelConfig) -> ToyTransformer:

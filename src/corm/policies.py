@@ -40,16 +40,18 @@ Storage: a KvCacheState is a block of caches, one per head: every kv head
 of one layer in decode, or every (layer, group) cache in replay. Its
 per-entry arrays, each (heads, capacity, ...), are preallocated and double
 when a head fills them. Every block has keys, values (zero-width in
-replay) and positions; the policy that reads them adds the rest on first
-use: acc_scores under h2o, each entry's last flagged step under corm and
-gqa_corm, and the windowed message with its per-entry counts under
-scissorhands. An append writes every head's next free row; a policy step
-flags, records its flags and builds its keep mask for all heads in one
-array operation each, and picks budget evictions by a row-wise argmin.
-Only heads that drop an entry are compacted, survivors to the front by one
-slice move per run, in place and in every allocated per-entry array alike. The heads of a block
-share its arrays (a growth replaces them), so blocks are the unit that may
-be updated concurrently.
+replay) and positions. A policy keeps its own per-entry state in arrays
+it names through `KvCacheState.entry_array`: h2o its accumulated scores,
+corm and gqa_corm each entry's last flagged step, scissorhands its
+windowed message and per-entry counts. The block grows, clears and
+compacts every named array alike and knows none of them. An append writes
+every head's next free row; a policy step flags, records its flags and
+builds its keep mask for all heads in one array operation each, and picks
+budget evictions by a row-wise argmin. Only heads that drop an entry are
+compacted, survivors to the front by one slice move per run, in place.
+The heads of a block share its arrays (a growth replaces them), so blocks
+are the unit that may be updated concurrently. A policy's `check` raises
+on a broken invariant of a block it steps.
 """
 
 from __future__ import annotations
@@ -153,6 +155,10 @@ class Policy:
         are.
         """
         raise NotImplementedError
+
+    def check(self, cache: KvCacheState) -> None:
+        """Raise ValueError naming the first broken invariant of a block this policy steps."""
+        cache.check()
 
     def _check(self, cache: KvCacheState, scores: np.ndarray, masks: np.ndarray | None) -> None:
         """Raise ValueError unless `scores` and `masks` are this policy's block for `cache`."""
@@ -278,7 +284,8 @@ class H2O(Policy):
 
     def step(self, cache, scores, masks=None) -> None:
         self._check(cache, scores, masks)
-        acc = cache.accumulate(scores[:, 0])
+        acc = cache.entry_array("acc_scores", np.float64)[:, : scores.shape[2]]
+        acc += scores[:, 0]
         if cache.width > self.heavy + self.recent:
             non_recent = cache.positions[:, : scores.shape[2]] <= cache.step - self.recent
             _evict_lowest(cache, acc, non_recent, self.heavy + self.recent)
@@ -292,6 +299,12 @@ class Scissorhands(Policy):
     important (the same flags as corm). When the cache exceeds
     budget+recent, non-recent entries with the lowest counts go first,
     lowest original position first on ties.
+
+    The block holds the flags in `message`, (heads, capacity, slots) bool:
+    step t's flags sit in slot (t - 1) % window. The slot count doubles up
+    to the window as steps are seen, so a huge window costs only the steps
+    seen. `counts` holds each entry's sum over its slots: every step adds
+    its flags and subtracts the ones they overwrite.
     """
 
     budget: int
@@ -311,12 +324,29 @@ class Scissorhands(Policy):
 
     def step(self, cache, scores, masks=None) -> None:
         self._check(cache, scores, masks)
-        flags = classify_important(scores, cache.step) if masks is None else masks
-        cache.push_message(flags[:, 0], self.window)
+        t, m = cache.step, scores.shape[2]
+        message = cache.entry_array("message", np.bool_, min(1 << (t - 1).bit_length(), self.window))
+        if message.shape[2] > self.window:
+            raise ValueError(f"message has {message.shape[2]} slots, window is {self.window}")
+        counts = cache.entry_array("counts", np.int64)[:, :m]
+        slot = message[:, :m, (t - 1) % self.window]
+        flags = (classify_important(scores, t) if masks is None else masks)[:, 0]
+        counts -= slot
+        counts += flags
+        slot[...] = flags
         if cache.width > self.budget + self.recent:
-            m = scores.shape[2]
-            non_recent = cache.positions[:, :m] <= cache.step - self.recent
-            _evict_lowest(cache, cache.message_counts()[:, :m], non_recent, self.budget + self.recent)
+            non_recent = cache.positions[:, :m] <= t - self.recent
+            _evict_lowest(cache, counts, non_recent, self.budget + self.recent)
+
+    def check(self, cache) -> None:
+        """Also raise unless each entry's count is the sum of its message slots."""
+        cache.check()
+        counts = getattr(cache, "counts", None)
+        if counts is None:
+            return
+        for h, n in enumerate(cache.sizes):
+            if np.any(counts[h, :n] != cache.message[h, :n].sum(axis=1)):
+                raise ValueError(f"head {h}: a message count differs from the message's sum")
 
 
 @dataclass(frozen=True)
@@ -373,13 +403,24 @@ class Corm(Policy):
         exactly when its last flagged step is after t - w.
         """
         self._check(cache, scores, masks)
-        t = cache.step
+        t, m = cache.step, scores.shape[2]
         flags = classify_important(scores, t) if masks is None else masks
-        flagged_at = cache.flag(np.logical_or.reduce(flags, axis=1))
+        flagged_at = cache.entry_array("flagged_at", np.int64)[:, :m]
+        np.copyto(flagged_at, t, where=np.logical_or.reduce(flags, axis=1))
         if t < self.w:
             return
-        positions = cache.positions[:, : scores.shape[2]]
-        cache.keep_only((flagged_at > t - self.w) | (positions > t - self.r))
+        cache.keep_only((flagged_at > t - self.w) | (cache.positions[:, :m] > t - self.r))
+
+    def check(self, cache) -> None:
+        """Also raise unless each entry's `flagged_at` is 0 (never flagged) or a step from its position to t."""
+        cache.check()
+        flagged_at = getattr(cache, "flagged_at", None)
+        if flagged_at is None:
+            return
+        for h, n in enumerate(cache.sizes):
+            flagged, positions = flagged_at[h, :n], cache.positions[h, :n]
+            if np.any((flagged < 0) | (flagged > cache.step) | ((flagged != 0) & (flagged < positions))):
+                raise ValueError(f"head {h}: flagged_at must be 0 or a step from its entry's position to {cache.step}")
 
 
 @dataclass(frozen=True)
@@ -413,6 +454,7 @@ class CormGqa(Policy):
         return group
 
     step = Corm.step
+    check = Corm.check
 
 
 POLICIES: dict[str, type[Policy]] = {
@@ -461,47 +503,24 @@ def apply_policy(policy: Policy, cache: KvCacheState, scores: np.ndarray, masks:
 INITIAL_CAPACITY = 16  # entries per head before a block first doubles
 FREE = np.iinfo(np.int64).max  # the position of every free row: later than any step
 
-# The per-entry arrays of a KvCacheState, each (n_heads, capacity, ...): row i
-# of head h in every one of them belongs to the same cache entry. acc_scores,
-# flagged_at and counts are None until a policy first reads them.
-ENTRY_ARRAYS = ("keys", "values", "positions", "acc_scores", "flagged_at", "message", "counts")
-
 
 class KvCacheState:
-    """Surviving entries of a block of kv-head caches, with policy bookkeeping.
+    """Surviving entries of a block of kv-head caches, and the policy's per-entry state.
 
     One block holds every kv head of one layer in decode, or every
     (layer, group) cache in replay; a policy step updates all of its heads
     at once. Head h's surviving entries sit in rows [0, sizes[h]) of every
-    per-entry array (`ENTRY_ARRAYS`), oldest first; row i belongs to the
-    entry generated at absolute step positions[h, i]. `step` is the last
-    step appended: the one step counter of decode and replay, from which
-    every policy step reads its t.
+    per-entry array, oldest first; row i belongs to the entry generated at
+    absolute step positions[h, i]. `step` is the last step appended: the
+    one step counter of decode and replay, from which every policy step
+    reads its t.
 
-    A block holds only the per-entry arrays its policy reads:
-
-    - keys and values, each (n_heads, capacity, d), under every policy; d
-      is 0 in replay, whose caches track positions only;
-    - positions, (n_heads, capacity) int64, under every policy;
-    - acc_scores, (n_heads, capacity) float64, the normalized attention
-      each entry has accumulated (`accumulate`): h2o only, None until its
-      first step;
-    - flagged_at, (n_heads, capacity) int64, the last step whose mask
-      flagged each entry, 0 if none has (`flag`): corm and gqa_corm only,
-      None until their first step;
-    - message, (n_heads, capacity, slots) bool, the windowed message
-      (`push_message`): scissorhands only; it has 0 slots under the other
-      policies;
-    - counts, (n_heads, capacity) int64, each entry's flags in the message
-      (`message_counts`): scissorhands only, None until its first step.
-
-    A flagged_at entry is 0 or a step from its entry's position up to
-    `step`. message[h, i, (s - 1) % window] is True when step s's query
-    flagged entry i important. Its slot count stays 0 until a mask is
-    pushed and doubles up to the window as steps are recorded, so a huge
-    window costs only the steps seen. Once allocated, counts is kept equal to the sum of
-    each entry's message slots: a push adds its mask and subtracts the one
-    it overwrites.
+    `entry_names` names the per-entry arrays, each an attribute of shape
+    (n_heads, capacity, ...): keys and values, each (n_heads, capacity, d)
+    with d 0 in replay, whose caches track positions only; positions,
+    (n_heads, capacity) int64; then every array a policy asked for by
+    name (`entry_array`). The block grows, clears and compacts them all
+    alike and reads none of the policies' arrays.
 
     Rows past a head's size are free: their position is FREE, and their
     other arrays hold stale values that are never read. A free row thus
@@ -514,15 +533,16 @@ class KvCacheState:
     fraction of a numpy call.
     """
 
+    # perfbench's traced spans `getattr` both names on every block (ROADMAP
+    # item 1); a policy's array of that name shadows the default
+    acc_scores = message = None
+
     def __init__(self, n_heads: int, d: int):
         cap = INITIAL_CAPACITY
         self.keys = np.zeros((n_heads, cap, d), dtype=np.float64)
         self.values = np.zeros((n_heads, cap, d), dtype=np.float64)
         self.positions = np.full((n_heads, cap), FREE, dtype=np.int64)
-        self.acc_scores: np.ndarray | None = None
-        self.flagged_at: np.ndarray | None = None
-        self.message = np.zeros((n_heads, cap, 0), dtype=bool)
-        self.counts: np.ndarray | None = None
+        self.entry_names = ["keys", "values", "positions"]
         self.sizes = [0] * n_heads
         self.step = 0
 
@@ -548,18 +568,27 @@ class KvCacheState:
         """Positions of head h's entries, oldest first (a view)."""
         return self.positions[h, : self.sizes[h]]
 
-    def head_message(self, h: int) -> np.ndarray:
-        """Head h's recorded masks, one bool row per step, oldest first.
+    def entry_array(self, name: str, dtype, slots: int = 0) -> np.ndarray:
+        """The per-entry array `name`, (n_heads, capacity) or, with `slots`, (n_heads, capacity, slots).
 
-        Column-aligned with the head's entries; covers the steps up to
-        `step`, so it is current once the step's mask is recorded.
+        The first call registers a zero-filled array of `dtype` under `name`.
+        A slotted array is stored slot-major, so one slot of a head's entries
+        is contiguous; asking for more slots than it has widens it, keeping
+        the recorded slots, and asking for fewer returns it as it is.
         """
-        n, s = self.sizes[h], self.step
-        rows = self.message[h, :n, :s]
-        slots = rows.shape[1]
-        # once more steps than slots exist, the oldest kept step sits at slot step % slots
-        k = s % slots if 0 < slots < s else 0
-        return np.concatenate([rows[:, k:], rows[:, :k]], axis=1).T if k else rows.T
+        arr = getattr(self, name, None)
+        if arr is not None and (not slots or slots <= arr.shape[2]):
+            return arr
+        heads, cap = self.positions.shape
+        new = np.zeros((heads, slots, cap) if slots else (heads, cap), dtype=dtype)
+        if slots:
+            new = new.transpose(0, 2, 1)
+        if arr is None:
+            self.entry_names.append(name)
+        else:
+            new[:, :, : arr.shape[2]] = arr
+        setattr(self, name, new)
+        return new
 
     def equal_size_runs(self) -> list[tuple[int, int, int]]:
         """(start, stop, size) of each run of consecutive heads holding equally many entries."""
@@ -575,11 +604,9 @@ class KvCacheState:
     def grow(self) -> None:
         """Double the capacity of every head, keeping all rows in place."""
         cap = self.capacity
-        for name in ENTRY_ARRAYS:
+        for name in self.entry_names:
             old = getattr(self, name)
-            if old is None:
-                continue
-            # full_like keeps old's memory order, so the message stays slot-major
+            # full_like keeps old's memory order, so slotted arrays stay slot-major
             fill = FREE if name == "positions" else 0
             new = np.full_like(old, fill, shape=(old.shape[0], 2 * cap) + old.shape[2:])
             new[:, :cap] = old
@@ -588,9 +615,9 @@ class KvCacheState:
     def append(self, keys, values) -> None:
         """Add the entry of step `step + 1` to every head, in its next free row.
 
-        keys and values, each (n_heads, d), hold one row per head. The rows'
-        accumulated score, last flagged step, message slots and count are
-        cleared (a query recorded before the entry existed never flagged it).
+        keys and values, each (n_heads, d), hold one row per head. The rows
+        of every policy array are cleared (a query recorded before the entry
+        existed never flagged it).
         """
         position = self.step + 1
         sizes = self.sizes
@@ -601,94 +628,23 @@ class KvCacheState:
         # on a few heads that costs less than one fancy-indexed write
         rows = [(slice(None), lo)] if lo == hi else enumerate(sizes)
         with_vectors = self.keys.shape[2] > 0  # replay's caches hold positions only
-        message = self.message if self.message.shape[2] > 0 else None
-        acc, flagged_at, counts = self.acc_scores, self.flagged_at, self.counts
+        cleared = [getattr(self, name) for name in self.entry_names[3:]]  # after keys, values, positions
         for h, n in rows:
             if with_vectors:
                 self.keys[h, n] = keys[h]
                 self.values[h, n] = values[h]
             self.positions[h, n] = position
-            if acc is not None:
-                acc[h, n] = 0.0
-            if flagged_at is not None:
-                flagged_at[h, n] = 0
-            if message is not None:
-                message[h, n] = False
-            if counts is not None:
-                counts[h, n] = 0
+            for arr in cleared:
+                arr[h, n] = 0
         self.sizes = [n + 1 for n in sizes]
         self.step = position
-
-    def accumulate(self, scores: np.ndarray) -> np.ndarray:
-        """Add the (n_heads, m) scores to the first m rows' accumulated scores; return those rows (a view)."""
-        if self.acc_scores is None:
-            self.acc_scores = np.zeros(self.positions.shape)
-        acc = self.acc_scores[:, : scores.shape[1]]
-        acc += scores
-        return acc
-
-    def flag(self, mask: np.ndarray) -> np.ndarray:
-        """Record `step` as the last flagged step of the first m rows where the (n_heads, m) mask is True.
-
-        Returns those rows' last flagged steps (a view).
-        """
-        if self.flagged_at is None:
-            self.flagged_at = np.zeros(self.positions.shape, dtype=np.int64)
-        flagged_at = self.flagged_at[:, : mask.shape[1]]
-        np.copyto(flagged_at, self.step, where=mask)
-        return flagged_at
-
-    def grow_message(self, slots: int) -> None:
-        """Widen every entry's message to `slots` slots, keeping the recorded ones.
-
-        The message is stored slot-major, so the flags one step gave a head's
-        entries are contiguous: the per-step mask write and the reductions
-        over the window run over contiguous memory.
-        """
-        m = self.message
-        new = np.zeros((m.shape[0], slots, m.shape[1]), dtype=bool).transpose(0, 2, 1)
-        new[:, :, : m.shape[2]] = m
-        self.message = new
-
-    def push_message(self, mask: np.ndarray, window: int) -> None:
-        """Record the (n_heads, width) importance mask of step `step`, keeping the newest `window`.
-
-        Call once per step. Keeps `counts`, once allocated, equal to the
-        message's sums. The slots are in ring order, oldest first only
-        until the window wraps (`head_message` reads them oldest first).
-        """
-        m, s = self.width, self.step
-        if mask.shape != (self.n_heads, m):
-            raise ValueError(f"mask has shape {mask.shape} for {self.n_heads} caches of up to {m} entries")
-        slots = self.message.shape[2]
-        if slots > window:
-            raise ValueError(f"message has {slots} slots, window is {window}")
-        if slots < min(s, window):
-            self.grow_message(min(max(2 * slots, s), window))
-        rows = self.message[:, :m]
-        slot = (s - 1) % window
-        if self.counts is not None:
-            counts = self.counts[:, :m]
-            counts -= rows[:, :, slot]
-            counts += mask
-        rows[:, :, slot] = mask
-
-    def message_counts(self) -> np.ndarray:
-        """(n_heads, capacity) int64: the flags each row holds in the message.
-
-        Summed from the message on the first call; from then on every push
-        keeps it current, at one add and one subtract per step.
-        """
-        if self.counts is None:
-            self.counts = np.add.reduce(self.message, axis=2, dtype=np.int64)
-        return self.counts
 
     def keep_only(self, keep: np.ndarray) -> None:
         """Compact each head to its entries where `keep` (n_heads, width) is True, in place.
 
         Flags past a head's size are ignored. Only heads that drop an entry
         move: each run of survivors after a dropped entry moves up behind the
-        survivors before it, by one slice assignment per allocated per-entry
+        survivors before it, by one slice assignment per non-empty per-entry
         array, and the rows left at the end become free.
         """
         if keep.shape != (self.n_heads, self.width):
@@ -699,7 +655,7 @@ class KvCacheState:
             h, i = divmod(flat, width)
             if i < sizes[h]:
                 dropped.setdefault(h, []).append(i)
-        arrays = [a for a in (getattr(self, name) for name in ENTRY_ARRAYS) if a is not None and a.size]
+        arrays = [a for a in (getattr(self, name) for name in self.entry_names) if a.size]
         for h, gone in dropped.items():
             n = sizes[h]
             k = gone[0]  # the survivors before the first dropped entry stay in place
@@ -717,21 +673,15 @@ class KvCacheState:
         for h, n in enumerate(self.sizes):
             if not 0 <= n <= cap:
                 raise ValueError(f"head {h}: size {n} outside 0..capacity {cap}")
-        for name in ENTRY_ARRAYS:
+        for name in self.entry_names:
             arr = getattr(self, name)
-            if arr is not None and arr.shape[:2] != (heads, cap):
+            if arr.shape[:2] != (heads, cap):
                 raise ValueError(f"block {name} has shape {arr.shape[:2]}, expected ({heads}, {cap})")
         for h, n in enumerate(self.sizes):
             if np.any(np.diff(self.positions[h, :n]) <= 0):
                 raise ValueError(f"head {h}: positions must strictly increase")
             if np.any(self.positions[h, n:] != FREE):
                 raise ValueError(f"head {h}: a free row holds a position")
-            if self.counts is not None and np.any(self.counts[h, :n] != self.message[h, :n].sum(axis=1)):
-                raise ValueError(f"head {h}: a message count differs from the message's sum")
-            if self.flagged_at is not None:
-                flagged, positions = self.flagged_at[h, :n], self.positions[h, :n]
-                if np.any((flagged < 0) | (flagged > self.step) | ((flagged != 0) & (flagged < positions))):
-                    raise ValueError(f"head {h}: flagged_at must be 0 or a step from its entry's position to {self.step}")
 
 
 # --------------------------------------------------------------------------

@@ -159,8 +159,9 @@ class AttentionTrace:
 
     Building a trace raises ValueError naming the first broken field, token
     or step: the header fields (`TraceMeta`), a token outside the
-    vocabulary, a row or query block of the wrong shape, or a step whose
-    rows are not normalized (`check_score_rows`, once per step). The trace
+    vocabulary, a row or query block of the wrong shape, a step whose
+    rows are not normalized (`check_score_rows`, once per step), or an
+    all-zero query vector, whose cosine similarity is undefined. The trace
     then stores tokens, rows and queries as read-only arrays, copying any
     that were writeable or views of a writeable array, so it stays valid
     and replay and analysis read its rows unchecked.
@@ -189,6 +190,10 @@ class AttentionTrace:
             if q.shape != (m.n_layers, m.n_heads, m.d_h):
                 raise ValueError(f"step {t} queries have shape {q.shape}, expected {(m.n_layers, m.n_heads, m.d_h)}")
             check_score_rows(r.astype(np.float64))
+            nonzero = q.any(axis=2)
+            if not nonzero.all():
+                layer, head = np.argwhere(~nonzero)[0]
+                raise ValueError(f"step {t}, layer {layer}, head {head}: zero query vector (cosine undefined)")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "queries", queries)

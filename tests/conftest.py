@@ -39,11 +39,11 @@ def seeded_tokens(seed: int, length: int, vocab: int = 256) -> np.ndarray:
 
 
 def trace_of(rows, queries=None, d_h: int = 4, seed: int = 0) -> AttentionTrace:
-    """A trace of the given per-step (n_layers, n_heads, t) rows; queries default to zeros."""
+    """A trace of the given per-step (n_layers, n_heads, t) rows; queries default to ones."""
     rows = [np.asarray(block) for block in rows]
     n_layers, n_heads = rows[0].shape[:2]
     if queries is None:
-        queries = [np.zeros((n_layers, n_heads, d_h), dtype=np.float32) for _ in rows]
+        queries = [np.ones((n_layers, n_heads, d_h), dtype=np.float32) for _ in rows]
     meta = TraceMeta(
         n_layers=n_layers,
         n_heads=n_heads,

@@ -308,6 +308,21 @@ class TestFailLoud:
         assert capsys.readouterr().err.startswith("error: scores contain NaN or Inf")
 
     @pytest.mark.parametrize(
+        "command", [["analyze"], ["replay", "--policy", "corm:2+2"]], ids=["analyze", "replay"]
+    )
+    def test_trace_with_zero_query(self, workspace, capsys, command):
+        # valid rows, but step 7's query of layer 0, head 1 is all zeros
+        blocks = [np.concatenate([np.full((1, 2, t), 1.0 / t), np.ones((1, 2, 8))], axis=2) for t in range(1, 13)]
+        blocks[6][0, 1, 7:] = 0.0
+        bad = workspace / "zero.trc"
+        write_trace_file(bad, seeded_tokens(1, 12, vocab=64), blocks, n_layers=1, n_heads=2, n_kv_heads=2,
+                         d_model=16, d_h=8, vocab_size=64, pe_kind="rope", rope_base=10000.0, seed=3)
+        rc = main([*command, "--trace", str(bad), "--out", str(workspace / "bad")])
+        assert rc == 1
+        assert not os.path.exists(workspace / "bad")
+        assert capsys.readouterr().err.startswith("error: step 7, layer 0, head 1: zero query vector")
+
+    @pytest.mark.parametrize(
         "command", [["analyze"], ["replay", "--policy", "full"]], ids=["analyze", "replay"]
     )
     @pytest.mark.parametrize(

@@ -294,40 +294,3 @@ class TestLearnedTable:
         model.run(seeded_tokens(16, 8, vocab=16), Full())
         with pytest.raises(ValueError, match="position table"):
             model.run(seeded_tokens(16, 9, vocab=16), Full())
-
-
-class TestWeightFiles:
-    def test_round_trip_reproduces_logits_bit_exactly(self, tmp_path):
-        cfg_a = ModelConfig(**BASE, seed=21)
-        model_a = init_model(cfg_a)
-        path = tmp_path / "weights.bin"
-        model_a.save_weights(path)
-        cfg_b = ModelConfig(**BASE, seed=999)  # different draw, same dims
-        model_b = init_model(cfg_b)
-        model_b.load_weights(path)
-        tokens = seeded_tokens(17, 32)
-        assert np.array_equal(
-            model_a.run(tokens, Full()).logits, model_b.run(tokens, Full()).logits
-        )
-
-    def test_dim_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "weights.bin"
-        init_model(ModelConfig(**BASE, seed=1)).save_weights(path)
-        other = init_model(ModelConfig(n_layers=1, n_heads=4, d_model=64, vocab_size=256, seed=1))
-        with pytest.raises(ValueError, match="do not match"):
-            other.load_weights(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "weights.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            init_model(ModelConfig(**BASE, seed=1)).load_weights(path)
-
-    def test_truncation_rejected(self, tmp_path):
-        path = tmp_path / "weights.bin"
-        model = init_model(ModelConfig(**BASE, seed=1))
-        model.save_weights(path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ValueError, match="truncated"):
-            model.load_weights(path)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import README_EXAMPLES, make_synthetic_trace, replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import (
-    ENTRY_ARRAYS,
     FREE,
     POLICIES,
     Corm,
@@ -149,13 +148,10 @@ def test_registry_keeps_the_documented_name_order():
 
 
 def assert_same_blocks(a: KvCacheState, b: KvCacheState) -> None:
-    """Equal sizes, steps and every per-entry array, allocated in both or in neither."""
-    assert a.sizes == b.sizes and a.step == b.step
-    for name in ENTRY_ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x is None) == (y is None), name
-        if x is not None:
-            np.testing.assert_array_equal(x, y, err_msg=name)
+    """Equal sizes, steps, per-entry array names and arrays."""
+    assert a.sizes == b.sizes and a.step == b.step and a.entry_names == b.entry_names
+    for name in a.entry_names:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 @pytest.mark.parametrize("name", [name for name, cls in POLICIES.items() if not cls.reads_magnitudes])
@@ -208,21 +204,26 @@ class TestKvCacheState:
         np.testing.assert_array_equal(c.head_positions(0), [1, 2, 3])
 
     def test_append_pads_message_columns_with_false(self):
+        # a policy array's new row is cleared, whatever a free row held
         c = fresh_cache()
+        policy = Scissorhands(budget=8, recent=8, window=4)
         push(c)
-        c.push_message(np.array([[True]]), window=4)
+        policy.step(c, rows([1.0]))
+        c.message[0, 1:] = True
         push(c)
-        c.push_message(np.array([[False, True]]), window=4)
-        np.testing.assert_array_equal(c.head_message(0), [[True, False], [False, True]])
+        np.testing.assert_array_equal(c.message[0, 1], False)
+        policy.step(c, rows([0.4, 0.6]))
+        np.testing.assert_array_equal(c.message[0, :2, :2], [[True, False], [False, True]])
 
     def test_keep_only_prunes_message_columns(self):
         c = fresh_cache()
-        for mask in ([True], [True, False], [True, False, True]):
+        c.entry_array("message", np.bool_, 4)
+        for t, mask in enumerate(([True], [True, False], [True, False, True]), start=1):
             push(c)
-            c.push_message(np.array([mask]), window=4)
+            c.message[0, :t, t - 1] = mask
         c.keep_only(np.array([[True, False, True]]))
         np.testing.assert_array_equal(c.head_positions(0), [1, 3])
-        np.testing.assert_array_equal(c.head_message(0), [[True, False], [True, False], [True, True]])
+        np.testing.assert_array_equal(c.message[0, :2, :3], [[True, True, True], [False, False, True]])
         c.check()
 
     def test_keep_only_rejects_mask_of_wrong_length(self):
@@ -253,31 +254,30 @@ class TestKvCacheState:
         np.testing.assert_array_equal(c.keys[1, : c.sizes[1]], [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         c.check()
 
-    def test_message_is_oldest_first_after_the_ring_wraps(self):
-        c = fresh_cache()
-        masks = []
-        for t in range(1, 8):
-            push(c)
-            masks.append(np.arange(t) % 3 == t % 3)
-            c.push_message(masks[-1][None], window=3)
-        expect = [np.concatenate([m, np.zeros(7 - m.size, dtype=bool)]) for m in masks[-3:]]
-        np.testing.assert_array_equal(c.head_message(0), expect)
-
     def test_message_columns_past_size_are_never_read(self):
         rng = np.random.Generator(np.random.PCG64(5))
         clean, dirty = fresh_cache(), fresh_cache()
         policy = Scissorhands(budget=3, recent=2, window=3)
+        for c in (clean, dirty):
+            c.entry_array("message", np.bool_, 1)
+            c.entry_array("counts", np.int64)
+
+        def stain(c: KvCacheState) -> None:
+            """Fill the free rows, where the next entry goes, with stale flags and counts."""
+            c.message[0, c.size :] = True
+            c.counts[0, c.size :] = 7
+
         for t in range(1, 60):
-            dirty.message[0, dirty.size :] = True  # stale rows where the next entry goes
+            stain(dirty)
             push(clean)
             push(dirty)
-            dirty.message[0, dirty.size :] = True
+            stain(dirty)
             scores = rng.dirichlet(np.full(clean.size, 0.4))
             policy.step(clean, rows(scores))
             policy.step(dirty, rows(scores))
-            dirty.check()
+            policy.check(dirty)
             np.testing.assert_array_equal(clean.head_positions(0), dirty.head_positions(0))
-            np.testing.assert_array_equal(clean.head_message(0), dirty.head_message(0))
+            np.testing.assert_array_equal(clean.counts[0, : clean.size], dirty.counts[0, : dirty.size])
 
     def test_message_of_one_head_survives_a_growth_another_head_triggers(self):
         # head 0 keeps every entry (uniform scores are all >= 1/t) and so
@@ -305,14 +305,21 @@ class TestKvCacheState:
         np.testing.assert_array_equal(shared.sizes[0], 40)
         assert shared.sizes[1] < 16
 
-    def test_window_smaller_than_the_recorded_message_rejected(self):
-        c = fresh_cache()
-        for t in (1, 2, 3):
-            push(c)
-            c.push_message(np.ones((1, t), dtype=bool), window=4)
+    def test_entry_array_is_registered_once_and_widened_keeping_its_slots(self):
+        c = fresh_cache(2)
         push(c)
-        with pytest.raises(ValueError, match="window is 2"):
-            c.push_message(np.ones((1, 4), dtype=bool), window=2)
+        tally = c.entry_array("tally", np.int64)
+        assert c.entry_names == ["keys", "values", "positions", "tally"]
+        assert tally.shape == (2, c.capacity) and not tally.any()
+        assert c.entry_array("tally", np.int64) is tally
+        ring = c.entry_array("ring", np.bool_, 2)
+        ring[:, 0] = [[True, False], [False, True]]
+        wide = c.entry_array("ring", np.bool_, 4)
+        assert wide.shape == (2, c.capacity, 4) and wide.strides[2] > wide.strides[1]  # slot-major
+        np.testing.assert_array_equal(wide[:, 0], [[True, False, False, False], [False, True, False, False]])
+        assert c.entry_array("ring", np.bool_, 3) is wide
+        assert c.entry_names == ["keys", "values", "positions", "tally", "ring"]
+        c.check()
 
     def test_check_raises_value_errors_naming_the_invariant(self):
         c = fresh_cache()
@@ -329,47 +336,62 @@ class TestKvCacheState:
         with pytest.raises(ValueError, match="capacity"):
             c.check()
 
+    def test_window_smaller_than_the_recorded_message_rejected(self):
+        c = fresh_cache()
+        for t in (1, 2, 3):
+            push(c)
+            Scissorhands(budget=8, recent=8, window=4).step(c, rows(np.full(t, 1.0 / t)))
+        push(c)
+        with pytest.raises(ValueError, match="message has 4 slots, window is 2"):
+            Scissorhands(budget=8, recent=8, window=2).step(c, rows(np.full(4, 0.25)))
+
     @pytest.mark.parametrize(
         "entry,value",
         [(1, -1), (1, 4), (2, 1)],
         ids=["negative", "after_the_step", "before_the_entry"],
     )
     def test_check_rejects_a_flagged_at_outside_its_entry_and_step(self, entry, value):
+        for policy in (Corm(w=9, r=9), CormGqa(w=9, r=9)):
+            c = fresh_cache()
+            for t in (1, 2, 3):
+                push(c)
+                policy.step(c, rows(np.full(t, 1.0 / t)))  # uniform scores flag every entry
+            c.flagged_at[0, 1] = 0  # never flagged: allowed
+            policy.check(c)
+            c.flagged_at[0, entry] = value  # entry 1 holds position 2, entry 2 position 3, the step is 3
+            c.check()  # the block knows nothing of flagged_at
+            with pytest.raises(ValueError, match="flagged_at"):
+                policy.check(c)
+
+    def test_the_block_names_no_policy_array(self):
         c = fresh_cache()
-        for t in (1, 2, 3):
-            push(c)
-            c.flag(np.ones((1, t), dtype=bool))
-        c.flagged_at[0, 1] = 0  # never flagged: allowed
-        c.check()
-        c.flagged_at[0, entry] = value  # entry 1 holds position 2, entry 2 position 3, the step is 3
-        with pytest.raises(ValueError, match="flagged_at"):
-            c.check()
+        push(c)
+        assert c.entry_names == ["keys", "values", "positions"]
+        assert c.acc_scores is None and c.message is None
 
 
 def grown_block(heads: int, d: int, steps: int, seed: int = 0) -> KvCacheState:
-    """A block of `steps` appended entries with every per-entry array allocated and filled."""
+    """A block of `steps` appended entries with a policy array of each kind registered and filled."""
     rng = np.random.Generator(np.random.PCG64(seed))
     c = KvCacheState(heads, d)
-    c.message_counts()
     for _ in range(steps):
         advance(c, rng)
     return c
 
 
 def advance(c: KvCacheState, rng: np.random.Generator) -> None:
-    """Append one step and give every row a message flag, a last flagged step and an accumulated score."""
+    """Append one step and give every row random values in a score array and a ring that widens up to 4 slots."""
     c.append(rng.normal(size=(c.n_heads, c.keys.shape[2])), rng.normal(size=(c.n_heads, c.keys.shape[2])))
-    c.push_message(rng.random((c.n_heads, c.width)) < 0.5, window=3)
-    c.flag(rng.random((c.n_heads, c.width)) < 0.5)
-    c.accumulate(rng.random((c.n_heads, c.width)))
+    ring = c.entry_array("ring", np.bool_, min(c.step, 4))
+    ring[:, : c.width, (c.step - 1) % 4] = rng.random((c.n_heads, c.width)) < 0.5
+    c.entry_array("score", np.float64)[:, : c.width] += rng.random((c.n_heads, c.width))
 
 
 def compact_like_a_list(c: KvCacheState, keep: np.ndarray) -> None:
     """Apply `keep_only` and compare it with a list-based compaction of every per-entry array."""
     expect = {
-        name: [[arr[h, i].copy() for i in range(n) if keep[h, i]] for h, n in enumerate(c.sizes)]
-        for name in ENTRY_ARRAYS
-        if (arr := getattr(c, name)) is not None
+        name: [[getattr(c, name)[h, i].copy() for i in range(n) if keep[h, i]] for h, n in enumerate(c.sizes)]
+        for name in c.entry_names
     }
     c.keep_only(keep)
     c.check()
@@ -685,14 +707,43 @@ class TestScissorhandsUpdate:
         for tok in seeded_tokens(3, 24):
             small_model.decode_step(state, int(tok))
             for cache in state.caches:
-                cache.check()
+                policy.check(cache)
         assert all(cache.counts is not None for cache in state.caches)
         for t, sim in replay_steps(small_trace, policy):
-            sim.cache.check()
-        assert sim.cache.counts is not None
+            policy.check(sim.cache)
         sim.cache.counts[0, 0] += 1
+        sim.cache.check()  # the block knows nothing of the counts
         with pytest.raises(ValueError, match="message count differs"):
-            sim.cache.check()
+            policy.check(sim.cache)
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 8, 64])
+    def test_counts_match_a_list_of_the_last_window_masks(self, window):
+        # random masks on three heads, across block growth, budget evictions
+        # and ring wrap: each surviving entry's count is the number of the
+        # last `window` masks that flagged its position
+        rng = np.random.Generator(np.random.PCG64(window))
+        policy = Scissorhands(budget=14, recent=6, window=window)
+        c = fresh_cache(3)
+        flagged: list[list[set[int]]] = []  # [step - 1][head]: positions the step's mask flagged
+        for t in range(1, 91):
+            push(c)
+            scores = rng.random((3, 1, c.width))
+            masks = rng.random((3, 1, c.width)) < 0.4
+            flagged.append([set(c.head_positions(h)[masks[h, 0, :n]].tolist()) for h, n in enumerate(c.sizes)])
+            policy.step(c, scores, masks)
+            policy.check(c)
+            assert c.message.shape[2] == min(1 << (t - 1).bit_length(), window)
+            for h, n in enumerate(c.sizes):
+                expect = [sum(p in step[h] for step in flagged[-window:]) for p in c.head_positions(h).tolist()]
+                np.testing.assert_array_equal(c.counts[h, :n], expect, err_msg=f"head {h}, step {t}")
+        assert c.capacity == 32 and max(c.sizes) == 20, "fixture never grew the block and evicted"
+
+    def test_a_huge_window_costs_only_the_steps_seen(self, small_model):
+        policy = parse_policy("scissorhands:4+4:1000000000")
+        state = small_model.init_state(policy)
+        for tok in seeded_tokens(6, 100):
+            small_model.decode_step(state, int(tok))
+        assert max(cache.message.shape[2] for cache in state.caches) == 128
 
     def test_size_bounded(self):
         rng = np.random.Generator(np.random.PCG64(29))

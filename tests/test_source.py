@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "corm").glob("*.py"))
@@ -91,6 +92,28 @@ def test_only_the_cache_block_assigns_a_step():
                 if any(isinstance(t, ast.Attribute) and t.attr == "step" for t in targets):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, f"a step assigned outside KvCacheState: {', '.join(found)}"
+
+
+def test_the_cache_block_names_no_policy_state():
+    # a policy keeps its per-entry state in arrays it names through
+    # `KvCacheState.entry_array`; the block grows, clears and compacts them
+    # without knowing any, and policies write no attribute of a block
+    state = re.compile(r"\b(acc_scores|flagged_at|message|counts)\b")
+    path = next(p for p in SOURCES if p.name == "policies.py")
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, ast.ClassDef) and top.name == "KvCacheState":
+            for method in (node for node in top.body if isinstance(node, ast.FunctionDef)):
+                for node in ast.walk(method):
+                    text = node.attr if isinstance(node, ast.Attribute) else getattr(node, "value", None)
+                    if isinstance(text, str) and (hit := state.search(text)):  # an attribute or a string
+                        found.append(f"{path.name}:{node.lineno}: KvCacheState names {hit.group()!r}")
+            continue
+        for node in ast.walk(top):
+            stores = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            if stores or isinstance(node, ast.Call) and "setattr" in _names(node.func):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, f"policy state outside entry_array: {', '.join(found)}"
 
 
 def test_rows_checked_only_by_attention_and_trace_construction():
