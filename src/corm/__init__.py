@@ -34,9 +34,7 @@ from .positional import (
     Alibi,
     NoPositional,
     Rope,
-    alibi_bias,
     alibi_slopes,
-    absolute_sinusoidal,
     apply_rope,
 )
 from .trace import AttentionTrace, load, record, replay_policy, save

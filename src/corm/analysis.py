@@ -146,17 +146,9 @@ def overlap_similarity_samples(
 
 
 def _ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank for ties
-        i = j + 1
-    return ranks
+    # 1-based ranks; a run of c equal values ending at rank s shares their mean, s - (c - 1) / 2
+    _, run, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[run]
 
 
 def spearman_rank_correlation(x, y) -> float:

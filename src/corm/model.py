@@ -51,18 +51,7 @@ from .attention import (
     stable_argsort_desc,
 )
 from .policies import KvCacheState, Policy, apply_policy
-from .positional import (
-    AbsoluteLearned,
-    AbsoluteSinusoidal,
-    Alibi,
-    PeConfig,
-    Rope,
-    alibi_slopes,
-    pe_from_dict,
-    pe_to_dict,
-    rope_apply_many,
-    sinusoidal_table,
-)
+from .positional import PeConfig, Rope, pe_from_dict
 from .schema import check_fields
 
 __all__ = [
@@ -144,17 +133,7 @@ class ModelConfig:
                 f"depth_gain={self.depth_gain} over {self.n_layers} layers with head_gain_jitter="
                 f"{self.head_gain_jitter} gives head gains that overflow float32"
             )
-        if isinstance(self.pe, Rope) and self.d_h % 2 != 0:
-            raise ValueError(f"rotary encoding needs even head dimension, got d_h={self.d_h}")
-        if isinstance(self.pe, Rope) and not (math.isfinite(self.pe.base) and self.pe.base > 0):
-            raise ValueError(f"rope base must be finite and > 0, got {self.pe.base}")
-        if isinstance(self.pe, AbsoluteSinusoidal) and self.d_model % 2 != 0:
-            raise ValueError(f"sinusoidal encoding needs even d_model, got {self.d_model}")
-        if isinstance(self.pe, Alibi) and self.pe.slopes is not None:
-            if len(self.pe.slopes) != self.n_heads:
-                raise ValueError(f"{len(self.pe.slopes)} alibi slopes for {self.n_heads} heads")
-            if not all(math.isfinite(s) for s in self.pe.slopes):
-                raise ValueError(f"alibi slopes must be finite, got {list(self.pe.slopes)}")
+        self.pe.check(self.n_heads, self.d_model)
 
     @property
     def kv_heads(self) -> int:
@@ -180,7 +159,7 @@ class ModelConfig:
             "d_model": self.d_model,
             "vocab_size": self.vocab_size,
             "seed": self.seed,
-            "pe": pe_to_dict(self.pe),
+            "pe": self.pe.to_dict(),
             "mlp_ratio": self.mlp_ratio,
             "depth_gain": self.depth_gain,
             "head_gain_jitter": self.head_gain_jitter,
@@ -272,11 +251,8 @@ class ToyTransformer:
         rng = np.random.Generator(np.random.PCG64(c.seed))
         scale = 1.0 / np.sqrt(c.d_model)
         self.embedding = _draw(rng, (c.vocab_size, c.d_model), scale)
-        self.pos_table = (
-            _draw(rng, (c.max_positions, c.d_model), scale)
-            if isinstance(c.pe, AbsoluteLearned)
-            else None
-        )
+        # the learned table's rows; an empty draw leaves the generator as it was
+        self.pos_table = _draw(rng, (c.pe.drawn_rows(c.max_positions), c.d_model), scale)
         self.layers: list[LayerWeights] = []
         for _ in range(c.n_layers):
             self.layers.append(
@@ -295,15 +271,7 @@ class ToyTransformer:
         self.head_gain = (
             (depth * np.exp(c.head_gain_jitter * jitter)).astype(np.float32).astype(np.float64)
         )
-        if isinstance(c.pe, Alibi):
-            self._slopes = (
-                np.asarray(c.pe.slopes, dtype=np.float64)
-                if c.pe.slopes is not None
-                else alibi_slopes(c.n_heads)
-            )
-        else:
-            self._slopes = None
-        self._sin_table = np.zeros((0, c.d_model), dtype=np.float64)
+        self._slopes = c.pe.head_slopes(c.n_heads)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -311,19 +279,11 @@ class ToyTransformer:
         return head // self.config.group_size
 
     def _embed(self, token: int, t: int) -> np.ndarray:
-        c = self.config
         h = self.embedding[token].copy()
-        if isinstance(c.pe, AbsoluteSinusoidal):
-            table = self._sin_table
-            if t > table.shape[0]:
-                table = self._sin_table = sinusoidal_table(max(t, 2 * table.shape[0]), c.d_model)
-            h += table[t - 1]
-        elif isinstance(c.pe, AbsoluteLearned):
-            if t - 1 >= c.max_positions:
-                raise ValueError(
-                    f"step {t} exceeds the learned position table ({c.max_positions})"
-                )
-            h += self.pos_table[t - 1]
+        rows = self.config.pe.embedding_rows(self.pos_table, t)
+        if rows is not None:
+            self.pos_table = rows
+            h += rows[t - 1]
         return h
 
     def init_state(self, policy: Policy) -> DecoderState:
@@ -364,10 +324,7 @@ class ToyTransformer:
             q = (x @ lw.wq).reshape(c.n_heads, c.d_h)
             k = (x @ lw.wk).reshape(c.kv_heads, c.d_h)
             v = (x @ lw.wv).reshape(c.kv_heads, c.d_h)
-            if isinstance(c.pe, Rope):
-                pos = np.full(1, t - 1, dtype=np.int64)
-                qk = rope_apply_many(np.concatenate([q, k])[:, None, :], pos, c.pe.base)[:, 0, :]
-                q, k = qk[: c.n_heads], qk[c.n_heads :]
+            q, k = c.pe.rotate(q, k, (t - 1,))
             queries[li] = q
             cache = state.caches[li]
             cache.append(k, v)
@@ -491,12 +448,9 @@ class ToyTransformer:
         if np.any(tokens < 0) or np.any(tokens >= c.vocab_size):
             raise ValueError("token id outside vocabulary")
         h = self.embedding[tokens].copy()  # (T, d_model)
-        if isinstance(c.pe, AbsoluteSinusoidal):
-            h += sinusoidal_table(T, c.d_model)
-        elif isinstance(c.pe, AbsoluteLearned):
-            if T > c.max_positions:
-                raise ValueError(f"sequence of {T} exceeds the learned position table")
-            h += self.pos_table[:T]
+        rows = c.pe.embedding_rows(self.pos_table, T)
+        if rows is not None:
+            h += rows[:T]
         positions = np.arange(T, dtype=np.int64)
         causal = positions[None, :] > positions[:, None]  # True above the diagonal
         for li, lw in enumerate(self.layers):
@@ -504,9 +458,7 @@ class ToyTransformer:
             q = (x @ lw.wq).reshape(T, c.n_heads, c.d_h).transpose(1, 0, 2)
             k = (x @ lw.wk).reshape(T, c.kv_heads, c.d_h).transpose(1, 0, 2)
             v = (x @ lw.wv).reshape(T, c.kv_heads, c.d_h).transpose(1, 0, 2)
-            if isinstance(c.pe, Rope):
-                q = rope_apply_many(q, positions, c.pe.base)
-                k = rope_apply_many(k, positions, c.pe.base)
+            q, k = c.pe.rotate(q, k, positions)
             outs = np.empty((c.n_heads, T, c.d_h), dtype=np.float64)
             for hd in range(c.n_heads):
                 kv = self._kv_head(hd)

@@ -1,84 +1,166 @@
-"""Positional encoding families: rotary, linear-bias (ALiBi), and absolute.
+"""Positional encoding families: rotary, linear-bias (ALiBi), absolute, and none.
 
-Each family is exposed both as scalar/single-vector operations (the documented
-contract) and as vectorized helpers used by the model's batched reference
-forward pass. Positions are 0-based here; the model maps its 1-based step t to
-position t-1.
+Each family is a `PeConfig` subclass registered in `PE_KINDS`; it owns all
+that the model and the trace format know of it, and its array work is done
+by the module-level functions below. Positions are 0-based here; the model
+maps its 1-based step t to position t-1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .schema import check_fields
 
 __all__ = [
+    "PeConfig",
     "Rope",
     "Alibi",
     "AbsoluteSinusoidal",
     "AbsoluteLearned",
     "NoPositional",
-    "PeConfig",
     "PE_KINDS",
     "pe_from_dict",
-    "pe_to_dict",
     "apply_rope",
     "rope_apply_many",
-    "alibi_bias",
     "alibi_slopes",
-    "absolute_sinusoidal",
     "sinusoidal_table",
 ]
 
 
+class PeConfig:
+    """Protocol of the positional encodings; each subclass is a frozen dataclass.
+
+    Subclasses define `kind` (the JSON name and registry key), `wire_id` (the
+    trace header's id) and `json_fields` (their JSON fields besides "kind":
+    numbers, or lists stored as tuples). The hooks below default to a family
+    that adds no positional signal; each family overrides its own.
+    """
+
+    kind: ClassVar[str]
+    wire_id: ClassVar[int]
+    json_fields: ClassVar[dict] = {}
+    # the rotary base that trace headers store, 0.0 unless the family rotates
+    base: ClassVar[float] = 0.0
+
+    def to_dict(self) -> dict:
+        # a None field is left out: it is the default
+        fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items() if v is not None}
+        return {"kind": self.kind, **fields}
+
+    def check(self, n_heads: int, d_model: int) -> None:
+        """Raise ValueError when the family cannot serve a model of this shape."""
+
+    def drawn_rows(self, max_positions: int) -> int:
+        """Rows of the position table drawn with the model's weights."""
+        return 0
+
+    def embedding_rows(self, table: np.ndarray, n: int) -> np.ndarray | None:
+        """A table whose rows 0..n-1 are added at positions 0..n-1, made from the model's last `table`; or None."""
+        return None
+
+    def rotate(self, q: np.ndarray, k: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+        """Queries (..., n, d_h) and keys after rotation by `positions`, shaped as in `rope_apply_many`."""
+        return q, k
+
+    def head_slopes(self, n_heads: int) -> np.ndarray | None:
+        """Per-head slopes of the linear distance bias on logits, or None for no bias."""
+        return None
+
+
 @dataclass(frozen=True)
-class Rope:
+class Rope(PeConfig):
     """Rotary encoding: pairwise 2-D rotation of query/key vectors by position."""
 
+    kind = "rope"
+    wire_id = 1
+    json_fields = {"base": (float, False)}
     base: float = 10000.0
+
+    def check(self, n_heads: int, d_model: int) -> None:
+        if (d_model // n_heads) % 2 != 0:
+            raise ValueError(f"rotary encoding needs even head dimension, got d_h={d_model // n_heads}")
+        if not (math.isfinite(self.base) and self.base > 0):
+            raise ValueError(f"rope base must be finite and > 0, got {self.base}")
+
+    def rotate(self, q: np.ndarray, k: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+        # one call for queries and keys together
+        qk = rope_apply_many(np.concatenate([q, k]), positions, self.base)
+        return qk[: len(q)], qk[len(q) :]
 
 
 @dataclass(frozen=True)
-class Alibi:
+class Alibi(PeConfig):
     """Linear distance bias added to attention logits, one slope per head.
 
     slopes=None selects the standard geometric construction (see
     `alibi_slopes`); an explicit tuple must match the model's head count.
     """
 
+    kind = "alibi"
+    wire_id = 2
+    json_fields = {"slopes": (list, True, float)}
     slopes: tuple[float, ...] | None = None
 
+    def check(self, n_heads: int, d_model: int) -> None:
+        if self.slopes is not None and len(self.slopes) != n_heads:
+            raise ValueError(f"{len(self.slopes)} alibi slopes for {n_heads} heads")
+        if self.slopes is not None and not all(math.isfinite(s) for s in self.slopes):
+            raise ValueError(f"alibi slopes must be finite, got {list(self.slopes)}")
+
+    def head_slopes(self, n_heads: int) -> np.ndarray:
+        return np.asarray(self.slopes, dtype=np.float64) if self.slopes is not None else alibi_slopes(n_heads)
+
 
 @dataclass(frozen=True)
-class AbsoluteSinusoidal:
+class AbsoluteSinusoidal(PeConfig):
     """Classic interleaved sin/cos embedding added to the token embedding."""
 
+    kind = "absolute_sinusoidal"
+    wire_id = 3
+
+    def check(self, n_heads: int, d_model: int) -> None:
+        if d_model % 2 != 0:
+            raise ValueError(f"sinusoidal encoding needs even d_model, got {d_model}")
+
+    def embedding_rows(self, table: np.ndarray, n: int) -> np.ndarray:
+        # built on demand, at least doubling, so a decode builds O(log T) tables
+        if n <= len(table):
+            return table
+        return sinusoidal_table(max(n, 2 * len(table)), table.shape[1])
+
 
 @dataclass(frozen=True)
-class AbsoluteLearned:
+class AbsoluteLearned(PeConfig):
     """Seeded random position table added to the token embedding."""
 
+    kind = "absolute_learned"
+    wire_id = 4
+
+    def drawn_rows(self, max_positions: int) -> int:
+        return max_positions
+
+    def embedding_rows(self, table: np.ndarray, n: int) -> np.ndarray:
+        if n > len(table):
+            raise ValueError(f"step {n} exceeds the learned position table ({len(table)})")
+        return table
+
 
 @dataclass(frozen=True)
-class NoPositional:
+class NoPositional(PeConfig):
     """No positional signal at all."""
 
+    kind = "none"
+    wire_id = 0
 
-PeConfig = Union[Rope, Alibi, AbsoluteSinusoidal, AbsoluteLearned, NoPositional]
 
-# kind name in JSON -> (config class, wire id in weight and trace files)
-PE_KINDS = {
-    "none": (NoPositional, 0),
-    "rope": (Rope, 1),
-    "alibi": (Alibi, 2),
-    "absolute_sinusoidal": (AbsoluteSinusoidal, 3),
-    "absolute_learned": (AbsoluteLearned, 4),
+PE_KINDS: dict[str, type[PeConfig]] = {
+    cls.kind: cls for cls in (NoPositional, Rope, Alibi, AbsoluteSinusoidal, AbsoluteLearned)
 }
-_PE_FIELDS = {"rope": {"base": (float, False)}, "alibi": {"slopes": (list, True, float)}}
 
 
 def pe_from_dict(d: dict) -> PeConfig:
@@ -86,35 +168,10 @@ def pe_from_dict(d: dict) -> PeConfig:
     kind = d.get("kind") if isinstance(d, dict) else None
     if not isinstance(kind, str) or kind not in PE_KINDS:
         raise ValueError(f"unknown positional encoding {kind!r}; valid: {sorted(PE_KINDS)}")
-    check_fields(d, {"kind": (str, False), **_PE_FIELDS.get(kind, {})}, f"{kind} positional encoding")
-    if kind == "rope":
-        return Rope(base=float(d.get("base", 10000.0)))
-    if kind == "alibi":
-        slopes = d.get("slopes")
-        return Alibi(slopes=tuple(float(s) for s in slopes) if slopes is not None else None)
-    return PE_KINDS[kind][0]()
-
-
-def pe_to_dict(pe: PeConfig) -> dict:
-    out: dict = {"kind": pe_kind_tag(pe)[0]}
-    if isinstance(pe, Rope):
-        out["base"] = pe.base
-    elif isinstance(pe, Alibi) and pe.slopes is not None:
-        out["slopes"] = list(pe.slopes)
-    return out
-
-
-def pe_kind_tag(pe: PeConfig) -> tuple[str, int]:
-    """(name, wire id) pair used by model/trace serialization."""
-    for name, (cls, wire_id) in PE_KINDS.items():
-        if type(pe) is cls:
-            return name, wire_id
-    raise TypeError(f"not a positional encoding config: {pe!r}")
-
-
-def _rope_angles(d_h: int, position: float, base: float) -> np.ndarray:
-    j = np.arange(d_h // 2, dtype=np.float64)
-    return position * base ** (-2.0 * j / d_h)
+    cls = PE_KINDS[kind]
+    check_fields(d, {"kind": (str, False), **cls.json_fields}, f"{kind} positional encoding")
+    values = {k: v for k, v in d.items() if k != "kind" and v is not None}
+    return cls(**{k: tuple(map(float, v)) if isinstance(v, list) else float(v) for k, v in values.items()})
 
 
 def apply_rope(v, position: int, base: float = 10000.0) -> np.ndarray:
@@ -128,7 +185,7 @@ def apply_rope(v, position: int, base: float = 10000.0) -> np.ndarray:
         raise ValueError(f"rotary encoding needs an even head dimension, got {v.shape}")
     if position < 0:
         raise ValueError(f"position must be non-negative, got {position}")
-    theta = _rope_angles(v.size, float(position), base)
+    theta = float(position) * base ** (-2.0 * np.arange(v.size // 2, dtype=np.float64) / v.size)
     c, s = np.cos(theta), np.sin(theta)
     pairs = v.reshape(-1, 2)
     out = np.empty_like(pairs)
@@ -137,8 +194,8 @@ def apply_rope(v, position: int, base: float = 10000.0) -> np.ndarray:
     return out.reshape(-1)
 
 
-def rope_apply_many(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
-    """Vectorized rotary encoding: x is (..., n, d_h), positions is (n,)."""
+def rope_apply_many(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
+    """Vectorized rotary encoding: x is (..., n, d_h), positions is (n,), or (1,) for one shared position."""
     x = np.asarray(x, dtype=np.float64)
     d_h = x.shape[-1]
     if d_h % 2 != 0:
@@ -152,13 +209,6 @@ def rope_apply_many(x: np.ndarray, positions: np.ndarray, base: float = 10000.0)
     out[..., 0] = pairs[..., 0] * c - pairs[..., 1] * s
     out[..., 1] = pairs[..., 0] * s + pairs[..., 1] * c
     return out.reshape(x.shape)
-
-
-def alibi_bias(head_slope: float, query_pos: int, key_pos: int) -> float:
-    """-slope * (query_pos - key_pos), added to unnormalized attention weights."""
-    if key_pos > query_pos:
-        raise ValueError(f"key position {key_pos} is after query position {query_pos}")
-    return -head_slope * (query_pos - key_pos)
 
 
 def alibi_slopes(n_heads: int) -> np.ndarray:
@@ -181,15 +231,11 @@ def alibi_slopes(n_heads: int) -> np.ndarray:
     return np.concatenate([power_of_2(closest), extra])
 
 
-def absolute_sinusoidal(position: int, d_model: int) -> np.ndarray:
-    """Interleaved [sin(p*f_0), cos(p*f_0), sin(p*f_1), ...] with f_j = base^(-2j/d)."""
-    if position < 0:
-        raise ValueError(f"position must be non-negative, got {position}")
-    return sinusoidal_table(position + 1, d_model)[position]
-
-
 def sinusoidal_table(n_positions: int, d_model: int) -> np.ndarray:
-    """(n_positions, d_model) table of interleaved sinusoidal embeddings."""
+    """(n_positions, d_model) table of interleaved sinusoidal embeddings.
+
+    Row p is [sin(p*f_0), cos(p*f_0), sin(p*f_1), ...] with f_j = 10000^(-2j/d_model).
+    """
     if d_model % 2 != 0:
         raise ValueError(f"sinusoidal embedding needs even d_model, got {d_model}")
     pos = np.arange(n_positions, dtype=np.float64)[:, None]

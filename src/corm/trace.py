@@ -66,7 +66,7 @@ import numpy as np
 from .attention import check_score_rows
 from .model import ToyTransformer
 from .policies import Full, KvCacheState, Policy, apply_policy, classify_important
-from .positional import PE_KINDS, Rope, pe_kind_tag
+from .positional import PE_KINDS
 
 __all__ = [
     "TraceMeta",
@@ -239,7 +239,6 @@ def record(
         rows_t.flags.writeable = queries_t.flags.writeable = False
         rows.append(rows_t)
         queries.append(queries_t)
-    kind, _ = pe_kind_tag(c.pe)
     meta = TraceMeta(
         n_layers=c.n_layers,
         n_heads=c.n_heads,
@@ -247,8 +246,8 @@ def record(
         d_model=c.d_model,
         d_h=c.d_h,
         vocab_size=c.vocab_size,
-        pe_kind=kind,
-        rope_base=c.pe.base if isinstance(c.pe, Rope) else 0.0,
+        pe_kind=c.pe.kind,
+        rope_base=c.pe.base,
         seed=c.seed,
     )
     return AttentionTrace(meta=meta, tokens=tokens, rows=rows, queries=queries)
@@ -267,7 +266,7 @@ def save(trace: AttentionTrace, path) -> None:
         m.d_model,
         m.d_h,
         m.vocab_size,
-        PE_KINDS[m.pe_kind][1],
+        PE_KINDS[m.pe_kind].wire_id,
         m.rope_base,
         m.seed,
         trace.n_steps,
@@ -300,7 +299,7 @@ def load(path) -> AttentionTrace:
     )
     if version != VERSION:
         raise TraceVersionError(f"unsupported trace version {version}, expected {VERSION}")
-    pe_names = {wire_id: name for name, (_, wire_id) in PE_KINDS.items()}
+    pe_names = {cls.wire_id: kind for kind, cls in PE_KINDS.items()}
     if pe_id not in pe_names:
         raise TraceChecksumError(f"unknown positional-encoding id {pe_id}")
     expect = trace_byte_size(n_layers, n_heads, d_h, t_steps)

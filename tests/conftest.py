@@ -102,7 +102,7 @@ def write_trace_file(path, tokens, blocks, **header) -> None:
     so loading it reaches the checks a trace runs when it is built.
     """
     fields = [header[k] for k in ("n_layers", "n_heads", "n_kv_heads", "d_model", "d_h", "vocab_size")]
-    pe_id = PE_KINDS[header["pe_kind"]][1]
+    pe_id = PE_KINDS[header["pe_kind"]].wire_id
     head = struct.pack(
         "<8sIIIIIIIIdQI", b"CORMTRC1", 1, *fields, pe_id, header["rope_base"], header["seed"], len(tokens)
     )

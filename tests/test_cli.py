@@ -215,6 +215,12 @@ class TestFailLoud:
         err = self.run_manifest(workspace, capsys)
         assert "field 'base' must be a number" in err
 
+    def test_prompt_past_the_learned_position_table(self, workspace, capsys):
+        # the 40-token prompt reaches step 17 of a 16-row table
+        write_model_config(workspace / "model.json", pe={"kind": "absolute_learned"}, max_positions=16)
+        err = self.run_manifest(workspace, capsys)
+        assert "step 17 exceeds the learned position table (16)" in err
+
     def test_negative_sampling_seed(self, workspace, capsys):
         err = self.run_manifest(workspace, capsys, seed=-1, sampling="topk", top_k=4)
         assert "seed must be >= 0, got -1" in err

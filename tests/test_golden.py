@@ -20,7 +20,7 @@ import pytest
 from conftest import replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, parse_policy
-from corm.positional import AbsoluteSinusoidal, Alibi, Rope
+from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import record
 
 STEPS = 80
@@ -32,6 +32,10 @@ MODELS = {
         pe=AbsoluteSinusoidal(),
     ),
     "alibi_1l4h": ModelConfig(n_layers=1, n_heads=4, d_model=64, vocab_size=256, seed=42, pe=Alibi()),
+    "learned_2l4h": ModelConfig(
+        n_layers=2, n_heads=4, d_model=64, vocab_size=256, seed=42, pe=AbsoluteLearned(), max_positions=96,
+    ),
+    "none_2l4h": ModelConfig(n_layers=2, n_heads=4, d_model=64, vocab_size=256, seed=42, pe=NoPositional()),
 }
 
 GOLDEN = {
@@ -49,6 +53,10 @@ GOLDEN = {
     ("alibi_1l4h", "tova:24"): "687b712c26089a4dac67e8dcecd236e9920793519230da1fc2d7b1b1b5061a41",
     ("alibi_1l4h", "streaming:4+12"): "90211f3448c6341661d17b294559999c6953bcb057d094fe561863b2b083cb99",
     ("alibi_1l4h", "scissorhands:16+16"): "ba835443c3a0fffc7fc4425a7ff5b5e7938c83af2ff44da1c2f1adc7f25a346f",
+    ("learned_2l4h", "full"): "5c93b7ac04b2c3218987dfcc2767f70a4e929fdb8b71df5e8d533dcc11bbf57b",
+    ("learned_2l4h", "corm:8+8"): "a5841ab71feefbdf37c6686cf0b675da7a9373d6fc1e3aed29a176781cb9194c",
+    ("none_2l4h", "full"): "4b90ac593ea5b7da654bd47d49f3c0b146d263733c9dd710b3a262b600ec343e",
+    ("none_2l4h", "corm:8+8"): "b9852561726237f3ffe1e0bcbaf8dd3bf728bbbf49c9029f3780ae66a36e8244",
 }
 
 

@@ -285,12 +285,21 @@ class TestPerplexity:
 
 
 class TestLearnedTable:
-    def test_overflow_reported(self):
-        cfg = ModelConfig(
+    OVERFLOW = r"^step 9 exceeds the learned position table \(8\)$"
+
+    @pytest.fixture
+    def model(self):
+        return init_model(ModelConfig(
             n_layers=1, n_heads=2, d_model=8, vocab_size=16, seed=0,
             pe=AbsoluteLearned(), max_positions=8,
-        )
-        model = init_model(cfg)
+        ))
+
+    def test_overflow_reported(self, model):
         model.run(seeded_tokens(16, 8, vocab=16), Full())
-        with pytest.raises(ValueError, match="position table"):
+        with pytest.raises(ValueError, match=self.OVERFLOW):
             model.run(seeded_tokens(16, 9, vocab=16), Full())
+
+    def test_oracle_reports_the_same_overflow(self, model):
+        model.forward_full_sequence(seeded_tokens(16, 8, vocab=16))
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            model.forward_full_sequence(seeded_tokens(16, 9, vocab=16))

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from corm.positional import (
+    PE_KINDS,
     Alibi,
     Rope,
-    absolute_sinusoidal,
-    alibi_bias,
     alibi_slopes,
     apply_rope,
     pe_from_dict,
-    pe_to_dict,
     rope_apply_many,
     sinusoidal_table,
 )
@@ -63,17 +61,6 @@ class TestRope:
 
 
 class TestAlibi:
-    def test_linear_distance_bias(self):
-        assert alibi_bias(0.5, query_pos=5, key_pos=3) == pytest.approx(-1.0)
-
-    def test_zero_distance(self):
-        for slope in (0.1, 1.0, 8.0):
-            assert alibi_bias(slope, 7, 7) == 0.0
-
-    def test_causality_violation_rejected(self):
-        with pytest.raises(ValueError, match="after"):
-            alibi_bias(0.5, query_pos=3, key_pos=4)
-
     def test_eight_head_slopes_are_geometric(self):
         slopes = alibi_slopes(8)
         np.testing.assert_allclose(slopes, [2.0 ** -(i + 1) for i in range(8)], atol=1e-12)
@@ -82,14 +69,10 @@ class TestAlibi:
         assert alibi_slopes(6).shape == (6,)
         assert np.all(alibi_slopes(6) > 0)
 
-    def test_translation_invariance(self):
-        for c in (1, 10, 500):
-            assert alibi_bias(0.25, 9, 4) == pytest.approx(alibi_bias(0.25, 9 + c, 4 + c))
-
 
 class TestAbsoluteSinusoidal:
     def test_position_zero_alternates(self):
-        emb = absolute_sinusoidal(0, d_model=6)
+        emb = sinusoidal_table(1, d_model=6)[0]
         np.testing.assert_array_equal(emb, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
     def test_bounded(self):
@@ -97,7 +80,7 @@ class TestAbsoluteSinusoidal:
         assert table.min() >= -1.0 and table.max() <= 1.0
 
     def test_position_one_closed_form(self):
-        emb = absolute_sinusoidal(1, d_model=4)
+        emb = sinusoidal_table(2, d_model=4)[1]
         expected = [np.sin(1.0), np.cos(1.0), np.sin(0.01), np.cos(0.01)]
         np.testing.assert_allclose(emb, expected, atol=1e-12)
 
@@ -120,7 +103,16 @@ class TestPeConfigRoundTrip:
     )
     def test_round_trip(self, d):
         pe = pe_from_dict(d)
-        assert pe_from_dict(pe_to_dict(pe)) == pe
+        assert pe_from_dict(pe.to_dict()) == pe
+
+    def test_every_registered_family_round_trips(self):
+        families = list(PE_KINDS.values())
+        assert [cls.kind for cls in families] == list(PE_KINDS)
+        assert len({cls.wire_id for cls in families}) == len(families)
+        for cls in families:
+            pe = cls()
+            assert pe.to_dict()["kind"] == cls.kind
+            assert pe_from_dict(pe.to_dict()) == pe
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown positional"):

@@ -75,6 +75,26 @@ def test_policies_reached_only_through_apply_policy():
     assert not found, f"policy reached outside apply_policy: {', '.join(found)}"
 
 
+def test_positional_encodings_dispatched_only_in_positional():
+    # each encoding owns its behaviour: outside positional.py code calls a
+    # family's hooks and never tests which family it holds
+    from corm.positional import PE_KINDS
+
+    classes = {cls.__name__ for cls in PE_KINDS.values()}
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in SOURCES
+        if path.name != "positional.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and _names(node.args[1]) & classes
+    ]
+    assert not found, f"positional encoding tested by class: {', '.join(found)}"
+
+
 def test_only_the_cache_block_assigns_a_step():
     # the cache block's `step` is the one step counter: decode and replay derive t from it
     found = []

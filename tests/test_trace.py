@@ -19,6 +19,7 @@ from conftest import (
 )
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, Corm, CormGqa, Full, StreamingLlm, Tova
+from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import (
     PolicySimulator,
     TraceChecksumError,
@@ -104,6 +105,25 @@ class TestSaveLoad:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(back.queries, small_trace.queries):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "pe,wire_id,base",
+        [
+            (NoPositional(), 0, 0.0),
+            (Rope(base=500000.0), 1, 500000.0),
+            (Alibi(), 2, 0.0),
+            (AbsoluteSinusoidal(), 3, 0.0),
+            (AbsoluteLearned(), 4, 0.0),
+        ],
+    )
+    def test_header_pe_fields_follow_the_documented_table(self, pe, wire_id, base, tmp_path):
+        # offset 36: u32 pe kind id; offset 40: f64 rope base (module docstring)
+        cfg = ModelConfig(n_layers=1, n_heads=2, d_model=8, vocab_size=16, seed=1, pe=pe, max_positions=8)
+        path = tmp_path / "t.trc"
+        save(record(init_model(cfg), [1, 2, 3]), path)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, 36) == (wire_id,)
+        assert struct.unpack_from("<d", blob, 40) == (base,)
 
     def test_save_streams_the_payload(self, small_trace, tmp_path):
         # one step's chunk at a time: holding the whole payload, or its chunks, would peak above it
