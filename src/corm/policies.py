@@ -37,21 +37,18 @@ passes it. "Recent" always means absolute positions (the last r generated
 steps), not cache slots.
 
 Storage: a KvCacheState is a block of caches, one per head: every kv head
-of one layer in decode, or every (layer, group) cache in replay. Its
-per-entry arrays, each (heads, capacity, ...), are preallocated and double
-when a head fills them. Every block has keys, values (zero-width in
-replay) and positions. A policy keeps its own per-entry state in arrays
-it names through `KvCacheState.entry_array`: h2o its accumulated scores,
-corm and gqa_corm each entry's last flagged step, scissorhands its
-windowed message and per-entry counts. The block grows, clears and
-compacts every named array alike and knows none of them. An append writes
-every head's next free row; a policy step flags, records its flags and
-builds its keep mask for all heads in one array operation each, and picks
-budget evictions by a row-wise argmin. Only heads that drop an entry are
-compacted, survivors to the front by one slice move per run, in place.
-The heads of a block share its arrays (a growth replaces them), so blocks
-are the unit that may be updated concurrently. A policy's `check` raises
-on a broken invariant of a block it steps.
+of one layer in decode, or every (layer, group) cache in replay. A policy
+keeps its own per-entry state in arrays it names through
+`KvCacheState.entry_array`: h2o its accumulated scores, corm and gqa_corm
+each entry's last flagged step, scissorhands its windowed message and
+per-entry counts. A policy step flags, records its flags and builds its
+keep mask for all heads in one array operation each, and picks budget
+evictions by a row-wise argmin. Decode's blocks compact, so attention
+reads a head's entries as one run; replay's block works in place, so an
+eviction moves nothing (`KvCacheState` names both layouts). The heads of
+a block share its arrays (a growth replaces them), so blocks are the unit
+that may be updated concurrently. A policy's `check` raises on a broken
+invariant of a block it steps.
 """
 
 from __future__ import annotations
@@ -146,7 +143,7 @@ class Policy:
 
         scores: (heads, group, m) float64 with m = cache.width; scores[h, i]
         holds the scores that query head i of head h's group gave head h's
-        entries at step t, zero past the head's size. masks: optional
+        entries at step t, zero on its free rows. masks: optional
         (heads, group, m) bool importance flags that replace the ones derived
         from scores (replay flags the recorded scores). Scores are normalized
         over the head's entries, except where masks are given to a policy
@@ -204,7 +201,7 @@ def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarr
     keep = np.ones(ranking.shape, dtype=bool)
     for k in range(max(n_evict.tolist())):
         rows = (n_evict > k).nonzero()[0]
-        cols = ranking[rows].argmin(axis=1)
+        cols = ranking.argmin(axis=1)[rows]
         keep[rows, cols] = False
         ranking[rows, cols] = np.inf
     cache.keep_only(keep)
@@ -286,7 +283,7 @@ class H2O(Policy):
         self._check(cache, scores, masks)
         acc = cache.entry_array("acc_scores", np.float64)[:, : scores.shape[2]]
         acc += scores[:, 0]
-        if cache.width > self.heavy + self.recent:
+        if max(cache.sizes) > self.heavy + self.recent:
             non_recent = cache.positions[:, : scores.shape[2]] <= cache.step - self.recent
             _evict_lowest(cache, acc, non_recent, self.heavy + self.recent)
 
@@ -334,7 +331,7 @@ class Scissorhands(Policy):
         counts -= slot
         counts += flags
         slot[...] = flags
-        if cache.width > self.budget + self.recent:
+        if max(cache.sizes) > self.budget + self.recent:
             non_recent = cache.positions[:, :m] <= t - self.recent
             _evict_lowest(cache, counts, non_recent, self.budget + self.recent)
 
@@ -344,9 +341,10 @@ class Scissorhands(Policy):
         counts = getattr(cache, "counts", None)
         if counts is None:
             return
-        for h, n in enumerate(cache.sizes):
-            if np.any(counts[h, :n] != cache.message[h, :n].sum(axis=1)):
-                raise ValueError(f"head {h}: a message count differs from the message's sum")
+        m, held = cache.width, cache.held
+        wrong = held & (counts[:, :m] != cache.message[:, :m].sum(axis=2))
+        if wrong.any():
+            raise ValueError(f"head {np.argwhere(wrong)[0][0]}: a message count differs from the message's sum")
 
 
 @dataclass(frozen=True)
@@ -369,9 +367,8 @@ class Tova(Policy):
 
     def step(self, cache, scores, masks=None) -> None:
         self._check(cache, scores, masks)
-        if cache.width > self.budget:
-            held = cache.positions[:, : scores.shape[2]] <= cache.step
-            _evict_lowest(cache, scores[:, 0], held, self.budget)
+        if max(cache.sizes) > self.budget:
+            _evict_lowest(cache, scores[:, 0], cache.held, self.budget)
 
 
 @dataclass(frozen=True)
@@ -417,10 +414,12 @@ class Corm(Policy):
         flagged_at = getattr(cache, "flagged_at", None)
         if flagged_at is None:
             return
-        for h, n in enumerate(cache.sizes):
-            flagged, positions = flagged_at[h, :n], cache.positions[h, :n]
-            if np.any((flagged < 0) | (flagged > cache.step) | ((flagged != 0) & (flagged < positions))):
-                raise ValueError(f"head {h}: flagged_at must be 0 or a step from its entry's position to {cache.step}")
+        m, held = cache.width, cache.held
+        flagged, positions = flagged_at[:, :m], cache.positions[:, :m]
+        wrong = held & ((flagged < 0) | (flagged > cache.step) | ((flagged != 0) & (flagged < positions)))
+        if wrong.any():
+            h = np.argwhere(wrong)[0][0]
+            raise ValueError(f"head {h}: flagged_at must be 0 or a step from its entry's position to {cache.step}")
 
 
 @dataclass(frozen=True)
@@ -509,35 +508,36 @@ class KvCacheState:
 
     One block holds every kv head of one layer in decode, or every
     (layer, group) cache in replay; a policy step updates all of its heads
-    at once. Head h's surviving entries sit in rows [0, sizes[h]) of every
-    per-entry array, oldest first; row i belongs to the entry generated at
-    absolute step positions[h, i]. `step` is the last step appended: the
-    one step counter of decode and replay, from which every policy step
-    reads its t.
+    at once. Row i of head h holds the entry of absolute step
+    positions[h, i], or is free: its position is FREE, which reads as recent
+    in every policy's position test (so no policy picks it and keep masks
+    keep it), and its other arrays hold stale values that are never read.
+    `held` marks the rows that hold an entry. `step` is the last step
+    appended, the one step counter from which every policy step reads its t.
+    Two layouts, chosen at construction:
+
+    * compacting (decode): head h's entries fill rows [0, sizes[h]), oldest
+      first, so attention reads them as one run; `keep_only` moves the
+      survivors up. `width`, the last axis of a step's scores, is max(sizes).
+    * in place (`in_place=True`, replay): row i is position i + 1 or free;
+      `append` writes row `step`, `keep_only` only frees rows, and `width`
+      is `step`.
 
     `entry_names` names the per-entry arrays, each an attribute of shape
-    (n_heads, capacity, ...): keys and values, each (n_heads, capacity, d)
-    with d 0 in replay, whose caches track positions only; positions,
-    (n_heads, capacity) int64; then every array a policy asked for by
-    name (`entry_array`). The block grows, clears and compacts them all
-    alike and reads none of the policies' arrays.
-
-    Rows past a head's size are free: their position is FREE, and their
-    other arrays hold stale values that are never read. A free row thus
-    reads as recent in every policy's position test, so no policy picks it
-    as a candidate and keep masks keep it. When a head fills its rows,
-    capacity doubles for the whole block, so appends cost amortized O(1) and
-    the heads stay in one contiguous array that attention can batch over.
-
-    `sizes` is a Python list: on a few heads, list arithmetic costs a
-    fraction of a numpy call.
+    (n_heads, capacity, ...): keys and values, (n_heads, capacity, d) with
+    d 0 in replay; positions, (n_heads, capacity) int64; then every array a
+    policy asked for by name (`entry_array`). The block grows, clears and
+    evicts from them all alike and reads none of the policies' arrays. When
+    a head fills its rows, capacity doubles for the whole block, so appends
+    cost amortized O(1). `sizes` is a Python list: on a few heads, list
+    arithmetic costs a fraction of a numpy call.
     """
 
     # perfbench's traced spans `getattr` both names on every block (ROADMAP
     # item 1); a policy's array of that name shadows the default
     acc_scores = message = None
 
-    def __init__(self, n_heads: int, d: int):
+    def __init__(self, n_heads: int, d: int, in_place: bool = False):
         cap = INITIAL_CAPACITY
         self.keys = np.zeros((n_heads, cap, d), dtype=np.float64)
         self.values = np.zeros((n_heads, cap, d), dtype=np.float64)
@@ -545,6 +545,7 @@ class KvCacheState:
         self.entry_names = ["keys", "values", "positions"]
         self.sizes = [0] * n_heads
         self.step = 0
+        self.in_place = in_place
 
     @property
     def n_heads(self) -> int:
@@ -561,12 +562,18 @@ class KvCacheState:
 
     @property
     def width(self) -> int:
-        """Entries of the fullest head: the last axis of a step's scores."""
-        return max(self.sizes)
+        """Rows a step's scores cover: the fullest head's size, or `step` in place."""
+        return self.step if self.in_place else max(self.sizes)
+
+    @property
+    def held(self) -> np.ndarray:
+        """(n_heads, width) bool: True on the rows that hold an entry."""
+        return self.positions[:, : self.width] != FREE
 
     def head_positions(self, h: int) -> np.ndarray:
-        """Positions of head h's entries, oldest first (a view)."""
-        return self.positions[h, : self.sizes[h]]
+        """Positions of head h's entries, oldest first (a copy)."""
+        positions = self.positions[h, : self.width]
+        return positions[positions != FREE]
 
     def entry_array(self, name: str, dtype, slots: int = 0) -> np.ndarray:
         """The per-entry array `name`, (n_heads, capacity) or, with `slots`, (n_heads, capacity, slots).
@@ -615,18 +622,18 @@ class KvCacheState:
     def append(self, keys, values) -> None:
         """Add the entry of step `step + 1` to every head, in its next free row.
 
-        keys and values, each (n_heads, d), hold one row per head. The rows
-        of every policy array are cleared (a query recorded before the entry
-        existed never flagged it).
+        keys and values, each (n_heads, d), hold one row per head: row `step`
+        in place, row sizes[h] when compacting. The rows of every policy array
+        are cleared (a query recorded before the entry existed never flagged it).
         """
         position = self.step + 1
         sizes = self.sizes
-        lo, hi = min(sizes), max(sizes)
-        if hi == self.capacity:
+        width = self.width
+        if width == self.capacity:
             self.grow()
-        # equal heads write one column of each array, others one row per head:
-        # on a few heads that costs less than one fancy-indexed write
-        rows = [(slice(None), lo)] if lo == hi else enumerate(sizes)
+        # one column of each array when every head writes the same row, else
+        # one row per head: on a few heads that beats one fancy-indexed write
+        rows = [(slice(None), width)] if self.in_place or min(sizes) == width else enumerate(sizes)
         with_vectors = self.keys.shape[2] > 0  # replay's caches hold positions only
         cleared = [getattr(self, name) for name in self.entry_names[3:]]  # after keys, values, positions
         for h, n in rows:
@@ -640,15 +647,19 @@ class KvCacheState:
         self.step = position
 
     def keep_only(self, keep: np.ndarray) -> None:
-        """Compact each head to its entries where `keep` (n_heads, width) is True, in place.
+        """Keep each head's entries where `keep` (n_heads, width) is True; flags on free rows are ignored.
 
-        Flags past a head's size are ignored. Only heads that drop an entry
-        move: each run of survivors after a dropped entry moves up behind the
-        survivors before it, by one slice assignment per non-empty per-entry
-        array, and the rows left at the end become free.
+        In place, the dropped rows become free and nothing moves. Compacting,
+        each run of survivors after a dropped entry moves up behind the
+        survivors before it, one slice assignment per non-empty array.
         """
         if keep.shape != (self.n_heads, self.width):
             raise ValueError(f"keep mask has shape {keep.shape} for {self.n_heads} caches of up to {self.width} entries")
+        if self.in_place:
+            drop = self.held & ~keep
+            self.positions[:, : self.step][drop] = FREE
+            self.sizes = [n - k for n, k in zip(self.sizes, np.add.reduce(drop, axis=1).tolist())]
+            return
         sizes, width = self.sizes, keep.shape[1]
         dropped: dict[int, list[int]] = {}
         for flat in np.flatnonzero(np.logical_not(keep)).tolist():
@@ -678,10 +689,16 @@ class KvCacheState:
             if arr.shape[:2] != (heads, cap):
                 raise ValueError(f"block {name} has shape {arr.shape[:2]}, expected ({heads}, {cap})")
         for h, n in enumerate(self.sizes):
-            if np.any(np.diff(self.positions[h, :n]) <= 0):
+            rows = np.flatnonzero(self.positions[h] != FREE)
+            positions = self.positions[h, rows]
+            if rows.size != n or not (self.in_place or rows.size == 0 or rows[-1] == n - 1):
+                raise ValueError(f"head {h}: a free row holds a position, or one of its first {n} rows none")
+            if self.in_place and np.any(positions != rows + 1):
+                raise ValueError(f"head {h}: held row i must hold position i + 1")
+            if np.any(np.diff(positions) <= 0):
                 raise ValueError(f"head {h}: positions must strictly increase")
-            if np.any(self.positions[h, n:] != FREE):
-                raise ValueError(f"head {h}: a free row holds a position")
+            if n and positions[-1] > self.step:
+                raise ValueError(f"head {h}: position {positions[-1]} lies past step {self.step}")
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,9 @@ nothing downstream checks a row again.
 Replaying a trace (`replay_policy`) steps a `PolicySimulator`, which drives
 a policy's bookkeeping offline: at each step the recorded row is restricted
 to the simulated surviving set. The simulator keeps no history of kept
-sets, only its live cache block and the compression curve, so replay needs
-O(caches x cache width) memory beyond the trace.
+sets, only its live cache block and the compression curve. The block works
+in place, one row per step, so replay needs O(caches x steps) memory beyond
+the trace.
 Importance flags are thresholded on the recorded scores (so replayed
 decisions depend on the trace alone, and growing the recency window can only
 grow the kept set); the restricted row is renormalized only for the
@@ -355,9 +356,10 @@ class PolicySimulator:
     recency policy simulates one cache per group of `group_size` query
     heads. All n_layers * n_groups caches are the heads of one block,
     layer-major, so each step is one policy update; they track positions
-    only (keys and values have width 0). No history is kept: after step t,
-    `cache.head_positions(layer * n_groups + group)` is the positions cache
-    (layer, group) holds, until the next step.
+    only (keys and values have width 0). The block works in place: row i of
+    every cache is position i + 1 or free, as in a recorded row. No history
+    is kept: after step t, `cache.head_positions(layer * n_groups + group)`
+    is the positions cache (layer, group) holds.
     """
 
     def __init__(self, policy: Policy, trace: AttentionTrace):
@@ -365,17 +367,10 @@ class PolicySimulator:
         group = policy.group_size_for(m.n_heads, m.n_kv_heads)
         self.policy = policy
         self.trace = trace
-        self.n_layers = m.n_layers
-        self.n_heads = m.n_heads
         self.group_size = group
         self.n_groups = m.n_heads // group
-        self.cache = KvCacheState(m.n_layers * self.n_groups, 0)
+        self.cache = KvCacheState(m.n_layers * self.n_groups, 0, in_place=True)
         self._no_vector = np.zeros((m.n_layers * self.n_groups, 0))
-        # step t's rows in columns [0, t) of each (layer, head) row; column t,
-        # not yet written, is the zero a free cache row reads
-        self._rows = np.zeros((m.n_layers, m.n_heads, trace.n_steps + 1))
-        # flat index of column 0 of each (cache, query head) row of _rows
-        self._row_base = (np.arange(m.n_layers * m.n_heads) * (trace.n_steps + 1)).reshape(-1, group, 1)
         self._rates: list[float] = []
 
     @property
@@ -386,32 +381,32 @@ class PolicySimulator:
     def step(self) -> None:
         """Feed the trace's next step t = cache.step + 1.
 
-        The rows are not checked again: the trace checked them when it was
-        built. Importance flags are thresholded on the recorded scores
-        themselves (a surviving entry's recorded score is unchanged by
-        restriction), so the flags -- and every mask-driven policy's
-        decisions -- are a pure function of the trace. A restricted row with
-        no mass left (its kept entries sum to 0 or less) is an error under
-        every policy. Only policies that read score magnitudes
-        (`Policy.reads_magnitudes`) see the restricted rows renormalized to
-        proper distributions; the others get them as recorded.
+        The trace checked its rows when it was built, so they are not
+        checked again. A recorded row lines up with the block's rows, so
+        restricting it to the kept entries zeroes its free rows, in float64.
+        Flags are thresholded on the recorded scores (restriction leaves a
+        kept entry's score unchanged), so every mask-driven decision is a
+        pure function of the trace. A restricted row with no mass left (its
+        kept entries sum to 0 or less) is an error under every policy. Only
+        policies that read score magnitudes (`Policy.reads_magnitudes`) see
+        the restricted rows renormalized; the others get them as recorded.
         """
         cache = self.cache
         t = cache.step + 1
         if t > self.trace.n_steps:
             raise ValueError(f"the trace holds {self.trace.n_steps} steps, so there is no step {t}")
-        rows = self._rows
-        rows[:, :, :t] = self.trace.rows[t - 1]
         cache.append(self._no_vector, self._no_vector)
-        # every cache's rows restricted to its entries, zero past its size; a
-        # recorded row is 0-indexed by position, and a free row's FREE maps to t
-        idx = np.minimum(cache.positions[:, : cache.width], t + 1) - 1
-        restricted = np.take(rows, self._row_base + idx[:, None, :])
+        group = self.group_size
+        held = cache.held[:, None, :]
+        # a float64 zero keeps the rows float64, so flags compare against a float64 1/t
+        restricted = np.where(held, self.trace.rows[t - 1].reshape(cache.n_heads, group, t), np.float64(0.0))
         normalize = self.policy.reads_magnitudes
         if normalize or restricted.min() < 0.0:
-            mass = totals = np.empty((cache.n_heads, self.group_size, 1))
-            for a, b, n in cache.equal_size_runs():  # sums over exactly each row's entries
-                totals[a:b] = restricted[a:b, :, :n].sum(axis=2, keepdims=True)
+            held = held.repeat(group, axis=1)
+            mass = totals = np.empty((cache.n_heads, group, 1))
+            for a, b, n in cache.equal_size_runs():
+                # sums over exactly each row's entries, in order: zeros between them would change the bits
+                totals[a:b, :, 0] = restricted[a:b][held[a:b]].reshape(b - a, group, n).sum(axis=2)
         else:
             # a row of scores >= 0 sums to more than 0 exactly when its max does
             mass = restricted.max(axis=2, keepdims=True)
@@ -420,7 +415,7 @@ class PolicySimulator:
             raise ValueError(f"step {t}, layer {layer}: a row restricted to the kept entries sums to 0")
         flags = classify_important(restricted, t)
         apply_policy(self.policy, cache, restricted / totals if normalize else restricted, flags)
-        self._rates.append(1.0 - cache.size / (self.n_layers * self.n_groups * t))
+        self._rates.append(1.0 - cache.size / (cache.n_heads * t))
 
 
 def replay_policy(trace: AttentionTrace, policy: Policy) -> PolicySimulator:

@@ -115,7 +115,7 @@ def replay_steps(trace: AttentionTrace, policy: Policy) -> Iterator[tuple[int, P
     """Replay `trace` under `policy`, yielding (t, simulator) after each step t.
 
     Cache (layer, group) holds `sim.cache.head_positions(layer * sim.n_groups + group)`
-    after step t: a view of the live block, so copy it to keep it past the next step.
+    after step t, a copy; `sim.cache` itself is the live block, which the next step changes.
     """
     sim = PolicySimulator(policy, trace)
     for t in range(1, trace.n_steps + 1):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import README_EXAMPLES, make_synthetic_trace, replay_steps, seeded_tokens
@@ -154,14 +154,16 @@ def assert_same_blocks(a: KvCacheState, b: KvCacheState) -> None:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
-@pytest.mark.parametrize("name", [name for name, cls in POLICIES.items() if not cls.reads_magnitudes])
-def test_policies_that_read_no_magnitudes_ignore_them(name):
+MASK_DRIVEN = [name for name, cls in POLICIES.items() if not cls.reads_magnitudes]
+
+
+def assert_magnitudes_ignored(name: str, in_place: bool) -> None:
     # replay passes such a policy its restricted rows unnormalized, with the
     # masks: a copy fed the renormalized rows must make the same decisions
     policy = README_EXAMPLES[name][1]
     group = 2 if name in GROUPED else 1
     trace = make_synthetic_trace(n_layers=1, n_heads=3 * group, n_steps=48, seed=17)
-    raw, normalized = KvCacheState(3, 0), KvCacheState(3, 0)
+    raw, normalized = KvCacheState(3, 0, in_place), KvCacheState(3, 0, in_place)
     none = np.zeros((3, 0))
     for t, block in enumerate(trace.rows, start=1):
         raw.append(none, none)
@@ -169,7 +171,7 @@ def test_policies_that_read_no_magnitudes_ignore_them(name):
         rows_by_cache = block[0].reshape(3, group, t).astype(np.float64)
         restricted = np.zeros((3, group, raw.width))
         for h in range(3):
-            restricted[h, :, : raw.sizes[h]] = rows_by_cache[h][:, raw.head_positions(h) - 1]
+            restricted[h][:, raw.held[h]] = rows_by_cache[h][:, raw.head_positions(h) - 1]
         masks = classify_important(restricted, t)
         totals = restricted.sum(axis=2, keepdims=True)
         policy.step(normalized, restricted / totals, masks)
@@ -177,6 +179,16 @@ def test_policies_that_read_no_magnitudes_ignore_them(name):
         assert_same_blocks(raw, normalized)
     if name != "full":
         assert raw.size < 3 * trace.n_steps, "fixture never evicted"
+
+
+@pytest.mark.parametrize("name", MASK_DRIVEN)
+def test_policies_that_read_no_magnitudes_ignore_them(name):
+    assert_magnitudes_ignored(name, in_place=False)
+
+
+@pytest.mark.parametrize("name", MASK_DRIVEN)
+def test_policies_that_read_no_magnitudes_ignore_them_in_place(name):
+    assert_magnitudes_ignored(name, in_place=True)
 
 
 class TestClassifyImportant:
@@ -192,6 +204,28 @@ class TestClassifyImportant:
         k, t = 4, 9
         mask = classify_important(rows([1.0 / k] * k), t=t)
         assert mask.all()
+
+
+BOTH_LAYOUTS = pytest.mark.parametrize("in_place", [False, True], ids=["compacting", "in_place"])
+
+
+def stepped_block(policy, in_place: bool) -> KvCacheState:
+    """Two heads stepped 6 times under `policy` with uniform scores, then cut to positions 1, 3 and 5."""
+    c = KvCacheState(2, 2, in_place)
+    for t in range(1, 7):
+        push(c)
+        policy.step(c, np.where(c.held, 1.0 / t, 0.0)[:, None, :])
+    c.keep_only(c.positions[:, : c.width] % 2 == 1)
+    return c
+
+
+def stain_free_rows(c: KvCacheState) -> None:
+    """Give every free row of every array but positions a value no held row may hold."""
+    free = c.positions == FREE
+    for name in c.entry_names:
+        if name != "positions":
+            arr = getattr(c, name)
+            arr[free] = True if arr.dtype == bool else -7
 
 
 class TestKvCacheState:
@@ -336,6 +370,35 @@ class TestKvCacheState:
         with pytest.raises(ValueError, match="capacity"):
             c.check()
 
+    @BOTH_LAYOUTS
+    def test_block_check_rejects_a_held_row_fault_and_reads_no_free_row(self, in_place):
+        c = stepped_block(Full(), in_place)
+        stain_free_rows(c)
+        c.check()
+        c.positions[0, np.flatnonzero(c.held[0])[-1]] = 99  # position 5's row
+        with pytest.raises(ValueError, match=r"held row i must hold position i \+ 1" if in_place else "past step 6"):
+            c.check()
+
+    @BOTH_LAYOUTS
+    def test_corm_check_rejects_a_held_row_fault_and_reads_no_free_row(self, in_place):
+        policy = Corm(w=9, r=9)
+        c = stepped_block(policy, in_place)
+        stain_free_rows(c)
+        policy.check(c)
+        c.flagged_at[1, np.flatnonzero(c.held[1])[0]] = -1
+        with pytest.raises(ValueError, match="head 1: flagged_at"):
+            policy.check(c)
+
+    @BOTH_LAYOUTS
+    def test_scissorhands_check_rejects_a_held_row_fault_and_reads_no_free_row(self, in_place):
+        policy = Scissorhands(budget=8, recent=8, window=4)
+        c = stepped_block(policy, in_place)
+        stain_free_rows(c)
+        policy.check(c)
+        c.counts[1, np.flatnonzero(c.held[1])[1]] += 1
+        with pytest.raises(ValueError, match="head 1: a message count differs"):
+            policy.check(c)
+
     def test_window_smaller_than_the_recorded_message_rejected(self):
         c = fresh_cache()
         for t in (1, 2, 3):
@@ -370,10 +433,10 @@ class TestKvCacheState:
         assert c.acc_scores is None and c.message is None
 
 
-def grown_block(heads: int, d: int, steps: int, seed: int = 0) -> KvCacheState:
+def grown_block(heads: int, d: int, steps: int, seed: int = 0, in_place: bool = False) -> KvCacheState:
     """A block of `steps` appended entries with a policy array of each kind registered and filled."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    c = KvCacheState(heads, d)
+    c = KvCacheState(heads, d, in_place)
     for _ in range(steps):
         advance(c, rng)
     return c
@@ -387,26 +450,38 @@ def advance(c: KvCacheState, rng: np.random.Generator) -> None:
     c.entry_array("score", np.float64)[:, : c.width] += rng.random((c.n_heads, c.width))
 
 
+def held_entries(c: KvCacheState, name: str, h: int) -> np.ndarray:
+    """Head h's held rows of the per-entry array `name`, oldest first, in either layout."""
+    return getattr(c, name)[h, : c.width][c.held[h]]
+
+
 def compact_like_a_list(c: KvCacheState, keep: np.ndarray) -> None:
     """Apply `keep_only` and compare it with a list-based compaction of every per-entry array."""
+    rows = [np.flatnonzero(c.held[h]) for h in range(c.n_heads)]
     expect = {
-        name: [[getattr(c, name)[h, i].copy() for i in range(n) if keep[h, i]] for h, n in enumerate(c.sizes)]
+        name: [[getattr(c, name)[h, i].copy() for i in rows[h] if keep[h, i]] for h in range(c.n_heads)]
         for name in c.entry_names
     }
     c.keep_only(keep)
     c.check()
     for name, heads in expect.items():
-        arr = getattr(c, name)
         for h, rows_kept in enumerate(heads):
             assert c.sizes[h] == len(rows_kept)
-            kept = arr[h, : c.sizes[h]]
+            kept = held_entries(c, name, h)
             np.testing.assert_array_equal(kept, np.reshape(rows_kept, kept.shape), err_msg=f"{name}, head {h}")
-    for h, n in enumerate(c.sizes):
-        assert np.all(c.positions[h, n:] == FREE)
+    for h in range(c.n_heads):
+        # compacting, the rows past a head's size are free; in place, all but the kept rows are
+        kept_rows = np.arange(c.sizes[h]) if not c.in_place else rows[h][keep[h, rows[h]]]
+        assert np.all(np.delete(c.positions[h], kept_rows) == FREE)
+
+
+LAYOUTS = pytest.mark.parametrize(
+    "d,in_place", [(0, False), (2, False), (0, True)], ids=["replay_layout", "decode_layout", "in_place_layout"]
+)
 
 
 class TestKeepOnlyAgainstLists:
-    @pytest.mark.parametrize("d", [0, 2], ids=["replay_layout", "decode_layout"])
+    @LAYOUTS
     @pytest.mark.parametrize(
         "dropped",
         [
@@ -417,19 +492,19 @@ class TestKeepOnlyAgainstLists:
         ],
         ids=["first_and_last", "separate_runs", "all_and_none", "none"],
     )
-    def test_drop_patterns(self, d, dropped):
-        c = grown_block(2, d, 10)
+    def test_drop_patterns(self, d, in_place, dropped):
+        c = grown_block(2, d, 10, in_place=in_place)
         keep = np.ones((2, 10), dtype=bool)
         for h, rows_dropped in enumerate(dropped):
             keep[h, rows_dropped] = False
         compact_like_a_list(c, keep)
 
-    @pytest.mark.parametrize("d", [0, 2], ids=["replay_layout", "decode_layout"])
-    def test_growth_between_compactions(self, d):
+    @LAYOUTS
+    def test_growth_between_compactions(self, d, in_place):
         rng = np.random.Generator(np.random.PCG64(4))
-        c = grown_block(3, d, 12)
+        c = grown_block(3, d, 12, in_place=in_place)
         compact_like_a_list(c, np.arange(12) % np.array([[3], [5], [12]]) != 1)
-        for _ in range(10):  # head 2 passes 16 rows, so the block doubles
+        for _ in range(10):  # head 2 passes 16 rows (in place, step 16), so the block doubles
             advance(c, rng)
         assert c.capacity == 32
         compact_like_a_list(c, np.arange(c.width) % np.array([[2], [4], [7]]) != 0)
@@ -437,16 +512,68 @@ class TestKeepOnlyAgainstLists:
     @given(data=st.data(), heads=st.integers(1, 4), d=st.sampled_from([0, 2]), seed=st.integers(0, 2**16))
     def test_random_histories(self, data, heads, d, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
-        c = grown_block(heads, d, data.draw(st.integers(1, 8)), seed)
+        c = grown_block(heads, d, data.draw(st.integers(1, 8)), seed, in_place=d == 0 and data.draw(st.booleans()))
         for _ in range(data.draw(st.integers(1, 6))):
             keep = np.ones((heads, c.width), dtype=bool)
             for h, n in enumerate(c.sizes):
+                held = c.held[h]
                 if n and data.draw(st.booleans()):
-                    keep[h, data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = False
-                keep[h, n:] = data.draw(st.booleans())  # flags past a head's size are ignored
+                    keep[h, np.flatnonzero(held)[data.draw(st.lists(st.integers(0, n - 1), max_size=n))]] = False
+                keep[h, ~held] = data.draw(st.booleans())  # flags on free rows are ignored
             compact_like_a_list(c, keep)
             for _ in range(data.draw(st.integers(0, 12))):
                 advance(c, rng)
+
+
+@pytest.mark.parametrize("name", list(POLICIES))
+@settings(derandomize=True)
+@given(heads=st.integers(1, 3), steps=st.integers(1, 32), d=st.sampled_from([0, 2]), seed=st.integers(0, 2**16))
+def test_in_place_and_compacting_blocks_make_the_same_decisions(name, heads, steps, d, seed):
+    # both layouts get each step's scores and masks per position; coarse
+    # scores make ties, so the tie-breaks of the two layouts are compared too
+    policy = README_EXAMPLES[name][1]
+    group = 2 if name in GROUPED else 1
+    rng = np.random.Generator(np.random.PCG64(seed))
+    compacting, in_place = blocks = KvCacheState(heads, d), KvCacheState(heads, d, in_place=True)
+    for t in range(1, steps + 1):
+        keys, values = rng.normal(size=(2, heads, d))
+        scores_by_position = rng.integers(0, 4, size=(heads, group, t)) / 4
+        masks_by_position = rng.random((heads, group, t)) < 0.4
+        for c in blocks:
+            c.append(keys, values)
+            scores = np.zeros((heads, group, c.width))
+            masks = np.zeros(scores.shape, dtype=bool)
+            for h in range(heads):
+                scores[h][:, c.held[h]] = scores_by_position[h][:, c.head_positions(h) - 1]
+                masks[h][:, c.held[h]] = masks_by_position[h][:, c.head_positions(h) - 1]
+            policy.step(c, scores, masks)
+            policy.check(c)
+        assert compacting.sizes == in_place.sizes and compacting.entry_names == in_place.entry_names
+        for h in range(heads):
+            np.testing.assert_array_equal(compacting.head_positions(h), in_place.head_positions(h))
+            for array in compacting.entry_names:
+                held = held_entries(in_place, array, h)
+                np.testing.assert_array_equal(held_entries(compacting, array, h), held, err_msg=f"{array}, t={t}")
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [H2O(heavy=4, recent=4), Scissorhands(budget=4, recent=4, window=4), Tova(budget=8)],
+    ids=["h2o", "scissorhands", "tova"],
+)
+def test_budget_guards_compare_the_fullest_head_not_the_width(policy, monkeypatch):
+    # in place, width is the step: a block cut by hand to 7 entries before
+    # each step stays under the budget of 8 however wide it grows
+    c = KvCacheState(2, 0, in_place=True)
+    cut, calls = KvCacheState.keep_only, []
+    monkeypatch.setattr(KvCacheState, "keep_only", lambda self, keep: calls.append(keep))
+    none = np.zeros((2, 0))
+    for t in range(1, 31):
+        c.append(none, none)
+        cut(c, c.positions[:, : c.width] > t - 7)
+        policy.step(c, np.where(c.held, 1.0 / 7, 0.0)[:, None, :])
+    assert c.width == 30 and c.sizes == [7, 7]
+    assert len(calls) == 0
 
 
 def lexsort_kept(positions, ranking, candidates, excess):
@@ -711,7 +838,7 @@ class TestScissorhandsUpdate:
         assert all(cache.counts is not None for cache in state.caches)
         for t, sim in replay_steps(small_trace, policy):
             policy.check(sim.cache)
-        sim.cache.counts[0, 0] += 1
+        sim.cache.counts[0, sim.cache.head_positions(0)[0] - 1] += 1  # replay's row i is position i + 1
         sim.cache.check()  # the block knows nothing of the counts
         with pytest.raises(ValueError, match="message count differs"):
             policy.check(sim.cache)

@@ -18,7 +18,7 @@ from conftest import (
     write_trace_file,
 )
 from corm.model import ModelConfig, init_model
-from corm.policies import POLICIES, Corm, CormGqa, Full, StreamingLlm, Tova
+from corm.policies import POLICIES, Corm, CormGqa, Full, StreamingLlm, Tova, apply_policy
 from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import (
     PolicySimulator,
@@ -254,6 +254,41 @@ class TestReplay:
             np.testing.assert_array_equal(sim.cache.head_positions(0), np.arange(1, t + 1))
         with pytest.raises(ValueError, match="the trace holds 4 steps, so there is no step 5"):
             sim.step()
+
+    def test_a_float32_score_just_below_one_over_t_is_not_flagged(self):
+        # float32(1/25) < 1/25, so at step 25 a recorded score of float32(1/25)
+        # is not important; thresholding the float32 row itself would flag it
+        t = 25
+        low = np.float32(1 / t)
+        assert float(low) < 1 / t and low >= 1 / t  # a Python float compares at the array's float32
+        rows = [np.ones((1, 1, 1), dtype=np.float32)]  # step 1 flags position 1
+        for s in range(2, t + 1):
+            first = low if s == t else 0.001  # position 1 is never flagged again before step t
+            rows.append(np.array([[[first] + [(1.0 - first) / (s - 1)] * (s - 1)]], dtype=np.float32))
+        # w = t - 1: position 1, last flagged at step 1, survives step t only if step t flags it
+        for s, sim in replay_steps(trace_of(rows), Corm(w=t - 1, r=1)):
+            assert 1 in sim.cache.head_positions(0) or s == t
+        assert 1 not in sim.cache.head_positions(0)
+
+    @pytest.mark.parametrize("name", [name for name, cls in POLICIES.items() if cls.reads_magnitudes])
+    def test_magnitude_policies_see_rows_divided_by_the_sum_of_their_kept_entries(self, name, monkeypatch):
+        # bit for bit: each row over its kept entries, in order, summed alone. Peaky
+        # rows span many binary orders, so summing with the free rows' zeros
+        # between the entries would change the last bits
+        tr = make_synthetic_trace(n_layers=2, n_heads=3, n_steps=60, seed=12, sharpness=12.0)
+        seen = []
+
+        def spy(policy, cache, scores, masks=None):
+            rows = tr.rows[cache.step - 1].reshape(cache.n_heads, cache.step).astype(np.float64)
+            for h in range(cache.n_heads):
+                kept = rows[h, cache.head_positions(h) - 1]
+                np.testing.assert_array_equal(scores[h, 0, cache.held[h]], kept / kept.sum())
+            seen.append(cache.size < cache.n_heads * cache.step)
+            apply_policy(policy, cache, scores, masks)
+
+        monkeypatch.setattr(trace_mod, "apply_policy", spy)
+        replay_policy(tr, README_EXAMPLES[name][1])
+        assert len(seen) == 60 and any(seen), "fixture never evicted"
 
     def test_replay_memory_does_not_grow_with_the_steps(self):
         # the simulator keeps its live block and one rate per step, no kept-set history:
