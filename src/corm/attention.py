@@ -4,12 +4,28 @@ All score arithmetic is done in float64 regardless of how model weights are
 stored: eviction decisions compare normalized scores against a 1/t threshold,
 which is sensitive near equality, so this module never drops to float32.
 Every function here is stateless and safe to call concurrently.
+
+Blocks of unequal lengths: `scaled_dot_scores`, `softmax_normalize` and
+`attention_output` take an optional `runs`, a list of `(start, stop, n)`
+that tiles the first axis of a `(heads, ..., m)` block (a cache block's
+`equal_size_runs()`): heads start..stop-1 hold n valid entries each, in
+columns [0, n), and the columns past n are pads. One call then handles the
+whole block. Only the three reductions whose bits depend on the length run
+once per run -- the score gemv, the softmax row sum and the output gemv --
+each over exactly its run's n columns, so every head's results have the
+bits of a single-head call. Everything elementwise (the scale, the max,
+which is exact under -inf pads, the exp and the divide) runs once over the
+block. Score and softmax pads come out as exactly 0.0, whatever the pads
+held on input: a NaN or Inf raises only in a valid entry. No function
+writes to its input. A block whose runs all span m columns has no pads and
+takes the plain path, with no extra copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +40,8 @@ __all__ = [
 ]
 
 SUM_TOL = 1e-6
+
+Runs = Sequence[tuple[int, int, int]]
 
 
 @dataclass
@@ -72,13 +90,33 @@ def check_score_rows(scores: np.ndarray) -> None:
         raise ValueError(f"scores sum to {total}, expected 1 within {SUM_TOL}")
 
 
-def scaled_dot_scores(q, keys, d_h: int) -> np.ndarray:
+def _padded(runs: Runs | None, heads: int, m: int) -> bool:
+    """Whether `runs` leaves pads in a block of `heads` rows of m columns.
+
+    Raises ValueError unless the runs tile the heads in order, each with
+    1..m valid columns. None is one run of every head over all m columns.
+    """
+    if runs is None or (len(runs) == 1 and runs[0] == (0, heads, m)):
+        return False
+    stop, padded = 0, False
+    for a, b, n in runs:
+        if a != stop or b <= a or not 1 <= n <= m:
+            raise ValueError(f"run {(a, b, n)} does not continue a tiling of {heads} heads of up to {m} entries")
+        stop, padded = b, padded or n < m
+    if stop != heads:
+        raise ValueError(f"runs cover {stop} of {heads} heads")
+    return padded
+
+
+def scaled_dot_scores(q, keys, d_h: int, runs: Runs | None = None) -> np.ndarray:
     """Unnormalized attention weights q.k_i / sqrt(d_h) for each key, in order.
 
     q is (..., d_h) and keys (..., n, d_h); leading axes broadcast, so one
     call scores a block of heads, each against its own keys, giving (..., n).
     Each head's scores come from the same matrix-vector product a single-head
-    call makes, so batching does not change their bits.
+    call makes, so batching does not change their bits. With `runs` (module
+    docstring), q is (heads, ..., d_h) and keys (heads, ..., m, d_h), each
+    run is scored against its first n keys only, and the pads are 0.0.
 
     The 1/sqrt(d_h) factor rescales but never reorders the weights, and the
     same holds for any positive rescaling of the query: argsort is invariant
@@ -91,23 +129,50 @@ def scaled_dot_scores(q, keys, d_h: int) -> np.ndarray:
     kmat = np.asarray(keys, dtype=np.float64)
     if kmat.ndim < 2 or kmat.shape[-1] != d_h:
         raise ValueError(f"keys have shape {kmat.shape}, expected (..., n, d_h={d_h})")
-    return np.matmul(kmat, q[..., None])[..., 0] / math.sqrt(d_h)
+    if runs is not None and (q.ndim < 2 or kmat.ndim < 3 or q.shape[0] != kmat.shape[0]):
+        raise ValueError(f"runs need a head axis on query {q.shape} and keys {kmat.shape}")
+    m = kmat.shape[-2]
+    if not _padded(runs, kmat.shape[0], m):
+        return np.matmul(kmat, q[..., None])[..., 0] / math.sqrt(d_h)
+    scores = np.zeros(np.broadcast(kmat[..., 0, 0], q[..., 0]).shape + (m,))
+    for a, b, n in runs:
+        scores[a:b, ..., :n] = np.matmul(kmat[a:b, ..., :n, :], q[a:b, ..., None])[..., 0]
+    scores /= math.sqrt(d_h)
+    return scores
 
 
-def softmax_normalize(weights) -> np.ndarray:
+def softmax_normalize(weights, runs: Runs | None = None) -> np.ndarray:
     """Softmax with max-subtraction along the last axis; entries positive, summing to 1.
 
     Each row of a (..., n) input is normalized on its own, with the same
     reductions a 1-D call makes. Order is preserved exactly (exp is
     monotone), so the argsort of a row equals the argsort of its input.
+    With `runs` (module docstring), each row of a (heads, ..., m) block is
+    normalized over its run's first n entries, and the pads are 0.0.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim == 0 or w.shape[-1] == 0:
         raise ValueError("softmax input must be non-empty along its last axis")
-    if not np.isfinite(w).all():
+    if runs is not None and w.ndim < 2:
+        raise ValueError(f"runs need a head axis on the softmax input {w.shape}")
+    if not _padded(runs, w.shape[0], w.shape[-1]):
+        if not np.isfinite(w).all():
+            raise ValueError("softmax input contains NaN or Inf")
+        e = np.exp(w - w.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    # a block finite throughout, pads included, needs no look at each run
+    if not np.isfinite(w).all() and not all(np.isfinite(w[a:b, ..., :n]).all() for a, b, n in runs):
         raise ValueError("softmax input contains NaN or Inf")
-    e = np.exp(w - w.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = w.copy()
+    for a, b, n in runs:
+        e[a:b, ..., n:] = -np.inf  # ignored by the max, and 0.0 after exp
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    totals = np.empty(e.shape[:-1] + (1,))
+    for a, b, n in runs:
+        totals[a:b] = e[a:b, ..., :n].sum(axis=-1, keepdims=True)
+    e /= totals
+    return e
 
 
 def cosine_similarity(a, b) -> float:
@@ -123,11 +188,13 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def attention_output(scores, values) -> np.ndarray:
+def attention_output(scores, values, runs: Runs | None = None) -> np.ndarray:
     """Weighted sum of value vectors: sum_i scores[i] * values[i].
 
     scores (..., n) and values (..., n, d_v) broadcast over leading axes,
-    giving (..., d_v): one call aggregates a block of heads.
+    giving (..., d_v): one call aggregates a block of heads. With `runs`
+    (module docstring), scores are (heads, ..., m) and values
+    (heads, ..., m, d_v), and each run sums over its first n entries only.
     """
     s = np.asarray(scores, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -135,7 +202,14 @@ def attention_output(scores, values) -> np.ndarray:
         v = v[None, :]
     if s.shape[-1] != v.shape[-2]:
         raise ValueError(f"{s.shape[-1]} scores for {v.shape[-2]} values")
-    return np.matmul(s[..., None, :], v)[..., 0, :]
+    if runs is not None and (s.ndim < 2 or v.ndim < 3 or s.shape[0] != v.shape[0]):
+        raise ValueError(f"runs need a head axis on scores {s.shape} and values {v.shape}")
+    if not _padded(runs, s.shape[0], s.shape[-1]):
+        return np.matmul(s[..., None, :], v)[..., 0, :]
+    out = np.empty(np.broadcast(s[..., 0], v[..., 0, 0]).shape + v.shape[-1:])
+    for a, b, n in runs:
+        out[a:b] = np.matmul(s[a:b, ..., None, :n], v[a:b, ..., :n, :])[..., 0, :]
+    return out
 
 
 def stable_argsort_desc(scores) -> np.ndarray:

@@ -20,13 +20,16 @@ evicted entries are compacted away in place, and each entry's original
 absolute position is retained so rotary encoding and position-based
 bookkeeping stay correct after eviction.
 
-Attention is computed per layer in one call for each run of consecutive kv
-heads whose caches hold equally many entries, with their query heads: the
-whole layer under `full` or a budgeted policy at budget, each head alone
-when eviction has left the heads at different lengths. Only equal lengths
-are batched, never padded ones, so every head's scores come from the same
-products and reductions as a single-head computation and the logits are
-bit-identical to per-head attention.
+Attention makes one call of each attention function per layer, over the
+layer's `(kv_heads, group, m)` block, however eviction has left the heads'
+lengths (m is the longest). The block's runs of consecutive kv heads with
+equally many entries (`KvCacheState.equal_size_runs`) go with it: the score
+gemv, the softmax row sum and the output gemv run once per run over exactly
+its entries, and the elementwise steps (scale, head gain, ALiBi bias, max,
+exp, divide) once over the block. So every head's scores come from the same
+products and reductions as a single-head computation, and the logits are
+bit-identical to per-head attention. Under `full`, or a budgeted policy at
+budget, the block is one run and pays for no padding.
 
 Weight draw order (one generator, consumed in sequence): token embedding;
 learned position table (only when configured); per layer: wq, wk, wv, wo,
@@ -67,6 +70,7 @@ __all__ = [
 
 RMS_EPS = 1e-6
 _LOG_F32_MAX = math.log(float(np.finfo(np.float32).max))
+_GELU_SCALE = np.sqrt(2.0 / np.pi)  # of the tanh approximation
 
 # JSON field -> (type, may be null), checked before any field is used
 _CONFIG_FIELDS = {
@@ -206,7 +210,7 @@ class StepResult:
 
     step: int
     logits: np.ndarray
-    rows: list[list[AttentionRow]]  # [layer][query head], over surviving entries
+    rows: list[list[AttentionRow]]  # [layer][query head], over surviving entries; views of a fresh block
     queries: np.ndarray  # (n_layers, n_heads, d_h); post-rotary when rotary is on
 
 
@@ -234,7 +238,7 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     # tanh approximation
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + 0.044715 * x**3)))
 
 
 def _draw(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.ndarray:
@@ -303,10 +307,11 @@ class ToyTransformer:
     def decode_step(self, state: DecoderState, token: int) -> StepResult:
         """Process one token: append to caches, attend, update logits, evict.
 
-        Attention is computed over the surviving cache entries only, batched
-        over runs of kv heads with equal cache lengths; rotary encoding uses
-        each entry's original absolute position. The policy hook runs after
-        the step's output is complete, so an eviction first affects the next
+        Attention is computed over the surviving cache entries only, one
+        call per layer (module docstring); rotary encoding uses each entry's
+        original absolute position. The policy gets the layer's softmax
+        block, zero past each kv head's size. The policy hook runs after the
+        step's output is complete, so an eviction first affects the next
         step.
         """
         c = self.config
@@ -331,27 +336,22 @@ class ToyTransformer:
 
             # query heads grouped by the kv head they read: (kv heads, group size, ...)
             q_groups = q.reshape(c.kv_heads, gs, c.d_h)
-            gain = self.head_gain[li].reshape(c.kv_heads, gs, 1)
-            rows_layer: list[AttentionRow] = []
-            outs = np.empty((c.kv_heads, gs, c.d_h), dtype=np.float64)
-            runs = cache.equal_size_runs()
-            # the policy's scores: the one run's block, or zero past each kv head's size
-            layer_scores = None if len(runs) == 1 else np.zeros((c.kv_heads, gs, cache.width))
-            for a, b, n in runs:
-                logits = scaled_dot_scores(q_groups[a:b], cache.keys[a:b, None, :n], c.d_h) * gain[a:b]
-                if slopes is not None:
-                    logits = logits - slopes[a:b] * (t - cache.positions[a:b, None, :n])
-                scores = softmax_normalize(logits)
-                # softmax output is finite, in [0, 1] and normalized by construction
-                rows_layer.extend(AttentionRow(t, row, validated=True) for row in scores.reshape(-1, n))
-                if layer_scores is not None:
-                    layer_scores[a:b, :, :n] = scores
-                outs[a:b] = attention_output(scores, cache.values[a:b, None, :n])
+            runs, m = cache.equal_size_runs(), cache.width
+            logits = scaled_dot_scores(q_groups, cache.keys[:, None, :m], c.d_h, runs)
+            logits *= self.head_gain[li].reshape(c.kv_heads, gs, 1)
+            if slopes is not None:
+                logits -= slopes * (t - cache.positions[:, None, :m])
+            scores = softmax_normalize(logits, runs)
+            # one row per query head, over its kv head's entries; softmax
+            # output is finite, in [0, 1] and normalized by construction
+            rows_all.append(
+                [AttentionRow(t, scores[hk, g, :n], validated=True) for hk, n in enumerate(cache.sizes) for g in range(gs)]
+            )
+            outs = attention_output(scores, cache.values[:, None, :m], runs)
             h = h + outs.reshape(-1) @ lw.wo
             h = h + _gelu(_rms_norm(h) @ lw.w1) @ lw.w2
 
-            apply_policy(state.policy, cache, scores if layer_scores is None else layer_scores)
-            rows_all.append(rows_layer)
+            apply_policy(state.policy, cache, scores)
 
         logits = _rms_norm(h) @ self.out_proj
         state.last_logits = logits

@@ -114,8 +114,8 @@ class Policy:
 
     name: ClassVar[str]
     label: str
-    # True when `step` reads score values even where masks are given; replay
-    # renormalizes the restricted rows only for these policies
+    # True when `step` decides on score values and ignores masks; replay
+    # renormalizes the restricted rows, and passes no masks, only for these
     reads_magnitudes: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
@@ -145,11 +145,12 @@ class Policy:
         holds the scores that query head i of head h's group gave head h's
         entries at step t, zero on its free rows. masks: optional
         (heads, group, m) bool importance flags that replace the ones derived
-        from scores (replay flags the recorded scores). Scores are normalized
-        over the head's entries, except where masks are given to a policy
-        that does not read magnitudes (`reads_magnitudes` False): replay
-        then passes the recorded scores restricted to the entries, as they
-        are.
+        from scores (replay flags the recorded scores). A policy that reads
+        magnitudes (`reads_magnitudes` True) decides on the scores alone and
+        ignores masks, so replay passes it none. Scores are normalized over
+        the head's entries, except where masks are given to a policy that
+        does not read magnitudes: replay then passes the recorded scores
+        restricted to the entries, as they are.
         """
         raise NotImplementedError
 
@@ -391,19 +392,21 @@ class Corm(Policy):
     def step(self, cache, scores, masks=None) -> None:
         """One recency-message eviction step.
 
-        The step's mask is the OR of the group's rows of flags: an entry is
-        minor only if every query head of the group finds it minor. The
-        entries it flags record step t as their last flagged step. Nothing
-        is evicted until w masks exist; afterwards the kept set is exactly
-        {flagged in >= 1 of the last w masks} union {entries from the last
-        r steps}, and an entry was flagged in one of the last w masks
-        exactly when its last flagged step is after t - w.
+        The step's mask is the OR of the group's rows of flags (a one-head
+        group's row itself): an entry is minor only if every query head of
+        the group finds it minor. The entries it flags record step t as
+        their last flagged step. Nothing is evicted until w masks exist;
+        afterwards the kept set is exactly {flagged in >= 1 of the last w
+        masks} union {entries from the last r steps}, and an entry was
+        flagged in one of the last w masks exactly when its last flagged
+        step is after t - w.
         """
         self._check(cache, scores, masks)
         t, m = cache.step, scores.shape[2]
         flags = classify_important(scores, t) if masks is None else masks
         flagged_at = cache.entry_array("flagged_at", np.int64)[:, :m]
-        np.copyto(flagged_at, t, where=np.logical_or.reduce(flags, axis=1))
+        mask = flags[:, 0] if flags.shape[1] == 1 else np.logical_or.reduce(flags, axis=1)
+        np.copyto(flagged_at, t, where=mask)
         if t < self.w:
             return
         cache.keep_only((flagged_at > t - self.w) | (cache.positions[:, :m] > t - self.r))
@@ -651,7 +654,8 @@ class KvCacheState:
 
         In place, the dropped rows become free and nothing moves. Compacting,
         each run of survivors after a dropped entry moves up behind the
-        survivors before it, one slice assignment per non-empty array.
+        survivors before it, one slice assignment per non-empty array; a
+        mask that keeps every row returns before any per-head work.
         """
         if keep.shape != (self.n_heads, self.width):
             raise ValueError(f"keep mask has shape {keep.shape} for {self.n_heads} caches of up to {self.width} entries")
@@ -660,9 +664,12 @@ class KvCacheState:
             self.positions[:, : self.step][drop] = FREE
             self.sizes = [n - k for n, k in zip(self.sizes, np.add.reduce(drop, axis=1).tolist())]
             return
+        flat_drops = np.flatnonzero(np.logical_not(keep)).tolist()
+        if not flat_drops:  # nothing dropped: no per-head plan
+            return
         sizes, width = self.sizes, keep.shape[1]
         dropped: dict[int, list[int]] = {}
-        for flat in np.flatnonzero(np.logical_not(keep)).tolist():
+        for flat in flat_drops:
             h, i = divmod(flat, width)
             if i < sizes[h]:
                 dropped.setdefault(h, []).append(i)

@@ -8,6 +8,7 @@ maps its 1-based step t to position t-1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar
@@ -194,14 +195,22 @@ def apply_rope(v, position: int, base: float = 10000.0) -> np.ndarray:
     return out.reshape(-1)
 
 
+@functools.lru_cache(maxsize=32)
+def _rope_frequencies(base: float, d_h: int) -> np.ndarray:
+    """base^(-2j/d_h) for j < d_h/2, computed once per (base, d_h); read-only."""
+    j = np.arange(d_h // 2, dtype=np.float64)
+    freqs = base ** (-2.0 * j / d_h)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def rope_apply_many(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     """Vectorized rotary encoding: x is (..., n, d_h), positions is (n,), or (1,) for one shared position."""
     x = np.asarray(x, dtype=np.float64)
     d_h = x.shape[-1]
     if d_h % 2 != 0:
         raise ValueError(f"rotary encoding needs an even head dimension, got {d_h}")
-    j = np.arange(d_h // 2, dtype=np.float64)
-    theta = np.asarray(positions, dtype=np.float64)[:, None] * base ** (-2.0 * j / d_h)
+    theta = np.asarray(positions, dtype=np.float64)[:, None] * _rope_frequencies(base, d_h)
     c, s = np.cos(theta), np.sin(theta)  # (n, d_h/2)
     shape = x.shape[:-1] + (d_h // 2, 2)
     pairs = x.reshape(shape)

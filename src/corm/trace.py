@@ -389,7 +389,8 @@ class PolicySimulator:
         pure function of the trace. A restricted row with no mass left (its
         kept entries sum to 0 or less) is an error under every policy. Only
         policies that read score magnitudes (`Policy.reads_magnitudes`) see
-        the restricted rows renormalized; the others get them as recorded.
+        the restricted rows renormalized, and no masks, which they ignore;
+        the others get the rows as recorded, with their flags.
         """
         cache = self.cache
         t = cache.step + 1
@@ -413,8 +414,10 @@ class PolicySimulator:
         if not mass.min() > 0.0:
             layer = int(np.argmax(mass.min(axis=(1, 2)) <= 0.0)) // self.n_groups
             raise ValueError(f"step {t}, layer {layer}: a row restricted to the kept entries sums to 0")
-        flags = classify_important(restricted, t)
-        apply_policy(self.policy, cache, restricted / totals if normalize else restricted, flags)
+        if normalize:  # such a policy reads no masks
+            apply_policy(self.policy, cache, restricted / totals)
+        else:
+            apply_policy(self.policy, cache, restricted, classify_important(restricted, t))
         self._rates.append(1.0 - cache.size / (cache.n_heads * t))
 
 

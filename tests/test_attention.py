@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corm.attention import (
@@ -14,7 +14,7 @@ from corm.attention import (
     softmax_normalize,
     stable_argsort_desc,
 )
-from corm.policies import classify_important
+from corm.policies import KvCacheState, classify_important
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -204,6 +204,95 @@ class TestHeadBatching:
             bad[1, 0] = value
             with pytest.raises(ValueError, match=message):
                 check_score_rows(bad)
+
+
+def runs_of(sizes):
+    """(start, stop, n) of each run of consecutive heads with equal sizes, as a cache block gives them."""
+    cache = KvCacheState(len(sizes), 0)
+    cache.sizes = list(sizes)
+    return cache.equal_size_runs()
+
+
+@st.composite
+def run_blocks(draw):
+    """A (heads, group, m) attention block with per-head sizes, as decode builds one."""
+    heads = draw(st.integers(1, 8))
+    group = draw(st.integers(1, 4))
+    # a few distinct sizes, so that runs of several heads occur
+    choices = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from(choices), min_size=heads, max_size=heads))
+    m = max(sizes) + draw(st.integers(0, 2))
+    d = draw(st.sampled_from([1, 4, 8]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    biased = draw(st.booleans())
+    poison = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return sizes, group, m, d, seed, biased, poison
+
+
+class TestRunBlocks:
+    """With `runs`, one call per block gives every head the bits of a call on that head alone."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(run_blocks())
+    def test_block_calls_match_per_head_calls(self, block):
+        sizes, group, m, d, seed, biased, poison = block
+        heads, runs = len(sizes), runs_of(sizes)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        q = rng.normal(size=(heads, group, d))
+        keys = rng.normal(size=(heads, 1, m, d))
+        values = rng.normal(size=(heads, 1, m, d))
+        gain = rng.uniform(0.5, 3.0, size=(heads, group, 1))
+        slopes = rng.uniform(0.01, 1.0, size=(heads, group, 1))
+        # distances past a head's size stand for free rows: garbage the functions must ignore
+        distance = rng.integers(0, 400, size=(heads, 1, m)).astype(np.float64)
+        for h, n in enumerate(sizes):
+            keys[h, :, n:] = 1e300
+            distance[h, :, n:] = -9.2e18
+        inputs = [a.copy() for a in (q, keys, values)]
+
+        logits = scaled_dot_scores(q, keys, d, runs) * gain
+        if biased:
+            logits = logits - slopes * distance
+        scores = softmax_normalize(logits, runs)
+        out = attention_output(scores, values, runs)
+        for arr, before in zip((q, keys, values), inputs):
+            assert np.array_equal(arr, before)
+
+        raw = scaled_dot_scores(q, keys, d, runs)
+        for h, n in enumerate(sizes):
+            one = slice(h, h + 1)
+            ref_raw = scaled_dot_scores(q[one], keys[one, :, :n], d)
+            ref_logits = ref_raw * gain[one]
+            if biased:
+                ref_logits = ref_logits - slopes[one] * distance[one, :, :n]
+            ref_scores = softmax_normalize(ref_logits)
+            assert np.array_equal(raw[one, :, :n], ref_raw)
+            assert np.array_equal(scores[one, :, :n], ref_scores)
+            assert np.array_equal(out[one], attention_output(ref_scores, values[one, :, :n]))
+            assert np.all(raw[h, :, n:] == 0.0) and np.all(scores[h, :, n:] == 0.0)
+
+        # a NaN or infinity raises in a valid entry and is ignored in a pad
+        h = int(rng.integers(heads))
+        bad = logits.copy()
+        bad[h, -1, int(rng.integers(sizes[h]))] = poison
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            softmax_normalize(bad, runs)
+        if sizes[h] < m:
+            padded = logits.copy()
+            padded[h, -1, sizes[h]] = poison
+            assert np.array_equal(softmax_normalize(padded, runs), scores)
+
+    def test_single_full_run_takes_the_plain_path(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        logits = rng.normal(size=(4, 2, 9))
+        assert np.array_equal(softmax_normalize(logits, [(0, 4, 9)]), softmax_normalize(logits))
+
+    @pytest.mark.parametrize(
+        "runs", [[(0, 2, 3)], [(0, 1, 3), (2, 4, 3)], [(0, 4, 0)], [(0, 4, 6)], [(0, 2, 3), (1, 4, 3)]]
+    )
+    def test_runs_must_tile_the_heads(self, runs):
+        with pytest.raises(ValueError, match="run"):
+            softmax_normalize(np.zeros((4, 1, 5)), runs)
 
 
 class TestScalingMaskRanking:

@@ -9,8 +9,13 @@ steps take the full cache across several capacity doublings.
 Each replay digest is a SHA-256 over the replay's ``compression.tobytes()``
 followed by every kept set, the live cache (l, g) read after step t,
 layer-major, then group, then step: it pins each policy's decisions at every
-step of the trace, not only the final cache. A deliberate change of output
-bits must record new digests and say why.
+step of the trace, not only the final cache.
+
+Each accumulated-score digest is a SHA-256 over h2o's ``acc_scores`` on the
+held rows of every cache, in block order, after a golden decode or replay:
+kept sets can survive a last-bit change in the scores h2o adds up, these
+bits cannot. A deliberate change of output bits must record new digests
+and say why.
 """
 
 import hashlib
@@ -21,7 +26,7 @@ from conftest import replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, parse_policy
 from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
-from corm.trace import record
+from corm.trace import record, replay_policy
 
 STEPS = 80
 
@@ -113,3 +118,31 @@ def test_replay_golden_covers_every_registered_policy():
 @pytest.mark.parametrize("trace_name,policy", sorted(REPLAY_GOLDEN))
 def test_replay_bits_match_golden_digest(traces, trace_name, policy):
     assert replay_digest(traces[trace_name], policy) == REPLAY_GOLDEN[(trace_name, policy)]
+
+
+ACC_SCORES_GOLDEN = {
+    ("decode", "alibi_1l4h", "h2o:16+16"): "d06d7e1be7844c693a6588054ede18107ea2753e9da332a2e6f22842b7dcaf7c",
+    ("decode", "rope_2l4h", "h2o:16+16"): "55fc101aa775452ca40a67a5afd1a2de0e8fdb4dbf6263523f062b0240e6e1d3",
+    ("replay", "rope_2l4h", "h2o:16+16"): "63a9924ebe85311be352588b1be567c88e9184dfc505dc145836e0c852ea4a1a",
+}
+
+
+def acc_scores_digest(caches) -> str:
+    h = hashlib.sha256()
+    for cache in caches:
+        h.update(cache.acc_scores[:, : cache.width][cache.held].astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_acc_scores_golden_covers_every_golden_h2o_run():
+    h2o_runs = {("decode", *key) for key in GOLDEN} | {("replay", *key) for key in REPLAY_GOLDEN}
+    assert set(ACC_SCORES_GOLDEN) == {key for key in h2o_runs if key[2].startswith("h2o:")}
+
+
+@pytest.mark.parametrize("mode,model_name,policy", sorted(ACC_SCORES_GOLDEN))
+def test_h2o_accumulated_scores_match_golden_digest(traces, mode, model_name, policy):
+    if mode == "decode":
+        caches = init_model(MODELS[model_name]).run(seeded_tokens(11, STEPS), parse_policy(policy)).state.caches
+    else:
+        caches = [replay_policy(traces[model_name], parse_policy(policy)).cache]
+    assert acc_scores_digest(caches) == ACC_SCORES_GOLDEN[(mode, model_name, policy)]

@@ -206,6 +206,31 @@ class TestDecodeOracle:
         assert saw_eviction, "fixture never evicted; oracle untested"
 
 
+class TestOneAttentionCallPerLayer:
+    def test_each_attention_function_runs_once_per_layer_whatever_the_sizes(self, monkeypatch):
+        # corm leaves the heads of a layer at different lengths; one call of
+        # each function still covers the layer's block
+        import corm.model as model_module
+
+        calls = {}
+        for name in ("scaled_dot_scores", "softmax_normalize", "attention_output"):
+            def counted(*args, _name=name, _fn=getattr(model_module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(model_module, name, counted)
+        cfg = ModelConfig(**BASE, seed=42, pe=Rope())
+        model = init_model(cfg)
+        state = model.init_state(Corm(w=8, r=8))
+        unequal_steps = 0
+        for tok in seeded_tokens(11, 120):
+            calls.update(dict.fromkeys(("scaled_dot_scores", "softmax_normalize", "attention_output"), 0))
+            unequal_steps += any(len(set(cache.sizes)) > 1 for cache in state.caches)
+            model.decode_step(state, int(tok))
+            assert set(calls.values()) == {cfg.n_layers}, calls
+        assert unequal_steps > 50
+
+
 class TestGqaConsistency:
     def test_group_indexing_degenerates_to_head_identity(self):
         """With one kv head per query head, the grouped lookup must be the

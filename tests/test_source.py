@@ -156,3 +156,36 @@ def test_rows_checked_only_by_attention_and_trace_construction():
             if isinstance(node, ast.Call) and "check_score_rows" in _names(node.func) and id(node) not in allowed
         ]
     assert not found, f"rows checked outside AttentionTrace: {', '.join(found)}"
+
+
+def test_only_replay_totals_loop_over_equal_size_runs():
+    # the attention functions take a cache block's runs whole, so decode
+    # makes one call of each per layer; only replay's exact totals in
+    # `PolicySimulator.step` still loop over the runs
+    found = []
+    for path in SOURCES:
+        if path.name == "attention.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for top in tree.body
+            if path.name == "trace.py" and isinstance(top, ast.ClassDef) and top.name == "PolicySimulator"
+            for method in top.body
+            if isinstance(method, ast.FunctionDef) and method.name == "step"
+            for node in ast.walk(method)
+        }
+        # names bound to a block's runs, e.g. `runs = cache.equal_size_runs()`
+        bound = {"equal_size_runs"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and "equal_size_runs" in _names(node.value):
+                pairs = [(node.targets[0], node.value)]
+                if isinstance(node.value, ast.Tuple) and isinstance(node.targets[0], ast.Tuple):
+                    pairs = zip(node.targets[0].elts, node.value.elts)
+                bound |= {n for target, value in pairs if "equal_size_runs" in _names(value) for n in _names(target)}
+        found += [
+            f"{path.name}:{getattr(node, 'lineno', node.iter.lineno)}: {ast.unparse(node.iter)}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.comprehension)) and _names(node.iter) & bound and id(node) not in allowed
+        ]
+    assert not found, f"equal_size_runs iterated outside replay's totals: {', '.join(found)}"
