@@ -51,7 +51,8 @@ class AttentionRow:
     `scores[i]` is the softmax weight the step-`step` query put on the i-th
     surviving cache entry. Scores are validated on construction: finite,
     within [0, 1], and summing to 1 within 1e-6. `validated=True` skips the
-    value checks for scores valid by construction, such as a softmax row.
+    conversion and the value checks for scores valid by construction, such
+    as a float64 softmax row.
     """
 
     step: int
@@ -59,7 +60,8 @@ class AttentionRow:
     validated: InitVar[bool] = False
 
     def __post_init__(self, validated: bool) -> None:
-        self.scores = np.asarray(self.scores, dtype=np.float64)
+        if not validated:
+            self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
         if self.scores.ndim != 1 or self.scores.size == 0:

@@ -177,22 +177,16 @@ def _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits) ->
     so only one policy's decode state is alive at a time.
     """
     label = policy_label(policy)
-    curve: list[tuple[int, float]] = []
-    want = set(checkpoints)
-
-    def on_step(t, state):
-        if t in want:
-            curve.append((t, mean_compression_rate(state.caches, t)))
-
-    res = model.run(tokens, policy, on_step=on_step)
+    res = model.run(tokens, policy)
     generated = model.generate(
         res.state,
         m.generate_steps,
         mode=m.sampling,
         top_k=m.top_k,
         seed=m.seed if m.sampling == "topk" else None,
-        on_step=on_step,
     )
+    sizes = res.state.step_sizes
+    curve = [(t, mean_compression_rate(sizes[t - 1], t)) for t in sorted(set(checkpoints))]
     _write_tokens(out.path(label, "tokens.txt"), generated)
     analysis.write_curve_csv(out.path(label, "compression.csv"), curve)
     if policy != Full():

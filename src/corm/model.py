@@ -12,13 +12,24 @@ differences in attention sharpness; an IID random init has none, so the gain
 ramp builds that heterogeneity in (deeper layers sharper, heads jittered).
 Set depth_gain=1 and head_gain_jitter=0 for statistically uniform layers.
 
-Prefill is strictly token-by-token: the eviction policy's update hook runs
-once per layer, for all of its kv heads at once, after every position,
-during prompt processing exactly as during generation. Each layer keeps its
-kv heads' entries in one preallocated block (`corm.policies.KvCacheState`);
-evicted entries are compacted away in place, and each entry's original
-absolute position is retained so rotary encoding and position-based
-bookkeeping stay correct after eviction.
+Decoding runs layer by layer over a chunk of tokens: `run` feeds a prompt in
+chunks of `PREFILL_CHUNK` tokens, and `decode_step` is a chunk of one. For
+each layer, the chunk's RMS norm, Q/K/V projections and rotary run once over
+its stacked rows. Then each position in turn appends its entry to the
+layer's cache, attends over the surviving entries, and runs the eviction
+policy's update hook once for all of the layer's kv heads, exactly as a
+token-by-token pass would. Then `wo` and the MLP run once over the chunk.
+Position t of layer l reads only layer l-1's rows at positions <= t and
+layer l's own cache, so this order computes what a token-by-token pass
+computes, and with the same bits: a stacked projection
+`np.matmul(X[:, None, :], W)` makes one BLAS gemv per row, the call that
+`x @ W` makes for a single row (a plain `X @ W` gemm changes bits), and RMS
+norm, GELU, rotary and the position tables work element by element or row
+by row, whatever the chunk's shape. Each layer keeps its kv heads' entries
+in one preallocated block (`corm.policies.KvCacheState`); evicted entries
+are compacted away in place, and each entry's original absolute position is
+retained so rotary encoding and position-based bookkeeping stay correct
+after eviction.
 
 Attention makes one call of each attention function per layer, over the
 layer's `(kv_heads, group, m)` block, however eviction has left the heads'
@@ -42,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +82,10 @@ __all__ = [
 RMS_EPS = 1e-6
 _LOG_F32_MAX = math.log(float(np.finfo(np.float32).max))
 _GELU_SCALE = np.sqrt(2.0 / np.pi)  # of the tanh approximation
+# Tokens per forward call in `run`. One chunk for the whole prompt raised the
+# peak RSS of a 160-token decode on a 4L/8H/d256 model from 63.5 to 68.4 MB
+# (+7.8 %); 64-token chunks kept it at 63.5 MB and still stack the dense work.
+PREFILL_CHUNK = 64
 
 # JSON field -> (type, may be null), checked before any field is used
 _CONFIG_FIELDS = {
@@ -224,11 +239,18 @@ class RunResult:
 
 @dataclass
 class DecoderState:
-    """Mutable decode state for one sequence: caches (their `step` is the last step) and last logits."""
+    """Mutable decode state for one sequence: caches (their `step` is the last step), last logits, cache sizes."""
 
     policy: Policy
     caches: list[KvCacheState]  # [layer]: one block of every kv head of the layer
     last_logits: np.ndarray | None = None
+    step_sizes: list[list[int]] = field(default_factory=list)  # [t - 1]: every cache's size after step t, layer-major
+
+
+def _stacked(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # one BLAS gemv per row of x (n, d), the product a 1-D `row @ w` computes;
+    # a gemm over the n rows would change the bits
+    return np.matmul(x[:, None, :], w)[:, 0]
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
@@ -275,20 +297,13 @@ class ToyTransformer:
         self.head_gain = (
             (depth * np.exp(c.head_gain_jitter * jitter)).astype(np.float32).astype(np.float64)
         )
+        self._gains = self.head_gain.reshape(c.n_layers, c.kv_heads, c.group_size, 1)  # [layer], as a score block
         self._slopes = c.pe.head_slopes(c.n_heads)
 
     # -- plumbing ----------------------------------------------------------
 
     def _kv_head(self, head: int) -> int:
         return head // self.config.group_size
-
-    def _embed(self, token: int, t: int) -> np.ndarray:
-        h = self.embedding[token].copy()
-        rows = self.config.pe.embedding_rows(self.pos_table, t)
-        if rows is not None:
-            self.pos_table = rows
-            h += rows[t - 1]
-        return h
 
     def init_state(self, policy: Policy) -> DecoderState:
         """Fresh decode state; checks that the policy can serve the model's heads."""
@@ -304,80 +319,111 @@ class ToyTransformer:
 
     # -- stepping ----------------------------------------------------------
 
-    def decode_step(self, state: DecoderState, token: int) -> StepResult:
-        """Process one token: append to caches, attend, update logits, evict.
+    def _forward(
+        self,
+        state: DecoderState,
+        tokens: np.ndarray,
+        rows: list[list[AttentionRow]] | None = None,
+        queries: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Steps `cache.step + 1 ...` of `tokens` (n,) int64, layer by layer; returns their (n, vocab) logits.
 
+        The chunk's dense stages run once per layer over its stacked rows,
+        and attention and the policy once per position (module docstring).
         Attention is computed over the surviving cache entries only, one
-        call per layer (module docstring); rotary encoding uses each entry's
+        call per layer and position; rotary encoding uses each entry's
         original absolute position. The policy gets the layer's softmax
-        block, zero past each kv head's size. The policy hook runs after the
-        step's output is complete, so an eviction first affects the next
-        step.
+        block, zero past each kv head's size, after the position's attention
+        output, so an eviction first affects the next position. Each
+        position's cache sizes go to `state.step_sizes`. With `rows` and
+        `queries`, a one-token call also keeps each layer's attention rows
+        and post-rotary queries (`StepResult`).
+
+        Errors are a token-by-token pass's: the first bad token id, or the
+        first step past the learned position table, whichever comes first.
         """
         c = self.config
-        if not 0 <= token < c.vocab_size:
-            raise ValueError(f"token id {token} outside vocabulary of {c.vocab_size}")
-        t = state.caches[0].step + 1
-        gs = c.group_size
-        h = self._embed(token, t)
-        rows_all: list[list[AttentionRow]] = []
-        queries = np.empty((c.n_layers, c.n_heads, c.d_h), dtype=np.float64)
-        slopes = None if self._slopes is None else self._slopes.reshape(c.kv_heads, gs, 1)
+        n, t0 = tokens.size, state.caches[0].step
+        kv, gs, d_h = c.kv_heads, c.group_size, c.d_h
+        ids = tokens.tolist()
+        ok = n  # tokens before the first bad id
+        if min(ids) < 0 or max(ids) >= c.vocab_size:
+            ok = next(i for i, tok in enumerate(ids) if not 0 <= tok < c.vocab_size)
+        # the steps before a bad token embed first, as they would one by one
+        table = c.pe.embedding_rows(self.pos_table, t0 + ok) if ok else None
+        if ok < n:
+            raise ValueError(f"token id {tokens[ok]} outside vocabulary of {c.vocab_size}")
+        h = self.embedding[tokens]
+        if table is not None:
+            self.pos_table = table
+            h += table[t0 : t0 + n]
+        positions = np.arange(t0, t0 + n)[:, None]
+        slopes = None if self._slopes is None else self._slopes.reshape(kv, gs, 1)
+        sizes: list[list[int]] = [[] for _ in range(n)]
+        # a single row needs no stacking: numpy's matmul makes a one-row product a gemv
+        mm = np.matmul if n == 1 else _stacked
 
         for li, lw in enumerate(self.layers):
             x = _rms_norm(h)
-            q = (x @ lw.wq).reshape(c.n_heads, c.d_h)
-            k = (x @ lw.wk).reshape(c.kv_heads, c.d_h)
-            v = (x @ lw.wv).reshape(c.kv_heads, c.d_h)
-            q, k = c.pe.rotate(q, k, (t - 1,))
-            queries[li] = q
+            q = mm(x, lw.wq).reshape(n, c.n_heads, d_h)
+            k = mm(x, lw.wk).reshape(n, kv, d_h)
+            v = mm(x, lw.wv).reshape(n, kv, d_h)
+            q, k = c.pe.rotate(q, k, positions)
+            if queries is not None:
+                queries[li] = q[0]
             cache = state.caches[li]
-            cache.append(k, v)
+            gain = self._gains[li]
+            outs = np.empty((n, kv, gs, d_h))
+            for i in range(n):
+                cache.append(k[i], v[i])
+                # query heads grouped by the kv head they read: (kv heads, group size, ...)
+                runs, m = cache.equal_size_runs(), cache.width
+                logits = scaled_dot_scores(q[i].reshape(kv, gs, d_h), cache.keys[:, None, :m], d_h, runs)
+                logits *= gain
+                if slopes is not None:
+                    logits -= slopes * (cache.step - cache.positions[:, None, :m])
+                scores = softmax_normalize(logits, runs)
+                if rows is not None:
+                    # one row per query head, over its kv head's entries; softmax
+                    # output is finite, in [0, 1] and normalized by construction
+                    rows.append([
+                        AttentionRow(cache.step, scores[hk, g, :s], validated=True)
+                        for hk, s in enumerate(cache.sizes)
+                        for g in range(gs)
+                    ])
+                outs[i] = attention_output(scores, cache.values[:, None, :m], runs)
+                apply_policy(state.policy, cache, scores)
+                sizes[i] += cache.sizes
+            h = h + mm(outs.reshape(n, -1), lw.wo)
+            h = h + mm(_gelu(mm(_rms_norm(h), lw.w1)), lw.w2)
 
-            # query heads grouped by the kv head they read: (kv heads, group size, ...)
-            q_groups = q.reshape(c.kv_heads, gs, c.d_h)
-            runs, m = cache.equal_size_runs(), cache.width
-            logits = scaled_dot_scores(q_groups, cache.keys[:, None, :m], c.d_h, runs)
-            logits *= self.head_gain[li].reshape(c.kv_heads, gs, 1)
-            if slopes is not None:
-                logits -= slopes * (t - cache.positions[:, None, :m])
-            scores = softmax_normalize(logits, runs)
-            # one row per query head, over its kv head's entries; softmax
-            # output is finite, in [0, 1] and normalized by construction
-            rows_all.append(
-                [AttentionRow(t, scores[hk, g, :n], validated=True) for hk, n in enumerate(cache.sizes) for g in range(gs)]
-            )
-            outs = attention_output(scores, cache.values[:, None, :m], runs)
-            h = h + outs.reshape(-1) @ lw.wo
-            h = h + _gelu(_rms_norm(h) @ lw.w1) @ lw.w2
+        logits = mm(_rms_norm(h), self.out_proj)
+        state.last_logits = logits[-1]
+        state.step_sizes += sizes
+        return logits
 
-            apply_policy(state.policy, cache, scores)
+    def decode_step(self, state: DecoderState, token: int) -> StepResult:
+        """Process one token: the forward over a chunk of one (`_forward`), keeping its attention rows and queries."""
+        c = self.config
+        rows: list[list[AttentionRow]] = []
+        queries = np.empty((c.n_layers, c.n_heads, c.d_h), dtype=np.float64)
+        logits = self._forward(state, np.array([token], dtype=np.int64), rows, queries)
+        return StepResult(step=state.caches[0].step, logits=logits[0], rows=rows, queries=queries)
 
-        logits = _rms_norm(h) @ self.out_proj
-        state.last_logits = logits
-        return StepResult(step=t, logits=logits, rows=rows_all, queries=queries)
-
-    def run(
-        self,
-        tokens: Sequence[int],
-        policy: Policy,
-        *,
-        on_step: Callable[[int, DecoderState], None] | None = None,
-    ) -> RunResult:
+    def run(self, tokens: Sequence[int], policy: Policy) -> RunResult:
         """Teacher-forced pass, returning per-position logits.
 
-        `on_step(t, state)` is called after every step, as in `generate`.
+        The tokens go through the forward in chunks of `PREFILL_CHUNK`, with
+        the bits of a token-by-token pass (module docstring); the state
+        records every step's cache sizes (`DecoderState.step_sizes`).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("token sequence must be non-empty")
         state = self.init_state(policy)
         logits = np.empty((tokens.size, self.config.vocab_size), dtype=np.float64)
-        for i, tok in enumerate(tokens):
-            sr = self.decode_step(state, int(tok))
-            logits[i] = sr.logits
-            if on_step is not None:
-                on_step(sr.step, state)
+        for a in range(0, tokens.size, PREFILL_CHUNK):
+            logits[a : a + PREFILL_CHUNK] = self._forward(state, tokens[a : a + PREFILL_CHUNK])
         return RunResult(state=state, logits=logits)
 
     def generate(
@@ -388,9 +434,8 @@ class ToyTransformer:
         mode: str = "greedy",
         top_k: int = 0,
         seed: int | None = None,
-        on_step: Callable[[int, DecoderState], None] | None = None,
     ) -> np.ndarray:
-        """Continue from a prefilled state; greedy or seeded top-k sampling."""
+        """Continue from a prefilled state, one `decode_step` per token; greedy or seeded top-k sampling."""
         if state.last_logits is None:
             raise ValueError("generate needs a prefilled state")
         if mode not in ("greedy", "topk"):
@@ -411,9 +456,7 @@ class ToyTransformer:
                 cand = stable_argsort_desc(logits)[:top_k]
                 tok = int(rng.choice(cand, p=softmax_normalize(logits[cand])))
             out[i] = tok
-            sr = self.decode_step(state, tok)
-            if on_step is not None:
-                on_step(sr.step, state)
+            self.decode_step(state, tok)
         return out
 
     def perplexity(self, tokens: Sequence[int], policy: Policy) -> float:
@@ -455,10 +498,10 @@ class ToyTransformer:
         causal = positions[None, :] > positions[:, None]  # True above the diagonal
         for li, lw in enumerate(self.layers):
             x = _rms_norm(h)
-            q = (x @ lw.wq).reshape(T, c.n_heads, c.d_h).transpose(1, 0, 2)
-            k = (x @ lw.wk).reshape(T, c.kv_heads, c.d_h).transpose(1, 0, 2)
+            q = (x @ lw.wq).reshape(T, c.n_heads, c.d_h)
+            k = (x @ lw.wk).reshape(T, c.kv_heads, c.d_h)
             v = (x @ lw.wv).reshape(T, c.kv_heads, c.d_h).transpose(1, 0, 2)
-            q, k = c.pe.rotate(q, k, positions)
+            q, k = (a.transpose(1, 0, 2) for a in c.pe.rotate(q, k, positions[:, None]))
             outs = np.empty((c.n_heads, T, c.d_h), dtype=np.float64)
             for hd in range(c.n_heads):
                 kv = self._kv_head(hd)

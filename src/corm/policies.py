@@ -713,13 +713,17 @@ class KvCacheState:
 # --------------------------------------------------------------------------
 
 
-def compression_rate(cache: KvCacheState, t: int) -> np.ndarray:
-    """Per head, 1 - (cache size / t): the fraction of generated entries evicted so far."""
+def compression_rate(sizes: Sequence[int], t: int) -> np.ndarray:
+    """Per cache, 1 - (size / t): the fraction of generated entries evicted after step t.
+
+    `sizes` holds cache sizes: one block's `sizes`, or a row of a decode's
+    `DecoderState.step_sizes`.
+    """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    return 1.0 - np.array(cache.sizes) / t
+    return 1.0 - np.asarray(sizes) / t
 
 
-def mean_compression_rate(caches: Sequence[KvCacheState], t: int) -> float:
-    """Model-wide rate: mean over every (layer, kv-head) cache of the layers' blocks."""
-    return float(np.mean(np.concatenate([compression_rate(c, t) for c in caches])))
+def mean_compression_rate(sizes: Sequence[int], t: int) -> float:
+    """Model-wide rate after step t: the mean of `compression_rate` over every cache in `sizes`."""
+    return float(np.mean(compression_rate(sizes, t)))

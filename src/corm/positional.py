@@ -65,7 +65,7 @@ class PeConfig:
         return None
 
     def rotate(self, q: np.ndarray, k: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
-        """Queries (..., n, d_h) and keys after rotation by `positions`, shaped as in `rope_apply_many`."""
+        """Queries (n, heads, d_h) and keys (n, kv_heads, d_h), row i rotated by `positions[i]` of an (n, 1) column."""
         return q, k
 
     def head_slopes(self, n_heads: int) -> np.ndarray | None:
@@ -90,8 +90,8 @@ class Rope(PeConfig):
 
     def rotate(self, q: np.ndarray, k: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
         # one call for queries and keys together
-        qk = rope_apply_many(np.concatenate([q, k]), positions, self.base)
-        return qk[: len(q)], qk[len(q) :]
+        qk = rope_apply_many(np.concatenate([q, k], axis=1), positions, self.base)
+        return qk[:, : q.shape[1]], qk[:, q.shape[1] :]
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ class AbsoluteLearned(PeConfig):
 
     def embedding_rows(self, table: np.ndarray, n: int) -> np.ndarray:
         if n > len(table):
-            raise ValueError(f"step {n} exceeds the learned position table ({len(table)})")
+            # names the first step with no row, as a token-by-token decode meets it
+            raise ValueError(f"step {len(table) + 1} exceeds the learned position table ({len(table)})")
         return table
 
 
@@ -205,7 +206,11 @@ def _rope_frequencies(base: float, d_h: int) -> np.ndarray:
 
 
 def rope_apply_many(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
-    """Vectorized rotary encoding: x is (..., n, d_h), positions is (n,), or (1,) for one shared position."""
+    """Vectorized rotary encoding: x is (..., n, d_h), positions is (n,), or (1,) for one shared position.
+
+    Positions broadcast against x's axes before the last, so x (n, heads, d_h)
+    with positions (n, 1) rotates every head of row i by positions[i].
+    """
     x = np.asarray(x, dtype=np.float64)
     d_h = x.shape[-1]
     if d_h % 2 != 0:

@@ -234,8 +234,9 @@ def record(
     queries: list[np.ndarray] = []
     for tok in tokens:
         sr = model.decode_step(state, int(tok))
-        block = np.stack([np.stack([row.scores for row in layer]) for layer in sr.rows])
-        rows_t, queries_t = block.astype(np.float32), sr.queries.astype(np.float32)
+        # one conversion of every row straight to float32, the rounding astype makes
+        rows_t = np.array([[row.scores for row in layer] for layer in sr.rows], dtype=np.float32)
+        queries_t = sr.queries.astype(np.float32)
         # nothing else holds these fresh arrays, so read-only they need no copy in the trace
         rows_t.flags.writeable = queries_t.flags.writeable = False
         rows.append(rows_t)

@@ -197,18 +197,12 @@ class TestOutputDivergence:
 
 
 class TestCompressionCurve:
-    """Live model-mean compression rates, sampled at checkpoints by `run`'s step hook."""
+    """Live model-mean compression rates, read at checkpoints from the cache sizes `run` records."""
 
     @staticmethod
     def curve(model, tokens, policy, checkpoints):
-        out = []
-
-        def on_step(t, state):
-            if t in checkpoints:
-                out.append((t, mean_compression_rate(state.caches, t)))
-
-        model.run(tokens, policy, on_step=on_step)
-        return out
+        sizes = model.run(tokens, policy).state.step_sizes
+        return [(t, mean_compression_rate(sizes[t - 1], t)) for t in checkpoints]
 
     def test_full_policy_all_zero(self, small_model):
         curve = self.curve(small_model, seeded_tokens(7, 24), Full(), [8, 16, 24])

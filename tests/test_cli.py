@@ -77,6 +77,32 @@ class TestGenerate:
         gen = (out / "full" / "tokens.txt").read_text().splitlines()
         assert len(gen) == 12
 
+    # Written by the token-by-token decode, before prompts ran in 64-token chunks.
+    CHUNK_EDGE_CURVES = {
+        "full": "step,compression_rate\n1,0.0\n63,0.0\n64,0.0\n65,0.0\n80,0.0\n",
+        "corm_8+8": "step,compression_rate\n1,0.0\n63,0.24206349206349206\n64,0.23828125\n"
+        "65,0.23846153846153845\n80,0.321875\n",
+        "h2o_8+8": "step,compression_rate\n1,0.0\n63,0.746031746031746\n64,0.75\n65,0.7538461538461538\n80,0.8\n",
+        "streaming_2+6": "step,compression_rate\n1,0.0\n63,0.873015873015873\n64,0.875\n"
+        "65,0.8769230769230769\n80,0.9\n",
+    }
+
+    def test_compression_curve_across_chunk_edges(self, tmp_path):
+        write_model_config(tmp_path / "model.json", n_layers=2)
+        write_tokens(tmp_path / "input.txt", seeded_tokens(1, 70, vocab=64))
+        manifest = {
+            "model_config": "model.json",
+            "policies": ["full", "corm:8+8", "h2o:8+8", "streaming:2+6"],
+            "input": {"kind": "token_ids", "path": "input.txt"},
+            "out": "edges",
+            "generate_steps": 10,
+            "checkpoints": [80, 65, 64, 64, 63, 1],
+        }
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        assert main(["generate", "--manifest", str(tmp_path / "m.json")]) == 0
+        for label, curve in self.CHUNK_EDGE_CURVES.items():
+            assert (tmp_path / "edges" / label / "compression.csv").read_text() == curve
+
     def test_rerun_is_byte_identical(self, workspace):
         a = tree(self.run_generate(workspace, "runA"))
         b = tree(self.run_generate(workspace, "runB"))
@@ -220,6 +246,20 @@ class TestFailLoud:
         write_model_config(workspace / "model.json", pe={"kind": "absolute_learned"}, max_positions=16)
         err = self.run_manifest(workspace, capsys)
         assert "step 17 exceeds the learned position table (16)" in err
+
+    def test_bad_token_mid_prompt(self, workspace, capsys):
+        tokens = seeded_tokens(1, 130, vocab=64)
+        tokens[70], tokens[100] = 99, 77
+        write_tokens(workspace / "input.txt", tokens)
+        err = self.run_manifest(workspace, capsys)
+        assert err.strip() == "error: token 99 at index 70 outside vocabulary of 64"
+
+    def test_prompt_past_the_learned_table_inside_a_chunk(self, workspace, capsys):
+        # step 101 lies inside the prompt's second 64-token chunk
+        write_model_config(workspace / "model.json", pe={"kind": "absolute_learned"}, max_positions=100)
+        write_tokens(workspace / "input.txt", seeded_tokens(1, 130, vocab=64))
+        err = self.run_manifest(workspace, capsys)
+        assert err.strip() == "error: step 101 exceeds the learned position table (100)"
 
     def test_negative_sampling_seed(self, workspace, capsys):
         err = self.run_manifest(workspace, capsys, seed=-1, sampling="topk", top_k=4)

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_tokens
 from corm.attention import softmax_normalize
@@ -14,8 +16,8 @@ from corm.model import (
     load_model_config,
     save_model_config,
 )
-from corm.policies import Corm, CormGqa, Full, Tova
-from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
+from corm.policies import POLICIES, Corm, CormGqa, Full, Tova, parse_policy
+from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 
 BASE = dict(n_layers=2, n_heads=4, d_model=64, vocab_size=256)
 
@@ -103,7 +105,7 @@ class TestPrefill:
         runs = []
         for _ in range(2):
             res = small_model.run(tokens, Corm(w=8, r=8))
-            rate = mean_compression_rate(res.state.caches, 512)
+            rate = mean_compression_rate(res.state.step_sizes[-1], 512)
             runs.append((rate, res.logits))
         assert runs[0][0] > 0.0
         assert runs[0][0] == runs[1][0]
@@ -328,3 +330,97 @@ class TestLearnedTable:
         model.forward_full_sequence(seeded_tokens(16, 8, vocab=16))
         with pytest.raises(ValueError, match=self.OVERFLOW):
             model.forward_full_sequence(seeded_tokens(16, 9, vocab=16))
+
+
+# Each registered policy's string form, sized by a, b and c.
+POLICY_FORMS = {
+    "full": "full",
+    "streaming": "streaming:{a}+{b}",
+    "h2o": "h2o:{a}+{b}",
+    "scissorhands": "scissorhands:{a}+{b}:{c}",
+    "tova": "tova:{a}",
+    "corm": "corm:{a}+{b}",
+    "gqa_corm": "gqa_corm:{a}+{b}",
+}
+
+
+@st.composite
+def decodes(draw, name: str):
+    """A model layout and positional encoding, policy `name` with drawn sizes, and 1..200 tokens."""
+    a, b, c = (draw(st.integers(1, 24)) for _ in range(3))
+    kv = draw(st.integers(1, 3))
+    group = draw(st.integers(1, 3)) if name in ("full", "gqa_corm") else 1
+    d_h = draw(st.sampled_from([2, 4, 8, 16]))
+    config = ModelConfig(
+        n_layers=draw(st.integers(1, 3)), n_heads=kv * group, n_kv_heads=kv, d_model=kv * group * d_h,
+        vocab_size=64, seed=draw(st.integers(0, 2**16)), pe=PE_KINDS[draw(st.sampled_from(sorted(PE_KINDS)))](),
+        max_positions=200,
+    )
+    return config, POLICY_FORMS[name].format(a=a, b=b, c=c), draw(st.integers(1, 200))
+
+
+class TestChunkedForward:
+    """`run`'s chunked forward has the bits of one `decode_step` per token."""
+
+    def test_forms_cover_every_registered_policy(self):
+        assert set(POLICY_FORMS) == set(POLICIES)
+
+    @pytest.mark.parametrize("name", sorted(POLICY_FORMS))
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_chunked_run_equals_token_by_token_decode(self, name, data):
+        config, policy, steps = data.draw(decodes(name))
+        self.check_equal(config, policy, steps)
+
+    @pytest.mark.parametrize("config,policy,steps", [
+        (ModelConfig(**BASE, seed=5), "corm:4+4", 129),
+        (ModelConfig(**BASE, seed=6, n_kv_heads=2, pe=AbsoluteSinusoidal()), "gqa_corm:8+8", 65),
+        (ModelConfig(**BASE, seed=7, pe=Alibi()), "h2o:8+8", 64),
+    ])
+    def test_chunk_edges(self, config, policy, steps):
+        self.check_equal(config, policy, steps)
+
+    @staticmethod
+    def check_equal(config, policy, steps):
+        model = init_model(config)
+        tokens = seeded_tokens(config.seed, steps, vocab=config.vocab_size)
+        chunked = model.run(tokens, parse_policy(policy))
+        state = model.init_state(parse_policy(policy))
+        logits = np.stack([model.decode_step(state, int(tok)).logits for tok in tokens])
+        assert chunked.logits.tobytes() == logits.tobytes()
+        assert chunked.state.last_logits.tobytes() == state.last_logits.tobytes()
+        assert chunked.state.step_sizes == state.step_sizes
+        assert chunked.state.step_sizes[-1] == [n for cache in state.caches for n in cache.sizes]
+        for a, b in zip(chunked.state.caches, state.caches):
+            assert (a.step, a.sizes, a.entry_names) == (b.step, b.sizes, b.entry_names)
+            for name in a.entry_names:
+                held_a = getattr(a, name)[:, : a.width][a.held]
+                held_b = getattr(b, name)[:, : b.width][b.held]
+                assert held_a.tobytes() == held_b.tobytes(), name
+
+
+class TestErrorsMatchTokenByToken:
+    """A chunked prompt fails with the error that one step at a time meets first."""
+
+    LEARNED = ModelConfig(**BASE, seed=0, pe=AbsoluteLearned(), max_positions=100)
+
+    def test_bad_token_mid_prompt_names_the_first_bad_id(self, small_model):
+        tokens = seeded_tokens(2, 130)
+        tokens[70], tokens[100] = 300, -1
+        with pytest.raises(ValueError, match=r"^token id 300 outside vocabulary of 256$"):
+            small_model.run(tokens, Full())
+
+    def test_learned_table_overrun_inside_a_chunk_names_its_step(self):
+        # step 101 lies inside the second 64-token chunk, which ends at step 128
+        with pytest.raises(ValueError, match=r"^step 101 exceeds the learned position table \(100\)$"):
+            init_model(self.LEARNED).run(seeded_tokens(3, 130), Full())
+
+    @pytest.mark.parametrize("bad_at,message", [
+        (90, r"^token id 256 outside vocabulary of 256$"),
+        (120, r"^step 101 exceeds the learned position table \(100\)$"),
+    ])
+    def test_the_earlier_error_wins(self, bad_at, message):
+        tokens = seeded_tokens(3, 130)
+        tokens[bad_at] = 256
+        with pytest.raises(ValueError, match=message):
+            init_model(self.LEARNED).run(tokens, Full())

@@ -971,28 +971,28 @@ class TestCompressionRate:
         c = fresh_cache()
         for t in (1, 2, 3):
             push(c)
-        np.testing.assert_array_equal(compression_rate(c, 3), [0.0])
+        np.testing.assert_array_equal(compression_rate(c.sizes, 3), [0.0])
 
     def test_streaming_closed_form_half(self):
         c = fresh_cache()
         for t in range(1, 1025):
             push(c)
-        np.testing.assert_allclose(compression_rate(c, 2048), [0.5])
+        np.testing.assert_allclose(compression_rate(c.sizes, 2048), [0.5])
 
     def test_rate_per_head_of_a_block(self):
         c = fresh_cache(2)
         for t in (1, 2):
             push(c)
         c.keep_only(np.array([[True, True], [False, True]]))
-        np.testing.assert_array_equal(compression_rate(c, 2), [0.0, 0.5])
+        np.testing.assert_array_equal(compression_rate(c.sizes, 2), [0.0, 0.5])
 
     def test_mean_over_heads(self):
         a, b = fresh_cache(), fresh_cache()
         push(a)
         push(a)
         push(b)
-        assert mean_compression_rate([a, b], 2) == pytest.approx(0.25)
+        assert mean_compression_rate(a.sizes + b.sizes, 2) == pytest.approx(0.25)
 
     def test_invalid_t_rejected(self):
         with pytest.raises(ValueError):
-            compression_rate(fresh_cache(), 0)
+            compression_rate(fresh_cache().sizes, 0)
