@@ -223,7 +223,6 @@ class LayerWeights:
 class StepResult:
     """Output of one decode step: next-token logits plus per-head attention."""
 
-    step: int
     logits: np.ndarray
     rows: list[list[AttentionRow]]  # [layer][query head], over surviving entries; views of a fresh block
     queries: np.ndarray  # (n_layers, n_heads, d_h); post-rotary when rotary is on
@@ -408,7 +407,7 @@ class ToyTransformer:
         rows: list[list[AttentionRow]] = []
         queries = np.empty((c.n_layers, c.n_heads, c.d_h), dtype=np.float64)
         logits = self._forward(state, np.array([token], dtype=np.int64), rows, queries)
-        return StepResult(step=state.caches[0].step, logits=logits[0], rows=rows, queries=queries)
+        return StepResult(logits=logits[0], rows=rows, queries=queries)
 
     def run(self, tokens: Sequence[int], policy: Policy) -> RunResult:
         """Teacher-forced pass, returning per-position logits.

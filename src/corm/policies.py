@@ -86,9 +86,9 @@ __all__ = [
 def classify_important(scores: np.ndarray, t: int) -> np.ndarray:
     """Flags of the step-t scores at least the mean-score threshold 1/t.
 
-    The one home of the importance test that the recency policies, replay
-    and analysis share. The comparison is >= (a score exactly at the
-    average counts as important). Works elementwise on an array of any shape.
+    The one home of the importance test, which policies apply to the scores
+    they are given and analysis to recorded rows. The comparison is >= (a
+    score exactly at the average counts as important). Works elementwise.
     """
     return scores >= 1.0 / t
 
@@ -114,8 +114,8 @@ class Policy:
 
     name: ClassVar[str]
     label: str
-    # True when `step` decides on score values and ignores masks; replay
-    # renormalizes the restricted rows, and passes no masks, only for these
+    # True when `step` decides on score values, not only on their flags;
+    # replay renormalizes the restricted rows only for these
     reads_magnitudes: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
@@ -138,19 +138,15 @@ class Policy:
             )
         return 1
 
-    def step(self, cache: KvCacheState, scores: np.ndarray, masks: np.ndarray | None = None) -> None:
+    def step(self, cache: KvCacheState, scores: np.ndarray) -> None:
         """Update every head of the `cache` block after its latest step t = cache.step.
 
         scores: (heads, group, m) float64 with m = cache.width; scores[h, i]
         holds the scores that query head i of head h's group gave head h's
-        entries at step t, zero on its free rows. masks: optional
-        (heads, group, m) bool importance flags that replace the ones derived
-        from scores (replay flags the recorded scores). A policy that reads
-        magnitudes (`reads_magnitudes` True) decides on the scores alone and
-        ignores masks, so replay passes it none. Scores are normalized over
-        the head's entries, except where masks are given to a policy that
-        does not read magnitudes: replay then passes the recorded scores
-        restricted to the entries, as they are.
+        entries at step t, zero on its free rows, normalized over the head's
+        entries. A policy that flags entries decides on
+        `classify_important(scores, t)` alone, so replay passes it the
+        recorded scores restricted to its entries, not renormalized.
         """
         raise NotImplementedError
 
@@ -158,8 +154,8 @@ class Policy:
         """Raise ValueError naming the first broken invariant of a block this policy steps."""
         cache.check()
 
-    def _check(self, cache: KvCacheState, scores: np.ndarray, masks: np.ndarray | None) -> None:
-        """Raise ValueError unless `scores` and `masks` are this policy's block for `cache`."""
+    def _check(self, cache: KvCacheState, scores: np.ndarray) -> None:
+        """Raise ValueError unless `scores` is this policy's block for `cache`."""
         if scores.ndim != 3 or scores.shape[0] != cache.n_heads or scores.shape[2] != cache.width:
             raise ValueError(
                 f"{scores.shape} scores for a cache block of {cache.n_heads} heads of up to {cache.width} entries"
@@ -167,8 +163,17 @@ class Policy:
         group = self.group_size_for(scores.shape[1], 1)
         if group != scores.shape[1]:
             raise ValueError(f"policy group size {group} does not match {scores.shape[1]} query heads per kv head")
-        if masks is not None and masks.shape != scores.shape:
-            raise ValueError(f"masks of shape {masks.shape} for scores of shape {scores.shape}")
+
+
+def _integers(name: str, text: str, count: int = 1) -> list[int]:
+    """The sizes of one policy argument: `A+B` if `count` is 2, else a lone integer."""
+    parts = text.split("+") if count == 2 else [text]
+    if len(parts) != count:
+        raise ValueError(f"policy {name!r} expects A+B sizes, got {text!r}")
+    try:
+        return [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"policy {name!r} expects integer sizes, got {text!r}") from None
 
 
 def _sizes(name: str, args: list[str], third: bool = False) -> tuple[int, int, int | None]:
@@ -178,14 +183,8 @@ def _sizes(name: str, args: list[str], third: bool = False) -> tuple[int, int, i
     at_most = 2 if third else 1
     if len(args) > at_most:
         raise ValueError(f"policy {name!r} takes at most {at_most} ':'-separated arguments")
-    parts = args[0].split("+")
-    if len(parts) != 2:
-        raise ValueError(f"policy {name!r} expects A+B sizes, got {args[0]!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"policy {name!r} expects integer sizes, got {args[0]!r}") from None
-    return a, b, int(args[1]) if len(args) == 2 else None
+    a, b = _integers(name, args[0], 2)
+    return a, b, _integers(name, args[1])[0] if len(args) == 2 else None
 
 
 def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarray, budget: int) -> None:
@@ -229,7 +228,7 @@ class Full(Policy):
     def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
         return _model_group(n_heads, n_kv_heads)
 
-    def step(self, cache, scores, masks=None) -> None:
+    def step(self, cache, scores) -> None:
         pass
 
 
@@ -250,8 +249,8 @@ class StreamingLlm(Policy):
     def label(self) -> str:
         return f"streaming_{self.sink}+{self.recent}"
 
-    def step(self, cache, scores, masks=None) -> None:
-        self._check(cache, scores, masks)
+    def step(self, cache, scores) -> None:
+        self._check(cache, scores)
         positions = cache.positions[:, : scores.shape[2]]
         cache.keep_only((positions <= self.sink) | (positions > cache.step - self.recent))
 
@@ -280,8 +279,8 @@ class H2O(Policy):
     def label(self) -> str:
         return f"h2o_{self.heavy}+{self.recent}"
 
-    def step(self, cache, scores, masks=None) -> None:
-        self._check(cache, scores, masks)
+    def step(self, cache, scores) -> None:
+        self._check(cache, scores)
         acc = cache.entry_array("acc_scores", np.float64)[:, : scores.shape[2]]
         acc += scores[:, 0]
         if max(cache.sizes) > self.heavy + self.recent:
@@ -320,15 +319,15 @@ class Scissorhands(Policy):
         label = f"scissorhands_{self.budget}+{self.recent}"
         return label if self.window == self.recent else f"{label}_w{self.window}"
 
-    def step(self, cache, scores, masks=None) -> None:
-        self._check(cache, scores, masks)
+    def step(self, cache, scores) -> None:
+        self._check(cache, scores)
         t, m = cache.step, scores.shape[2]
         message = cache.entry_array("message", np.bool_, min(1 << (t - 1).bit_length(), self.window))
         if message.shape[2] > self.window:
             raise ValueError(f"message has {message.shape[2]} slots, window is {self.window}")
         counts = cache.entry_array("counts", np.int64)[:, :m]
         slot = message[:, :m, (t - 1) % self.window]
-        flags = (classify_important(scores, t) if masks is None else masks)[:, 0]
+        flags = classify_important(scores[:, 0], t)
         counts -= slot
         counts += flags
         slot[...] = flags
@@ -360,14 +359,14 @@ class Tova(Policy):
     def parse(cls, args: list[str]) -> Tova:
         if len(args) != 1:
             raise ValueError("policy 'tova' expects one budget, e.g. tova:512")
-        return cls(int(args[0]))
+        return cls(*_integers(cls.name, args[0]))
 
     @property
     def label(self) -> str:
         return f"tova_{self.budget}"
 
-    def step(self, cache, scores, masks=None) -> None:
-        self._check(cache, scores, masks)
+    def step(self, cache, scores) -> None:
+        self._check(cache, scores)
         if max(cache.sizes) > self.budget:
             _evict_lowest(cache, scores[:, 0], cache.held, self.budget)
 
@@ -389,21 +388,18 @@ class Corm(Policy):
     def label(self) -> str:
         return f"corm_{self.w}+{self.r}"
 
-    def step(self, cache, scores, masks=None) -> None:
+    def step(self, cache, scores) -> None:
         """One recency-message eviction step.
 
-        The step's mask is the OR of the group's rows of flags (a one-head
-        group's row itself): an entry is minor only if every query head of
-        the group finds it minor. The entries it flags record step t as
-        their last flagged step. Nothing is evicted until w masks exist;
-        afterwards the kept set is exactly {flagged in >= 1 of the last w
-        masks} union {entries from the last r steps}, and an entry was
-        flagged in one of the last w masks exactly when its last flagged
-        step is after t - w.
+        An entry is flagged when any query head of the group flags it (it
+        is minor only if every head finds it minor), and its last flagged
+        step becomes t. Nothing is evicted before step w; afterwards the kept
+        set is exactly {flagged in one of the last w steps, i.e. last flagged
+        after t - w} union {entries from the last r steps}.
         """
-        self._check(cache, scores, masks)
+        self._check(cache, scores)
         t, m = cache.step, scores.shape[2]
-        flags = classify_important(scores, t) if masks is None else masks
+        flags = classify_important(scores, t)
         flagged_at = cache.entry_array("flagged_at", np.int64)[:, :m]
         mask = flags[:, 0] if flags.shape[1] == 1 else np.logical_or.reduce(flags, axis=1)
         np.copyto(flagged_at, t, where=mask)
@@ -487,14 +483,14 @@ def policy_label(policy: Policy) -> str:
     return policy.label
 
 
-def apply_policy(policy: Policy, cache: KvCacheState, scores: np.ndarray, masks: np.ndarray | None = None) -> None:
+def apply_policy(policy: Policy, cache: KvCacheState, scores: np.ndarray) -> None:
     """Run one step of `policy` on every head of one cache block (see `Policy.step`).
 
     The single entry point through which live decoding (once per layer) and
     replay (once per step) update caches: `scores[h]` holds one row per
     query head attending to head h.
     """
-    policy.step(cache, scores, masks)
+    policy.step(cache, scores)
 
 
 # --------------------------------------------------------------------------

@@ -15,13 +15,12 @@ to the simulated surviving set. The simulator keeps no history of kept
 sets, only its live cache block and the compression curve. The block works
 in place, one row per step, so replay needs O(caches x steps) memory beyond
 the trace.
-Importance flags are thresholded on the recorded scores (so replayed
-decisions depend on the trace alone, and growing the recency window can only
-grow the kept set); the restricted row is renormalized only for the
-policies that read score magnitudes (`Policy.reads_magnitudes`). Replay
-approximates a live eviction run only when eviction would not have changed
-downstream queries; the divergence between the two regimes is itself
-something to measure, not hide.
+The restricted row is renormalized only for the policies that read score
+magnitudes (`Policy.reads_magnitudes`); the others flag the recorded scores,
+so replayed decisions depend on the trace alone, and growing the recency
+window can only grow the kept set. Replay approximates a live eviction run
+only when eviction would not have changed downstream queries; the
+divergence between the two regimes is itself something to measure, not hide.
 
 Recording rounds rows and queries to float32, the file's storage precision,
 so a recorded trace equals the same trace saved and loaded.
@@ -66,7 +65,7 @@ import numpy as np
 
 from .attention import check_score_rows
 from .model import ToyTransformer
-from .policies import Full, KvCacheState, Policy, apply_policy, classify_important
+from .policies import Full, KvCacheState, Policy, apply_policy
 from .positional import PE_KINDS
 
 __all__ = [
@@ -385,13 +384,11 @@ class PolicySimulator:
         The trace checked its rows when it was built, so they are not
         checked again. A recorded row lines up with the block's rows, so
         restricting it to the kept entries zeroes its free rows, in float64.
-        Flags are thresholded on the recorded scores (restriction leaves a
-        kept entry's score unchanged), so every mask-driven decision is a
-        pure function of the trace. A restricted row with no mass left (its
-        kept entries sum to 0 or less) is an error under every policy. Only
-        policies that read score magnitudes (`Policy.reads_magnitudes`) see
-        the restricted rows renormalized, and no masks, which they ignore;
-        the others get the rows as recorded, with their flags.
+        A restricted row with no mass left (its kept entries sum to 0 or
+        less) is an error under every policy. Only policies that read score
+        magnitudes (`Policy.reads_magnitudes`) see the restricted rows
+        renormalized; the others flag them as recorded (restriction leaves
+        a kept entry's score unchanged).
         """
         cache = self.cache
         t = cache.step + 1
@@ -415,10 +412,7 @@ class PolicySimulator:
         if not mass.min() > 0.0:
             layer = int(np.argmax(mass.min(axis=(1, 2)) <= 0.0)) // self.n_groups
             raise ValueError(f"step {t}, layer {layer}: a row restricted to the kept entries sums to 0")
-        if normalize:  # such a policy reads no masks
-            apply_policy(self.policy, cache, restricted / totals)
-        else:
-            apply_policy(self.policy, cache, restricted, classify_important(restricted, t))
+        apply_policy(self.policy, cache, restricted / totals if normalize else restricted)
         self._rates.append(1.0 - cache.size / (cache.n_heads * t))
 
 
@@ -426,10 +420,10 @@ def replay_policy(trace: AttentionTrace, policy: Policy) -> PolicySimulator:
     """Simulate `policy`'s eviction decisions against a recorded trace.
 
     At each step the recorded full row is restricted to the simulated
-    surviving positions, flagged, and renormalized to sum to 1 for the
-    policies that read score magnitudes (`PolicySimulator.step`). Returns
-    the simulator stepped through the whole trace: its final caches and its
-    compression curve averaged over layers and groups.
+    surviving positions, and renormalized to sum to 1 for the policies that
+    read score magnitudes (`PolicySimulator.step`). Returns the simulator
+    stepped through the whole trace: its final caches and its compression
+    curve averaged over layers and groups.
     """
     sim = PolicySimulator(policy, trace)
     for _ in range(trace.n_steps):

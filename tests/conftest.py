@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import corm
 from corm.attention import softmax_normalize
 from corm.model import ModelConfig, init_model
 from corm.policies import H2O, Corm, CormGqa, Full, Policy, Scissorhands, StreamingLlm, Tova
@@ -21,6 +24,28 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+
+def foreign_corm(pythonpath: str, imported: Path) -> Path | None:
+    """The first `corm` package held by an entry of `pythonpath` that is not `imported`, else None."""
+    for entry in filter(None, pythonpath.split(os.pathsep)):
+        package = Path(entry, "corm").resolve()
+        if (package / "__init__.py").is_file() and package != imported:
+            return package
+    return None
+
+
+def pytest_sessionstart(session) -> None:
+    # pytest's `pythonpath` setting puts this checkout's src ahead of PYTHONPATH,
+    # so `PYTHONPATH=<other>/src pytest` would test this checkout's corm unasked
+    imported = Path(corm.__file__).resolve().parent
+    other = foreign_corm(os.environ.get("PYTHONPATH", ""), imported)
+    if other is not None:
+        raise pytest.UsageError(
+            f"the tests import corm from {imported}, but PYTHONPATH holds another corm at {other}; "
+            f"to test that one, pass -o pythonpath={other.parent}"
+        )
+
+
 # Each registered policy's example string, as the README's policy table shows it.
 README_EXAMPLES = {
     "full": ("full", Full()),
@@ -30,6 +55,15 @@ README_EXAMPLES = {
     "tova": ("tova:8", Tova(budget=8)),
     "corm": ("corm:4+4", Corm(w=4, r=4)),
     "gqa_corm": ("gqa_corm:4+4", CormGqa(w=4, r=4)),
+}
+
+# Policy strings with a size that is not an integer, and the text each error quotes.
+NON_INTEGER_SIZES = {
+    "tova:abc": "abc",
+    "tova:": "",
+    "scissorhands:8+8:x": "x",
+    "gqa_corm:8+8:2.5": "2.5",
+    "corm:8+x": "8+x",
 }
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import seeded_tokens, write_trace_file
+from conftest import NON_INTEGER_SIZES, seeded_tokens, write_trace_file
 from corm.cli import main
 from corm.manifest import ExperimentManifest, InputSpec
 from corm.model import ToyTransformer
@@ -148,6 +148,22 @@ class TestGenerate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "valid names" in err
+        assert not os.path.exists(workspace / "bad")
+
+    @pytest.mark.parametrize("text", list(NON_INTEGER_SIZES))
+    def test_non_integer_policy_size_fails_fast(self, workspace, capsys, text):
+        rc = main(
+            [
+                "generate",
+                "--model-config", str(workspace / "model.json"),
+                "--policy", text,
+                "--input", str(workspace / "input.txt"),
+                "--out", str(workspace / "bad"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"expects integer sizes, got {NON_INTEGER_SIZES[text]!r}" in err
         assert not os.path.exists(workspace / "bad")
 
     def test_missing_input_file_reported(self, workspace, capsys):

@@ -1,5 +1,6 @@
 """Eviction policies: hand-simulated fixtures, invariants, and parsing."""
 
+import inspect
 from functools import partial
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import README_EXAMPLES, make_synthetic_trace, replay_steps, seeded_tokens
+from conftest import NON_INTEGER_SIZES, README_EXAMPLES, make_synthetic_trace, replay_steps, seeded_tokens
 from corm.model import ModelConfig, init_model
 from corm.policies import (
     FREE,
@@ -73,6 +74,13 @@ class TestPolicyParsing:
         with pytest.raises(ValueError):
             parse_policy(bad)
 
+    @pytest.mark.parametrize("text", list(NON_INTEGER_SIZES))
+    def test_non_integer_sizes_name_the_policy_and_the_text(self, text):
+        name, bad = text.split(":")[0], NON_INTEGER_SIZES[text]
+        with pytest.raises(ValueError) as error:
+            parse_policy(text)
+        assert str(error.value) == f"bad policy string {text!r}: policy {name!r} expects integer sizes, got {bad!r}"
+
     def test_labels_are_file_safe(self):
         for text in ("full", "streaming:4+1020", "corm:256+256", "gqa_corm:8+8:2"):
             label = policy_label(parse_policy(text))
@@ -99,6 +107,9 @@ GROUPED = {"full", "gqa_corm"}  # the policies that may serve a grouped-query mo
 @pytest.mark.parametrize("name", list(POLICIES))
 class TestRegistry:
     """Every registered policy parses, labels, decodes and replays."""
+
+    def test_step_takes_a_block_and_its_scores(self, name):
+        assert list(inspect.signature(POLICIES[name].step).parameters) == ["self", "cache", "scores"]
 
     def test_readme_example_parses_to_its_config(self, name):
         text, expected = README_EXAMPLES[name]
@@ -154,39 +165,42 @@ def assert_same_blocks(a: KvCacheState, b: KvCacheState) -> None:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
-MASK_DRIVEN = [name for name, cls in POLICIES.items() if not cls.reads_magnitudes]
+FLAG_DRIVEN = [name for name, cls in POLICIES.items() if not cls.reads_magnitudes]
+
+
+def flag_scores(flags: np.ndarray) -> np.ndarray:
+    """Scores that `classify_important` flags exactly where `flags` is True, at any step."""
+    return np.where(flags, 1.0, 0.0)
 
 
 def assert_magnitudes_ignored(name: str, in_place: bool) -> None:
-    # replay passes such a policy its restricted rows unnormalized, with the
-    # masks: a copy fed the renormalized rows must make the same decisions
+    # replay passes such a policy its restricted rows unnormalized: a copy fed
+    # their 0/1 image, which has the same flags, must make the same decisions
     policy = README_EXAMPLES[name][1]
     group = 2 if name in GROUPED else 1
     trace = make_synthetic_trace(n_layers=1, n_heads=3 * group, n_steps=48, seed=17)
-    raw, normalized = KvCacheState(3, 0, in_place), KvCacheState(3, 0, in_place)
+    raw, flagged = KvCacheState(3, 0, in_place), KvCacheState(3, 0, in_place)
     none = np.zeros((3, 0))
     for t, block in enumerate(trace.rows, start=1):
         raw.append(none, none)
-        normalized.append(none, none)
+        flagged.append(none, none)
         rows_by_cache = block[0].reshape(3, group, t).astype(np.float64)
         restricted = np.zeros((3, group, raw.width))
         for h in range(3):
             restricted[h][:, raw.held[h]] = rows_by_cache[h][:, raw.head_positions(h) - 1]
-        masks = classify_important(restricted, t)
-        totals = restricted.sum(axis=2, keepdims=True)
-        policy.step(normalized, restricted / totals, masks)
-        policy.step(raw, restricted, masks)
-        assert_same_blocks(raw, normalized)
+        policy.step(flagged, flag_scores(classify_important(restricted, t)))
+        policy.step(raw, restricted)
+        assert_same_blocks(raw, flagged)
     if name != "full":
         assert raw.size < 3 * trace.n_steps, "fixture never evicted"
 
 
-@pytest.mark.parametrize("name", MASK_DRIVEN)
+@pytest.mark.parametrize("name", FLAG_DRIVEN)
 def test_policies_that_read_no_magnitudes_ignore_them(name):
     assert_magnitudes_ignored(name, in_place=False)
 
 
-@pytest.mark.parametrize("name", MASK_DRIVEN)
+@pytest.mark.parametrize("name", FLAG_DRIVEN)
 def test_policies_that_read_no_magnitudes_ignore_them_in_place(name):
     assert_magnitudes_ignored(name, in_place=True)
 
@@ -529,8 +543,9 @@ class TestKeepOnlyAgainstLists:
 @settings(derandomize=True)
 @given(heads=st.integers(1, 3), steps=st.integers(1, 32), d=st.sampled_from([0, 2]), seed=st.integers(0, 2**16))
 def test_in_place_and_compacting_blocks_make_the_same_decisions(name, heads, steps, d, seed):
-    # both layouts get each step's scores and masks per position; coarse
-    # scores make ties, so the tie-breaks of the two layouts are compared too
+    # both layouts get each step's scores per position: coarse scores for a
+    # policy that reads magnitudes, which make ties, so the tie-breaks of the
+    # two layouts are compared too, and random flags for the others
     policy = README_EXAMPLES[name][1]
     group = 2 if name in GROUPED else 1
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -538,15 +553,15 @@ def test_in_place_and_compacting_blocks_make_the_same_decisions(name, heads, ste
     for t in range(1, steps + 1):
         keys, values = rng.normal(size=(2, heads, d))
         scores_by_position = rng.integers(0, 4, size=(heads, group, t)) / 4
-        masks_by_position = rng.random((heads, group, t)) < 0.4
+        flags_by_position = rng.random((heads, group, t)) < 0.4
+        if not policy.reads_magnitudes:
+            scores_by_position = flag_scores(flags_by_position)
         for c in blocks:
             c.append(keys, values)
             scores = np.zeros((heads, group, c.width))
-            masks = np.zeros(scores.shape, dtype=bool)
             for h in range(heads):
                 scores[h][:, c.held[h]] = scores_by_position[h][:, c.head_positions(h) - 1]
-                masks[h][:, c.held[h]] = masks_by_position[h][:, c.head_positions(h) - 1]
-            policy.step(c, scores, masks)
+            policy.step(c, scores)
             policy.check(c)
         assert compacting.sizes == in_place.sizes and compacting.entry_names == in_place.entry_names
         for h in range(heads):
@@ -703,13 +718,6 @@ class TestCormUpdate:
         with pytest.raises(ValueError, match="scores for a cache block of 2 heads"):
             Corm(w=2, r=1).step(c, rows([1.0]))
 
-    def test_mask_shape_mismatch_rejected(self):
-        c = fresh_cache()
-        push(c)
-        push(c)
-        with pytest.raises(ValueError, match="masks of shape"):
-            Corm(w=2, r=1).step(c, rows([0.5, 0.5]), np.ones((1, 1, 1), dtype=bool))
-
     @pytest.mark.parametrize("w,r", [(1, 1), (2, 1), (3, 2), (4, 4)])
     def test_recent_keep_and_characterization_fuzz(self, w, r):
         """Live-style fuzz on a block of 3 heads, under corm and under gqa_corm
@@ -845,19 +853,18 @@ class TestScissorhandsUpdate:
 
     @pytest.mark.parametrize("window", [1, 3, 5, 8, 64])
     def test_counts_match_a_list_of_the_last_window_masks(self, window):
-        # random masks on three heads, across block growth, budget evictions
+        # random flags on three heads, across block growth, budget evictions
         # and ring wrap: each surviving entry's count is the number of the
-        # last `window` masks that flagged its position
+        # last `window` steps that flagged its position
         rng = np.random.Generator(np.random.PCG64(window))
         policy = Scissorhands(budget=14, recent=6, window=window)
         c = fresh_cache(3)
         flagged: list[list[set[int]]] = []  # [step - 1][head]: positions the step's mask flagged
         for t in range(1, 91):
             push(c)
-            scores = rng.random((3, 1, c.width))
-            masks = rng.random((3, 1, c.width)) < 0.4
-            flagged.append([set(c.head_positions(h)[masks[h, 0, :n]].tolist()) for h, n in enumerate(c.sizes)])
-            policy.step(c, scores, masks)
+            flags = rng.random((3, 1, c.width)) < 0.4
+            flagged.append([set(c.head_positions(h)[flags[h, 0, :n]].tolist()) for h, n in enumerate(c.sizes)])
+            policy.step(c, flag_scores(flags))
             policy.check(c)
             assert c.message.shape[2] == min(1 << (t - 1).bit_length(), window)
             for h, n in enumerate(c.sizes):

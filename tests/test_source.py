@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import os
 import re
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "corm").glob("*.py"))
+import corm
+
+SOURCES = sorted(Path(corm.__file__).resolve().parent.glob("*.py"))  # the package the tests import
 
 
 def test_no_assert_statements():
@@ -73,6 +76,19 @@ def test_policies_reached_only_through_apply_policy():
             if hit:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, f"policy reached outside apply_policy: {', '.join(found)}"
+
+
+def test_importance_flags_taken_only_by_policies_and_analysis():
+    # one home for the importance rule per step: a policy flags the scores it
+    # is given, so decode and replay pass scores, never flags
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in SOURCES
+        if path.name not in ("policies.py", "analysis.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and "classify_important" in _names(node.func)
+    ]
+    assert not found, f"importance flags taken outside policies and analysis: {', '.join(found)}"
 
 
 def test_positional_encodings_dispatched_only_in_positional():
@@ -189,3 +205,18 @@ def test_only_replay_totals_loop_over_equal_size_runs():
             if isinstance(node, (ast.For, ast.comprehension)) and _names(node.iter) & bound and id(node) not in allowed
         ]
     assert not found, f"equal_size_runs iterated outside replay's totals: {', '.join(found)}"
+
+
+def test_a_pythonpath_corm_that_is_not_imported_is_named(tmp_path):
+    # the session check behind `conftest.pytest_sessionstart`
+    from conftest import foreign_corm
+
+    for tree in ("a", "b"):
+        (tmp_path / tree / "corm").mkdir(parents=True)
+        (tmp_path / tree / "corm" / "__init__.py").touch()
+    (tmp_path / "empty").mkdir()
+    imported = (tmp_path / "a" / "corm").resolve()
+    entries = [str(tmp_path / "empty"), str(tmp_path / "a"), str(tmp_path / "b")]
+    assert foreign_corm(os.pathsep.join(entries[:2]), imported) is None
+    assert foreign_corm(os.pathsep.join(entries), imported) == (tmp_path / "b" / "corm").resolve()
+    assert foreign_corm("", imported) is None

@@ -18,7 +18,7 @@ from conftest import (
     write_trace_file,
 )
 from corm.model import ModelConfig, init_model
-from corm.policies import POLICIES, Corm, CormGqa, Full, StreamingLlm, Tova, apply_policy
+from corm.policies import POLICIES, Corm, CormGqa, Full, Scissorhands, StreamingLlm, Tova, apply_policy
 from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import (
     PolicySimulator,
@@ -278,16 +278,42 @@ class TestReplay:
         tr = make_synthetic_trace(n_layers=2, n_heads=3, n_steps=60, seed=12, sharpness=12.0)
         seen = []
 
-        def spy(policy, cache, scores, masks=None):
+        def spy(policy, cache, scores):
             rows = tr.rows[cache.step - 1].reshape(cache.n_heads, cache.step).astype(np.float64)
             for h in range(cache.n_heads):
                 kept = rows[h, cache.head_positions(h) - 1]
                 np.testing.assert_array_equal(scores[h, 0, cache.held[h]], kept / kept.sum())
             seen.append(cache.size < cache.n_heads * cache.step)
-            apply_policy(policy, cache, scores, masks)
+            apply_policy(policy, cache, scores)
 
         monkeypatch.setattr(trace_mod, "apply_policy", spy)
         replay_policy(tr, README_EXAMPLES[name][1])
+        assert len(seen) == 60 and any(seen), "fixture never evicted"
+
+    @pytest.mark.parametrize(
+        "policy",
+        [Corm(w=4, r=4), CormGqa(w=4, r=4, group_size=2), Scissorhands(budget=4, recent=4, window=2), StreamingLlm(4, 8)],
+        ids=lambda policy: policy.name,
+    )
+    def test_flag_policies_see_the_recorded_rows_restricted_to_their_kept_entries(self, policy, monkeypatch):
+        # bit for bit: the recorded float32 rows in float64, zero on free rows and never
+        # renormalized, so the flags a policy takes from them are the recorded scores' flags
+        tr = make_synthetic_trace(n_layers=2, n_heads=6, n_steps=60, seed=12, sharpness=12.0)
+        seen = []
+
+        def spy(policy, cache, scores):
+            t, group = cache.step, scores.shape[1]
+            recorded = tr.rows[t - 1].reshape(cache.n_heads, group, t).astype(np.float64)
+            assert scores.dtype == np.float64
+            for h in range(cache.n_heads):
+                expect = np.zeros((group, cache.width))
+                expect[:, cache.held[h]] = recorded[h][:, cache.head_positions(h) - 1]
+                np.testing.assert_array_equal(scores[h], expect)
+            seen.append(cache.size < cache.n_heads * t)
+            apply_policy(policy, cache, scores)
+
+        monkeypatch.setattr(trace_mod, "apply_policy", spy)
+        replay_policy(tr, policy)
         assert len(seen) == 60 and any(seen), "fixture never evicted"
 
     def test_replay_memory_does_not_grow_with_the_steps(self):
