@@ -3,8 +3,9 @@
 Each decode digest is a SHA-256 over ``logits.tobytes()`` followed by the
 final kept positions of every (layer, kv-head) cache. A change to summation
 order anywhere in the decode path -- attention batching, softmax reductions,
-rotary or absolute position tables, cache growth -- changes a digest. 80
-steps take the full cache across several capacity doublings.
+rotary or absolute position tables, cache growth -- or to an elementwise
+formula (the GELU cube) changes a digest. 80 steps take the full cache
+across several capacity doublings.
 
 Each replay digest is a SHA-256 over the replay's ``compression.tobytes()``
 followed by every kept set, the live cache (l, g) read after step t,
@@ -24,9 +25,14 @@ positions: it pins the one-token decode that follows a chunked prompt. Each
 the bytes `save` writes for an 80-step `record`.
 
 A deliberate change of output bits must record new digests and say why.
+``PYTHONPATH=src python tests/test_golden.py`` prints all six tables, in this
+file's literal format, computed from the imported ``corm``; it writes no file.
 """
 
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -55,24 +61,24 @@ MODELS = {
 }
 
 GOLDEN = {
-    ("rope_2l4h", "full"): "71cf7a5349640d940fa070dfd428d41d035731fcdc98e16b088cd01b80220a04",
-    ("rope_2l4h", "corm:8+8"): "10057722afe7cc3df0c3e0d6b0846ef2e865de37df29b6f73505eee1538b8699",
-    ("rope_2l4h", "h2o:16+16"): "88699fc0352df75d04aa0e5ff1a79539d11e5e95147b7d876c6661836d7209fb",
-    ("rope_2l4h", "tova:24"): "cc2d2e4fbb00c9144abca0460965e1482f4ee6fb34c0585d31b648c73415f6b5",
-    ("rope_2l4h", "streaming:4+12"): "9b82c75d9fcf8cd4f0be531b29a417e02a23437092205cb74c1708a3573edea0",
-    ("rope_2l4h", "scissorhands:16+16"): "2e21719c57a9c02f07d5afdc5df9093c55b692125ce3902438e5757294cbea4f",
-    ("sinusoidal_4l8h_kv2", "full"): "28800d50f77bb42e35419172d9ad05838e0cfafb64d8b984da9f5381e0082489",
-    ("sinusoidal_4l8h_kv2", "gqa_corm:8+8"): "f51130602d63d9dd706b381e4e0e1a71793126f387254d36f7852b53099ce441",
-    ("alibi_1l4h", "full"): "d8344e8fa5075dae4a3db28eb51bd9d1870717e5c728fb8a70dccbe547430fc5",
-    ("alibi_1l4h", "corm:8+8"): "5bb432534d8a70ae1c79decccf73575e194fd0db0cf8fcf62bf392aa1c9f4f74",
-    ("alibi_1l4h", "h2o:16+16"): "591c9064974d46686c75569bc1851567135ff40d28704daf60478f1ef7d4b4ce",
-    ("alibi_1l4h", "tova:24"): "687b712c26089a4dac67e8dcecd236e9920793519230da1fc2d7b1b1b5061a41",
-    ("alibi_1l4h", "streaming:4+12"): "90211f3448c6341661d17b294559999c6953bcb057d094fe561863b2b083cb99",
-    ("alibi_1l4h", "scissorhands:16+16"): "ba835443c3a0fffc7fc4425a7ff5b5e7938c83af2ff44da1c2f1adc7f25a346f",
-    ("learned_2l4h", "full"): "5c93b7ac04b2c3218987dfcc2767f70a4e929fdb8b71df5e8d533dcc11bbf57b",
-    ("learned_2l4h", "corm:8+8"): "a5841ab71feefbdf37c6686cf0b675da7a9373d6fc1e3aed29a176781cb9194c",
-    ("none_2l4h", "full"): "4b90ac593ea5b7da654bd47d49f3c0b146d263733c9dd710b3a262b600ec343e",
-    ("none_2l4h", "corm:8+8"): "b9852561726237f3ffe1e0bcbaf8dd3bf728bbbf49c9029f3780ae66a36e8244",
+    ("rope_2l4h", "full"): "954b6c79d85fba3f3274024d7bebb72d276473629ca95971f880ec0ff60ddd86",
+    ("rope_2l4h", "corm:8+8"): "832c31cdc0d5604031837d8fa8313f5b7efc834e0ff272120ce1edb07a0b8eff",
+    ("rope_2l4h", "h2o:16+16"): "3052a3a3d12c3a3580c611783b8e781974c7d442bf035c8704528fd4cdfcc057",
+    ("rope_2l4h", "tova:24"): "2daeb81670961ee0647aa8178012042b8c77d7a16396617f062e43766a0796f6",
+    ("rope_2l4h", "streaming:4+12"): "27c4a977812a50f181da98dc6b4043f68e3bccac572cdff6e610be37803f71c0",
+    ("rope_2l4h", "scissorhands:16+16"): "506aae9d0a219e46f7a1176699c5d44a7c691b60375c4c6f40909ec8a00ec12d",
+    ("sinusoidal_4l8h_kv2", "full"): "8e5c29c121f76ac740b7c43e26120cd6bf423945aa153f6067d1883284eca51a",
+    ("sinusoidal_4l8h_kv2", "gqa_corm:8+8"): "ccd4e46981cbd493813ea7eef9a4e0b81c0cd1aa25fbe7f02f7f6f0714ff34c4",
+    ("alibi_1l4h", "full"): "f6c006d18bb544dd0bcbaa415ea5a02009fc2d3cae07f9b1e003e677c01a0b6c",
+    ("alibi_1l4h", "corm:8+8"): "01d6020ce0b18fde2d0f79629246abcc2f1649591975003a5447bfcd58993e8e",
+    ("alibi_1l4h", "h2o:16+16"): "7e516f5a2b1b39ad0abd1faa39738056d353e4808b4443912f48dbbc6246d39b",
+    ("alibi_1l4h", "tova:24"): "e73b302fefc64990d39ada656d8312b5afe674ab1c58a16e59c5ffc489ed13f3",
+    ("alibi_1l4h", "streaming:4+12"): "13621c15e96d0c9b706ef18baddab5e72afe6e64eeb17995c8e08737bb459295",
+    ("alibi_1l4h", "scissorhands:16+16"): "9c15d99a62b0140d9fa777adef125e7df0c4b8eef0c14d6cf5904c98ce53e5cf",
+    ("learned_2l4h", "full"): "7b5c09f740a439df28c71dfb04a41387f7a0eb46b85a65ef339cc064b649ca6b",
+    ("learned_2l4h", "corm:8+8"): "3d8675d2f13a077fcef81b8c4a3fd53e642ce6e085eecee75b2ac00f8ba256fb",
+    ("none_2l4h", "full"): "f941da2a0cb9f33255e3db88bfca18f978236da876533c907c073287a85d841a",
+    ("none_2l4h", "corm:8+8"): "89c1c4e3fe4a5db7f73d445194204e312e20f78f69d20a7aee89a1e324adc07a",
 }
 
 
@@ -96,11 +102,11 @@ def test_decode_bits_match_golden_digest(model_name, policy):
 
 
 RUN_150_GOLDEN = {
-    ("alibi_1l4h", "tova:24"): "dc65b95a42646edcca72c6399619dbc2175e3660ee9dd9e6da5b87ce4346de13",
-    ("learned_2l4h_p160", "full"): "0caa960df41669ec83633309ac05848661cbb5ea6a2110d4c04863612f0361bd",
-    ("rope_2l4h", "corm:8+8"): "811e2a3812f058f05ac2bb3efcb73dd634a8313ad015c3215d336e3883d34200",
-    ("rope_2l4h", "h2o:16+16"): "53d7bb3d0f1d71deeef72493bd74e6315ebbe25fd92d3541bcde981b51aa7f68",
-    ("sinusoidal_4l8h_kv2", "gqa_corm:8+8"): "2c3961fa1e234f6d1047960af3bc75c16ea2ad5bee5470bf34449b6e4f250dc7",
+    ("alibi_1l4h", "tova:24"): "64dcb0704515974b08d988840c33978765117bea2dfe44b7f5ffe0222c4ec305",
+    ("learned_2l4h_p160", "full"): "371d71e1ad45de3f759d4f5f65d277134f1e3a845cd3dca0924e0be9c696fa5f",
+    ("rope_2l4h", "corm:8+8"): "69487583dc6548421e19d8b77955ffce916e7299174193e4a746d40b4ad51e8e",
+    ("rope_2l4h", "h2o:16+16"): "306a92dcdaa314bc9a5a573f4d45b21fd359e70aa9c8e12fa79b1a47f42059f7",
+    ("sinusoidal_4l8h_kv2", "gqa_corm:8+8"): "49b4c678be805d8668d5622ff58da2856b297929f7b4a9029c6c4cfae31291b3",
 }
 
 
@@ -111,24 +117,24 @@ def test_150_step_decode_bits_match_golden_digest(model_name, policy):
 
 GENERATE_GOLDEN = {
     ("alibi_1l4h", "corm:8+8"): "ff2097bd5ae25ea3936396d1e1d1854dfd45d18535fae87f91b071a75357829e",
-    ("alibi_1l4h", "full"): "08c097b6d8a116fc28705c07f7d4f3874398f735a5b0b4170a3f3639519e9be5",
-    ("alibi_1l4h", "h2o:16+16"): "8f995628481ee1e70049b896734048b3e3519ccdf42ecab514d3cb05cdc3e301",
+    ("alibi_1l4h", "full"): "63163b5e6b802c3abbaef0e03bb8b407e6d62f8e5740a1fcb8100a2e1086e0b1",
+    ("alibi_1l4h", "h2o:16+16"): "fe0e3f8715df78aed6ddced7c43f0d395bc5490d960b4c90d1878506de795867",
     ("alibi_1l4h", "scissorhands:16+16"): "c37ab848ea4b6f845a228a5f483e64ea0081deff558d232239f2d8b77fbbf17f",
-    ("alibi_1l4h", "streaming:4+12"): "78659b76997484aebed4051601a2b9d897937a5a8476fbc73377ecbac394d5f4",
+    ("alibi_1l4h", "streaming:4+12"): "256da639ec6123a0aa18574c0ebe92daafef323a56b94aab163bf92d567768d4",
     ("alibi_1l4h", "tova:24"): "c5b9eab32b561d8e8b6992d364cf69046e54ef39c9472d1117e0efe0685c751a",
-    ("learned_2l4h_p160", "full"): "ddc08e973c301a8d2dbfa487867426e38951d570d1a085e9ef16ee87bd771f61",
-    ("learned_2l4h", "corm:8+8"): "13bf8abc4213c0ea7f662cca754629d67c0e936b094e9a78ea0c4d42f46f71bb",
-    ("learned_2l4h", "full"): "93ec884eb8b40f91f7857335770c5a368b9b17b4fa92a542a0ab1342c2865e7d",
-    ("none_2l4h", "corm:8+8"): "aff4ea7de17448d414420e668db1f3ecbf7da9f3098627c48e8136886abec4ca",
-    ("none_2l4h", "full"): "225f67e8a82cbd458e51d14ebbaebfa3a1cac5a7f35d2ac9d2594b51e427ff73",
-    ("rope_2l4h", "corm:8+8"): "fc7c4ccf737567b2460c8de8b07803c9f20d397952c4e211b2afca924bcfaba5",
-    ("rope_2l4h", "full"): "9cb3072fe87780e2d1ab8434a74fda1956253b1b47d04c51c46a4dc890b8b5d1",
-    ("rope_2l4h", "h2o:16+16"): "163b751532f1235dde798064facfadb89e9c9aaf6d6d9aec24855a1b62b182a4",
-    ("rope_2l4h", "scissorhands:16+16"): "78b3ceca9e10d41737551aeb860ca1630f75b8043651fa145d8e9940a4b0fb38",
-    ("rope_2l4h", "streaming:4+12"): "e0c58923f9a7e86884048fac2cd00e42b2d70ea27a2295a37f0bf154f4ad2447",
-    ("rope_2l4h", "tova:24"): "6802cb1d32853e2cf99ec97d623b1d0334f57a32caa3d3b1c6584f3a4b07e5e3",
-    ("sinusoidal_4l8h_kv2", "full"): "c4fac962bcc1290aecb231c7984bfecba1dc322adc5c6d2536243e6dadc81f2a",
-    ("sinusoidal_4l8h_kv2", "gqa_corm:8+8"): "94510b548451a78f99e645a520528ccf15ab3eeb719fe2f5c190c7c34f179bdd",
+    ("learned_2l4h_p160", "full"): "7e7a414f76e1893c588a6f8cbf0d889121f351082c3516f94b9d7081cc3025f5",
+    ("learned_2l4h", "corm:8+8"): "3cba56ee1ceb5cbf30491abf54fc8d563b08666ac712913267ea9b7f22c0e370",
+    ("learned_2l4h", "full"): "72e6bfb8fad67bc7cad5f75260695212f1c4dcc35edd4eba6128e082bb71fc05",
+    ("none_2l4h", "corm:8+8"): "cecdad94c765f0b7f3dafb1734403bc74051bfeffb52a5f0f0338c41d5ed1464",
+    ("none_2l4h", "full"): "96b27862411426c3b4dee223b0a667c7d935c229e5a84386edbca9ba5c14aeca",
+    ("rope_2l4h", "corm:8+8"): "617290abfb2f6aaca76868d7856f8276868e460be99022889e46bc1d6126b50f",
+    ("rope_2l4h", "full"): "e53a4ef6d191b43187fabaf8380a9d08bcc026dd0cb46a01db2f82af7c663a04",
+    ("rope_2l4h", "h2o:16+16"): "7603836a339eb645f7d2bbef95526d77f0a4a0d24190d0dedaf1bf398ded0d57",
+    ("rope_2l4h", "scissorhands:16+16"): "0dcb83a48b5f7a1dcdb3a06c60199190c0c63b7fce96ff239fbeddfe691fc42a",
+    ("rope_2l4h", "streaming:4+12"): "4ec3ecd3b2dbb9cea3b50fea253e8971bf7837dcbd255d926d329c741ef3070e",
+    ("rope_2l4h", "tova:24"): "2f2af32ad5a1705c500c9c2afb59cd0a15d94c725a8e5ad53915abee9b5da73e",
+    ("sinusoidal_4l8h_kv2", "full"): "7c4acf449db85197b4de5fd578bfdce70fa1f6724d5422af8df800205678c11e",
+    ("sinusoidal_4l8h_kv2", "gqa_corm:8+8"): "51ece5517a21e5ec14cc08b8a85d350460310f6d0a68ede3d1f155b33d5363b0",
 }
 
 
@@ -158,11 +164,15 @@ TRACE_FILE_GOLDEN = {
 }
 
 
+def trace_file_digest(model_name: str, directory: Path) -> str:
+    path = directory / "run.trc"
+    save(record(init_model(MODELS[model_name]), seeded_tokens(11, STEPS)), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("model_name", sorted(TRACE_FILE_GOLDEN))
 def test_trace_file_bytes_match_golden_digest(tmp_path, model_name):
-    path = tmp_path / "run.trc"
-    save(record(init_model(MODELS[model_name]), seeded_tokens(11, STEPS)), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_FILE_GOLDEN[model_name]
+    assert trace_file_digest(model_name, tmp_path) == TRACE_FILE_GOLDEN[model_name]
 
 
 REPLAY_GOLDEN = {
@@ -178,10 +188,14 @@ REPLAY_GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def traces():
+def golden_traces() -> dict:
     names = {name for name, _ in REPLAY_GOLDEN}
     return {name: record(init_model(MODELS[name]), seeded_tokens(11, STEPS)) for name in names}
+
+
+@pytest.fixture(scope="module")
+def traces():
+    return golden_traces()
 
 
 def replay_digest(trace, policy: str) -> str:
@@ -207,7 +221,7 @@ def test_replay_bits_match_golden_digest(traces, trace_name, policy):
 
 ACC_SCORES_GOLDEN = {
     ("decode", "alibi_1l4h", "h2o:16+16"): "d06d7e1be7844c693a6588054ede18107ea2753e9da332a2e6f22842b7dcaf7c",
-    ("decode", "rope_2l4h", "h2o:16+16"): "55fc101aa775452ca40a67a5afd1a2de0e8fdb4dbf6263523f062b0240e6e1d3",
+    ("decode", "rope_2l4h", "h2o:16+16"): "20c483f6e3e8c4acd4a4945154b3f89bb00dabbf06285304ce5b6d60711c71ef",
     ("replay", "rope_2l4h", "h2o:16+16"): "63a9924ebe85311be352588b1be567c88e9184dfc505dc145836e0c852ea4a1a",
 }
 
@@ -219,6 +233,14 @@ def acc_scores_digest(caches) -> str:
     return h.hexdigest()
 
 
+def h2o_run_digest(traces, mode: str, model_name: str, policy: str) -> str:
+    if mode == "decode":
+        caches = init_model(MODELS[model_name]).run(seeded_tokens(11, STEPS), parse_policy(policy)).state.caches
+    else:
+        caches = [replay_policy(traces[model_name], parse_policy(policy)).cache]
+    return acc_scores_digest(caches)
+
+
 def test_acc_scores_golden_covers_every_golden_h2o_run():
     h2o_runs = {("decode", *key) for key in GOLDEN} | {("replay", *key) for key in REPLAY_GOLDEN}
     assert set(ACC_SCORES_GOLDEN) == {key for key in h2o_runs if key[2].startswith("h2o:")}
@@ -226,8 +248,28 @@ def test_acc_scores_golden_covers_every_golden_h2o_run():
 
 @pytest.mark.parametrize("mode,model_name,policy", sorted(ACC_SCORES_GOLDEN))
 def test_h2o_accumulated_scores_match_golden_digest(traces, mode, model_name, policy):
-    if mode == "decode":
-        caches = init_model(MODELS[model_name]).run(seeded_tokens(11, STEPS), parse_policy(policy)).state.caches
-    else:
-        caches = [replay_policy(traces[model_name], parse_policy(policy)).cache]
-    assert acc_scores_digest(caches) == ACC_SCORES_GOLDEN[(mode, model_name, policy)]
+    assert h2o_run_digest(traces, mode, model_name, policy) == ACC_SCORES_GOLDEN[(mode, model_name, policy)]
+
+
+def print_table(name: str, table: dict, digest) -> None:
+    """Print `name = {...}` with each key of `table` mapped to `digest(key)`, as this file writes it."""
+    print(f"{name} = {{")
+    for key in table:
+        literal = json.dumps(key) if isinstance(key, str) else "(" + ", ".join(map(json.dumps, key)) + ")"
+        print(f"    {literal}: {json.dumps(digest(key))},")
+    print("}\n", flush=True)
+
+
+def main() -> None:
+    print_table("GOLDEN", GOLDEN, lambda key: decode_digest(*key))
+    print_table("RUN_150_GOLDEN", RUN_150_GOLDEN, lambda key: decode_digest(*key, 150))
+    print_table("GENERATE_GOLDEN", GENERATE_GOLDEN, lambda key: generate_digest(*key))
+    with tempfile.TemporaryDirectory() as directory:
+        print_table("TRACE_FILE_GOLDEN", TRACE_FILE_GOLDEN, lambda name: trace_file_digest(name, Path(directory)))
+    trace_by_name = golden_traces()
+    print_table("REPLAY_GOLDEN", REPLAY_GOLDEN, lambda key: replay_digest(trace_by_name[key[0]], key[1]))
+    print_table("ACC_SCORES_GOLDEN", ACC_SCORES_GOLDEN, lambda key: h2o_run_digest(trace_by_name, *key))
+
+
+if __name__ == "__main__":
+    main()
