@@ -24,9 +24,16 @@ positions: it pins the one-token decode that follows a chunked prompt. Each
 64-token chunks and a partial one. Each trace-file digest is a SHA-256 over
 the bytes `save` writes for an 80-step `record`.
 
+Each directory digest is a SHA-256 over one file a `corm` command writes:
+every file under its `--out`, or the file a `trace --trace` run writes. The
+commands run in a temporary working directory with relative paths, so the
+canonical `manifest.json` a flag-only run writes does not name that
+directory. They pin every output file's bytes, CSV formatting included.
+
 A deliberate change of output bits must record new digests and say why.
-``PYTHONPATH=src python tests/test_golden.py`` prints all six tables, in this
-file's literal format, computed from the imported ``corm``; it writes no file.
+``PYTHONPATH=src python tests/test_golden.py`` prints all seven tables, in
+this file's literal format, computed from the imported ``corm``; it writes
+no file outside a temporary directory.
 """
 
 import hashlib
@@ -37,6 +44,7 @@ from pathlib import Path
 import pytest
 
 from conftest import replay_steps, seeded_tokens
+from corm.cli import main as corm_main
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, parse_policy
 from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
@@ -251,6 +259,139 @@ def test_h2o_accumulated_scores_match_golden_digest(traces, mode, model_name, po
     assert h2o_run_digest(traces, mode, model_name, policy) == ACC_SCORES_GOLDEN[(mode, model_name, policy)]
 
 
+DIRECTORY_MODELS = {
+    "mha.json": {"n_layers": 2, "n_heads": 4, "d_model": 32, "vocab_size": 64, "seed": 7, "pe": {"kind": "rope"}},
+    "gqa.json": {
+        "n_layers": 2, "n_heads": 4, "n_kv_heads": 2, "d_model": 32, "vocab_size": 64, "seed": 7,
+        "pe": {"kind": "absolute_sinusoidal"},
+    },
+}
+GENERATE_MANIFEST = {
+    "model_config": "mha.json",
+    "policies": ["full", "corm:8+8", "h2o:8+8", "streaming:2+6"],
+    "input": {"kind": "synthetic", "seed": 5, "length": 48},
+    "out": "generate_manifest",
+    "generate_steps": 12,
+    "checkpoints": [20, 60],
+}
+SIX_POLICIES = ["full", "streaming:2+6", "h2o:8+8", "scissorhands:8+8:4", "tova:16", "corm:4+4"]
+
+# run name -> argv; each run writes the directory or the trace file its name names.
+# Runs go in this order: replay and analyze read the traces.
+DIRECTORY_RUNS = {
+    "generate_manifest": ["generate", "--manifest", "generate.json"],
+    "generate_flags": [
+        "generate", "--model-config", "gqa.json", "--policy", "full", "--policy", "gqa_corm:8+8",
+        "--synthetic", "6:70", "--steps", "8", "--sampling", "topk", "--top-k", "5", "--seed", "3",
+        "--checkpoints", "1,64,65", "--out", "generate_flags",
+    ],
+    "ppl": [
+        "ppl", "--model-config", "mha.json", "--policy", "full", "--policy", "corm:8+8",
+        "--policy", "tova:16", "--synthetic", "5:48", "--out", "ppl",
+    ],
+    "trace_out": ["trace", "--model-config", "mha.json", "--synthetic", "5:48", "--out", "trace_out"],
+    "mha.trc": ["trace", "--model-config", "mha.json", "--synthetic", "5:64", "--trace", "mha.trc"],
+    "gqa.trc": ["trace", "--model-config", "gqa.json", "--synthetic", "6:48", "--trace", "gqa.trc"],
+    "replay_mha": ["replay", "--trace", "mha.trc", *[a for p in SIX_POLICIES for a in ("--policy", p)],
+                   "--out", "replay_mha"],
+    "replay_gqa": ["replay", "--trace", "gqa.trc", "--policy", "gqa_corm:4+4", "--policy", "full",
+                   "--out", "replay_gqa"],
+    "analyze": [
+        "analyze", "--trace", "mha.trc", "--max-map-steps", "20", "--recent-k", "4",
+        "--overlap-pairs", "30", "--seed", "2", "--out", "analyze",
+    ],
+}
+
+
+def directory_digests(root: Path) -> dict:
+    """{path: SHA-256} over every file `DIRECTORY_RUNS` write, run inside `root`; paths are relative to it."""
+    digests = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for name, payload in [*DIRECTORY_MODELS.items(), ("generate.json", GENERATE_MANIFEST)]:
+            Path(name).write_text(json.dumps(payload, indent=2) + "\n")
+        for run, argv in DIRECTORY_RUNS.items():
+            if corm_main(argv) != 0:
+                raise RuntimeError(f"corm {' '.join(argv)} failed")
+            out = Path(run)
+            for path in sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else [out]:
+                digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def run_files(table: dict, run: str) -> dict:
+    """The entries of `table` that name `run`'s file or a file under its directory."""
+    return {path: digest for path, digest in table.items() if path == run or path.startswith(f"{run}/")}
+
+
+DIRECTORY_GOLDEN = {
+    "generate_manifest/corm_8+8/compression.csv": "e58dfd83686bc3d2929dc6d766f447cbe4eaa7d533f708d604cd9a7c9d4c386c",
+    "generate_manifest/corm_8+8/divergence_vs_full.csv": "3550cd235c1fc77d0da412ec5124f11179dcdc3378cc5de5a00373651397e69c",
+    "generate_manifest/corm_8+8/tokens.txt": "bc7213c1c7d22559fdbd909898235d5a98ab5a940f8faa6349527e42e4c1c4fa",
+    "generate_manifest/full/compression.csv": "57a0533f925a931ce36c2de0426fc1a49dd7bf162cb86f4d2c3d5f7914dd295f",
+    "generate_manifest/full/tokens.txt": "297d62e1c8a8075d8ff67a2151d7df1c6a43e401a8f2dc5bdef9330d7cc57478",
+    "generate_manifest/h2o_8+8/compression.csv": "1b7f55b0c23e367decf140d931348072096cf702c85d2698b9e12a3cce044418",
+    "generate_manifest/h2o_8+8/divergence_vs_full.csv": "74b6615bd341e90277b8251539c28e7f75699bfdb2711bfab7d90f000b4d7def",
+    "generate_manifest/h2o_8+8/tokens.txt": "299b330d7a910052e58194649bc0f7d50d25c2d6bccbca392fdb47319b9fac67",
+    "generate_manifest/manifest.json": "21897d13e05b1dcba065eb59bead2f70d370f0f3a0890f066d838059cc076f91",
+    "generate_manifest/streaming_2+6/compression.csv": "3b270b0108e8f872241b32b14a6c0c3190c2bf1bdf7a18fe7a95649d5c01a743",
+    "generate_manifest/streaming_2+6/divergence_vs_full.csv": "944d361f21714f20610b2bed1938d7ce43ecf4bbd91dfcb8e4cb61f4561cefb4",
+    "generate_manifest/streaming_2+6/tokens.txt": "5cd0945842d14256d117114103565c69cc8b5ba485a859add0eb3a34f9013b0a",
+    "generate_flags/full/compression.csv": "086eda699ce0cbe821e3054dde095ffe3db35eb3405adf9009661b4c3ed2f0eb",
+    "generate_flags/full/tokens.txt": "3dd09751a5a76b9beec8ffdfdf5ddd00f256188e57be19a53820555d505d8255",
+    "generate_flags/gqa_corm_8+8/compression.csv": "e47d0c3e3f34dfc9b03068a0be181a27ca4c041db2653924abd14d277fccef66",
+    "generate_flags/gqa_corm_8+8/divergence_vs_full.csv": "fcc9055f1e30ccea3bf01f031c42c3d43f8b9d9294c6aec96ed5dbfeea189506",
+    "generate_flags/gqa_corm_8+8/tokens.txt": "2068077507a95c185238e8d70d81cffb42060992641442972d97078861d91540",
+    "generate_flags/manifest.json": "1e9cd67d62dede9c6b01566966b6550f0c5fa9cc143bdae18ab9b737bd4f2239",
+    "ppl/manifest.json": "d96a4b97e94c53de9d7c55631aa31b4dc94a9ce46a31227c0f3c358aff68dbbf",
+    "ppl/perplexity.csv": "c59511da57bf8750a10e564bacebf2945918ebc4a0f906256f948ff1c356ebd9",
+    "trace_out/manifest.json": "a85b3d0e594ba074b09a13f20a2df9c628137577ed554cd6ac3c0097f103c126",
+    "trace_out/trace.bin": "ba67e5c1f74c2c5bcbe492388247fb19df4e1979fd62fc3f23ab15062e5346eb",
+    "mha.trc": "66baef790b8684c32df99d61fa6b57b66dc763ad23e6cd39b8c49feccca02f46",
+    "gqa.trc": "a294d543d31f1e2f9b0444939fbdd3bf3e782e360d19cf8d4b6094a5191d3144",
+    "replay_mha/comparison.csv": "8e5631a4c33e7a663cdeb3336c21bb6d8778fb2cfdeb4a67629ad6a4fe58c864",
+    "replay_mha/corm_4+4/compression.csv": "9826629bce5a579835fb22fac075ca6a723bef370f5fddd03be43fb829b2e6e2",
+    "replay_mha/full/compression.csv": "fdc5619483c9c663286ba1f9d368c214e5b22286ec43a5b631736087233174db",
+    "replay_mha/h2o_8+8/compression.csv": "63a0ec4802c680378f4f87a4aa959a286c01f4e21910855d3531804e8e4d0bab",
+    "replay_mha/manifest.json": "3939efdf43e15700e83161fe06b93406b96fa6238798c8475296657e5f56aaa6",
+    "replay_mha/scissorhands_8+8_w4/compression.csv": "63a0ec4802c680378f4f87a4aa959a286c01f4e21910855d3531804e8e4d0bab",
+    "replay_mha/streaming_2+6/compression.csv": "a413482612367630fd657382e7aed73533fe02d5b23731611dfd9849d296cb78",
+    "replay_mha/tova_16/compression.csv": "63a0ec4802c680378f4f87a4aa959a286c01f4e21910855d3531804e8e4d0bab",
+    "replay_gqa/comparison.csv": "ea2cb6da43ee8f5bf99a6a2597a13f8b7fdde49a0c7a89dfa17cf5b57ec173cd",
+    "replay_gqa/full/compression.csv": "28e53c29364edca88b0bfef235ecc8061180b2c363a6735417b8e88c654b6e56",
+    "replay_gqa/gqa_corm_4+4/compression.csv": "1880d498ee6d1a9d4a8c94d489961175fb4cdd7ff58ee109ef09bd18eb451fc8",
+    "replay_gqa/manifest.json": "d727cce05233cbb627d41efcc023f89fed30a91c6b62e69e16434217d159bebf",
+    "analyze/manifest.json": "76d28ca99af6240df059d6ba93e35e78aad909cadcb43601cf3006dfa968578c",
+    "analyze/overlap.csv": "35346fb8eb74a9572bca73ea624b9b35a1df94b136c7000ad65cb3946772d8e7",
+    "analyze/recent_fraction.csv": "abe1f8c28c19a139b5be5ae82ba2dfc9ab44132176df519dc194eeef548a75f3",
+    "analyze/similarity_l0_h0.csv": "4deaf2eba02137db0909501f694d544cbc13b1030477189ae847c328e1e5f41c",
+    "analyze/similarity_l0_h1.csv": "731dc7f81bfd2cfde95ead5f0f96858ce8f420ec23f4917630d140f72b8fcbcc",
+    "analyze/similarity_l0_h2.csv": "00aa195af4df762af129467e04dae9bd2a28f45ac3d3f6cd2be2da477c08ba6a",
+    "analyze/similarity_l0_h3.csv": "b493f2b8f62f84edba4ee984223d7cc3ab82b7980d71684a9819cc8a4dba8d12",
+    "analyze/similarity_l1_h0.csv": "997e1031a1de915eda977442b80f27024b556e3c7d4a8f06849da2bf79983f99",
+    "analyze/similarity_l1_h1.csv": "e83517bdfb1548c20c64a48c0f475596d202b2fbc98ec28b37eeef1777553b80",
+    "analyze/similarity_l1_h2.csv": "a3a136e5446dd733790db77531b65dede1952aab6595ae7b1b5b5d6e9d1ad7cc",
+    "analyze/similarity_l1_h3.csv": "6bff38c349b598f0f1986e445e7f33bbb7c1579e279b7e3089e17c2afac6a407",
+    "analyze/sparsity.csv": "472d484c5844a728a3330fe1690827356d2fd690b9a6408708ce13869feae49d",
+    "analyze/summary.json": "60fb2ae09a41d3afd1b5b6097a66a95c495f8a3763b224bb2936071321490e2f",
+}
+
+
+@pytest.fixture(scope="module")
+def directories(tmp_path_factory):
+    return directory_digests(tmp_path_factory.mktemp("directories"))
+
+
+def test_directory_golden_covers_every_run():
+    assert set(DIRECTORY_GOLDEN) == {path for run in DIRECTORY_RUNS for path in run_files(DIRECTORY_GOLDEN, run)}
+    assert all(run_files(DIRECTORY_GOLDEN, run) for run in DIRECTORY_RUNS)
+
+
+@pytest.mark.parametrize("run", sorted(DIRECTORY_RUNS))
+def test_command_output_bytes_match_golden_digest(directories, run):
+    assert run_files(directories, run) == run_files(DIRECTORY_GOLDEN, run)
+
+
 def print_table(name: str, table: dict, digest) -> None:
     """Print `name = {...}` with each key of `table` mapped to `digest(key)`, as this file writes it."""
     print(f"{name} = {{")
@@ -269,6 +410,9 @@ def main() -> None:
     trace_by_name = golden_traces()
     print_table("REPLAY_GOLDEN", REPLAY_GOLDEN, lambda key: replay_digest(trace_by_name[key[0]], key[1]))
     print_table("ACC_SCORES_GOLDEN", ACC_SCORES_GOLDEN, lambda key: h2o_run_digest(trace_by_name, *key))
+    with tempfile.TemporaryDirectory() as directory:
+        digests = directory_digests(Path(directory))
+    print_table("DIRECTORY_GOLDEN", digests, digests.get)
 
 
 if __name__ == "__main__":
