@@ -1,8 +1,8 @@
 """Sparsity, query-similarity, overlap, and divergence measurements.
 
 Everything here is a pure function over an immutable trace or over run
-outputs. CSV emitters live at the bottom; each writer's docstring is the
-schema contract. Floats are formatted with repr() so files are byte-stable
+outputs. The file writers live at the bottom; README "Output files" lists
+every file's schema. Floats are written by repr() so files are byte-stable
 across runs and platforms.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,12 +28,8 @@ __all__ = [
     "spearman_rank_correlation",
     "Divergence",
     "output_divergence",
-    "write_sparsity_csv",
+    "write_csv",
     "write_similarity_csv",
-    "write_recent_fraction_csv",
-    "write_overlap_csv",
-    "write_curve_csv",
-    "write_divergence_csv",
     "write_json",
 ]
 
@@ -198,64 +194,27 @@ def output_divergence(logits_ref: np.ndarray, logits_other: np.ndarray) -> Diver
 # --------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """One line per row, its cells written by `str` and joined by commas.
 
-
-def write_sparsity_csv(path, profile: SparsityProfile) -> None:
-    """Columns: layer, head, important_fraction, sparsity. One row per head."""
+    Cells are Python ints, floats and strings, so `.tolist()` numpy data
+    first: a Python float's `str` is its `repr`. A header is the first row.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("layer,head,important_fraction,sparsity\n")
-        n_layers, n_heads = profile.per_head.shape
-        for li in range(n_layers):
-            for hd in range(n_heads):
-                f = profile.per_head[li, hd]
-                fh.write(f"{li},{hd},{_fmt(f)},{_fmt(1.0 - f)}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_similarity_csv(path, sim_map: np.ndarray) -> None:
     """Dense lower-triangular grid; row i holds similarities to queries 0..i-1.
 
-    Comma-separated floats, one map row per line, upper triangle written as
-    empty cells.
+    Comma-separated floats, one map row per line and no header, upper
+    triangle written as empty cells.
     """
     with open(path, "w", encoding="utf-8") as fh:
         n = sim_map.shape[0]
         for i in range(n):
-            # repr of the row's Python floats, as _fmt writes each one
+            # repr of the row's Python floats, as write_csv writes each one
             fh.write(",".join([*map(repr, sim_map[i, :i].tolist()), *[""] * (n - i)]) + "\n")
-
-
-def write_recent_fraction_csv(path, rows: Sequence[tuple[int, int, int, float]]) -> None:
-    """Columns: layer, head, k, recent_fraction."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("layer,head,k,recent_fraction\n")
-        for li, hd, k, frac in rows:
-            fh.write(f"{li},{hd},{k},{_fmt(frac)}\n")
-
-
-def write_overlap_csv(path, rows: Sequence[tuple[int, int, float, float]]) -> None:
-    """Columns: layer, head, query_cosine, jaccard. One row per sampled pair."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("layer,head,query_cosine,jaccard\n")
-        for li, hd, cos, jac in rows:
-            fh.write(f"{li},{hd},{_fmt(cos)},{_fmt(jac)}\n")
-
-
-def write_curve_csv(path, curve: Sequence[tuple[int, float]]) -> None:
-    """Columns: step, compression_rate."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,compression_rate\n")
-        for t, rate in curve:
-            fh.write(f"{t},{_fmt(rate)}\n")
-
-
-def write_divergence_csv(path, div: Divergence) -> None:
-    """Columns: step, top1_match (0/1), kl. One row per teacher-forced step."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,top1_match,kl\n")
-        for t, (m, kl) in enumerate(zip(div.top1_match, div.kl), start=1):
-            fh.write(f"{t},{int(m)},{_fmt(kl)}\n")
 
 
 def write_json(path, payload: dict) -> None:

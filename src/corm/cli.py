@@ -1,8 +1,9 @@
 """Experiment runner: generate / ppl / trace / replay / analyze subcommands.
 
-Every subcommand is deterministic given the manifest and its seeds, and the
-manifest is copied into the output directory for provenance. Settings come
-from a JSON manifest (--manifest) and/or flags; flags win. On any error the
+Every subcommand is deterministic given the manifest and its seeds. Settings
+come from a JSON manifest (--manifest) and/or flags; flags win. The manifest
+file is copied into the output directory for provenance, or the merged
+settings in canonical form when flags changed any of them. On any error the
 command removes the files it wrote, prints the problem to stderr, and exits
 nonzero.
 """
@@ -34,10 +35,11 @@ def _parse_checkpoints(text: str) -> list[int]:
 
 
 def _parse_synthetic(text: str) -> InputSpec:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"--synthetic expects SEED:LENGTH, got {text!r}")
-    return InputSpec(kind="synthetic", seed=int(parts[0]), length=int(parts[1]))
+    try:
+        seed, length = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--synthetic expects SEED:LENGTH integers, got {text!r}") from None
+    return InputSpec(kind="synthetic", seed=seed, length=length)
 
 
 # flags whose argparse dest names the manifest field they override
@@ -49,6 +51,7 @@ _FLAG_FIELDS = (
 
 def _merge_manifest(args: argparse.Namespace) -> ExperimentManifest:
     m = load_manifest(args.manifest) if args.manifest else ExperimentManifest()
+    loaded = m.to_dict()
     for name in _FLAG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -65,6 +68,8 @@ def _merge_manifest(args: argparse.Namespace) -> ExperimentManifest:
         m.checkpoints = _parse_checkpoints(args.checkpoints)
     if getattr(args, "steps", None) is not None:
         m.generate_steps = args.steps
+    if m.to_dict() != loaded:
+        m.source_path = None  # flags changed the file's settings: the run directory states the merged ones
     if m.seed < 0:
         raise ValueError(f"seed must be >= 0, got {m.seed}")
     return m
@@ -150,12 +155,6 @@ def _copy_manifest(m: ExperimentManifest, out: _Outputs) -> None:
         analysis.write_json(target, m.to_dict())
 
 
-def _write_tokens(path, tokens) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tokens:
-            fh.write(f"{int(t)}\n")
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -187,11 +186,12 @@ def _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits) ->
     )
     sizes = res.state.step_sizes
     curve = [(t, mean_compression_rate(sizes[t - 1], t)) for t in sorted(set(checkpoints))]
-    _write_tokens(out.path(label, "tokens.txt"), generated)
-    analysis.write_curve_csv(out.path(label, "compression.csv"), curve)
+    analysis.write_csv(out.path(label, "tokens.txt"), [[t] for t in generated.tolist()])
+    analysis.write_csv(out.path(label, "compression.csv"), [("step", "compression_rate"), *curve])
     if policy != Full():
         div = analysis.output_divergence(full_logits, res.logits)
-        analysis.write_divergence_csv(out.path(label, "divergence_vs_full.csv"), div)
+        rows = zip(range(1, div.kl.size + 1), div.top1_match.astype(int).tolist(), div.kl.tolist())
+        analysis.write_csv(out.path(label, "divergence_vs_full.csv"), [("step", "top1_match", "kl"), *rows])
     return res.logits
 
 
@@ -227,11 +227,8 @@ def cmd_ppl(m: ExperimentManifest) -> int:
     policies = _parse_policies(m)
     with _Outputs(m.out) as out:
         _copy_manifest(m, out)
-        with open(out.path("perplexity.csv"), "w", encoding="utf-8") as fh:
-            fh.write("policy,perplexity\n")
-            for policy in policies:
-                ppl = model.perplexity(tokens, policy)
-                fh.write(f"{policy_label(policy)},{repr(float(ppl))}\n")
+        rows = [(policy_label(p), model.perplexity(tokens, p)) for p in policies]
+        analysis.write_csv(out.path("perplexity.csv"), [("policy", "perplexity"), *rows])
     return 0
 
 
@@ -257,16 +254,14 @@ def cmd_replay(m: ExperimentManifest) -> int:
     policies = _parse_policies(m)
     with _Outputs(m.out) as out:
         _copy_manifest(m, out)
-        summary_rows = []
+        summary_rows = [("policy", "final_compression", "mean_compression")]
         for policy in policies:
             label = policy_label(policy)
             rates = trace_mod.replay_policy(rec, policy).compression
-            analysis.write_curve_csv(out.path(label, "compression.csv"), list(enumerate(rates, start=1)))
+            curve = enumerate(rates.tolist(), start=1)
+            analysis.write_csv(out.path(label, "compression.csv"), [("step", "compression_rate"), *curve])
             summary_rows.append((label, float(rates[-1]), float(rates.mean())))
-        with open(out.path("comparison.csv"), "w", encoding="utf-8") as fh:
-            fh.write("policy,final_compression,mean_compression\n")
-            for label, final, mean in summary_rows:
-                fh.write(f"{label},{repr(final)},{repr(mean)}\n")
+        analysis.write_csv(out.path("comparison.csv"), summary_rows)
     return 0
 
 
@@ -282,9 +277,10 @@ def cmd_analyze(m: ExperimentManifest) -> int:
     with _Outputs(m.out) as out:
         _copy_manifest(m, out)
         profile = analysis.sparsity_profile(rec)
-        analysis.write_sparsity_csv(out.path("sparsity.csv"), profile)
-        fraction_rows = []
-        overlap_rows = []
+        rows = [(li, hd, f, 1.0 - f) for li, row in enumerate(profile.per_head.tolist()) for hd, f in enumerate(row)]
+        analysis.write_csv(out.path("sparsity.csv"), [("layer", "head", "important_fraction", "sparsity"), *rows])
+        fraction_rows = [("layer", "head", "k", "recent_fraction")]
+        overlap_rows = [("layer", "head", "query_cosine", "jaccard")]
         spearman: dict[str, float] = {}
         for li in range(meta.n_layers):
             for hd in range(meta.n_heads):
@@ -296,11 +292,11 @@ def cmd_analyze(m: ExperimentManifest) -> int:
                 cos, jac = analysis.overlap_similarity_samples(
                     rec, li, hd, m.overlap_pairs, seed=m.seed
                 )
-                overlap_rows.extend((li, hd, c, j) for c, j in zip(cos, jac))
+                overlap_rows.extend((li, hd, c, j) for c, j in zip(cos.tolist(), jac.tolist()))
                 spearman[f"l{li}_h{hd}"] = analysis.spearman_rank_correlation(cos, jac)
-        analysis.write_recent_fraction_csv(out.path("recent_fraction.csv"), fraction_rows)
-        analysis.write_overlap_csv(out.path("overlap.csv"), overlap_rows)
-        fracs = [row[3] for row in fraction_rows]
+        analysis.write_csv(out.path("recent_fraction.csv"), fraction_rows)
+        analysis.write_csv(out.path("overlap.csv"), overlap_rows)
+        fracs = [row[3] for row in fraction_rows[1:]]
         analysis.write_json(
             out.path("summary.json"),
             {

@@ -130,7 +130,7 @@ class ExperimentManifest:
     recent_k: int = 8
     overlap_pairs: int = 200
     max_map_steps: int = 256
-    source_path: str | None = None  # manifest file this was loaded from, if any
+    source_path: str | None = None  # manifest file that states these settings as they are, if any
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentManifest":

@@ -76,7 +76,6 @@ __all__ = [
     "RunResult",
     "init_model",
     "load_model_config",
-    "save_model_config",
 ]
 
 RMS_EPS = 1e-6
@@ -201,12 +200,6 @@ class ModelConfig:
 def load_model_config(path) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return ModelConfig.from_dict(json.load(fh))
-
-
-def save_model_config(config: ModelConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass

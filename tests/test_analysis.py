@@ -14,11 +14,8 @@ from corm.analysis import (
     recent_similarity_fraction,
     sparsity_profile,
     spearman_rank_correlation,
-    write_curve_csv,
-    write_overlap_csv,
-    write_recent_fraction_csv,
+    write_csv,
     write_similarity_csv,
-    write_sparsity_csv,
 )
 from corm.policies import Corm, Full, StreamingLlm, mean_compression_rate
 
@@ -225,12 +222,21 @@ class TestCompressionCurve:
 
 
 class TestWriters:
-    def test_sparsity_schema(self, tmp_path, small_trace):
-        path = tmp_path / "sparsity.csv"
-        write_sparsity_csv(path, sparsity_profile(small_trace))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "layer,head,important_fraction,sparsity"
-        assert len(lines) == 1 + 2 * 4
+    def test_csv_cells_written_by_str_and_joined_by_commas(self, tmp_path):
+        path = tmp_path / "rf.csv"
+        write_csv(path, [("layer", "head", "k", "recent_fraction"), (0, 1, 8, 0.25), (1, 0, 8, 0.1 + 0.2)])
+        assert path.read_text() == "layer,head,k,recent_fraction\n0,1,8,0.25\n1,0,8,0.30000000000000004\n"
+        write_csv(path, [("layer", "head", "query_cosine", "jaccard"), (0, 0, 0.5, 1.0)])
+        assert path.read_text() == "layer,head,query_cosine,jaccard\n0,0,0.5,1.0\n"
+        write_csv(path, [("step", "compression_rate"), *enumerate(np.array([0.0, 0.125]).tolist(), start=7)])
+        assert path.read_text() == "step,compression_rate\n7,0.0\n8,0.125\n"
+
+    def test_csv_without_header_or_rows(self, tmp_path):
+        path = tmp_path / "tokens.txt"
+        write_csv(path, [[t] for t in np.array([5, 0, 63]).tolist()])
+        assert path.read_text() == "5\n0\n63\n"
+        write_csv(path, [])
+        assert path.read_bytes() == b""
 
     def test_similarity_grid_is_lower_triangular(self, tmp_path):
         sim = np.tril(np.full((3, 3), 0.5), k=-1)
@@ -240,16 +246,3 @@ class TestWriters:
         assert lines[0] == ",,"
         assert lines[1] == "0.5,,"
         assert lines[2] == "0.5,0.5,"
-
-    def test_recent_fraction_and_overlap_schemas(self, tmp_path):
-        p1 = tmp_path / "rf.csv"
-        write_recent_fraction_csv(p1, [(0, 1, 8, 0.25)])
-        assert p1.read_text() == "layer,head,k,recent_fraction\n0,1,8,0.25\n"
-        p2 = tmp_path / "ov.csv"
-        write_overlap_csv(p2, [(0, 0, 0.5, 1.0)])
-        assert p2.read_text() == "layer,head,query_cosine,jaccard\n0,0,0.5,1.0\n"
-
-    def test_curve_schema(self, tmp_path):
-        path = tmp_path / "c.csv"
-        write_curve_csv(path, [(8, 0.125)])
-        assert path.read_text() == "step,compression_rate\n8,0.125\n"

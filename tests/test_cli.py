@@ -10,7 +10,7 @@ import pytest
 
 from conftest import NON_INTEGER_SIZES, seeded_tokens, write_trace_file
 from corm.cli import main
-from corm.manifest import ExperimentManifest, InputSpec
+from corm.manifest import ExperimentManifest, InputSpec, load_manifest
 from corm.model import ToyTransformer
 from corm.policies import Corm, Full, parse_policy
 from corm.trace import load
@@ -114,6 +114,18 @@ class TestGenerate:
     def test_manifest_copied_verbatim(self, workspace):
         out = self.run_generate(workspace, "runC")
         assert (out / "manifest.json").read_bytes() == (workspace / "runC.json").read_bytes()
+
+    def test_flags_that_change_the_manifest_write_its_merged_form(self, workspace):
+        out = self.run_generate(workspace, "runD")
+        overrides = ["--steps", "3", "--policy", "corm:4+4", "--checkpoints", "43"]
+        assert main(["generate", "--manifest", str(workspace / "runD.json"), *overrides]) == 0
+        written = json.loads((out / "manifest.json").read_text())
+        assert written == {**load_manifest(workspace / "runD.json").to_dict(),
+                           "generate_steps": 3, "policies": ["corm:4+4"], "checkpoints": [43]}
+        assert len((out / "corm_4+4" / "tokens.txt").read_text().splitlines()) == 3
+        # a flag that restates the file's value changes nothing: the file is copied as it is
+        assert main(["generate", "--manifest", str(workspace / "runD.json"), "--steps", "12", "--seed", "0"]) == 0
+        assert (out / "manifest.json").read_bytes() == (workspace / "runD.json").read_bytes()
 
     def test_flags_without_manifest(self, workspace, capsys):
         rc = main(
@@ -297,6 +309,15 @@ class TestFailLoud:
         assert rc == 1
         assert not os.path.exists(out)
         assert capsys.readouterr().err.startswith("error: synthetic input seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize("text", ["5:abc", "x:8", "5", "5:8:1"])
+    def test_synthetic_input_not_two_integers(self, workspace, capsys, text):
+        out = workspace / "bad"
+        argv = ["--model-config", str(workspace / "model.json"), "--policy", "full", "--out", str(out)]
+        rc = main(["generate", *argv, f"--synthetic={text}"])
+        assert rc == 1
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err == f"error: --synthetic expects SEED:LENGTH integers, got {text!r}\n"
 
     def test_checkpoints_outside_the_run(self, workspace, capsys):
         rc = main(
@@ -564,6 +585,7 @@ class TestTraceReplayAnalyze:
         assert len(summary["important_fraction_per_layer"]) == 1
         sparsity = (out / "sparsity.csv").read_text().splitlines()
         assert sparsity[0] == "layer,head,important_fraction,sparsity"
+        assert len(sparsity) == 1 + 1 * 2
         overlap = (out / "overlap.csv").read_text().splitlines()
         assert overlap[0] == "layer,head,query_cosine,jaccard"
         assert len(overlap) == 1 + 2 * 40

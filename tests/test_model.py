@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_tokens
+from corm.analysis import write_json
 from corm.attention import softmax_normalize
 from corm.model import (
     _GELU_SCALE,
@@ -18,7 +19,6 @@ from corm.model import (
     _gelu,
     init_model,
     load_model_config,
-    save_model_config,
 )
 from corm.policies import POLICIES, Corm, CormGqa, Full, Tova, parse_policy
 from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
@@ -62,7 +62,7 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = ModelConfig(**BASE, seed=3, n_kv_heads=2, pe=Alibi(), depth_gain=1.2)
         path = tmp_path / "model.json"
-        save_model_config(cfg, path)
+        write_json(path, cfg.to_dict())
         assert load_model_config(path) == cfg
 
     def test_missing_fields_reported(self, tmp_path):

@@ -207,6 +207,40 @@ def test_only_replay_totals_loop_over_equal_size_runs():
     assert not found, f"equal_size_runs iterated outside replay's totals: {', '.join(found)}"
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether `call` is an `open(path, mode)` whose mode may write."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and (not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+")))
+
+
+def test_files_written_only_by_the_writers_and_trace_save():
+    # one home for each file format: commands hand rows to `write_csv` and
+    # payloads to `write_json`, and only `trace.save` writes a trace
+    homes = {
+        ("analysis.py", "write_csv"),
+        ("analysis.py", "write_similarity_csv"),
+        ("analysis.py", "write_json"),
+        ("trace.py", "save"),
+    }
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and (path.name, top.name) in homes
+            for node in ast.walk(top)
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _opens_for_writing(node) and id(node) not in allowed
+        ]
+    assert not found, f"files written outside the writers and trace.save: {', '.join(found)}"
+
+
 def test_a_pythonpath_corm_that_is_not_imported_is_named(tmp_path):
     # the session check behind `conftest.pytest_sessionstart`
     from conftest import foreign_corm
