@@ -222,12 +222,16 @@ class TestCompressionCurve:
 
 
 class TestWriters:
-    def test_csv_cells_written_by_str_and_joined_by_commas(self, tmp_path):
+    def test_recent_fraction_and_overlap_schemas(self, tmp_path):
         path = tmp_path / "rf.csv"
         write_csv(path, [("layer", "head", "k", "recent_fraction"), (0, 1, 8, 0.25), (1, 0, 8, 0.1 + 0.2)])
         assert path.read_text() == "layer,head,k,recent_fraction\n0,1,8,0.25\n1,0,8,0.30000000000000004\n"
+        path = tmp_path / "ov.csv"
         write_csv(path, [("layer", "head", "query_cosine", "jaccard"), (0, 0, 0.5, 1.0)])
         assert path.read_text() == "layer,head,query_cosine,jaccard\n0,0,0.5,1.0\n"
+
+    def test_curve_schema(self, tmp_path):
+        path = tmp_path / "c.csv"
         write_csv(path, [("step", "compression_rate"), *enumerate(np.array([0.0, 0.125]).tolist(), start=7)])
         assert path.read_text() == "step,compression_rate\n7,0.0\n8,0.125\n"
 
