@@ -2,16 +2,19 @@
 
 A manifest is a JSON object naming the model config, the policy list, the
 input source, seeds, and output locations. Relative paths are resolved
-against the manifest file's directory; command-line overrides are resolved
-against the working directory. Every referenced file must exist and every
-seed is explicit, so a manifest pins a run completely.
+against the manifest file's directory as the command line names it, so they
+stay relative when it is named by a relative path; command-line overrides
+are resolved against the working directory. A merged manifest therefore
+names paths as flags do, and no run's settings depend on where it was made.
+Every referenced file must exist and every seed is explicit, so a manifest
+pins a run completely.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,12 +95,7 @@ class InputSpec:
         return tokens
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("path", "seed", "length"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
 
 
 @dataclass
@@ -138,42 +136,31 @@ class ExperimentManifest:
         m = cls(**{k: v for k, v in d.items() if k != "input"})
         if d.get("input") is not None:
             check_fields(d["input"], _INPUT_FIELDS, "manifest input")
+            if "kind" not in d["input"]:
+                raise ValueError(f"manifest input needs a kind, one of {', '.join(_INPUT_KINDS)}")
             m.input = InputSpec(**d["input"])
         for name in ("model_config", "trace", "out"):
             value = getattr(m, name)
-            if value is not None:
+            if value:  # an empty path stays empty: it names no file, so the command rejects it
                 setattr(m, name, os.path.normpath(os.path.join(base_dir, value)))
-        if m.input is not None and m.input.path is not None:
+        if m.input is not None and m.input.path:
             m.input.path = os.path.normpath(os.path.join(base_dir, m.input.path))
         return m
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "policies": list(self.policies),
-            "seed": self.seed,
-            "generate_steps": self.generate_steps,
-            "sampling": self.sampling,
-            "byte_cap": self.byte_cap,
-            "recent_k": self.recent_k,
-            "overlap_pairs": self.overlap_pairs,
-            "max_map_steps": self.max_map_steps,
-        }
-        if self.model_config is not None:
-            out["model_config"] = self.model_config
-        if self.input is not None:
-            out["input"] = self.input.to_dict()
-        for name in ("out", "trace", "checkpoints"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.top_k:
-            out["top_k"] = self.top_k
+        """The settings as JSON: unset (None) fields are left out, and top_k unless nonzero."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None or f.name == "source_path" or (f.name == "top_k" and not value):
+                continue
+            out[f.name] = value.to_dict() if isinstance(value, InputSpec) else value
         return out
 
 
 def load_manifest(path) -> ExperimentManifest:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    m = ExperimentManifest.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
-    m.source_path = os.path.abspath(path)
+    m = ExperimentManifest.from_dict(data, base_dir=os.path.dirname(path))
+    m.source_path = os.fspath(path)
     return m

@@ -127,6 +127,33 @@ class TestGenerate:
         assert main(["generate", "--manifest", str(workspace / "runD.json"), "--steps", "12", "--seed", "0"]) == 0
         assert (out / "manifest.json").read_bytes() == (workspace / "runD.json").read_bytes()
 
+    def test_merged_manifest_does_not_depend_on_the_working_directory(self, tmp_path, monkeypatch):
+        # the same flag-overridden run, made in two directories, writes the same merged manifest.json
+        written = []
+        for name in ("a", "b"):
+            ws = tmp_path / name
+            ws.mkdir()
+            write_model_config(ws / "model.json")
+            write_tokens(ws / "input.txt", seeded_tokens(1, 40, vocab=64))
+            manifest = {
+                "model_config": "model.json",
+                "policies": ["corm:4+4"],
+                "input": {"kind": "token_ids", "path": "input.txt"},
+                "out": "run",
+            }
+            (ws / "run.json").write_text(json.dumps(manifest))
+            monkeypatch.chdir(ws)
+            assert main(["generate", "--manifest", "run.json", "--steps", "3"]) == 0
+            written.append((ws / "run" / "manifest.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0]) == {**ExperimentManifest().to_dict(), **manifest, "generate_steps": 3}
+        # a manifest named through a directory names its paths through it, as flags would
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--manifest", os.path.join("a", "run.json"), "--steps", "2"]) == 0
+        merged = json.loads((tmp_path / "a" / "run" / "manifest.json").read_text())
+        paths = (merged["model_config"], merged["input"]["path"], merged["out"])
+        assert paths == tuple(os.path.join("a", name) for name in ("model.json", "input.txt", "run"))
+
     def test_flags_without_manifest(self, workspace, capsys):
         rc = main(
             [
@@ -253,6 +280,33 @@ class TestFailLoud:
             workspace, capsys, input={"kind": "token_ids", "path": "input.txt", "lenght": 8}
         )
         assert "unknown manifest input fields: lenght" in err
+
+    @pytest.mark.parametrize("given", [{"path": "input.txt"}, {}], ids=["path_only", "empty"])
+    def test_input_without_kind(self, workspace, capsys, given):
+        err = self.run_manifest(workspace, capsys, input=given)
+        assert err == "error: manifest input needs a kind, one of token_ids, text_bytes, synthetic\n"
+
+    def test_empty_out_in_manifest(self, workspace, capsys, monkeypatch):
+        monkeypatch.chdir(workspace)
+        err = self.run_manifest(workspace, capsys, out="")
+        assert err == "error: missing required settings: out\n"
+        assert sorted(os.listdir(workspace)) == ["input.txt", "m.json", "model.json"]
+
+    @pytest.mark.parametrize(
+        "command,named",
+        [
+            (["generate", "--policy", "full"], "missing required settings: out"),
+            (["ppl", "--policy", "full"], "missing required settings: out"),
+            (["trace"], "trace needs --trace PATH or --out DIR"),
+        ],
+        ids=["generate", "ppl", "trace"],
+    )
+    def test_empty_out_flag(self, workspace, capsys, monkeypatch, command, named):
+        # an empty --out is a missing one, not the working directory
+        monkeypatch.chdir(workspace)
+        assert main([*command, "--model-config", "model.json", "--input", "input.txt", "--out", ""]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert sorted(os.listdir(workspace)) == ["input.txt", "model.json"]
 
     def test_non_integer_sampling_seed(self, workspace, capsys):
         err = self.run_manifest(workspace, capsys, seed="x", sampling="topk", top_k=4)
@@ -711,8 +765,18 @@ class TestInputsAndManifest:
             input=InputSpec(kind="synthetic", seed=1, length=8),
             out="o",
             seed=4,
+            checkpoints=[3, 5],
+            generate_steps=6,
+            sampling="topk",
+            top_k=2,
+            trace="t.trc",
+            byte_cap=1000,
+            recent_k=3,
+            overlap_pairs=9,
+            max_map_steps=7,
         )
         d = m.to_dict()
+        # every setting is written when set, and read back as it was
+        assert set(d) == {f.name for f in dataclasses.fields(m)} - {"source_path"}
         back = ExperimentManifest.from_dict(json.loads(json.dumps(d)))
-        assert back.policies == ["full"]
-        assert back.input.kind == "synthetic"
+        assert back == m

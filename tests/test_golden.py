@@ -285,6 +285,11 @@ DIRECTORY_RUNS = {
         "--synthetic", "6:70", "--steps", "8", "--sampling", "topk", "--top-k", "5", "--seed", "3",
         "--checkpoints", "1,64,65", "--out", "generate_flags",
     ],
+    # flags override the manifest file, so its merged form is written; it names mha.json as given
+    "generate_merged": [
+        "generate", "--manifest", "generate.json", "--policy", "full", "--policy", "tova:16",
+        "--steps", "4", "--checkpoints", "20,52", "--out", "generate_merged",
+    ],
     "ppl": [
         "ppl", "--model-config", "mha.json", "--policy", "full", "--policy", "corm:8+8",
         "--policy", "tova:16", "--synthetic", "5:48", "--out", "ppl",
@@ -343,6 +348,12 @@ DIRECTORY_GOLDEN = {
     "generate_flags/gqa_corm_8+8/divergence_vs_full.csv": "fcc9055f1e30ccea3bf01f031c42c3d43f8b9d9294c6aec96ed5dbfeea189506",
     "generate_flags/gqa_corm_8+8/tokens.txt": "2068077507a95c185238e8d70d81cffb42060992641442972d97078861d91540",
     "generate_flags/manifest.json": "1e9cd67d62dede9c6b01566966b6550f0c5fa9cc143bdae18ab9b737bd4f2239",
+    "generate_merged/full/compression.csv": "edb428fdd27db3dc1c66d57348085640d4c6c01fa3ac219e2792de48cce8f194",
+    "generate_merged/full/tokens.txt": "c0158e1d10585ece81cdb7aaa86104f9a0867eaedf4f67c16e135600cc81d3b6",
+    "generate_merged/manifest.json": "65a5fad406e68460283a4ddd38c3d5db9e41b6e40a5204cf093b77bb799f8aa5",
+    "generate_merged/tova_16/compression.csv": "617811ea39d538dd19fe780dfb43b7543933ffbe71b1364edd52a7197d7e7b1f",
+    "generate_merged/tova_16/divergence_vs_full.csv": "dde7872ba151fa8b65dd3cb32463e646628102d3e53fe227819ba3b75b94616c",
+    "generate_merged/tova_16/tokens.txt": "133682233567e62e765dee9ec7f39d9c8331dfbd1da4e8f530378f54b299abae",
     "ppl/manifest.json": "d96a4b97e94c53de9d7c55631aa31b4dc94a9ce46a31227c0f3c358aff68dbbf",
     "ppl/perplexity.csv": "c59511da57bf8750a10e564bacebf2945918ebc4a0f906256f948ff1c356ebd9",
     "trace_out/manifest.json": "a85b3d0e594ba074b09a13f20a2df9c628137577ed554cd6ac3c0097f103c126",

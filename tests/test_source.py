@@ -1,6 +1,8 @@
 """Rules the package's own source must keep."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -239,6 +241,39 @@ def test_files_written_only_by_the_writers_and_trace_save():
             if isinstance(node, ast.Call) and _opens_for_writing(node) and id(node) not in allowed
         ]
     assert not found, f"files written outside the writers and trace.save: {', '.join(found)}"
+
+
+def test_every_flag_overrides_a_manifest_field_or_is_parsed_by_name():
+    # `_merge_manifest` sets the manifest field each flag's dest names, so a
+    # flag under any other dest would be dropped unless it is parsed by name
+    from corm.cli import _parser
+    from corm.manifest import ExperimentManifest
+
+    settings = {f.name for f in dataclasses.fields(ExperimentManifest)} - {"source_path"}
+    parsed = {"manifest", "input", "input_format", "synthetic", "checkpoints", "command", "func"}
+    parser = _parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert commands
+    found = [
+        f"{command}: {dest}"
+        for command in commands
+        for dest in vars(parser.parse_args([command]))
+        if dest not in settings | parsed
+    ]
+    assert not found, f"flags whose dest is no manifest field: {', '.join(found)}"
+
+
+def test_no_path_depends_on_the_working_directory():
+    # a run directory must not depend on where the run was made: no code
+    # makes a path absolute or reads the working directory
+    banned = {"abspath", "realpath", "getcwd", "getcwdb"}
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _names(node.func) & banned
+    ]
+    assert not found, f"paths made absolute or read from the working directory: {', '.join(found)}"
 
 
 def test_a_pythonpath_corm_that_is_not_imported_is_named(tmp_path):
