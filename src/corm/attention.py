@@ -10,15 +10,20 @@ Blocks of unequal lengths: `scaled_dot_scores`, `softmax_normalize` and
 that tiles the first axis of a `(heads, ..., m)` block (a cache block's
 `equal_size_runs()`): heads start..stop-1 hold n valid entries each, in
 columns [0, n), and the columns past n are pads. One call then handles the
-whole block. Only the three reductions whose bits depend on the length run
-once per run -- the score gemv, the softmax row sum and the output gemv --
-each over exactly its run's n columns, so every head's results have the
-bits of a single-head call. Everything elementwise (the scale, the max,
-which is exact under -inf pads, the exp and the divide) runs once over the
-block. Score and softmax pads come out as exactly 0.0, whatever the pads
-held on input: a NaN or Inf raises only in a valid entry. No function
-writes to its input. A block whose runs all span m columns has no pads and
-takes the plain path, with no extra copy.
+whole block. Only the calls whose bits depend on the length run once per
+run -- the score gemv, the softmax row sum and the output gemv -- each over
+exactly its run's n columns, so every head's results have the bits of a
+single-head call. A run of one head with one query makes its gemvs with a
+2-D `np.dot`, which gives the bits of the batched `np.matmul` and skips its
+batch loop. Everything elementwise (the scale, the max, which is exact
+under -inf pads, the exp and the divide) runs once over the block. Each
+stage computes in place in the array it returns: the per-run results are
+written straight into it and the elementwise steps make no temporaries.
+With `runs`, that array has the leading shape of the first argument, which
+the keys or values must broadcast to. Score and softmax pads come out as
+exactly 0.0, whatever the pads held on input: a NaN or Inf raises only in
+a valid entry. No function writes to its input. A block whose runs all
+span m columns has no pads and takes the plain path, with no extra copy.
 """
 
 from __future__ import annotations
@@ -135,10 +140,15 @@ def scaled_dot_scores(q, keys, d_h: int, runs: Runs | None = None) -> np.ndarray
         raise ValueError(f"runs need a head axis on query {q.shape} and keys {kmat.shape}")
     m = kmat.shape[-2]
     if not _padded(runs, kmat.shape[0], m):
-        return np.matmul(kmat, q[..., None])[..., 0] / math.sqrt(d_h)
-    scores = np.zeros(np.broadcast(kmat[..., 0, 0], q[..., 0]).shape + (m,))
-    for a, b, n in runs:
-        scores[a:b, ..., :n] = np.matmul(kmat[a:b, ..., :n, :], q[a:b, ..., None])[..., 0]
+        scores = np.matmul(kmat, q[..., None])[..., 0]
+    else:
+        scores = np.zeros(q.shape[:-1] + (m,))
+        gemv = q.shape[1:-1] == (1,) and kmat.shape[1:-2] == (1,)  # one query and one key block per head
+        for a, b, n in runs:
+            if gemv and b - a == 1:
+                np.dot(kmat[a, 0, :n], q[a, 0], out=scores[a, 0, :n])
+            else:
+                np.matmul(kmat[a:b, ..., :n, :], q[a:b, ..., None], out=scores[a:b, ..., :n, None])
     scores /= math.sqrt(d_h)
     return scores
 
@@ -157,22 +167,24 @@ def softmax_normalize(weights, runs: Runs | None = None) -> np.ndarray:
         raise ValueError("softmax input must be non-empty along its last axis")
     if runs is not None and w.ndim < 2:
         raise ValueError(f"runs need a head axis on the softmax input {w.shape}")
-    if not _padded(runs, w.shape[0], w.shape[-1]):
-        if not np.isfinite(w).all():
-            raise ValueError("softmax input contains NaN or Inf")
-        e = np.exp(w - w.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
+    padded = _padded(runs, w.shape[0], w.shape[-1])
     # a block finite throughout, pads included, needs no look at each run
-    if not np.isfinite(w).all() and not all(np.isfinite(w[a:b, ..., :n]).all() for a, b, n in runs):
+    if not np.isfinite(w).all() and not (padded and all(np.isfinite(w[a:b, ..., :n]).all() for a, b, n in runs)):
         raise ValueError("softmax input contains NaN or Inf")
-    e = w.copy()
-    for a, b, n in runs:
-        e[a:b, ..., n:] = -np.inf  # ignored by the max, and 0.0 after exp
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    totals = np.empty(e.shape[:-1] + (1,))
-    for a, b, n in runs:
-        totals[a:b] = e[a:b, ..., :n].sum(axis=-1, keepdims=True)
+    if padded:
+        e, m = w.copy(), w.shape[-1]
+        for a, b, n in runs:
+            if n < m:
+                e[a:b, ..., n:] = -np.inf  # ignored by the max, and 0.0 after exp
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        totals = np.empty(e.shape[:-1] + (1,))
+        for a, b, n in runs:
+            np.add.reduce(e[a:b, ..., :n], axis=-1, keepdims=True, out=totals[a:b])
+    else:
+        e = w - w.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        totals = np.add.reduce(e, axis=-1, keepdims=True)
     e /= totals
     return e
 
@@ -208,9 +220,13 @@ def attention_output(scores, values, runs: Runs | None = None) -> np.ndarray:
         raise ValueError(f"runs need a head axis on scores {s.shape} and values {v.shape}")
     if not _padded(runs, s.shape[0], s.shape[-1]):
         return np.matmul(s[..., None, :], v)[..., 0, :]
-    out = np.empty(np.broadcast(s[..., 0], v[..., 0, 0]).shape + v.shape[-1:])
+    out = np.empty(s.shape[:-1] + v.shape[-1:])
+    gemv = s.shape[1:-1] == (1,) and v.shape[1:-2] == (1,)  # one score row and one value block per head
     for a, b, n in runs:
-        out[a:b] = np.matmul(s[a:b, ..., None, :n], v[a:b, ..., :n, :])[..., 0, :]
+        if gemv and b - a == 1:
+            np.dot(s[a, 0, :n], v[a, 0, :n], out=out[a, 0])
+        else:
+            np.matmul(s[a:b, ..., None, :n], v[a:b, ..., :n, :], out=out[a:b, ..., None, :])
     return out
 
 

@@ -34,13 +34,14 @@ after eviction.
 Attention makes one call of each attention function per layer, over the
 layer's `(kv_heads, group, m)` block, however eviction has left the heads'
 lengths (m is the longest). The block's runs of consecutive kv heads with
-equally many entries (`KvCacheState.equal_size_runs`) go with it: the score
-gemv, the softmax row sum and the output gemv run once per run over exactly
-its entries, and the elementwise steps (scale, head gain, ALiBi bias, max,
-exp, divide) once over the block. So every head's scores come from the same
-products and reductions as a single-head computation, and the logits are
-bit-identical to per-head attention. Under `full`, or a budgeted policy at
-budget, the block is one run and pays for no padding.
+equally many entries (`KvCacheState.equal_size_runs`) go with it: only the
+score gemv, the softmax row sum and the output gemv run once per run over
+exactly its entries, and the elementwise steps (scale, head gain, ALiBi
+bias, max, exp, divide) once over the block, in place in the block each
+stage returns. So every head's scores come from the same products and
+reductions as a single-head computation, and the logits are bit-identical
+to per-head attention. Under `full`, or a budgeted policy at budget, the
+block is one run and pays for no padding.
 
 Weight draw order (one generator, consumed in sequence): token embedding;
 learned position table (only when configured); per layer: wq, wk, wv, wo,
@@ -372,14 +373,14 @@ class ToyTransformer:
             q, k = c.pe.rotate(q, k, positions)
             if queries is not None:
                 queries[li] = q[0]
+            q = q.reshape(n, kv, gs, d_h)  # query heads grouped by the kv head they read
             cache = state.caches[li]
             gain = self._gains[li]
             outs = np.empty((n, kv, gs, d_h))
             for i in range(n):
                 cache.append(k[i], v[i])
-                # query heads grouped by the kv head they read: (kv heads, group size, ...)
                 runs, m = cache.equal_size_runs(), cache.width
-                logits = scaled_dot_scores(q[i].reshape(kv, gs, d_h), cache.keys[:, None, :m], d_h, runs)
+                logits = scaled_dot_scores(q[i], cache.keys[:, None, :m], d_h, runs)
                 logits *= gain
                 if slopes is not None:
                     logits -= slopes * (cache.step - cache.positions[:, None, :m])

@@ -401,11 +401,11 @@ class Corm(Policy):
         t, m = cache.step, scores.shape[2]
         flags = classify_important(scores, t)
         flagged_at = cache.entry_array("flagged_at", np.int64)[:, :m]
-        mask = flags[:, 0] if flags.shape[1] == 1 else np.logical_or.reduce(flags, axis=1)
-        np.copyto(flagged_at, t, where=mask)
-        if t < self.w:
-            return
-        cache.keep_only((flagged_at > t - self.w) | (cache.positions[:, :m] > t - self.r))
+        np.putmask(flagged_at, flags[:, 0] if flags.shape[1] == 1 else np.logical_or.reduce(flags, axis=1), t)
+        if t >= self.w:
+            keep = flagged_at > t - self.w
+            keep |= cache.positions[:, :m] > t - self.r
+            cache.keep_only(keep)
 
     def check(self, cache) -> None:
         """Also raise unless each entry's `flagged_at` is 0 (never flagged) or a step from its position to t."""
@@ -545,6 +545,7 @@ class KvCacheState:
         self.sizes = [0] * n_heads
         self.step = 0
         self.in_place = in_place
+        self._index_rows()
 
     @property
     def n_heads(self) -> int:
@@ -594,7 +595,21 @@ class KvCacheState:
         else:
             new[:, :, : arr.shape[2]] = arr
         setattr(self, name, new)
+        self._index_rows()
         return new
+
+    def _index_rows(self) -> None:
+        # the non-empty arrays `keep_only` moves, with each entry's width; every
+        # method that replaces an array rebuilds this. A C-contiguous
+        # (n_heads, capacity, d) array goes in as its (n_heads, capacity * d)
+        # view: numpy moves an overlapping 1-D slice in place, a 2-D one
+        # through a temporary copy
+        self._rows = []
+        for arr in (getattr(self, name) for name in self.entry_names):
+            if arr.ndim == 3 and arr.flags.c_contiguous and arr.size:
+                self._rows.append((arr.reshape(arr.shape[0], -1), arr.shape[2]))
+            elif arr.size:
+                self._rows.append((arr, 1))
 
     def equal_size_runs(self) -> list[tuple[int, int, int]]:
         """(start, stop, size) of each run of consecutive heads holding equally many entries."""
@@ -617,6 +632,7 @@ class KvCacheState:
             new = np.full_like(old, fill, shape=(old.shape[0], 2 * cap) + old.shape[2:])
             new[:, :cap] = old
             setattr(self, name, new)
+        self._index_rows()
 
     def append(self, keys, values) -> None:
         """Add the entry of step `step + 1` to every head, in its next free row.
@@ -650,8 +666,9 @@ class KvCacheState:
 
         In place, the dropped rows become free and nothing moves. Compacting,
         each run of survivors after a dropped entry moves up behind the
-        survivors before it, one slice assignment per non-empty array; a
-        mask that keeps every row returns before any per-head work.
+        survivors before it, one slice assignment per non-empty array (a 1-D
+        slice wherever the array's layout allows); a mask that keeps every
+        row returns before any per-head work.
         """
         if keep.shape != (self.n_heads, self.width):
             raise ValueError(f"keep mask has shape {keep.shape} for {self.n_heads} caches of up to {self.width} entries")
@@ -660,7 +677,7 @@ class KvCacheState:
             self.positions[:, : self.step][drop] = FREE
             self.sizes = [n - k for n, k in zip(self.sizes, np.add.reduce(drop, axis=1).tolist())]
             return
-        flat_drops = np.flatnonzero(np.logical_not(keep)).tolist()
+        flat_drops = np.logical_not(keep).ravel().nonzero()[0].tolist()
         if not flat_drops:  # nothing dropped: no per-head plan
             return
         sizes, width = self.sizes, keep.shape[1]
@@ -669,14 +686,13 @@ class KvCacheState:
             h, i = divmod(flat, width)
             if i < sizes[h]:
                 dropped.setdefault(h, []).append(i)
-        arrays = [a for a in (getattr(self, name) for name in self.entry_names) if a.size]
         for h, gone in dropped.items():
             n = sizes[h]
             k = gone[0]  # the survivors before the first dropped entry stay in place
             for start, stop in zip([i + 1 for i in gone], gone[1:] + [n]):
                 if start < stop:
-                    for arr in arrays:
-                        arr[h, k : k + stop - start] = arr[h, start:stop]
+                    for arr, w in self._rows:
+                        arr[h, k * w : (k + stop - start) * w] = arr[h, start * w : stop * w]
                     k += stop - start
             self.positions[h, k:n] = FREE
             sizes[h] = k

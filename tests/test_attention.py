@@ -222,7 +222,7 @@ def run_blocks(draw):
     choices = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3))
     sizes = draw(st.lists(st.sampled_from(choices), min_size=heads, max_size=heads))
     m = max(sizes) + draw(st.integers(0, 2))
-    d = draw(st.sampled_from([1, 4, 8]))
+    d = draw(st.sampled_from([1, 4, 8, 16, 32, 64]))
     seed = draw(st.integers(0, 2**32 - 1))
     biased = draw(st.booleans())
     poison = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -241,7 +241,8 @@ class TestRunBlocks:
         q = rng.normal(size=(heads, group, d))
         keys = rng.normal(size=(heads, 1, m, d))
         values = rng.normal(size=(heads, 1, m, d))
-        gain = rng.uniform(0.5, 3.0, size=(heads, group, 1))
+        # head gains of both signs, as a depth_gain < 0 gives every other layer
+        gain = rng.uniform(0.5, 3.0, size=(heads, group, 1)) * rng.choice([-1.0, 1.0], size=(heads, group, 1))
         slopes = rng.uniform(0.01, 1.0, size=(heads, group, 1))
         # distances past a head's size stand for free rows: garbage the functions must ignore
         distance = rng.integers(0, 400, size=(heads, 1, m)).astype(np.float64)
@@ -253,9 +254,12 @@ class TestRunBlocks:
         logits = scaled_dot_scores(q, keys, d, runs) * gain
         if biased:
             logits = logits - slopes * distance
+        logits_in = logits.copy()
         scores = softmax_normalize(logits, runs)
+        scores_in = scores.copy()
         out = attention_output(scores, values, runs)
-        for arr, before in zip((q, keys, values), inputs):
+        # each stage computes in the array it returns, never in its inputs
+        for arr, before in zip((q, keys, values, logits, scores), inputs + [logits_in, scores_in]):
             assert np.array_equal(arr, before)
 
         raw = scaled_dot_scores(q, keys, d, runs)
@@ -270,6 +274,13 @@ class TestRunBlocks:
             assert np.array_equal(scores[one, :, :n], ref_scores)
             assert np.array_equal(out[one], attention_output(ref_scores, values[one, :, :n]))
             assert np.all(raw[h, :, n:] == 0.0) and np.all(scores[h, :, n:] == 0.0)
+            # a run of one head and one query takes a 2-D np.dot: the bits of the batched np.matmul
+            for j in range(group):
+                batched = np.matmul(keys[one, :, :n], q[one, j : j + 1, :, None])[0, 0, :, 0]
+                assert np.array_equal(np.dot(keys[h, 0, :n], q[h, j]), batched)
+                row = ref_scores[0, j]
+                batched = np.matmul(row[None, None, None, :], values[one, :, :n])[0, 0, 0]
+                assert np.array_equal(np.dot(row, values[h, 0, :n]), batched)
 
         # a NaN or infinity raises in a valid entry and is ignored in a pad
         h = int(rng.integers(heads))

@@ -167,6 +167,12 @@ class TestDecodeOracle:
     def test_incremental_full_decode_matches_batched_recompute(self, pe, n_kv):
         assert_incremental_matches_batched_recompute(ModelConfig(**BASE, seed=5, pe=pe, n_kv_heads=n_kv), 48)
 
+    @pytest.mark.parametrize("pe", [Rope(), Alibi()], ids=["rope", "alibi"])
+    def test_negative_depth_gain_matches_batched_recompute(self, pe):
+        # depth_gain < 0 flips the sign of every other layer's logits
+        config = ModelConfig(**{**BASE, "n_layers": 3}, seed=5, pe=pe, depth_gain=-1.35)
+        assert_incremental_matches_batched_recompute(config, 48)
+
     @pytest.mark.parametrize("config", [
         ModelConfig(**BASE, seed=42, pe=Rope()),
         ModelConfig(n_layers=4, n_heads=8, n_kv_heads=2, d_model=256, vocab_size=256, seed=42, pe=AbsoluteSinusoidal()),
@@ -392,6 +398,9 @@ class TestChunkedForward:
         (ModelConfig(**BASE, seed=5), "corm:4+4", 129),
         (ModelConfig(**BASE, seed=6, n_kv_heads=2, pe=AbsoluteSinusoidal()), "gqa_corm:8+8", 65),
         (ModelConfig(**BASE, seed=7, pe=Alibi()), "h2o:8+8", 64),
+        # depth_gain < 0: a pad set to -inf before the head gain would turn +inf in odd layers
+        (ModelConfig(**{**BASE, "n_layers": 3}, seed=8, depth_gain=-1.35), "corm:4+4", 129),
+        (ModelConfig(**{**BASE, "n_layers": 3}, seed=9, depth_gain=-1.35, pe=Alibi()), "corm:4+4", 129),
     ])
     def test_chunk_edges(self, config, policy, steps):
         self.check_equal(config, policy, steps)
