@@ -14,36 +14,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import check_fields
+from .schema import from_json, to_json
 from .trace import DEFAULT_BYTE_CAP
 
 __all__ = ["InputSpec", "ExperimentManifest", "load_manifest"]
 
 _INPUT_KINDS = ("token_ids", "text_bytes", "synthetic")
-
-# JSON field -> (type, may be null[, list item type]), checked before any field is used
-_INPUT_FIELDS = {"kind": (str, False), "path": (str, True), "seed": (int, True), "length": (int, True)}
-_MANIFEST_FIELDS = {
-    "model_config": (str, True),
-    "policies": (list, False, str),
-    "input": (dict, True),
-    "out": (str, True),
-    "seed": (int, False),
-    "checkpoints": (list, True, int),
-    "generate_steps": (int, False),
-    "sampling": (str, False),
-    "top_k": (int, False),
-    "trace": (str, True),
-    "byte_cap": (int, False),
-    "recent_k": (int, False),
-    "overlap_pairs": (int, False),
-    "max_map_steps": (int, False),
-}
-
 
 @dataclass
 class InputSpec:
@@ -94,51 +74,38 @@ class InputSpec:
             )
         return tokens
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
+    @classmethod
+    def from_dict(cls, d: dict) -> "InputSpec":
+        if "kind" not in d:  # its own message: the one field an input cannot go without
+            raise ValueError(f"manifest input needs a kind, one of {', '.join(_INPUT_KINDS)}")
+        return from_json(cls, d, "manifest input")
 
 
 @dataclass
 class ExperimentManifest:
-    """One experiment's full recipe. Field meanings:
+    """One experiment's full recipe; each field is one JSON setting (`corm.schema`)."""
 
-    model_config: path to the model config JSON.
-    policies: policy strings (see `corm.policies.parse_policy`).
-    input: token source for generate/ppl/trace.
-    out: output directory; one subdirectory per policy.
-    seed: sampling / pair-sampling seed.
-    checkpoints: steps at which compression is reported (default: final step).
-    generate_steps / sampling / top_k: generation settings.
-    trace: trace file path (output of `trace`, input of `replay`/`analyze`).
-    byte_cap: refuse to record traces larger than this many bytes.
-    recent_k / overlap_pairs / max_map_steps: analyze settings.
-    """
-
-    model_config: str | None = None
-    policies: list[str] = field(default_factory=list)
-    input: InputSpec | None = None
-    out: str | None = None
-    seed: int = 0
-    checkpoints: list[int] | None = None
-    generate_steps: int = 32
+    model_config: str | None = None  # path to the model config JSON
+    policies: list[str] = field(default_factory=list)  # policy strings (see `corm.policies.parse_policy`)
+    input: InputSpec | None = None  # token source for generate/ppl/trace
+    out: str | None = None  # output directory; one subdirectory per policy
+    seed: int = 0  # sampling / pair-sampling seed
+    checkpoints: list[int] | None = None  # steps at which compression is reported (default: final step)
+    generate_steps: int = 32  # generate_steps, sampling, top_k: generation settings
     sampling: str = "greedy"
     top_k: int = 0
-    trace: str | None = None
-    byte_cap: int = DEFAULT_BYTE_CAP
-    recent_k: int = 8
+    trace: str | None = None  # trace file path (output of `trace`, input of `replay`/`analyze`)
+    byte_cap: int = DEFAULT_BYTE_CAP  # refuse to record traces larger than this many bytes
+    recent_k: int = 8  # recent_k, overlap_pairs, max_map_steps: analyze settings
     overlap_pairs: int = 200
     max_map_steps: int = 256
-    source_path: str | None = None  # manifest file that states these settings as they are, if any
+    # the manifest file that states these settings as they are, if any; not a
+    # constructor argument, so never a JSON field
+    source_path: str | None = field(default=None, init=False)
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentManifest":
-        check_fields(d, _MANIFEST_FIELDS, "manifest")
-        m = cls(**{k: v for k, v in d.items() if k != "input"})
-        if d.get("input") is not None:
-            check_fields(d["input"], _INPUT_FIELDS, "manifest input")
-            if "kind" not in d["input"]:
-                raise ValueError(f"manifest input needs a kind, one of {', '.join(_INPUT_KINDS)}")
-            m.input = InputSpec(**d["input"])
+        m = from_json(cls, d, "manifest")
         for name in ("model_config", "trace", "out"):
             value = getattr(m, name)
             if value:  # an empty path stays empty: it names no file, so the command rejects it
@@ -148,14 +115,8 @@ class ExperimentManifest:
         return m
 
     def to_dict(self) -> dict:
-        """The settings as JSON: unset (None) fields are left out, and top_k unless nonzero."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None or f.name == "source_path" or (f.name == "top_k" and not value):
-                continue
-            out[f.name] = value.to_dict() if isinstance(value, InputSpec) else value
-        return out
+        """The settings as JSON (`schema.to_json`); top_k only when nonzero, as pinned `manifest.json` bytes have it."""
+        return {name: value for name, value in to_json(self).items() if name != "top_k" or value}
 
 
 def load_manifest(path) -> ExperimentManifest:

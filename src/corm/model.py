@@ -66,8 +66,8 @@ from .attention import (
     stable_argsort_desc,
 )
 from .policies import KvCacheState, Policy, apply_policy
-from .positional import PeConfig, Rope, pe_from_dict
-from .schema import check_fields
+from .positional import PeConfig, Rope
+from .schema import from_json
 
 __all__ = [
     "ModelConfig",
@@ -86,22 +86,6 @@ _GELU_SCALE = np.sqrt(2.0 / np.pi)  # of the tanh approximation
 # peak RSS of a 160-token decode on a 4L/8H/d256 model from 63.5 to 68.4 MB
 # (+7.8 %); 64-token chunks kept it at 63.5 MB and still stack the dense work.
 PREFILL_CHUNK = 64
-
-# JSON field -> (type, may be null), checked before any field is used
-_CONFIG_FIELDS = {
-    "n_layers": (int, False),
-    "n_heads": (int, False),
-    "n_kv_heads": (int, True),
-    "d_model": (int, False),
-    "vocab_size": (int, False),
-    "seed": (int, False),
-    "pe": (dict, False),
-    "mlp_ratio": (int, False),
-    "depth_gain": (float, False),
-    "head_gain_jitter": (float, False),
-    "max_positions": (int, False),
-}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -170,32 +154,9 @@ class ModelConfig:
     def mlp_hidden(self) -> int:
         return self.mlp_ratio * self.d_model
 
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "n_kv_heads": self.kv_heads,
-            "d_model": self.d_model,
-            "vocab_size": self.vocab_size,
-            "seed": self.seed,
-            "pe": self.pe.to_dict(),
-            "mlp_ratio": self.mlp_ratio,
-            "depth_gain": self.depth_gain,
-            "head_gain_jitter": self.head_gain_jitter,
-            "max_positions": self.max_positions,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        check_fields(d, _CONFIG_FIELDS, "model config")
-        missing = [k for k in ("n_layers", "n_heads", "d_model", "vocab_size", "seed") if k not in d]
-        if missing:
-            raise ValueError(f"model config missing fields: {', '.join(missing)}")
-        kwargs = {k: v for k, v in d.items() if k != "pe"}
-        for name in ("depth_gain", "head_gain_jitter"):
-            if name in kwargs:
-                kwargs[name] = float(kwargs[name])
-        return cls(**kwargs, pe=pe_from_dict(d["pe"]) if "pe" in d else Rope())
+        return from_json(cls, d, "model config")
 
 
 def load_model_config(path) -> ModelConfig:

@@ -599,11 +599,13 @@ class KvCacheState:
         return new
 
     def _index_rows(self) -> None:
-        # the non-empty arrays `keep_only` moves, with each entry's width; every
-        # method that replaces an array rebuilds this. A C-contiguous
+        # the policy arrays `append` clears (after keys, values and positions),
+        # and the non-empty arrays `keep_only` moves, with each entry's width;
+        # every method that replaces an array rebuilds these. A C-contiguous
         # (n_heads, capacity, d) array goes in as its (n_heads, capacity * d)
         # view: numpy moves an overlapping 1-D slice in place, a 2-D one
         # through a temporary copy
+        self._cleared = [getattr(self, name) for name in self.entry_names[3:]]
         self._rows = []
         for arr in (getattr(self, name) for name in self.entry_names):
             if arr.ndim == 3 and arr.flags.c_contiguous and arr.size:
@@ -650,13 +652,12 @@ class KvCacheState:
         # one row per head: on a few heads that beats one fancy-indexed write
         rows = [(slice(None), width)] if self.in_place or min(sizes) == width else enumerate(sizes)
         with_vectors = self.keys.shape[2] > 0  # replay's caches hold positions only
-        cleared = [getattr(self, name) for name in self.entry_names[3:]]  # after keys, values, positions
         for h, n in rows:
             if with_vectors:
                 self.keys[h, n] = keys[h]
                 self.values[h, n] = values[h]
             self.positions[h, n] = position
-            for arr in cleared:
+            for arr in self._cleared:
                 arr[h, n] = 0
         self.sizes = [n + 1 for n in sizes]
         self.step = position

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .schema import check_fields
+from .schema import from_json, to_json
 
 __all__ = [
     "PeConfig",
@@ -25,7 +25,6 @@ __all__ = [
     "AbsoluteLearned",
     "NoPositional",
     "PE_KINDS",
-    "pe_from_dict",
     "apply_rope",
     "rope_apply_many",
     "alibi_slopes",
@@ -36,22 +35,27 @@ __all__ = [
 class PeConfig:
     """Protocol of the positional encodings; each subclass is a frozen dataclass.
 
-    Subclasses define `kind` (the JSON name and registry key), `wire_id` (the
-    trace header's id) and `json_fields` (their JSON fields besides "kind":
-    numbers, or lists stored as tuples). The hooks below default to a family
+    Subclasses define `kind` (the JSON name and registry key) and `wire_id`
+    (the trace header's id); their JSON fields besides "kind" are their
+    dataclass fields (`corm.schema`). The hooks below default to a family
     that adds no positional signal; each family overrides its own.
     """
 
     kind: ClassVar[str]
     wire_id: ClassVar[int]
-    json_fields: ClassVar[dict] = {}
     # the rotary base that trace headers store, 0.0 unless the family rotates
     base: ClassVar[float] = 0.0
 
+    @staticmethod
+    def from_dict(d: dict) -> PeConfig:
+        """The family that `d`'s kind names, built from its other fields, e.g. {"kind": "rope", "base": 1e4}."""
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if not isinstance(kind, str) or kind not in PE_KINDS:
+            raise ValueError(f"unknown positional encoding {kind!r}; valid: {sorted(PE_KINDS)}")
+        return from_json(PE_KINDS[kind], {k: v for k, v in d.items() if k != "kind"}, f"{kind} positional encoding")
+
     def to_dict(self) -> dict:
-        # a None field is left out: it is the default
-        fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items() if v is not None}
-        return {"kind": self.kind, **fields}
+        return {"kind": self.kind, **to_json(self)}
 
     def check(self, n_heads: int, d_model: int) -> None:
         """Raise ValueError when the family cannot serve a model of this shape."""
@@ -79,7 +83,6 @@ class Rope(PeConfig):
 
     kind = "rope"
     wire_id = 1
-    json_fields = {"base": (float, False)}
     base: float = 10000.0
 
     def check(self, n_heads: int, d_model: int) -> None:
@@ -104,7 +107,6 @@ class Alibi(PeConfig):
 
     kind = "alibi"
     wire_id = 2
-    json_fields = {"slopes": (list, True, float)}
     slopes: tuple[float, ...] | None = None
 
     def check(self, n_heads: int, d_model: int) -> None:
@@ -163,17 +165,6 @@ class NoPositional(PeConfig):
 PE_KINDS: dict[str, type[PeConfig]] = {
     cls.kind: cls for cls in (NoPositional, Rope, Alibi, AbsoluteSinusoidal, AbsoluteLearned)
 }
-
-
-def pe_from_dict(d: dict) -> PeConfig:
-    """Build a PE config from its JSON form, e.g. {"kind": "rope", "base": 1e4}."""
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if not isinstance(kind, str) or kind not in PE_KINDS:
-        raise ValueError(f"unknown positional encoding {kind!r}; valid: {sorted(PE_KINDS)}")
-    cls = PE_KINDS[kind]
-    check_fields(d, {"kind": (str, False), **cls.json_fields}, f"{kind} positional encoding")
-    values = {k: v for k, v in d.items() if k != "kind" and v is not None}
-    return cls(**{k: tuple(map(float, v)) if isinstance(v, list) else float(v) for k, v in values.items()})
 
 
 def apply_rope(v, position: int, base: float = 10000.0) -> np.ndarray:

@@ -323,6 +323,16 @@ class TestFailLoud:
         err = self.run_manifest(workspace, capsys)
         assert "field 'base' must be a number" in err
 
+    def test_manifest_list_item_of_wrong_type(self, workspace, capsys):
+        err = self.run_manifest(workspace, capsys, checkpoints=[20, "40"])
+        assert "manifest field 'checkpoints' must list integers" in err
+
+    def test_positional_encoding_list_item_of_wrong_type(self, workspace, capsys):
+        # JSON true loads as a bool, which is no number here, though float(True) is 1.0
+        write_model_config(workspace / "model.json", pe={"kind": "alibi", "slopes": [0.5, True]})
+        err = self.run_manifest(workspace, capsys)
+        assert "alibi positional encoding field 'slopes' must list numbers" in err
+
     def test_prompt_past_the_learned_position_table(self, workspace, capsys):
         # the 40-token prompt reaches step 17 of a 16-row table
         write_model_config(workspace / "model.json", pe={"kind": "absolute_learned"}, max_positions=16)

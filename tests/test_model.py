@@ -1,5 +1,6 @@
 """Toy transformer: determinism, the batched-recompute oracle, eviction wiring."""
 
+import re
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -22,6 +23,7 @@ from corm.model import (
 )
 from corm.policies import POLICIES, Corm, CormGqa, Full, Tova, parse_policy
 from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
+from corm.schema import to_json
 
 BASE = dict(n_layers=2, n_heads=4, d_model=64, vocab_size=256)
 
@@ -59,10 +61,27 @@ class TestConfig:
         cfg = ModelConfig(n_layers=60, n_heads=2, d_model=8, vocab_size=16, seed=0, depth_gain=1.35)
         assert np.isfinite(init_model(cfg).head_gain).all()
 
+    @pytest.mark.parametrize(
+        "at,below,named",
+        [
+            ({"vocab_size": 2}, {"vocab_size": 1}, "vocab_size must be >= 2, got 1"),
+            ({"d_model": 4}, {"d_model": 0}, "d_h must be >= 1, got 0"),
+            ({"mlp_ratio": 1}, {"mlp_ratio": 0}, "mlp_ratio must be >= 1, got 0"),
+            ({"max_positions": 1}, {"max_positions": 0}, "max_positions must be >= 1, got 0"),
+        ],
+        ids=["vocab_size", "d_h", "mlp_ratio", "max_positions"],
+    )
+    def test_each_lower_limit_accepted_at_its_value_and_rejected_below_it(self, at, below, named):
+        # 4 heads and a non-rotary encoding, so d_model 4 gives d_h 1
+        shape = dict(n_layers=1, n_heads=4, d_model=8, vocab_size=16, seed=0, pe=NoPositional())
+        ModelConfig(**{**shape, **at})
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ModelConfig(**{**shape, **below})
+
     def test_file_round_trip(self, tmp_path):
         cfg = ModelConfig(**BASE, seed=3, n_kv_heads=2, pe=Alibi(), depth_gain=1.2)
         path = tmp_path / "model.json"
-        write_json(path, cfg.to_dict())
+        write_json(path, to_json(cfg))
         assert load_model_config(path) == cfg
 
     def test_missing_fields_reported(self, tmp_path):

@@ -6,10 +6,10 @@ import pytest
 from corm.positional import (
     PE_KINDS,
     Alibi,
+    PeConfig,
     Rope,
     alibi_slopes,
     apply_rope,
-    pe_from_dict,
     rope_apply_many,
     sinusoidal_table,
 )
@@ -102,8 +102,8 @@ class TestPeConfigRoundTrip:
         ],
     )
     def test_round_trip(self, d):
-        pe = pe_from_dict(d)
-        assert pe_from_dict(pe.to_dict()) == pe
+        pe = PeConfig.from_dict(d)
+        assert PeConfig.from_dict(pe.to_dict()) == pe
 
     def test_every_registered_family_round_trips(self):
         families = list(PE_KINDS.values())
@@ -112,12 +112,12 @@ class TestPeConfigRoundTrip:
         for cls in families:
             pe = cls()
             assert pe.to_dict()["kind"] == cls.kind
-            assert pe_from_dict(pe.to_dict()) == pe
+            assert PeConfig.from_dict(pe.to_dict()) == pe
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown positional"):
-            pe_from_dict({"kind": "learned_rotary"})
+            PeConfig.from_dict({"kind": "learned_rotary"})
 
     def test_default_rope_base(self):
-        assert pe_from_dict({"kind": "rope"}) == Rope(base=10000.0)
-        assert pe_from_dict({"kind": "alibi"}) == Alibi(slopes=None)
+        assert PeConfig.from_dict({"kind": "rope"}) == Rope(base=10000.0)
+        assert PeConfig.from_dict({"kind": "alibi"}) == Alibi(slopes=None)

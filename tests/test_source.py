@@ -54,6 +54,27 @@ def _names(node: ast.AST) -> set[str]:
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def test_no_hand_written_json_field_specs():
+    # a dataclass's type hints are the one declaration of its JSON fields
+    # (`corm.schema`): no dict maps field names to (type, may be null, ...)
+    def spec(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) >= 2
+            and isinstance(node.elts[0], ast.Name)
+            and isinstance(node.elts[1], ast.Constant)
+            and isinstance(node.elts[1].value, bool)
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)[:80]}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Dict) and any(spec(value) for value in node.values)
+    ]
+    assert not found, f"hand-written JSON field specs: {', '.join(found)}"
+
+
 def test_policies_reached_only_through_apply_policy():
     # one update path: outside policies.py no code dispatches on a policy's
     # class or calls a policy's step; decode and replay call apply_policy

@@ -3,20 +3,28 @@
     python tools/mutants.py [NAME ...]
 
 A mutant names a file under `src/corm`, an exact old text that must occur in
-it once, the text that replaces it, and the test files expected to kill it.
-For each mutant the runner copies `src` to a temporary directory, applies the
-edit there and runs the named tests against the copy with
-`-o pythonpath=<copy>/src` (pytest's `pythonpath` setting would otherwise put
-this checkout's `src` first). The checkout itself is never edited. First the
-union of the named test files must pass against an unmutated copy.
+it once, the text that replaces it, and the tests expected to kill it (files
+or pytest node ids). For each mutant the runner copies `src` to a temporary
+directory, applies the edit there and runs the named tests against the copy
+with `-o pythonpath=<copy>/src` (pytest's `pythonpath` setting would
+otherwise put this checkout's `src` first). The checkout itself is never
+edited. First the union of the named tests must pass against an unmutated
+copy. Each pytest child may map at most `MEMORY_CAP` bytes, so a mutant that
+grows an array without end fails with MemoryError instead of exhausting the
+machine.
 
-Each mutant prints `killed` or `SURVIVED`. An old text that does not occur
-exactly once is an error. The exit code is 0 only when every mutant run was
-killed. This runner is not part of tier-1; it takes about a minute on 2 CPUs.
+Each mutant prints `killed` (pytest exit code 1: a test failed), `SURVIVED`
+(exit code 0) or `ERROR`: pytest exits 2-5 on interruption, internal,
+usage and collection errors, so a mutant that stops a test file from
+importing is reported, not counted as killed; so are a child ended by a
+signal, a timeout, and an old text that does not occur exactly once. The
+exit code is 0 only when every mutant was killed. This runner is not part
+of tier-1; it takes a minute or two on 2 CPUs.
 """
 
 from __future__ import annotations
 
+import resource
 import shutil
 import subprocess
 import sys
@@ -26,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300  # per pytest run; the slowest named file takes seconds
+MEMORY_CAP = 3 * 2**30  # address space per pytest run; no mutant of a sweep of five files reached it
 
 
 @dataclass(frozen=True)
@@ -34,7 +43,7 @@ class Mutant:
     path: str  # relative to src/corm
     old: str
     new: str
-    tests: tuple[str, ...]  # relative to the repository root
+    tests: tuple[str, ...]  # files or node ids, relative to the repository root
 
 
 MUTANTS = [
@@ -80,15 +89,47 @@ MUTANTS = [
         "return x @ w",
         ("tests/test_golden.py", "tests/test_model.py"),
     ),
+    Mutant(
+        "schema skips list item types",
+        "schema.py",
+        "elif item is not None and not all(_is(x, item) for x in value):",
+        "elif False:",
+        (
+            "tests/test_cli.py::TestFailLoud::test_manifest_list_item_of_wrong_type",
+            "tests/test_cli.py::TestFailLoud::test_positional_encoding_list_item_of_wrong_type",
+        ),
+    ),
+    Mutant(
+        "schema takes a bool as an integer",
+        "schema.py",
+        "    if isinstance(value, bool):\n        return False",
+        "    if isinstance(value, bool) and kind is not int:\n        return False",
+        ("tests/test_cli.py::TestFailLoud::test_model_config_int_field_of_wrong_type[True]",),
+    ),
+    Mutant(
+        "schema treats a required field as optional",
+        "schema.py",
+        "required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING",
+        "required = False",
+        ("tests/test_model.py::TestConfig::test_missing_fields_reported",),
+    ),
 ]
 
 
-def pytest_passes(src: Path, tests: list[str]) -> bool:
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_pytest(src: Path, tests: list[str]) -> str:
+    """`passed`, `failed` (exit code 1), or what else ended pytest on `tests` against `src`."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *tests]
     try:
-        return subprocess.run(cmd, cwd=ROOT, capture_output=True, timeout=TIMEOUT_S).returncode == 0
+        code = subprocess.run(cmd, cwd=ROOT, capture_output=True, timeout=TIMEOUT_S, preexec_fn=_cap_memory).returncode
     except subprocess.TimeoutExpired:
-        return False
+        return f"timed out after {TIMEOUT_S} s"
+    if code < 0:
+        return f"ended by signal {-code}"
+    return {0: "passed", 1: "failed"}.get(code, f"pytest exit code {code}")
 
 
 def mutated_copy(scratch: Path, mutant: Mutant | None) -> Path:
@@ -113,22 +154,21 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         tests = sorted({t for m in chosen for t in m.tests})
-        if not pytest_passes(mutated_copy(Path(tmp, "clean"), None), tests):
-            print(f"error: the unmutated source fails {' '.join(tests)}", file=sys.stderr)
+        clean = run_pytest(mutated_copy(Path(tmp, "clean"), None), tests)
+        if clean != "passed":
+            print(f"error: the unmutated source gives {clean} on {' '.join(tests)}", file=sys.stderr)
             return 2
         failed = 0
         for i, mutant in enumerate(chosen):
             try:
-                src = mutated_copy(Path(tmp, str(i)), mutant)
+                outcome = run_pytest(mutated_copy(Path(tmp, str(i)), mutant), list(mutant.tests))
             except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                failed += 1
-                continue
-            killed = not pytest_passes(src, list(mutant.tests))
-            print(f"{'killed' if killed else 'SURVIVED':8s}  {mutant.name}  ({', '.join(mutant.tests)})")
-            failed += not killed
+                outcome = str(exc)
+            verdict = {"failed": "killed", "passed": "SURVIVED"}.get(outcome, "ERROR")
+            detail = f": {outcome}" if verdict == "ERROR" else ""
+            print(f"{verdict:8s}  {mutant.name}  ({', '.join(mutant.tests)}){detail}")
+            failed += verdict != "killed"
     return 1 if failed else 0
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
