@@ -71,13 +71,14 @@ def _merge_manifest(args: argparse.Namespace) -> ExperimentManifest:
 
 
 def _require(m: ExperimentManifest, *names: str) -> None:
-    """Fail unless each named setting is set (not None or empty) and each named file exists."""
+    """Fail unless each named setting is set (not None or empty) and each file it reads exists."""
     missing = [name.replace("_", "-") for name in names if not getattr(m, name)]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
     if m.model_config is not None and not os.path.exists(m.model_config):
         raise ValueError(f"model config not found: {m.model_config}")
-    if m.input is not None and m.input.path is not None and not os.path.exists(m.input.path):
+    reads_file = m.input is not None and m.input.kind != "synthetic" and m.input.path is not None
+    if reads_file and not os.path.exists(m.input.path):
         raise ValueError(f"input file not found: {m.input.path}")
     if "trace" in names and not os.path.exists(m.trace):
         raise ValueError(f"trace file not found: {m.trace}")

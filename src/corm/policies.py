@@ -1,9 +1,10 @@
 """KV-cache eviction policies behind one protocol, and the caches they prune.
 
 Each policy is a frozen dataclass that owns everything about itself: its
-`name` in policy strings, `parse` of the arguments after the name, its
-`label`, its size checks (`__post_init__`, so an invalid config cannot be
-built), how many query heads one of its caches may serve
+`name` in policy strings, its size fields, whose declaration order is both
+its policy string (`Policy.parse`) and its `label`, their checks
+(`__post_init__`, so an invalid config cannot be built), how many query
+heads one of its caches may serve
 (`group_size_for`), and its per-step update of a block of caches (`step`),
 which updates every head of the block at once. `POLICIES` registers
 the classes by name: `parse_policy` looks a class up there and
@@ -105,15 +106,17 @@ def _model_group(n_heads: int, n_kv_heads: int) -> int:
 class Policy:
     """Protocol of the eviction policies; each subclass is a frozen dataclass.
 
-    Subclasses define `name` (the policy-string name and registry key), the
-    classmethod `parse(args)` (build from the ':'-separated arguments after
-    the name), the `label` (canonical short label, also used for output
-    directory names) and `step`. Every dataclass field is a size that must be
-    >= 1, or None where the field allows it.
+    Subclasses define `name` (the policy-string name and registry key),
+    `step` and their dataclass fields. Every field is a size that must be
+    >= 1, or None where the field allows it, and the fields in declaration
+    order are the policy string (`parse`): the first two are one `A+B`
+    argument (a lone field is `A`), and each later one, which must have a
+    default, is one more `:C` argument that may be left out. The `label` is
+    `name_A+B` (or `name_A`); a class whose later sizes show in its label
+    appends them itself.
     """
 
     name: ClassVar[str]
-    label: str
     # True when `step` decides on score values, not only on their flags;
     # replay renormalizes the restricted rows only for these
     reads_magnitudes: ClassVar[bool] = False
@@ -123,6 +126,27 @@ class Policy:
             value = getattr(self, f.name)
             if value is not None and value < 1:
                 raise ValueError(f"{self.label}: {f.name} must be >= 1, got {value}")
+
+    @classmethod
+    def parse(cls, args: list[str]) -> Policy:
+        """Build from the ':'-separated arguments after the name, in field order."""
+        n = len(fields(cls))
+        if not n:
+            if args:
+                raise ValueError(f"policy {cls.name!r} takes no sizes")
+            return cls()
+        pair = min(n, 2)  # the sizes of the first argument; each later size is one argument
+        at_most = n - pair + 1
+        if not args:
+            raise ValueError(f"policy {cls.name!r} expects sizes, e.g. {cls.name}:{'+'.join(['8'] * pair)}")
+        if len(args) > at_most:
+            raise ValueError(f"policy {cls.name!r} takes at most {at_most} ':'-separated arguments")
+        return cls(*_integers(cls.name, args[0], pair), *[_integers(cls.name, arg)[0] for arg in args[1:]])
+
+    @property
+    def label(self) -> str:
+        """Canonical short label, also used for output directory names."""
+        return f"{self.name}_" + "+".join(str(getattr(self, f.name)) for f in fields(self)[:2])
 
     def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
         """Query heads whose rows drive one cache under the given head layout.
@@ -176,17 +200,6 @@ def _integers(name: str, text: str, count: int = 1) -> list[int]:
         raise ValueError(f"policy {name!r} expects integer sizes, got {text!r}") from None
 
 
-def _sizes(name: str, args: list[str], third: bool = False) -> tuple[int, int, int | None]:
-    """Parse `A+B` (and, if `third`, an optional `:C`) policy arguments."""
-    if not args:
-        raise ValueError(f"policy {name!r} expects sizes, e.g. {name}:8+8")
-    at_most = 2 if third else 1
-    if len(args) > at_most:
-        raise ValueError(f"policy {name!r} takes at most {at_most} ':'-separated arguments")
-    a, b = _integers(name, args[0], 2)
-    return a, b, _integers(name, args[1])[0] if len(args) == 2 else None
-
-
 def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarray, budget: int) -> None:
     """Drop from each head its candidate entries with the lowest ranking until it holds `budget`.
 
@@ -219,12 +232,6 @@ class Full(Policy):
     name = "full"
     label = "full"
 
-    @classmethod
-    def parse(cls, args: list[str]) -> Full:
-        if args:
-            raise ValueError("policy 'full' takes no sizes")
-        return cls()
-
     def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
         return _model_group(n_heads, n_kv_heads)
 
@@ -239,15 +246,6 @@ class StreamingLlm(Policy):
     sink: int
     recent: int
     name = "streaming"
-
-    @classmethod
-    def parse(cls, args: list[str]) -> StreamingLlm:
-        sink, recent, _ = _sizes(cls.name, args)
-        return cls(sink, recent)
-
-    @property
-    def label(self) -> str:
-        return f"streaming_{self.sink}+{self.recent}"
 
     def step(self, cache, scores) -> None:
         self._check(cache, scores)
@@ -269,15 +267,6 @@ class H2O(Policy):
     recent: int
     name = "h2o"
     reads_magnitudes = True
-
-    @classmethod
-    def parse(cls, args: list[str]) -> H2O:
-        heavy, recent, _ = _sizes(cls.name, args)
-        return cls(heavy, recent)
-
-    @property
-    def label(self) -> str:
-        return f"h2o_{self.heavy}+{self.recent}"
 
     def step(self, cache, scores) -> None:
         self._check(cache, scores)
@@ -306,17 +295,17 @@ class Scissorhands(Policy):
 
     budget: int
     recent: int
-    window: int
+    window: int | None = None  # None: the recent span
     name = "scissorhands"
 
-    @classmethod
-    def parse(cls, args: list[str]) -> Scissorhands:
-        budget, recent, window = _sizes(cls.name, args, third=True)
-        return cls(budget, recent, recent if window is None else window)
+    def __post_init__(self) -> None:
+        if self.window is None:
+            object.__setattr__(self, "window", self.recent)
+        super().__post_init__()
 
     @property
     def label(self) -> str:
-        label = f"scissorhands_{self.budget}+{self.recent}"
+        label = super().label
         return label if self.window == self.recent else f"{label}_w{self.window}"
 
     def step(self, cache, scores) -> None:
@@ -355,16 +344,6 @@ class Tova(Policy):
     name = "tova"
     reads_magnitudes = True
 
-    @classmethod
-    def parse(cls, args: list[str]) -> Tova:
-        if len(args) != 1:
-            raise ValueError("policy 'tova' expects one budget, e.g. tova:512")
-        return cls(*_integers(cls.name, args[0]))
-
-    @property
-    def label(self) -> str:
-        return f"tova_{self.budget}"
-
     def step(self, cache, scores) -> None:
         self._check(cache, scores)
         if max(cache.sizes) > self.budget:
@@ -378,15 +357,6 @@ class Corm(Policy):
     w: int
     r: int
     name = "corm"
-
-    @classmethod
-    def parse(cls, args: list[str]) -> Corm:
-        w, r, _ = _sizes(cls.name, args)
-        return cls(w, r)
-
-    @property
-    def label(self) -> str:
-        return f"corm_{self.w}+{self.r}"
 
     def step(self, cache, scores) -> None:
         """One recency-message eviction step.
@@ -435,13 +405,9 @@ class CormGqa(Policy):
     group_size: int | None = None
     name = "gqa_corm"
 
-    @classmethod
-    def parse(cls, args: list[str]) -> CormGqa:
-        return cls(*_sizes(cls.name, args, third=True))
-
     @property
     def label(self) -> str:
-        label = f"gqa_corm_{self.w}+{self.r}"
+        label = super().label
         return label if self.group_size is None else f"{label}_g{self.group_size}"
 
     def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
@@ -461,12 +427,12 @@ POLICIES: dict[str, type[Policy]] = {
 
 
 def parse_policy(text: str) -> Policy:
-    """Parse a policy string in `name[:sizes[...]]` form.
+    """Parse a policy string in `name[:A+B[:C]]` form (see `Policy.parse`).
 
-    Sizes use A+B shorthand: `streaming:4+1020` (sink+recent),
-    `h2o:768+256` (heavy+recent), `scissorhands:768+256[:window]`
-    (window defaults to recent), `corm:256+256` (w+r),
-    `gqa_corm:8+8[:group]`, `tova:512`, `full`.
+    The sizes are the class's fields in order: `streaming:4+1020`
+    (sink+recent), `h2o:768+256` (heavy+recent),
+    `scissorhands:768+256[:window]` (window defaults to recent),
+    `corm:256+256` (w+r), `gqa_corm:8+8[:group]`, `tova:512`, `full`.
     """
     name, *args = text.strip().split(":")
     cls = POLICIES.get(name.lower())

@@ -106,6 +106,11 @@ class TestRecentSimilarityFraction:
         with pytest.raises(ValueError, match=">= 1"):
             recent_similarity_fraction(np.zeros((4, 4)), 0)
 
+    def test_two_queries_are_enough_and_one_is_not(self):
+        assert recent_similarity_fraction(np.zeros((2, 2)), 1) == 1.0
+        with pytest.raises(ValueError, match="at least 2 queries"):
+            recent_similarity_fraction(np.zeros((1, 1)), 1)
+
 
 class TestImportanceOverlap:
     def test_same_step_full_overlap(self, small_trace):
@@ -124,6 +129,12 @@ class TestImportanceOverlap:
     def test_bounds_checked(self, small_trace):
         with pytest.raises(ValueError, match="outside trace"):
             importance_overlap(small_trace, 0, 0, 1, 65)
+
+    def test_three_steps_are_enough_to_sample_and_two_are_not(self):
+        cos, jac = overlap_similarity_samples(trace_of(*synthetic_blocks(n_steps=3)), 0, 0, 4, seed=3)
+        assert cos.shape == jac.shape == (4,)
+        with pytest.raises(ValueError, match="at least 3 steps"):
+            overlap_similarity_samples(trace_of(*synthetic_blocks(n_steps=2)), 0, 0, 4, seed=3)
 
     def test_sampling_is_deterministic(self, small_trace):
         a = overlap_similarity_samples(small_trace, 0, 0, 50, seed=3)

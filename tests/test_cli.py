@@ -218,6 +218,20 @@ class TestGenerate:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "ppl"])
+    def test_synthetic_input_reads_no_path(self, workspace, command):
+        # a synthetic input reads no file, so a path it carries need not exist
+        manifest = {
+            "model_config": "model.json",
+            "policies": ["full"],
+            "input": {"kind": "synthetic", "seed": 1, "length": 8, "path": "x"},
+            "out": "synthetic",
+            "generate_steps": 2,
+        }
+        (workspace / "m.json").write_text(json.dumps(manifest))
+        assert main([command, "--manifest", str(workspace / "m.json")]) == 0
+        assert (workspace / "synthetic" / "manifest.json").exists()
+
     def test_duplicate_policies_rejected(self, workspace, capsys):
         rc = main(
             [

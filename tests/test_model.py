@@ -147,6 +147,11 @@ class TestPrefill:
         with pytest.raises(ValueError, match="vocabulary"):
             small_model.run([0, 1, 256], Full())
 
+    def test_oracle_takes_the_last_token_id_and_rejects_the_next(self, small_model):
+        assert small_model.forward_full_sequence([0, 255]).shape == (2, 256)
+        with pytest.raises(ValueError, match="token id outside vocabulary"):
+            small_model.forward_full_sequence([0, 256])
+
     def test_empty_input_rejected(self, small_model):
         with pytest.raises(ValueError, match="non-empty"):
             small_model.run([], Full())
@@ -319,6 +324,14 @@ class TestGenerate:
             outs.append(small_model.generate(st, 16, mode="topk", top_k=5, seed=77))
         assert np.array_equal(outs[0], outs[1])
 
+    def test_top_k_of_one_is_greedy_and_zero_is_rejected(self, small_model):
+        tokens = seeded_tokens(13, 8)
+        greedy = small_model.generate(small_model.run(tokens, Full()).state, 8)
+        state = small_model.run(tokens, Full()).state
+        assert np.array_equal(small_model.generate(state, 8, mode="topk", top_k=1, seed=3), greedy)
+        with pytest.raises(ValueError, match="top_k must be >= 1, got 0"):
+            small_model.generate(small_model.run(tokens, Full()).state, 8, mode="topk", top_k=0, seed=3)
+
     def test_generate_requires_prefill(self, small_model):
         with pytest.raises(ValueError, match="prefilled"):
             small_model.generate(small_model.init_state(Full()), 4)
@@ -348,6 +361,7 @@ class TestPerplexity:
         assert ppl_full <= ppl_corm
 
     def test_needs_two_tokens(self, small_model):
+        assert np.isfinite(small_model.perplexity([5, 7], Full()))
         with pytest.raises(ValueError, match="at least 2"):
             small_model.perplexity([5], Full())
 

@@ -1,6 +1,7 @@
 """Eviction policies: hand-simulated fixtures, invariants, and parsing."""
 
 import inspect
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from corm.policies import (
     Full,
     H2O,
     KvCacheState,
+    Policy,
     Scissorhands,
     StreamingLlm,
     Tova,
@@ -47,7 +49,75 @@ def push(cache: KvCacheState) -> None:
     cache.append(np.tile([t, 0.0], (cache.n_heads, 1)), np.tile([0.0, t], (cache.n_heads, 1)))
 
 
+# Policy strings with the config and label each parses to: the README's and the
+# golden runs' strings, the optional third sizes, and the benchmark's policies.
+# A label names a run directory, so none may change.
+PINNED_STRINGS = [
+    ("full", Full(), "full"),
+    ("streaming:4+8", StreamingLlm(4, 8), "streaming_4+8"),
+    ("streaming:2+6", StreamingLlm(2, 6), "streaming_2+6"),
+    ("streaming:4+60", StreamingLlm(4, 60), "streaming_4+60"),
+    ("streaming:4+1020", StreamingLlm(4, 1020), "streaming_4+1020"),
+    ("h2o:4+4", H2O(4, 4), "h2o_4+4"),
+    ("h2o:8+8", H2O(8, 8), "h2o_8+8"),
+    ("h2o:64+64", H2O(64, 64), "h2o_64+64"),
+    ("h2o:768+256", H2O(768, 256), "h2o_768+256"),
+    ("scissorhands:4+4:2", Scissorhands(4, 4, 2), "scissorhands_4+4_w2"),
+    ("scissorhands:4+4:4", Scissorhands(4, 4, 4), "scissorhands_4+4"),
+    ("scissorhands:8+8:4", Scissorhands(8, 8, 4), "scissorhands_8+8_w4"),
+    ("scissorhands:64+64", Scissorhands(64, 64, 64), "scissorhands_64+64"),
+    ("scissorhands:768+256", Scissorhands(768, 256, 256), "scissorhands_768+256"),
+    ("tova:8", Tova(8), "tova_8"),
+    ("tova:16", Tova(16), "tova_16"),
+    ("tova:128", Tova(128), "tova_128"),
+    ("corm:4+4", Corm(4, 4), "corm_4+4"),
+    ("corm:8+8", Corm(8, 8), "corm_8+8"),
+    ("corm:16+16", Corm(16, 16), "corm_16+16"),
+    ("corm:256+256", Corm(256, 256), "corm_256+256"),
+    ("gqa_corm:4+4", CormGqa(4, 4, None), "gqa_corm_4+4"),
+    ("gqa_corm:8+8", CormGqa(8, 8, None), "gqa_corm_8+8"),
+    ("gqa_corm:8+8:2", CormGqa(8, 8, 2), "gqa_corm_8+8_g2"),
+]
+
+
+@dataclass(frozen=True)
+class Pair(Policy):
+    """A throwaway policy of two sizes: its fields are all it states about its string."""
+
+    first: int
+    second: int
+    name = "pair"
+
+
+@dataclass(frozen=True)
+class Triple(Policy):
+    """A throwaway policy with an optional third size."""
+
+    first: int
+    second: int
+    third: int | None = None
+    name = "triple"
+
+
 class TestPolicyParsing:
+    @pytest.mark.parametrize("text,config,label", PINNED_STRINGS, ids=[text for text, _, _ in PINNED_STRINGS])
+    def test_string_config_and_label_pinned(self, text, config, label):
+        policy = parse_policy(text)
+        assert policy == config and type(policy) is type(config)
+        assert policy.label == policy_label(policy) == label
+
+    def test_scissorhands_window_defaults_to_recent(self):
+        assert Scissorhands(768, 256) == Scissorhands(768, 256, 256)
+
+    def test_a_new_policy_parses_and_labels_from_its_fields_alone(self):
+        assert Pair.parse(["3+5"]) == Pair(3, 5) and Pair(3, 5).label == "pair_3+5"
+        assert Triple.parse(["3+5"]) == Triple(3, 5) and Triple(3, 5).label == "triple_3+5"
+        assert Triple.parse(["3+5", "2"]) == Triple(3, 5, 2)
+        for cls, args, bad in [(Pair, ["3+x"], "3+x"), (Triple, ["3+5", "y"], "y")]:
+            with pytest.raises(ValueError) as error:
+                cls.parse(args)
+            assert str(error.value) == f"policy {cls.name!r} expects integer sizes, got {bad!r}"
+
     @pytest.mark.parametrize(
         "text,expected",
         [

@@ -175,6 +175,21 @@ def test_the_cache_block_names_no_policy_state():
     assert not found, f"policy state outside entry_array: {', '.join(found)}"
 
 
+def test_policy_strings_parsed_only_by_the_protocol():
+    # a policy's size fields are its policy string: `Policy.parse` reads every
+    # class's string from them, so no policy class parses its own
+    path = next(p for p in SOURCES if p.name == "policies.py")
+    found = [
+        f"{path.name}:{node.lineno}: {top.name}.parse"
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.ClassDef) and top.name != "Policy"
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and node.name == "parse"
+        or isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "parse" for t in node.targets)
+    ]
+    assert not found, f"policy classes that parse their own string: {', '.join(found)}"
+
+
 def test_rows_checked_only_by_attention_and_trace_construction():
     # a trace checks its rows once, when it is built, so replay and analysis
     # read them unchecked: no other code calls the row check

@@ -25,6 +25,7 @@ from corm.trace import (
     TraceChecksumError,
     TraceError,
     TraceMagicError,
+    TraceMeta,
     TraceSizeError,
     TraceVersionError,
     load,
@@ -92,6 +93,13 @@ class TestRecord:
         need = trace_byte_size(2, 4, 16, 64)
         with pytest.raises(TraceSizeError, match=f"needs {need} bytes"):
             record(small_model, seeded_tokens(4, 64), byte_cap=need - 1)
+        assert record(small_model, seeded_tokens(4, 64), byte_cap=need).n_steps == 64
+
+    def test_meta_takes_a_vocabulary_of_two_and_rejects_one(self):
+        shape = dict(n_layers=1, n_heads=2, n_kv_heads=2, d_model=16, d_h=8, pe_kind="rope", rope_base=1e4, seed=3)
+        assert TraceMeta(**shape, vocab_size=2).vocab_size == 2
+        with pytest.raises(ValueError, match="trace vocab_size must be >= 2, got 1"):
+            TraceMeta(**shape, vocab_size=1)
 
 
 class TestSaveLoad:

@@ -83,6 +83,62 @@ MUTANTS = [
         ("tests/test_policies.py",),
     ),
     Mutant(
+        "h2o/tova totals summed over the in-place row with its zeros",
+        "trace.py",
+        "restricted[a:b][held[a:b]].reshape(b - a, group, n).sum(axis=2)",
+        "restricted[a:b].sum(axis=2)",
+        ("tests/test_trace.py",),
+    ),
+    Mutant(
+        "float32 restricted rows in replay",
+        "trace.py",
+        "np.float64(0.0))",
+        "np.float32(0.0))",
+        ("tests/test_trace.py",),
+    ),
+    Mutant(
+        "h2o budget guard on the block width",
+        "policies.py",
+        "max(cache.sizes) > self.heavy + self.recent",
+        "cache.width > self.heavy + self.recent",
+        ("tests/test_policies.py",),
+    ),
+    Mutant(
+        "scissorhands slot t % window",
+        "policies.py",
+        "(t - 1) % self.window",
+        "t % self.window",
+        ("tests/test_policies.py",),
+    ),
+    Mutant(
+        "counts left out of entry_names",
+        "policies.py",
+        "if arr is None:",
+        'if arr is None and name != "counts":',
+        ("tests/test_policies.py",),
+    ),
+    Mutant(
+        "policy string sizes swapped",
+        "policies.py",
+        "*_integers(cls.name, args[0], pair), *[",
+        "*_integers(cls.name, args[0], pair)[::-1], *[",
+        ("tests/test_policies.py",),
+    ),
+    Mutant(
+        "optional third policy size required",
+        "policies.py",
+        "if not args:",
+        "if len(args) < at_most:",
+        ("tests/test_policies.py",),
+    ),
+    Mutant(
+        "gqa_corm label without its g",
+        "policies.py",
+        'f"{label}_g{self.group_size}"',
+        'f"{label}_{self.group_size}"',
+        ("tests/test_policies.py",),
+    ),
+    Mutant(
         "stacked projection as one gemm",
         "model.py",
         "return np.matmul(x[:, None, :], w)[:, 0]",
