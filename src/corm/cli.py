@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from . import trace as trace_mod
 from .manifest import ExperimentManifest, InputSpec, load_manifest
-from .model import init_model, load_model_config
+from .model import SAMPLING_MODES, init_model, load_model_config
 from .policies import Full, Policy, mean_compression_rate, parse_policy, policy_label
 from .trace import TraceError
 
@@ -194,7 +194,7 @@ def cmd_generate(m: ExperimentManifest) -> int:
     _require(m, "model_config", "policies", "input", "out")
     if m.generate_steps < 0:
         raise ValueError(f"generate steps must be >= 0, got {m.generate_steps}")
-    if m.sampling not in ("greedy", "topk"):
+    if m.sampling not in SAMPLING_MODES:
         raise ValueError(f"sampling must be greedy or topk, got {m.sampling!r}")
     model = init_model(load_model_config(m.model_config))
     tokens = m.input.load(model.config.vocab_size)
@@ -346,7 +346,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p, model=True, policies=True, inputs=True, outdir=True)
     p.add_argument("--steps", dest="generate_steps", metavar="STEPS", type=int,
                    help="tokens to generate after the prompt")
-    p.add_argument("--sampling", choices=("greedy", "topk"))
+    p.add_argument("--sampling", choices=SAMPLING_MODES)
     p.add_argument("--top-k", type=int, help="candidates for topk sampling")
     p.add_argument("--checkpoints", help="comma-separated steps for compression reporting")
     p.set_defaults(func=cmd_generate)

@@ -64,15 +64,14 @@ class InputSpec:
         if not parts:
             raise ValueError(f"input file {self.path} is empty")
         try:
-            tokens = np.array([int(p) for p in parts], dtype=np.int64)
+            ids = [int(p) for p in parts]
         except ValueError:
             raise ValueError(f"input file {self.path} must hold whitespace-separated ints") from None
-        bad = np.flatnonzero((tokens < 0) | (tokens >= vocab_size))
-        if bad.size:
-            raise ValueError(
-                f"token {tokens[bad[0]]} at index {bad[0]} outside vocabulary of {vocab_size}"
-            )
-        return tokens
+        # checked as Python ints, so an id beyond int64 is reported, not overflowed
+        for i, tok in enumerate(ids):
+            if not 0 <= tok < vocab_size:
+                raise ValueError(f"token {tok} at index {i} outside vocabulary of {vocab_size}")
+        return np.array(ids, dtype=np.int64)
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputSpec":

@@ -75,6 +75,7 @@ __all__ = [
     "DecoderState",
     "StepResult",
     "RunResult",
+    "SAMPLING_MODES",
     "init_model",
     "load_model_config",
 ]
@@ -86,6 +87,7 @@ _GELU_SCALE = np.sqrt(2.0 / np.pi)  # of the tanh approximation
 # peak RSS of a 160-token decode on a 4L/8H/d256 model from 63.5 to 68.4 MB
 # (+7.8 %); 64-token chunks kept it at 63.5 MB and still stack the dense work.
 PREFILL_CHUNK = 64
+SAMPLING_MODES = ("greedy", "topk")  # `generate`'s modes
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -401,7 +403,7 @@ class ToyTransformer:
         """Continue from a prefilled state, one `decode_step` per token; greedy or seeded top-k sampling."""
         if state.last_logits is None:
             raise ValueError("generate needs a prefilled state")
-        if mode not in ("greedy", "topk"):
+        if mode not in SAMPLING_MODES:
             raise ValueError(f"mode must be 'greedy' or 'topk', got {mode!r}")
         rng = None
         if mode == "topk":

@@ -25,7 +25,10 @@ divergence between the two regimes is itself something to measure, not hide.
 Recording rounds rows and queries to float32, the file's storage precision,
 so a recorded trace equals the same trace saved and loaded.
 
-File format "CORMTRC1" (all little-endian), version 1:
+File format "CORMTRC1" (all little-endian), version 1. The header fields
+after magic and version are `TraceMeta`'s, in declaration order, with the
+pe kind written as its wire id; so a new header field is one `TraceMeta`
+field plus one `_HEAD_FMT` code:
 
     offset  size  field
     0       8     magic b"CORMTRC1"
@@ -46,19 +49,21 @@ File format "CORMTRC1" (all little-endian), version 1:
     end-8   4     u32 CRC32 of the header region (bytes 0 .. payload start)
     end-4   4     u32 CRC32 of the payload region
 
-Loading verifies, in order: magic, version, total length against the closed
-form, then both region checksums. Each failure raises a distinct error type.
-Last, the trace must hold at least one step, and the trace it builds runs
-the construction checks, so a damaged trace fails at load and neither
-replay nor analysis consumes it. Loaded rows and queries are read-only
-views of the file's bytes.
+Loading verifies, in order: magic, header length, version, pe kind id,
+total length against the closed form, then both region checksums. A bad
+magic raises `TraceMagicError`, a bad version `TraceVersionError` and each
+other failure `TraceChecksumError` naming what failed. Last, the trace must
+hold at least one step, and the trace it builds runs the construction
+checks, so a damaged trace fails at load and neither replay nor analysis
+consumes it. Loaded rows and queries are read-only views of the file's
+bytes.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +92,7 @@ __all__ = [
 MAGIC = b"CORMTRC1"
 VERSION = 1
 DEFAULT_BYTE_CAP = 512 * 1024 * 1024
+# magic, version, then TraceMeta's fields in declaration order (pe_kind as its wire id), then n_steps
 _HEAD_FMT = "<8sIIIIIIIIdQI"
 _HEAD_FIXED = struct.calcsize(_HEAD_FMT)  # 60
 
@@ -135,6 +141,8 @@ class TraceMeta:
             )
         if self.vocab_size < 2:
             raise ValueError(f"trace vocab_size must be >= 2, got {self.vocab_size}")
+        if not 0 <= self.seed < 2**64:  # the header's u64
+            raise ValueError(f"trace seed must lie in [0, 2**64), got {self.seed}")
 
 
 def _read_only(a) -> np.ndarray:
@@ -256,22 +264,8 @@ def record(
 
 def save(trace: AttentionTrace, path) -> None:
     """Write the binary format (module docstring); the trace was checked when it was built."""
-    m = trace.meta
-    header = struct.pack(
-        _HEAD_FMT,
-        MAGIC,
-        VERSION,
-        m.n_layers,
-        m.n_heads,
-        m.n_kv_heads,
-        m.d_model,
-        m.d_h,
-        m.vocab_size,
-        PE_KINDS[m.pe_kind].wire_id,
-        m.rope_base,
-        m.seed,
-        trace.n_steps,
-    )
+    values = asdict(trace.meta) | {"pe_kind": PE_KINDS[trace.meta.pe_kind].wire_id}
+    header = struct.pack(_HEAD_FMT, MAGIC, VERSION, *values.values(), trace.n_steps)
     header += trace.tokens.astype("<u4").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
@@ -295,9 +289,8 @@ def load(path) -> AttentionTrace:
         raise TraceMagicError(f"not a trace file: magic is {blob[:8]!r}")
     if len(blob) < _HEAD_FIXED:
         raise TraceChecksumError(f"file truncated at {len(blob)} bytes, header needs {_HEAD_FIXED}")
-    (_, version, n_layers, n_heads, n_kv, d_model, d_h, vocab, pe_id, rope_base, seed, t_steps) = (
-        struct.unpack_from(_HEAD_FMT, blob)
-    )
+    _, version, *values, t_steps = struct.unpack_from(_HEAD_FMT, blob)
+    n_layers, n_heads, d_h, pe_id = values[0], values[1], values[4], values[6]  # TraceMeta's order
     if version != VERSION:
         raise TraceVersionError(f"unsupported trace version {version}, expected {VERSION}")
     pe_names = {cls.wire_id: kind for kind, cls in PE_KINDS.items()}
@@ -318,17 +311,8 @@ def load(path) -> AttentionTrace:
         )
     if t_steps == 0:
         raise TraceError("trace holds no steps")
-    meta = TraceMeta(
-        n_layers=n_layers,
-        n_heads=n_heads,
-        n_kv_heads=n_kv,
-        d_model=d_model,
-        d_h=d_h,
-        vocab_size=vocab,
-        pe_kind=pe_names[pe_id],
-        rope_base=rope_base,
-        seed=seed,
-    )
+    values[6] = pe_names[pe_id]
+    meta = TraceMeta(*values)
     tokens = np.frombuffer(blob, dtype="<u4", count=t_steps, offset=_HEAD_FIXED).astype(np.int64)
     floats = np.frombuffer(blob, dtype="<f4", count=(payload_end - hdr_end) // 4, offset=hdr_end)
     rows: list[np.ndarray] = []

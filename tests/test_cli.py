@@ -360,6 +360,12 @@ class TestFailLoud:
         err = self.run_manifest(workspace, capsys)
         assert err.strip() == "error: token 99 at index 70 outside vocabulary of 64"
 
+    @pytest.mark.parametrize("token", [2**63, -12345678901234567890123])
+    def test_token_beyond_int64(self, workspace, capsys, token):
+        write_tokens(workspace / "input.txt", [1, 2, token, 3])
+        err = self.run_manifest(workspace, capsys)
+        assert err.strip() == f"error: token {token} at index 2 outside vocabulary of 64"
+
     def test_prompt_past_the_learned_table_inside_a_chunk(self, workspace, capsys):
         # step 101 lies inside the prompt's second 64-token chunk
         write_model_config(workspace / "model.json", pe={"kind": "absolute_learned"}, max_positions=100)

@@ -190,6 +190,21 @@ def test_policy_strings_parsed_only_by_the_protocol():
     assert not found, f"policy classes that parse their own string: {', '.join(found)}"
 
 
+def test_trace_save_and_load_list_no_header_fields():
+    # TraceMeta's fields, in declaration order, are the header's: save and load
+    # name only pe_kind, which the file holds as its wire id, and the fields
+    # load checks before the meta exists
+    from corm.trace import TraceMeta
+
+    path = next(p for p in SOURCES if p.name == "trace.py")
+    named = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("save", "load"):
+            named |= _names(node) | {k.arg for k in ast.walk(node) if isinstance(k, ast.keyword)}
+    listed = named & {f.name for f in dataclasses.fields(TraceMeta)}
+    assert listed <= {"pe_kind", "n_layers", "n_heads", "d_h"}, f"save and load name {sorted(listed)}"
+
+
 def test_rows_checked_only_by_attention_and_trace_construction():
     # a trace checks its rows once, when it is built, so replay and analysis
     # read them unchecked: no other code calls the row check

@@ -1,6 +1,7 @@
 """Trace recording, binary round-trips, corruption detection, and replay."""
 
 import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -101,6 +102,12 @@ class TestRecord:
         with pytest.raises(ValueError, match="trace vocab_size must be >= 2, got 1"):
             TraceMeta(**shape, vocab_size=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_meta_rejects_a_seed_the_header_cannot_hold(self, seed):
+        shape = dict(n_layers=1, n_heads=2, n_kv_heads=2, d_model=16, d_h=8, vocab_size=4, pe_kind="rope", rope_base=1e4)
+        with pytest.raises(ValueError, match=re.escape(f"trace seed must lie in [0, 2**64), got {seed}")):
+            TraceMeta(**shape, seed=seed)
+
 
 class TestSaveLoad:
     def test_round_trip_identity(self, small_trace, tmp_path):
@@ -113,6 +120,11 @@ class TestSaveLoad:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(back.queries, small_trace.queries):
             np.testing.assert_array_equal(a, b)
+
+    def test_largest_seed_round_trips(self, small_trace, tmp_path):
+        tr = dataclasses.replace(small_trace, meta=dataclasses.replace(small_trace.meta, seed=2**64 - 1))
+        save(tr, tmp_path / "t.trc")
+        assert load(tmp_path / "t.trc").meta == tr.meta
 
     @pytest.mark.parametrize(
         "pe,wire_id,base",

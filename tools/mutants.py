@@ -139,6 +139,27 @@ MUTANTS = [
         ("tests/test_policies.py",),
     ),
     Mutant(
+        "trace meta n_layers and n_heads declarations swapped",
+        "trace.py",
+        "    n_layers: int\n    n_heads: int\n",
+        "    n_heads: int\n    n_layers: int\n",
+        ("tests/test_trace.py", "tests/test_golden.py"),
+    ),
+    Mutant(
+        "trace seed range unchecked",
+        "trace.py",
+        "if not 0 <= self.seed < 2**64:",
+        "if False:",
+        ("tests/test_trace.py",),
+    ),
+    Mutant(
+        "token ids converted to int64 before the range check",
+        "manifest.py",
+        "ids = [int(p) for p in parts]",
+        "ids = np.array([int(p) for p in parts], dtype=np.int64).tolist()",
+        ("tests/test_cli.py::TestFailLoud::test_token_beyond_int64",),
+    ),
+    Mutant(
         "stacked projection as one gemm",
         "model.py",
         "return np.matmul(x[:, None, :], w)[:, 0]",
