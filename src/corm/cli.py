@@ -22,7 +22,7 @@ from . import analysis
 from . import trace as trace_mod
 from .manifest import ExperimentManifest, InputSpec, load_manifest
 from .model import SAMPLING_MODES, init_model, load_model_config
-from .policies import Full, Policy, mean_compression_rate, parse_policy, policy_label
+from .policies import Full, Policy, mean_compression_rate, parse_policy
 from .trace import TraceError
 
 __all__ = ["main"]
@@ -86,7 +86,7 @@ def _require(m: ExperimentManifest, *names: str) -> None:
 
 def _parse_policies(m: ExperimentManifest) -> list[Policy]:
     policies = [parse_policy(p) for p in m.policies]
-    labels = [policy_label(p) for p in policies]
+    labels = [p.label for p in policies]
     dupes = {lbl for lbl in labels if labels.count(lbl) > 1}
     if dupes:
         raise ValueError(f"duplicate policies: {', '.join(sorted(dupes))}")
@@ -170,7 +170,7 @@ def _generate_policy(model, tokens, policy, m, checkpoints, out, full_logits) ->
     Returns the prompt logits. The policy's caches are released on return,
     so only one policy's decode state is alive at a time.
     """
-    label = policy_label(policy)
+    label = policy.label
     res = model.run(tokens, policy)
     generated = model.generate(
         res.state,
@@ -196,6 +196,8 @@ def cmd_generate(m: ExperimentManifest) -> int:
         raise ValueError(f"generate steps must be >= 0, got {m.generate_steps}")
     if m.sampling not in SAMPLING_MODES:
         raise ValueError(f"sampling must be greedy or topk, got {m.sampling!r}")
+    if m.top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {m.top_k}")
     model = init_model(load_model_config(m.model_config))
     tokens = m.input.load(model.config.vocab_size)
     policies = _parse_policies(m)
@@ -222,7 +224,7 @@ def cmd_ppl(m: ExperimentManifest) -> int:
     policies = _parse_policies(m)
     with _Outputs(m.out) as out:
         _copy_manifest(m, out)
-        rows = [(policy_label(p), model.perplexity(tokens, p)) for p in policies]
+        rows = [(p.label, model.perplexity(tokens, p)) for p in policies]
         analysis.write_csv(out.path("perplexity.csv"), [("policy", "perplexity"), *rows])
     return 0
 
@@ -249,7 +251,7 @@ def cmd_replay(m: ExperimentManifest) -> int:
         _copy_manifest(m, out)
         summary_rows = [("policy", "final_compression", "mean_compression")]
         for policy in policies:
-            label = policy_label(policy)
+            label = policy.label
             rates = trace_mod.replay_policy(rec, policy).compression
             curve = enumerate(rates.tolist(), start=1)
             analysis.write_csv(out.path(label, "compression.csv"), [("step", "compression_rate"), *curve])

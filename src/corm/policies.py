@@ -3,11 +3,11 @@
 Each policy is a frozen dataclass that owns everything about itself: its
 `name` in policy strings, its size fields, whose declaration order is both
 its policy string (`Policy.parse`) and its `label`, their checks
-(`__post_init__`, so an invalid config cannot be built), how many query
-heads one of its caches may serve
-(`group_size_for`), and its per-step update of a block of caches (`step`),
-which updates every head of the block at once. `POLICIES` registers
-the classes by name: `parse_policy` looks a class up there and
+(`__post_init__`, so an invalid config cannot be built), whether one of its
+caches may serve a group of query heads (`grouped`, read by the one
+`Policy.group_size_for`), and its per-step update of a block of caches
+(`step`), which updates every head of the block at once. `POLICIES`
+registers the classes by name: `parse_policy` looks a class up there and
 `apply_policy` calls the policy's `step`, so adding a policy is one class
 plus one registry entry.
 
@@ -28,8 +28,8 @@ Two families live here:
   flagged by none of the last `w` queries and older than the last `r` steps
   is evicted. "Flagged by one of the last w" is "last flagged after step
   t - w", so corm keeps only each entry's last flagged step. `gqa_corm` is
-  the grouped-query variant: query heads sharing one KV head OR their flags
-  together, and an entry must be minor for every head in the group to go.
+  corm on a grouped-query layout: query heads sharing one KV head OR their
+  flags together, and an entry must be minor for every head in the group to go.
 
 All updates run once per decode step, after the step's attention output has
 been computed, so an eviction affects future steps only. The step t is the
@@ -44,12 +44,12 @@ keeps its own per-entry state in arrays it names through
 each entry's last flagged step, scissorhands its windowed message and
 per-entry counts. A policy step flags, records its flags and builds its
 keep mask for all heads in one array operation each, and picks budget
-evictions by a row-wise argmin. Decode's blocks compact, so attention
-reads a head's entries as one run; replay's block works in place, so an
-eviction moves nothing (`KvCacheState` names both layouts). The heads of
-a block share its arrays (a growth replaces them), so blocks are the unit
-that may be updated concurrently. A policy's `check` raises on a broken
-invariant of a block it steps.
+evictions, once over budget, by a row-wise argmin (`_evict_lowest`).
+Decode's blocks compact, so attention reads a head's entries as one run;
+replay's block works in place, so an eviction moves nothing (`KvCacheState`
+names both layouts). The heads of a block share its arrays (a growth
+replaces them), so blocks are the unit that may be updated concurrently. A
+policy's `check` raises on a broken invariant of a block it steps.
 """
 
 from __future__ import annotations
@@ -94,15 +94,6 @@ def classify_important(scores: np.ndarray, t: int) -> np.ndarray:
     return scores >= 1.0 / t
 
 
-def _model_group(n_heads: int, n_kv_heads: int) -> int:
-    """Query heads per kv head of a head layout."""
-    if n_heads < 1:
-        raise ValueError(f"a kv head needs at least one query head, got {n_heads}")
-    if n_kv_heads < 1 or n_heads % n_kv_heads != 0:
-        raise ValueError(f"n_heads={n_heads} not divisible by n_kv_heads={n_kv_heads}")
-    return n_heads // n_kv_heads
-
-
 class Policy:
     """Protocol of the eviction policies; each subclass is a frozen dataclass.
 
@@ -120,6 +111,8 @@ class Policy:
     # True when `step` decides on score values, not only on their flags;
     # replay renormalizes the restricted rows only for these
     reads_magnitudes: ClassVar[bool] = False
+    # True when one cache may serve a group of query heads, False for per-head policies
+    grouped: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -149,18 +142,21 @@ class Policy:
         return f"{self.name}_" + "+".join(str(getattr(self, f.name)) for f in fields(self)[:2])
 
     def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
-        """Query heads whose rows drive one cache under the given head layout.
+        """Query heads whose rows drive one cache under a checked head layout.
 
-        This default is for per-head policies, which need one query head per
-        kv head; it raises ValueError on a grouped layout.
+        The policy's own `group_size` field when it has one set, else the
+        layout's query heads per kv head. Raises ValueError when a per-head
+        policy would drive a group, or when the group does not divide n_heads.
         """
-        group = _model_group(n_heads, n_kv_heads)
-        if group != 1:
+        group = getattr(self, "group_size", None) or n_heads // n_kv_heads
+        if group != 1 and not self.grouped:
             raise ValueError(
                 f"{self.label} is a per-head policy; it cannot drive a kv head shared "
                 f"by {group} query heads (use gqa_corm or full)"
             )
-        return 1
+        if n_heads % group != 0:
+            raise ValueError(f"policy group size {group} does not divide {n_heads} heads")
+        return group
 
     def step(self, cache: KvCacheState, scores: np.ndarray) -> None:
         """Update every head of the `cache` block after its latest step t = cache.step.
@@ -184,6 +180,8 @@ class Policy:
             raise ValueError(
                 f"{scores.shape} scores for a cache block of {cache.n_heads} heads of up to {cache.width} entries"
             )
+        if scores.shape[1] < 1:
+            raise ValueError(f"a kv head needs at least one query head, got {scores.shape[1]}")
         group = self.group_size_for(scores.shape[1], 1)
         if group != scores.shape[1]:
             raise ValueError(f"policy group size {group} does not match {scores.shape[1]} query heads per kv head")
@@ -200,15 +198,19 @@ def _integers(name: str, text: str, count: int = 1) -> list[int]:
         raise ValueError(f"policy {name!r} expects integer sizes, got {text!r}") from None
 
 
-def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, candidates: np.ndarray, budget: int) -> None:
-    """Drop from each head its candidate entries with the lowest ranking until it holds `budget`.
+def _evict_lowest(cache: KvCacheState, ranking: np.ndarray, budget: int, recent: int = 0) -> None:
+    """Drop from each head its lowest-ranked entries older than the last `recent` steps until it holds `budget`.
 
-    ranking and candidates are (heads, width); a head with too few
+    The one budget check: a block whose fullest head holds at most `budget`
+    returns at once. ranking is (heads, width); a head with too few
     candidates drops them all. Each round drops, in every head that still
     must, the row-wise argmin of the ranking over the candidates left.
     argmin returns the first minimum and a head's entries are in position
     order, so ties go to the lower original position.
     """
+    if max(cache.sizes) <= budget:
+        return
+    candidates = cache.positions[:, : ranking.shape[1]] <= cache.step - recent
     n_evict = np.minimum([n - budget for n in cache.sizes], np.add.reduce(candidates, axis=1))
     ranking = np.where(candidates, ranking, np.inf)
     keep = np.ones(ranking.shape, dtype=bool)
@@ -231,9 +233,7 @@ class Full(Policy):
 
     name = "full"
     label = "full"
-
-    def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
-        return _model_group(n_heads, n_kv_heads)
+    grouped = True
 
     def step(self, cache, scores) -> None:
         pass
@@ -272,9 +272,7 @@ class H2O(Policy):
         self._check(cache, scores)
         acc = cache.entry_array("acc_scores", np.float64)[:, : scores.shape[2]]
         acc += scores[:, 0]
-        if max(cache.sizes) > self.heavy + self.recent:
-            non_recent = cache.positions[:, : scores.shape[2]] <= cache.step - self.recent
-            _evict_lowest(cache, acc, non_recent, self.heavy + self.recent)
+        _evict_lowest(cache, acc, self.heavy + self.recent, self.recent)
 
 
 @dataclass(frozen=True)
@@ -320,9 +318,7 @@ class Scissorhands(Policy):
         counts -= slot
         counts += flags
         slot[...] = flags
-        if max(cache.sizes) > self.budget + self.recent:
-            non_recent = cache.positions[:, :m] <= t - self.recent
-            _evict_lowest(cache, counts, non_recent, self.budget + self.recent)
+        _evict_lowest(cache, counts, self.budget + self.recent, self.recent)
 
     def check(self, cache) -> None:
         """Also raise unless each entry's count is the sum of its message slots."""
@@ -346,8 +342,7 @@ class Tova(Policy):
 
     def step(self, cache, scores) -> None:
         self._check(cache, scores)
-        if max(cache.sizes) > self.budget:
-            _evict_lowest(cache, scores[:, 0], cache.held, self.budget)
+        _evict_lowest(cache, scores[:, 0], self.budget)
 
 
 @dataclass(frozen=True)
@@ -392,33 +387,22 @@ class Corm(Policy):
 
 
 @dataclass(frozen=True)
-class CormGqa(Policy):
-    """Grouped-query variant: entries minor for *all* query heads in the group.
+class CormGqa(Corm):
+    """Corm on a grouped-query layout: entries minor for *all* query heads in the group.
 
     group_size=None derives the group size from the model or trace it runs
     against; an explicit value must match the model, and must divide a
     trace's heads.
     """
 
-    w: int
-    r: int
     group_size: int | None = None
     name = "gqa_corm"
+    grouped = True
 
     @property
     def label(self) -> str:
         label = super().label
         return label if self.group_size is None else f"{label}_g{self.group_size}"
-
-    def group_size_for(self, n_heads: int, n_kv_heads: int) -> int:
-        model_group = _model_group(n_heads, n_kv_heads)
-        group = model_group if self.group_size is None else self.group_size
-        if n_heads % group != 0:
-            raise ValueError(f"policy group size {group} does not divide {n_heads} heads")
-        return group
-
-    step = Corm.step
-    check = Corm.check
 
 
 POLICIES: dict[str, type[Policy]] = {
@@ -445,7 +429,7 @@ def parse_policy(text: str) -> Policy:
 
 
 def policy_label(policy: Policy) -> str:
-    """Canonical short label, also used for output directory names."""
+    """`policy.label`; kept only for perfbench's import, so code reads `policy.label`."""
     return policy.label
 
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -141,8 +141,10 @@ class TraceMeta:
             )
         if self.vocab_size < 2:
             raise ValueError(f"trace vocab_size must be >= 2, got {self.vocab_size}")
-        if not 0 <= self.seed < 2**64:  # the header's u64
-            raise ValueError(f"trace seed must lie in [0, 2**64), got {self.seed}")
+        for f, code in zip(fields(self), _HEAD_FMT.removeprefix("<8sI")):  # the codes after magic and version
+            bits, value = 8 * struct.calcsize(code), getattr(self, f.name)
+            if f.type == "int" and not 0 <= value < 2**bits:
+                raise ValueError(f"trace {f.name} must lie in [0, 2**{bits}), got {value}")
 
 
 def _read_only(a) -> np.ndarray:

@@ -377,6 +377,14 @@ class TestFailLoud:
         err = self.run_manifest(workspace, capsys, seed=-1, sampling="topk", top_k=4)
         assert "seed must be >= 0, got -1" in err
 
+    def test_negative_top_k_under_greedy_sampling(self, workspace, capsys):
+        out = workspace / "bad"
+        argv = ["--model-config", str(workspace / "model.json"), "--input", str(workspace / "input.txt")]
+        rc = main(["generate", *argv, "--policy", "full", "--out", str(out), "--top-k", "-5"])
+        assert rc == 1
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err == "error: top_k must be >= 0, got -5\n"
+
     def test_negative_analyze_seed(self, workspace, capsys):
         argv = ["--model-config", str(workspace / "model.json"), "--input", str(workspace / "input.txt")]
         assert main(["trace", *argv, "--trace", str(workspace / "run.trc")]) == 0

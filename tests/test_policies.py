@@ -90,6 +90,14 @@ class Pair(Policy):
 
 
 @dataclass(frozen=True)
+class GroupedPair(Pair):
+    """A throwaway grouped policy: one class fact is all it states about its head layout."""
+
+    name = "grouped_pair"
+    grouped = True
+
+
+@dataclass(frozen=True)
 class Triple(Policy):
     """A throwaway policy with an optional third size."""
 
@@ -221,6 +229,18 @@ class TestRegistry:
             model.init_state(policy)
         with pytest.raises(ValueError, match="per-head policy"):
             PolicySimulator(policy, trace)
+
+
+def test_head_layout_is_one_class_fact():
+    model = init_model(ModelConfig(n_layers=1, n_heads=4, n_kv_heads=2, d_model=32, vocab_size=64, seed=6))
+    trace = record(model, seeded_tokens(6, 4, vocab=64))
+    grouped = GroupedPair(1, 2)
+    assert model.init_state(grouped).policy is grouped
+    assert PolicySimulator(grouped, trace).group_size == 2
+    with pytest.raises(ValueError, match="per-head policy"):
+        model.init_state(Pair(1, 2))
+    with pytest.raises(ValueError, match="per-head policy"):
+        PolicySimulator(Pair(1, 2), trace)
 
 
 def test_registry_keeps_the_documented_name_order():

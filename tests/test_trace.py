@@ -108,6 +108,23 @@ class TestRecord:
         with pytest.raises(ValueError, match=re.escape(f"trace seed must lie in [0, 2**64), got {seed}")):
             TraceMeta(**shape, seed=seed)
 
+    @pytest.mark.parametrize(
+        "name,sizes",
+        [
+            ("n_layers", dict(n_layers=2**32)),
+            # d_model must equal n_heads * d_h, so each of the two moves the other
+            ("n_heads", dict(n_heads=2**32, n_kv_heads=1, d_h=1, d_model=2**32)),
+            ("d_model", dict(d_h=2**31, d_model=2**32)),
+            ("vocab_size", dict(vocab_size=2**32)),
+        ],
+        ids=["n_layers", "n_heads", "d_model", "vocab_size"],
+    )
+    def test_meta_rejects_a_field_beyond_its_u32(self, name, sizes):
+        shape = dict(n_layers=1, n_heads=2, n_kv_heads=2, d_model=16, d_h=8, vocab_size=4, pe_kind="rope", rope_base=1e4)
+        shape.update(sizes)
+        with pytest.raises(ValueError, match=re.escape(f"trace {name} must lie in [0, 2**32), got {2**32}")):
+            TraceMeta(**shape, seed=3)
+
 
 class TestSaveLoad:
     def test_round_trip_identity(self, small_trace, tmp_path):
@@ -125,6 +142,18 @@ class TestSaveLoad:
         tr = dataclasses.replace(small_trace, meta=dataclasses.replace(small_trace.meta, seed=2**64 - 1))
         save(tr, tmp_path / "t.trc")
         assert load(tmp_path / "t.trc").meta == tr.meta
+
+    def test_largest_vocabulary_round_trips(self, small_trace, tmp_path):
+        meta = dataclasses.replace(small_trace.meta, vocab_size=2**32 - 1)
+        tr = dataclasses.replace(
+            small_trace, meta=meta, tokens=small_trace.tokens[:1], rows=small_trace.rows[:1], queries=small_trace.queries[:1]
+        )
+        save(tr, tmp_path / "t.trc")
+        back = load(tmp_path / "t.trc")
+        assert back.meta == meta and back.n_steps == 1
+        np.testing.assert_array_equal(back.tokens, tr.tokens)
+        np.testing.assert_array_equal(back.rows[0], tr.rows[0])
+        np.testing.assert_array_equal(back.queries[0], tr.queries[0])
 
     @pytest.mark.parametrize(
         "pe,wire_id,base",

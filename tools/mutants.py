@@ -97,10 +97,10 @@ MUTANTS = [
         ("tests/test_trace.py",),
     ),
     Mutant(
-        "h2o budget guard on the block width",
+        "budget guard on the block width",
         "policies.py",
-        "max(cache.sizes) > self.heavy + self.recent",
-        "cache.width > self.heavy + self.recent",
+        "if max(cache.sizes) <= budget:",
+        "if cache.width <= budget:",
         ("tests/test_policies.py",),
     ),
     Mutant(
@@ -132,6 +132,23 @@ MUTANTS = [
         ("tests/test_policies.py",),
     ),
     Mutant(
+        "full not grouped",
+        "policies.py",
+        '    label = "full"\n    grouped = True\n',
+        '    label = "full"\n    grouped = False\n',
+        ("tests/test_policies.py::TestRegistry::test_grouped_query_layout",),
+    ),
+    Mutant(
+        "group_size_for ignores an explicit group size",
+        "policies.py",
+        'group = getattr(self, "group_size", None) or n_heads // n_kv_heads',
+        "group = n_heads // n_kv_heads",
+        (
+            "tests/test_trace.py::TestReplay::test_group_shape_mismatch_rejected",
+            "tests/test_cli.py::TestTraceReplayAnalyze::test_replay_partial_outputs_removed_on_failure",
+        ),
+    ),
+    Mutant(
         "gqa_corm label without its g",
         "policies.py",
         'f"{label}_g{self.group_size}"',
@@ -148,9 +165,16 @@ MUTANTS = [
     Mutant(
         "trace seed range unchecked",
         "trace.py",
-        "if not 0 <= self.seed < 2**64:",
-        "if False:",
+        'if f.type == "int" and not',
+        'if f.type == "int" and f.name != "seed" and not',
         ("tests/test_trace.py",),
+    ),
+    Mutant(
+        "trace header range checks only the seed",
+        "trace.py",
+        'if f.type == "int" and not',
+        'if f.name == "seed" and not',
+        ("tests/test_trace.py::TestRecord::test_meta_rejects_a_field_beyond_its_u32",),
     ),
     Mutant(
         "token ids converted to int64 before the range check",
