@@ -13,9 +13,10 @@ ramp builds that heterogeneity in (deeper layers sharper, heads jittered).
 Set depth_gain=1 and head_gain_jitter=0 for statistically uniform layers.
 
 Decoding runs layer by layer over a chunk of tokens: `run` feeds a prompt in
-chunks of `PREFILL_CHUNK` tokens, and `decode_step` is a chunk of one. For
-each layer, the chunk's RMS norm, Q/K/V projections and rotary run once over
-its stacked rows. Then each position in turn appends its entry to the
+chunks of `PREFILL_CHUNK` tokens, `decode_step` takes a chunk and keeps each
+position's attention rows and queries, and `generate` feeds it chunks of
+one. For each layer, the chunk's RMS norm, Q/K/V projections and rotary run
+once over its stacked rows. Then each position in turn appends its entry to the
 layer's cache, attends over the surviving entries, and runs the eviction
 policy's update hook once for all of the layer's kv heads, exactly as a
 token-by-token pass would. Then `wo` and the MLP run once over the chunk.
@@ -178,11 +179,11 @@ class LayerWeights:
 
 @dataclass
 class StepResult:
-    """Output of one decode step: next-token logits plus per-head attention."""
+    """Output of one decode chunk of n positions: each position's next-token logits, attention rows and queries."""
 
-    logits: np.ndarray
-    rows: list[list[AttentionRow]]  # [layer][query head], over surviving entries; views of a fresh block
-    queries: np.ndarray  # (n_layers, n_heads, d_h); post-rotary when rotary is on
+    logits: np.ndarray  # (n, vocab_size)
+    rows: list[list[list[AttentionRow]]]  # [position][layer][query head], over surviving entries; views of a fresh block
+    queries: np.ndarray  # (n, n_layers, n_heads, d_h); post-rotary when rotary is on
 
 
 @dataclass
@@ -288,7 +289,7 @@ class ToyTransformer:
         self,
         state: DecoderState,
         tokens: np.ndarray,
-        rows: list[list[AttentionRow]] | None = None,
+        rows: list[list[list[AttentionRow]]] | None = None,
         queries: np.ndarray | None = None,
     ) -> np.ndarray:
         """Steps `cache.step + 1 ...` of `tokens` (n,) int64, layer by layer; returns their (n, vocab) logits.
@@ -300,9 +301,10 @@ class ToyTransformer:
         original absolute position. The policy gets the layer's softmax
         block, zero past each kv head's size, after the position's attention
         output, so an eviction first affects the next position. Each
-        position's cache sizes go to `state.step_sizes`. With `rows` and
-        `queries`, a one-token call also keeps each layer's attention rows
-        and post-rotary queries (`StepResult`).
+        position's cache sizes go to `state.step_sizes`. With `rows` (n empty
+        lists) and `queries` (n, n_layers, n_heads, d_h), the call also keeps
+        each position's attention rows, layer by layer, and its post-rotary
+        queries (`StepResult`).
 
         Errors are a token-by-token pass's: the first bad token id, or the
         first step past the learned position table, whichever comes first.
@@ -335,7 +337,7 @@ class ToyTransformer:
             v = mm(x, lw.wv).reshape(n, kv, d_h)
             q, k = c.pe.rotate(q, k, positions)
             if queries is not None:
-                queries[li] = q[0]
+                queries[:, li] = q
             q = q.reshape(n, kv, gs, d_h)  # query heads grouped by the kv head they read
             cache = state.caches[li]
             gain = self._gains[li]
@@ -351,7 +353,7 @@ class ToyTransformer:
                 if rows is not None:
                     # one row per query head, over its kv head's entries; softmax
                     # output is finite, in [0, 1] and normalized by construction
-                    rows.append([
+                    rows[i].append([
                         AttentionRow(cache.step, scores[hk, g, :s], validated=True)
                         for hk, s in enumerate(cache.sizes)
                         for g in range(gs)
@@ -367,13 +369,22 @@ class ToyTransformer:
         state.step_sizes += sizes
         return logits
 
-    def decode_step(self, state: DecoderState, token: int) -> StepResult:
-        """Process one token: the forward over a chunk of one (`_forward`), keeping its attention rows and queries."""
+    def decode_step(self, state: DecoderState, tokens: int | Sequence[int]) -> StepResult:
+        """Process a chunk of n tokens (an int is a chunk of one) through the forward (`_forward`).
+
+        Returns the chunk's (n, vocab) logits and, for each of its
+        positions, every layer's attention rows and post-rotary queries,
+        with the bits of n one-token calls.
+        """
         c = self.config
-        rows: list[list[AttentionRow]] = []
-        queries = np.empty((c.n_layers, c.n_heads, c.d_h), dtype=np.float64)
-        logits = self._forward(state, np.array([token], dtype=np.int64), rows, queries)
-        return StepResult(logits=logits[0], rows=rows, queries=queries)
+        tokens = np.array(tokens, dtype=np.int64, ndmin=1)
+        if tokens.ndim != 1 or tokens.size == 0:
+            raise ValueError("a decode chunk must be a non-empty 1-D sequence of token ids")
+        n = tokens.size
+        rows: list[list[list[AttentionRow]]] = [[] for _ in range(n)]
+        queries = np.empty((n, c.n_layers, c.n_heads, c.d_h), dtype=np.float64)
+        logits = self._forward(state, tokens, rows, queries)
+        return StepResult(logits=logits, rows=rows, queries=queries)
 
     def run(self, tokens: Sequence[int], policy: Policy) -> RunResult:
         """Teacher-forced pass, returning per-position logits.

@@ -209,7 +209,7 @@ class TestDecodeOracle:
         state = small_model.init_state(Full())
         for t, tok in enumerate(seeded_tokens(7, 12), start=1):
             sr = small_model.decode_step(state, int(tok))
-            for layer_rows in sr.rows:
+            for layer_rows in sr.rows[0]:
                 for row in layer_rows:
                     assert len(row) == t
         for cache in state.caches:
@@ -240,12 +240,12 @@ class TestDecodeOracle:
                 prev_keys, prev_pos = before[hd]
                 if t > 1 and prev_pos.size < t - 1:
                     saw_eviction = True
-                row = sr.rows[0][hd]
+                row = sr.rows[0][0][hd]
                 assert len(row) == prev_pos.size + 1
                 assert abs(row.scores.sum() - 1.0) < 1e-6
                 new_key = cache.keys[hd, : cache.sizes[hd]][cache.head_positions(hd) == t][0]
                 keys = np.vstack([prev_keys, new_key])
-                q = sr.queries[0, hd]
+                q = sr.queries[0, 0, hd]
                 gain = model.head_gain[0, hd]
                 logits = np.array(
                     [sum(q[i] * k[i] for i in range(d_h)) / np.sqrt(d_h) * gain for k in keys]
@@ -415,7 +415,7 @@ def decodes(draw, name: str):
 
 
 class TestChunkedForward:
-    """`run`'s chunked forward has the bits of one `decode_step` per token."""
+    """`run`'s chunked forward, and `decode_step` over a chunk, have the bits of one `decode_step` per token."""
 
     def test_forms_cover_every_registered_policy(self):
         assert set(POLICY_FORMS) == set(POLICIES)
@@ -426,6 +426,39 @@ class TestChunkedForward:
     def test_chunked_run_equals_token_by_token_decode(self, name, data):
         config, policy, steps = data.draw(decodes(name))
         self.check_equal(config, policy, steps)
+
+    @pytest.mark.parametrize("name", sorted(POLICY_FORMS))
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_chunked_decode_step_equals_one_token_calls(self, name, data):
+        # every position's rows, queries and logits, and every step's cache sizes
+        config, policy, steps = data.draw(decodes(name))
+        model = init_model(config)
+        tokens = seeded_tokens(config.seed, steps, vocab=config.vocab_size)
+        state = model.init_state(parse_policy(policy))
+        single = [model.decode_step(state, int(tok)) for tok in tokens]
+        for chunk in (1, 3, 8, 64):
+            chunked = model.init_state(parse_policy(policy))
+            results = [model.decode_step(chunked, tokens[a : a + chunk]) for a in range(0, steps, chunk)]
+            assert [r.logits.shape[0] for r in results] == [len(tokens[a : a + chunk]) for a in range(0, steps, chunk)]
+            positions = [(r, i) for r in results for i in range(r.logits.shape[0])]
+            for t, (one, (r, i)) in enumerate(zip(single, positions), start=1):
+                assert r.logits[i].tobytes() == one.logits[0].tobytes(), (chunk, t)
+                assert r.queries[i].tobytes() == one.queries[0].tobytes(), (chunk, t)
+                assert len(r.rows[i]) == len(one.rows[0]) == config.n_layers
+                for layer_a, layer_b in zip(r.rows[i], one.rows[0]):
+                    assert len(layer_a) == len(layer_b) == config.n_heads
+                    for a, b in zip(layer_a, layer_b):
+                        assert (a.step, a.scores.tobytes()) == (b.step, b.scores.tobytes()), (chunk, t)
+            assert chunked.step_sizes == state.step_sizes
+            assert chunked.last_logits.tobytes() == state.last_logits.tobytes()
+
+    @pytest.mark.parametrize("tokens", [[], [[1, 2]]], ids=["empty", "2-D"])
+    def test_decode_step_rejects_a_chunk_that_is_not_1d(self, small_model, tokens):
+        state = small_model.init_state(Full())
+        with pytest.raises(ValueError, match="^a decode chunk must be a non-empty 1-D sequence of token ids$"):
+            small_model.decode_step(state, tokens)
+        assert state.step_sizes == [] and state.caches[0].step == 0
 
     @pytest.mark.parametrize("config,policy,steps", [
         (ModelConfig(**BASE, seed=5), "corm:4+4", 129),
@@ -444,7 +477,7 @@ class TestChunkedForward:
         tokens = seeded_tokens(config.seed, steps, vocab=config.vocab_size)
         chunked = model.run(tokens, parse_policy(policy))
         state = model.init_state(parse_policy(policy))
-        logits = np.stack([model.decode_step(state, int(tok)).logits for tok in tokens])
+        logits = np.concatenate([model.decode_step(state, int(tok)).logits for tok in tokens])
         assert chunked.logits.tobytes() == logits.tobytes()
         assert chunked.state.last_logits.tobytes() == state.last_logits.tobytes()
         assert chunked.state.step_sizes == state.step_sizes

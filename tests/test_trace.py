@@ -22,6 +22,7 @@ from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, Corm, CormGqa, Full, Scissorhands, StreamingLlm, Tova, apply_policy
 from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import (
+    RECORD_CHUNK,
     PolicySimulator,
     TraceChecksumError,
     TraceError,
@@ -55,14 +56,49 @@ class TestRecord:
             assert tr.rows[t - 1].shape == (2, 4, t)
             assert tr.queries[t - 1].shape == (2, 4, 16)
 
-    def test_rows_equal_rounded_decode_rows(self, small_model, small_trace):
-        # the trace holds exactly the full-cache decoder's rows and queries, rounded to float32
-        state = small_model.init_state(Full())
-        for t, tok in enumerate(seeded_tokens(5, 64), start=1):
-            sr = small_model.decode_step(state, int(tok))
-            rows = np.array([[row.scores for row in layer] for layer in sr.rows], dtype=np.float32)
-            np.testing.assert_array_equal(small_trace.rows[t - 1], rows)
-            np.testing.assert_array_equal(small_trace.queries[t - 1], sr.queries.astype(np.float32))
+    def test_rows_equal_rounded_decode_rows(self, small_model, tmp_path):
+        # the trace, and its file, hold exactly the full-cache decoder's rows and queries, rounded to
+        # float32, whether the last chunk is whole, one short, one over or a lone token
+        for n_steps in (1, RECORD_CHUNK - 1, RECORD_CHUNK + 1, 150):
+            tokens = seeded_tokens(5, n_steps)
+            recorded = record(small_model, tokens)
+            save(recorded, tmp_path / "t.trc")
+            loaded = load(tmp_path / "t.trc")
+            state = small_model.init_state(Full())
+            for t, tok in enumerate(tokens, start=1):
+                sr = small_model.decode_step(state, int(tok))
+                rows = np.array([[row.scores for row in layer] for layer in sr.rows[0]]).astype(np.float32)
+                queries = sr.queries[0].astype(np.float32)
+                for tr in (recorded, loaded):
+                    assert tr.rows[t - 1].tobytes() == rows.tobytes(), (n_steps, t)
+                    assert tr.queries[t - 1].tobytes() == queries.tobytes(), (n_steps, t)
+
+    def test_rows_and_queries_are_views_of_one_read_only_payload(self, small_trace):
+        # laid out as the file's payload, which the trace kept rather than copied
+        payload = small_trace.rows[0].base
+        assert isinstance(payload, np.ndarray) and payload.base is None and not payload.flags.writeable
+        assert payload.dtype == np.dtype("<f4")
+        assert payload.nbytes == trace_byte_size(2, 4, 16, 64) - 60 - 4 * 64 - 8
+        blocks = [np.concatenate([r, q], axis=2) for r, q in zip(small_trace.rows, small_trace.queries)]
+        assert np.concatenate([b.ravel() for b in blocks]).tobytes() == payload.tobytes()
+        for a in small_trace.rows + small_trace.queries:
+            assert a.base is payload and not a.flags.writeable
+
+    def test_record_holds_one_payload(self, small_model):
+        # beside what a one-token decode holds: the payload, one chunk's float64 rows and the
+        # per-step views; a second copy of the payload, or float64 rows for every step, would peak above it
+        tokens = seeded_tokens(6, 150)
+        payload = trace_byte_size(2, 4, 16, 150) - 60 - 4 * 150 - 8
+        chunk_rows = RECORD_CHUNK * 2 * 4 * 150 * 8
+
+        def decode():
+            state = small_model.init_state(Full())
+            for tok in tokens:
+                small_model.decode_step(state, int(tok))
+
+        bound = peak_bytes(decode) + payload + chunk_rows + payload // 2
+        peak = peak_bytes(lambda: record(small_model, tokens))
+        assert peak < bound, f"record peaked at {peak} bytes, bound {bound} for a {payload}-byte payload"
 
     def test_empty_sequence_rejected(self, small_model):
         with pytest.raises(ValueError, match="non-empty"):

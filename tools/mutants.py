@@ -156,6 +156,21 @@ MUTANTS = [
         ("tests/test_policies.py",),
     ),
     Mutant(
+        "trace payload step offset off by one",
+        "trace.py",
+        "        offset += count\n",
+        "        offset += count - 1\n",
+        ("tests/test_trace.py::TestRecord::test_rows_equal_rounded_decode_rows",),
+    ),
+    Mutant(
+        "recorded chunk position i written to position i + 1",
+        "trace.py",
+        "for step_rows, step_queries, block in zip(sr.rows, sr.queries, blocks):",
+        # zip takes a block before it finds the chunk spent, so the next chunk starts one block late
+        "for block, step_rows, step_queries in zip(blocks, sr.rows, sr.queries):",
+        ("tests/test_trace.py::TestRecord::test_rows_equal_rounded_decode_rows",),
+    ),
+    Mutant(
         "trace meta n_layers and n_heads declarations swapped",
         "trace.py",
         "    n_layers: int\n    n_heads: int\n",
