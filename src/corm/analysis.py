@@ -2,8 +2,10 @@
 
 Everything here is a pure function over an immutable trace or over run
 outputs. The file writers live at the bottom; README "Output files" lists
-every file's schema. Floats are written by repr() so files are byte-stable
-across runs and platforms.
+every file's schema. Floats are written by repr(), so a file's bytes repeat
+from run to run on one machine. Their float bits follow the BLAS kernel and
+numpy's SIMD dispatch, which one numpy wheel picks per CPU: KL values from
+`output_divergence` differ in their last digits between kernels.
 """
 
 from __future__ import annotations

@@ -16,10 +16,13 @@ Decoding runs layer by layer over a chunk of tokens: `run` feeds a prompt in
 chunks of `PREFILL_CHUNK` tokens, `decode_step` takes a chunk and keeps each
 position's attention rows and queries, and `generate` feeds it chunks of
 one. For each layer, the chunk's RMS norm, Q/K/V projections and rotary run
-once over its stacked rows. Then each position in turn appends its entry to the
-layer's cache, attends over the surviving entries, and runs the eviction
-policy's update hook once for all of the layer's kv heads, exactly as a
-token-by-token pass would. Then `wo` and the MLP run once over the chunk.
+once over its stacked rows. Then, under a policy that may evict, each
+position in turn appends its entry to the layer's cache, attends over the
+surviving entries, and runs the policy's update hook once for all of the
+layer's kv heads, exactly as a token-by-token pass would. Under one that
+never evicts (`Policy.evicts`, as `full`), a chunk of n > 1 appends its n
+entries in one call and attends in one call of each stage, position i over
+the first t0 + i + 1 entries. Then `wo` and the MLP run once over the chunk.
 Position t of layer l reads only layer l-1's rows at positions <= t and
 layer l's own cache, so this order computes what a token-by-token pass
 computes, and with the same bits: a stacked projection
@@ -32,17 +35,19 @@ are compacted away in place, and each entry's original absolute position is
 retained so rotary encoding and position-based bookkeeping stay correct
 after eviction.
 
-Attention makes one call of each attention function per layer, over the
-layer's `(kv_heads, group, m)` block, however eviction has left the heads'
-lengths (m is the longest). The block's runs of consecutive kv heads with
-equally many entries (`KvCacheState.equal_size_runs`) go with it: only the
-score gemv, the softmax row sum and the output gemv run once per run over
-exactly its entries, and the elementwise steps (scale, head gain, ALiBi
-bias, max, exp, divide) once over the block, in place in the block each
-stage returns. So every head's scores come from the same products and
-reductions as a single-head computation, and the logits are bit-identical
-to per-head attention. Under `full`, or a budgeted policy at budget, the
-block is one run and pays for no padding.
+Attention makes one call of each attention function per layer and position
+(a `(kv_heads, group, m)` block, m the longest head) or per layer and
+never-evicting chunk (an `(n, kv_heads, group, m)` block). Its runs go with
+it: the position's runs of kv heads with equally many entries
+(`KvCacheState.equal_size_runs`), or one run per chunk position,
+`(i, i + 1, t0 + i + 1)`. Only the score gemv, the softmax row sum and the
+output gemv run once per run over exactly its entries, and the elementwise
+steps (scale, head gain, ALiBi bias at each query's step, max, exp, divide)
+once over the block, in place in the block each stage returns. So every
+head's scores come from the same products and reductions as a single-head,
+single-position computation, and the logits are bit-identical to per-head
+attention. A position's block under `full`, or a budgeted policy at budget,
+is one run and pays for no padding.
 
 Weight draw order (one generator, consumed in sequence): token embedding;
 learned position table (only when configured); per layer: wq, wk, wv, wo,
@@ -234,6 +239,12 @@ def _draw(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.
     return (rng.standard_normal(shape) * scale).astype(np.float32).astype(np.float64)
 
 
+def _layer_rows(scores: np.ndarray, step: int, sizes: Sequence[int], group: int) -> list[AttentionRow]:
+    # one row per query head of a (kv_heads, group, m) softmax block, over its
+    # kv head's entries; softmax output is finite, in [0, 1] and normalized
+    return [AttentionRow(step, scores[hk, g, :s], validated=True) for hk, s in enumerate(sizes) for g in range(group)]
+
+
 class ToyTransformer:
     """A seeded random decoder whose per-step attention rows are observable."""
 
@@ -264,7 +275,8 @@ class ToyTransformer:
             (depth * np.exp(c.head_gain_jitter * jitter)).astype(np.float32).astype(np.float64)
         )
         self._gains = self.head_gain.reshape(c.n_layers, c.kv_heads, c.group_size, 1)  # [layer], as a score block
-        self._slopes = c.pe.head_slopes(c.n_heads)
+        slopes = c.pe.head_slopes(c.n_heads)
+        self._slopes = None if slopes is None else slopes.reshape(c.kv_heads, c.group_size, 1)  # as a score block
 
     # -- plumbing ----------------------------------------------------------
 
@@ -294,13 +306,15 @@ class ToyTransformer:
     ) -> np.ndarray:
         """Steps `cache.step + 1 ...` of `tokens` (n,) int64, layer by layer; returns their (n, vocab) logits.
 
-        The chunk's dense stages run once per layer over its stacked rows,
-        and attention and the policy once per position (module docstring).
-        Attention is computed over the surviving cache entries only, one
-        call per layer and position; rotary encoding uses each entry's
-        original absolute position. The policy gets the layer's softmax
-        block, zero past each kv head's size, after the position's attention
-        output, so an eviction first affects the next position. Each
+        The chunk's dense stages run once per layer over its stacked rows
+        (module docstring). Attention reads the surviving cache entries
+        only; rotary encoding uses each entry's original absolute position.
+        Under a policy that may evict, and for a chunk of one, attention and
+        the policy run once per layer and position: the policy gets the
+        layer's softmax block, zero past each kv head's size, after the
+        position's attention output, so an eviction first affects the next
+        position. Under a policy that never evicts, a chunk appends once and
+        attends once per layer, and the policy is not called. Each
         position's cache sizes go to `state.step_sizes`. With `rows` (n empty
         lists) and `queries` (n, n_layers, n_heads, d_h), the call also keeps
         each position's attention rows, layer by layer, and its post-rotary
@@ -325,7 +339,6 @@ class ToyTransformer:
             self.pos_table = table
             h += table[t0 : t0 + n]
         positions = np.arange(t0, t0 + n)[:, None]
-        slopes = None if self._slopes is None else self._slopes.reshape(kv, gs, 1)
         sizes: list[list[int]] = [[] for _ in range(n)]
         # a single row needs no stacking: numpy's matmul makes a one-row product a gemv
         mm = np.matmul if n == 1 else _stacked
@@ -340,27 +353,24 @@ class ToyTransformer:
                 queries[:, li] = q
             q = q.reshape(n, kv, gs, d_h)  # query heads grouped by the kv head they read
             cache = state.caches[li]
-            gain = self._gains[li]
-            outs = np.empty((n, kv, gs, d_h))
-            for i in range(n):
-                cache.append(k[i], v[i])
-                runs, m = cache.equal_size_runs(), cache.width
-                logits = scaled_dot_scores(q[i], cache.keys[:, None, :m], d_h, runs)
-                logits *= gain
-                if slopes is not None:
-                    logits -= slopes * (cache.step - cache.positions[:, None, :m])
-                scores = softmax_normalize(logits, runs)
-                if rows is not None:
-                    # one row per query head, over its kv head's entries; softmax
-                    # output is finite, in [0, 1] and normalized by construction
-                    rows[i].append([
-                        AttentionRow(cache.step, scores[hk, g, :s], validated=True)
-                        for hk, s in enumerate(cache.sizes)
-                        for g in range(gs)
-                    ])
-                outs[i] = attention_output(scores, cache.values[:, None, :m], runs)
-                apply_policy(state.policy, cache, scores)
-                sizes[i] += cache.sizes
+            if state.policy.evicts or n == 1:  # a lone position costs less without the chunk block
+                outs = np.empty((n, kv, gs, d_h))
+                for i in range(n):
+                    cache.append(k[i], v[i])
+                    scores, outs[i] = self._attend(li, q[i], cache, cache.step, cache.equal_size_runs())
+                    if rows is not None:
+                        rows[i].append(_layer_rows(scores, cache.step, cache.sizes, gs))
+                    apply_policy(state.policy, cache, scores)
+                    sizes[i] += cache.sizes
+            else:
+                # nothing is evicted: position i reads the first t0 + i + 1 entries, one run each
+                cache.append(k, v)
+                runs = [(i, i + 1, t0 + i + 1) for i in range(n)]
+                scores, outs = self._attend(li, q, cache, np.arange(t0 + 1, t0 + n + 1)[:, None, None, None], runs)
+                for i, t in enumerate(range(t0 + 1, t0 + n + 1)):
+                    if rows is not None:
+                        rows[i].append(_layer_rows(scores[i], t, [t] * kv, gs))
+                    sizes[i] += [t] * kv
             h = h + mm(outs.reshape(n, -1), lw.wo)
             h = h + mm(_gelu(mm(_rms_norm(h), lw.w1)), lw.w2)
 
@@ -368,6 +378,21 @@ class ToyTransformer:
         state.last_logits = logits[-1]
         state.step_sizes += sizes
         return logits
+
+    def _attend(self, li: int, q: np.ndarray, cache: KvCacheState, steps, runs) -> tuple[np.ndarray, np.ndarray]:
+        """Layer li's softmax block and outputs, one call of each stage, for one position's
+        queries q, (kv_heads, group, d_h), or a chunk's, (n, kv_heads, group, d_h), over the
+        block's entries; `runs` tiles q's first axis and `steps` are the queries' steps (ALiBi)."""
+        m, d_h = cache.width, self.config.d_h
+        keys, values = cache.keys[:, None, :m], cache.values[:, None, :m]
+        if q.ndim == 4:
+            keys, values = (np.broadcast_to(a, (len(q),) + a.shape) for a in (keys, values))
+        logits = scaled_dot_scores(q, keys, d_h, runs)
+        logits *= self._gains[li]
+        if self._slopes is not None:
+            logits -= self._slopes * (steps - cache.positions[:, None, :m])
+        scores = softmax_normalize(logits, runs)
+        return scores, attention_output(scores, values, runs)
 
     def decode_step(self, state: DecoderState, tokens: int | Sequence[int]) -> StepResult:
         """Process a chunk of n tokens (an int is a chunk of one) through the forward (`_forward`).
@@ -472,6 +497,7 @@ class ToyTransformer:
             h += rows[:T]
         positions = np.arange(T, dtype=np.int64)
         causal = positions[None, :] > positions[:, None]  # True above the diagonal
+        slopes = c.pe.head_slopes(c.n_heads)
         for li, lw in enumerate(self.layers):
             x = _rms_norm(h)
             q = (x @ lw.wq).reshape(T, c.n_heads, c.d_h)
@@ -482,8 +508,8 @@ class ToyTransformer:
             for hd in range(c.n_heads):
                 kv = self._kv_head(hd)
                 logits = q[hd] @ k[kv].T / np.sqrt(c.d_h) * self.head_gain[li, hd]
-                if self._slopes is not None:
-                    logits = logits - self._slopes[hd] * (positions[:, None] - positions[None, :])
+                if slopes is not None:
+                    logits = logits - slopes[hd] * (positions[:, None] - positions[None, :])
                 logits = np.where(causal, -np.inf, logits)
                 e = np.exp(logits - logits.max(axis=1, keepdims=True))
                 probs = e / e.sum(axis=1, keepdims=True)

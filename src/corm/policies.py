@@ -5,8 +5,10 @@ Each policy is a frozen dataclass that owns everything about itself: its
 its policy string (`Policy.parse`) and its `label`, their checks
 (`__post_init__`, so an invalid config cannot be built), whether one of its
 caches may serve a group of query heads (`grouped`, read by the one
-`Policy.group_size_for`), and its per-step update of a block of caches
-(`step`), which updates every head of the block at once. `POLICIES`
+`Policy.group_size_for`), whether its step may evict (`evicts`; decode
+attends a whole chunk at once for `full`, which never does), and its
+per-step update of a block of caches (`step`), which updates every head of
+the block at once. `POLICIES`
 registers the classes by name: `parse_policy` looks a class up there and
 `apply_policy` calls the policy's `step`, so adding a policy is one class
 plus one registry entry.
@@ -113,6 +115,8 @@ class Policy:
     reads_magnitudes: ClassVar[bool] = False
     # True when one cache may serve a group of query heads, False for per-head policies
     grouped: ClassVar[bool] = False
+    # False when `step` never changes a cache: decode then appends and attends a chunk at once
+    evicts: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -234,6 +238,7 @@ class Full(Policy):
     name = "full"
     label = "full"
     grouped = True
+    evicts = False
 
     def step(self, cache, scores) -> None:
         pass
@@ -587,30 +592,37 @@ class KvCacheState:
         self._index_rows()
 
     def append(self, keys, values) -> None:
-        """Add the entry of step `step + 1` to every head, in its next free row.
+        """Add the entries of steps `step + 1 ...` to every head, in its next free rows.
 
-        keys and values, each (n_heads, d), hold one row per head: row `step`
-        in place, row sizes[h] when compacting. The rows of every policy array
-        are cleared (a query recorded before the entry existed never flagged it).
+        keys and values, arrays each (n_heads, d) or (n, n_heads, d), hold one row
+        or n rows per head, row i being step `step + 1 + i`'s: rows from
+        `step` on in place, from sizes[h] when compacting. Any other shape
+        raises ValueError. The rows of every policy array are cleared (a
+        query recorded before the entry existed never flagged it).
         """
-        position = self.step + 1
-        sizes = self.sizes
-        width = self.width
-        if width == self.capacity:
+        sizes, d = self.sizes, self.keys.shape[2]
+        n = len(keys) if keys.ndim == 3 else 1
+        if not n or keys.ndim > 3 or keys.shape[-2:] != (len(sizes), d) or values.shape != keys.shape:
+            raise ValueError(f"keys {keys.shape} and values {values.shape} are not rows of {len(sizes)} heads of {d}")
+        if keys.ndim == 3:  # (n_heads, n, d), or (n_heads, d) for one row
+            keys, values = (keys.swapaxes(0, 1), values.swapaxes(0, 1)) if n > 1 else (keys[0], values[0])
+        position, width = self.step + 1, self.width
+        while width + n > self.capacity:
             self.grow()
-        # one column of each array when every head writes the same row, else
-        # one row per head: on a few heads that beats one fancy-indexed write
+        # the same rows of each array when every head writes the same rows,
+        # else one head at a time: on a few heads that beats a fancy-indexed write
         rows = [(slice(None), width)] if self.in_place or min(sizes) == width else enumerate(sizes)
-        with_vectors = self.keys.shape[2] > 0  # replay's caches hold positions only
-        for h, n in rows:
-            if with_vectors:
-                self.keys[h, n] = keys[h]
-                self.values[h, n] = values[h]
-            self.positions[h, n] = position
+        steps = position if n == 1 else np.arange(position, position + n)
+        for h, a in rows:
+            at = a if n == 1 else slice(a, a + n)  # a row index where it will do: it writes faster
+            if d:  # replay's caches hold positions only
+                self.keys[h, at] = keys[h]
+                self.values[h, at] = values[h]
+            self.positions[h, at] = steps
             for arr in self._cleared:
-                arr[h, n] = 0
-        self.sizes = [n + 1 for n in sizes]
-        self.step = position
+                arr[h, at] = 0
+        self.sizes = [s + n for s in sizes]
+        self.step = position + n - 1
 
     def keep_only(self, keep: np.ndarray) -> None:
         """Keep each head's entries where `keep` (n_heads, width) is True; flags on free rows are ignored.

@@ -15,6 +15,7 @@ from corm.analysis import write_json
 from corm.attention import softmax_normalize
 from corm.model import (
     _GELU_SCALE,
+    PREFILL_CHUNK,
     ModelConfig,
     ToyTransformer,
     _gelu,
@@ -488,6 +489,67 @@ class TestChunkedForward:
                 held_a = getattr(a, name)[:, : a.width][a.held]
                 held_b = getattr(b, name)[:, : b.width][b.held]
                 assert held_a.tobytes() == held_b.tobytes(), name
+
+
+class TestFullChunks:
+    """Under `full` a chunk appends once and attends once per layer, with the bits of one-token steps."""
+
+    CHUNKS = (1, 2, 15, 16, 17, 63, 64, 65)  # 17 and 65 double a fresh block's 16 rows inside the chunk
+
+    @pytest.fixture(scope="class", params=[(pe, kv) for pe in sorted(PE_KINDS) for kv in (None, 2)],
+                    ids=lambda p: f"{p[0]}-{'gqa' if p[1] else 'mha'}")
+    def decoded(self, request):
+        # two chunks and a part of every length, and the one-token steps they must equal
+        pe, kv = request.param
+        model = init_model(ModelConfig(**BASE, seed=21, pe=PE_KINDS[pe](), n_kv_heads=kv))
+        tokens = seeded_tokens(22, 2 * max(self.CHUNKS) + 3)
+        state = model.init_state(Full())
+        return model, tokens, state, [model.decode_step(state, int(tok)) for tok in tokens]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_chunk_equals_one_token_steps(self, decoded, chunk):
+        model, tokens, single_state, single = decoded
+        steps = 2 * chunk + 3
+        state = model.init_state(Full())
+        prompt = tokens[:steps]
+        results = [model.decode_step(state, prompt[a : a + chunk]) for a in range(0, steps, chunk)]
+        positions = [(r, i) for r in results for i in range(r.logits.shape[0])]
+        assert len(positions) == steps
+        for t, (one, (r, i)) in enumerate(zip(single, positions), start=1):
+            assert r.logits[i].tobytes() == one.logits[0].tobytes(), t
+            assert r.queries[i].tobytes() == one.queries[0].tobytes(), t
+            for layer_a, layer_b in zip(r.rows[i], one.rows[0], strict=True):
+                for a, b in zip(layer_a, layer_b, strict=True):
+                    assert (a.step, a.scores.tobytes()) == (b.step, b.scores.tobytes()), t
+        assert state.step_sizes == single_state.step_sizes[:steps]
+        # and a decode continued from the chunked state generates what one-token steps do
+        reference = model.init_state(Full())
+        for tok in prompt:
+            model.decode_step(reference, int(tok))
+        assert model.generate(state, 5).tolist() == model.generate(reference, 5).tolist()
+        assert state.last_logits.tobytes() == reference.last_logits.tobytes()
+
+    def test_prompt_of_three_chunks_matches_the_oracle(self, decoded):
+        model = decoded[0]
+        tokens = seeded_tokens(23, 3 * PREFILL_CHUNK + 5)
+        assert np.abs(model.run(tokens, Full()).logits - model.forward_full_sequence(tokens)).max() < 1e-12
+
+    def test_one_append_and_one_call_of_each_stage_per_layer_and_chunk(self, monkeypatch):
+        import corm.model as model_module
+        from corm.policies import KvCacheState
+
+        calls = dict.fromkeys(("append", "scaled_dot_scores", "softmax_normalize", "attention_output", "apply_policy"), 0)
+        for name in calls:
+            owner = KvCacheState if name == "append" else model_module
+            def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        model = init_model(ModelConfig(**BASE, seed=42))
+        model.run(seeded_tokens(24, 2 * PREFILL_CHUNK + 1), Full())
+        # two whole chunks attend as blocks; the last position, a chunk of one, steps as in `generate`
+        assert calls == {**dict.fromkeys(calls, 3 * model.config.n_layers), "apply_policy": model.config.n_layers}
 
 
 class TestErrorsMatchTokenByToken:

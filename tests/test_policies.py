@@ -629,6 +629,53 @@ class TestKeepOnlyAgainstLists:
                 advance(c, rng)
 
 
+class TestAppendRows:
+    """An n-row `append` is n one-row appends, in either layout."""
+
+    @LAYOUTS
+    @pytest.mark.parametrize("before,n", [(0, 1), (3, 2), (0, 40), (13, 60), (16, 16), (20, 5)],
+                             ids=["one_row", "two_rows", "two_doublings", "three_doublings", "at_capacity", "unequal"])
+    def test_n_rows_equal_n_one_row_appends(self, d, in_place, before, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        keys, values = rng.normal(size=(2, n, 3, d))
+        blocks = []
+        for whole in (True, False):
+            c = grown_block(3, d, before, seed=before, in_place=in_place)
+            if before:  # unequal heads: a compacting block then writes each head's own rows
+                c.keep_only(np.arange(c.width) % (np.arange(3)[:, None] + 2) != 0)
+            if whole:
+                c.append(keys, values)
+            else:
+                for k, v in zip(keys, values):
+                    c.append(k, v)
+            c.check()
+            blocks.append(c)
+        a, b = blocks
+        assert (a.sizes, a.step, a.capacity, a.entry_names) == (b.sizes, b.step, b.capacity, b.entry_names)
+        assert a.step == before + n and a.capacity >= a.width
+        for name in a.entry_names:  # the positions, keys and values written, and the policy arrays cleared
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for h in range(3):
+            assert held_entries(a, "positions", h)[-n:].tolist() == list(range(before + 1, before + n + 1))
+            for name in a.entry_names[3:]:  # a policy array's new rows are cleared
+                assert not held_entries(a, name, h)[-n:].any(), name
+
+    @pytest.mark.parametrize("keys,values", [
+        (np.zeros((3, 3)), np.zeros((3, 3))),  # rows of d + 1
+        (np.zeros((2, 2)), np.zeros((2, 2))),  # too few heads
+        (np.zeros((3, 2)), np.zeros((3, 3))),  # values unlike keys
+        (np.zeros((0, 3, 2)), np.zeros((0, 3, 2))),  # no rows
+        (np.zeros((4, 2, 3, 2)), np.zeros((4, 2, 3, 2))),  # 4-D
+        (np.zeros(2), np.zeros(2)),  # 1-D
+    ], ids=["wide", "few_heads", "values_differ", "no_rows", "4d", "1d"])
+    def test_a_bad_shape_raises_and_leaves_the_block(self, keys, values):
+        c = grown_block(3, 2, 5)
+        with pytest.raises(ValueError, match="are not rows of 3 heads of 2$"):
+            c.append(keys, values)
+        assert (c.step, c.sizes) == (5, [5, 5, 5])
+        c.check()
+
+
 @pytest.mark.parametrize("name", list(POLICIES))
 @settings(derandomize=True)
 @given(heads=st.integers(1, 3), steps=st.integers(1, 32), d=st.sampled_from([0, 2]), seed=st.integers(0, 2**16))

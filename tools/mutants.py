@@ -206,6 +206,34 @@ MUTANTS = [
         ("tests/test_golden.py", "tests/test_model.py"),
     ),
     Mutant(
+        "chunk run one entry short",
+        "model.py",
+        "runs = [(i, i + 1, t0 + i + 1) for i in range(n)]",
+        "runs = [(i, i + 1, t0 + i) for i in range(n)]",
+        ("tests/test_model.py::TestFullChunks",),
+    ),
+    Mutant(
+        "chunk ALiBi bias at the chunk's last step",
+        "model.py",
+        "np.arange(t0 + 1, t0 + n + 1)[:, None, None, None]",
+        "cache.step",
+        ("tests/test_model.py::TestFullChunks",),
+    ),
+    Mutant(
+        "n-row append writes only the first row's position",
+        "policies.py",
+        "steps = position if n == 1 else np.arange(position, position + n)",
+        "steps = position",
+        ("tests/test_policies.py::TestAppendRows",),
+    ),
+    Mutant(
+        "h2o declares that it never evicts",
+        "policies.py",
+        '    name = "h2o"\n',
+        '    name = "h2o"\n    evicts = False\n',
+        ("tests/test_model.py::TestChunkedForward",),
+    ),
+    Mutant(
         "schema skips list item types",
         "schema.py",
         "elif item is not None and not all(_is(x, item) for x in value):",
