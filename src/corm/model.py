@@ -28,12 +28,14 @@ layer l's own cache, so this order computes what a token-by-token pass
 computes, and with the same bits: a stacked projection
 `np.matmul(X[:, None, :], W)` makes one BLAS gemv per row, the call that
 `x @ W` makes for a single row (a plain `X @ W` gemm changes bits), and RMS
-norm, GELU, rotary and the position tables work element by element or row
-by row, whatever the chunk's shape. Each layer keeps its kv heads' entries
-in one preallocated block (`corm.policies.KvCacheState`); evicted entries
-are compacted away in place, and each entry's original absolute position is
-retained so rotary encoding and position-based bookkeeping stay correct
-after eviction.
+norm, GELU, rotary and the position rows work element by element or row
+by row, whatever the chunk's shape. A chunk's position rows are those of its
+positions (`PeConfig.embedding_rows`), and a forward writes only its
+`DecoderState`: the model is read-only after `__init__`. Each layer keeps
+its kv heads' entries in one preallocated block (`corm.policies.KvCacheState`);
+evicted entries are compacted away in place, and each entry's original
+absolute position is retained so rotary encoding and position-based
+bookkeeping stay correct after eviction.
 
 Attention makes one call of each attention function per layer and position
 (a `(kv_heads, group, m)` block, m the longest head) or per layer and
@@ -331,13 +333,12 @@ class ToyTransformer:
         if min(ids) < 0 or max(ids) >= c.vocab_size:
             ok = next(i for i, tok in enumerate(ids) if not 0 <= tok < c.vocab_size)
         # the steps before a bad token embed first, as they would one by one
-        table = c.pe.embedding_rows(self.pos_table, t0 + ok) if ok else None
+        pos_rows = c.pe.embedding_rows(self.pos_table, t0, t0 + ok) if ok else None
         if ok < n:
             raise ValueError(f"token id {tokens[ok]} outside vocabulary of {c.vocab_size}")
         h = self.embedding[tokens]
-        if table is not None:
-            self.pos_table = table
-            h += table[t0 : t0 + n]
+        if pos_rows is not None:
+            h += pos_rows
         positions = np.arange(t0, t0 + n)[:, None]
         sizes: list[list[int]] = [[] for _ in range(n)]
         # a single row needs no stacking: numpy's matmul makes a one-row product a gemv
@@ -465,17 +466,14 @@ class ToyTransformer:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size < 2:
             raise ValueError("perplexity needs at least 2 tokens")
-        res = self.run(tokens, policy)
-        nll = 0.0
-        for i in range(tokens.size - 1):
-            row = res.logits[i]
-            m = row.max()
-            logz = m + np.log(np.exp(row - m).sum())
-            step_nll = float(logz - row[tokens[i + 1]])
-            if not np.isfinite(step_nll):
-                raise ValueError(f"non-finite loss at step {i + 1}")
-            nll += step_nll
-        return float(np.exp(nll / (tokens.size - 1)))
+        logits = self.run(tokens, policy).logits[:-1]
+        # row by row, the bits of one row's max, exp, sum and log; summed in step order
+        m = logits.max(axis=1)
+        nll = m + np.log(np.exp(logits - m[:, None]).sum(axis=1)) - logits[np.arange(len(logits)), tokens[1:]]
+        bad = ~np.isfinite(nll)
+        if bad.any():
+            raise ValueError(f"non-finite loss at step {int(np.argmax(bad)) + 1}")
+        return float(np.exp(sum(nll.tolist()) / (tokens.size - 1)))
 
     # -- reference forward (oracle) -----------------------------------------
 
@@ -492,9 +490,9 @@ class ToyTransformer:
         if np.any(tokens < 0) or np.any(tokens >= c.vocab_size):
             raise ValueError("token id outside vocabulary")
         h = self.embedding[tokens].copy()  # (T, d_model)
-        rows = c.pe.embedding_rows(self.pos_table, T)
+        rows = c.pe.embedding_rows(self.pos_table, 0, T)
         if rows is not None:
-            h += rows[:T]
+            h += rows
         positions = np.arange(T, dtype=np.int64)
         causal = positions[None, :] > positions[:, None]  # True above the diagonal
         slopes = c.pe.head_slopes(c.n_heads)

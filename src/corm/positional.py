@@ -3,7 +3,8 @@
 Each family is a `PeConfig` subclass registered in `PE_KINDS`; it owns all
 that the model and the trace format know of it, and its array work is done
 by the module-level functions below. Positions are 0-based here; the model
-maps its 1-based step t to position t-1.
+maps its 1-based step t to position t-1. Embedding rows are made per call,
+for the positions asked for: no table is grown or kept beyond the drawn one.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class PeConfig:
         """Rows of the position table drawn with the model's weights."""
         return 0
 
-    def embedding_rows(self, table: np.ndarray, n: int) -> np.ndarray | None:
-        """A table whose rows 0..n-1 are added at positions 0..n-1, made from the model's last `table`; or None."""
+    def embedding_rows(self, table: np.ndarray, start: int, stop: int) -> np.ndarray | None:
+        """The rows added at positions start..stop-1, from the model's drawn `table`; or None."""
         return None
 
     def rotate(self, q: np.ndarray, k: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -130,11 +131,8 @@ class AbsoluteSinusoidal(PeConfig):
         if d_model % 2 != 0:
             raise ValueError(f"sinusoidal encoding needs even d_model, got {d_model}")
 
-    def embedding_rows(self, table: np.ndarray, n: int) -> np.ndarray:
-        # built on demand, at least doubling, so a decode builds O(log T) tables
-        if n <= len(table):
-            return table
-        return sinusoidal_table(max(n, 2 * len(table)), table.shape[1])
+    def embedding_rows(self, table: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return sinusoidal_table(stop - start, table.shape[1], start)
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,11 @@ class AbsoluteLearned(PeConfig):
     def drawn_rows(self, max_positions: int) -> int:
         return max_positions
 
-    def embedding_rows(self, table: np.ndarray, n: int) -> np.ndarray:
-        if n > len(table):
+    def embedding_rows(self, table: np.ndarray, start: int, stop: int) -> np.ndarray:
+        if stop > len(table):
             # names the first step with no row, as a token-by-token decode meets it
             raise ValueError(f"step {len(table) + 1} exceeds the learned position table ({len(table)})")
-        return table
+        return table[start:stop]
 
 
 @dataclass(frozen=True)
@@ -236,14 +234,14 @@ def alibi_slopes(n_heads: int) -> np.ndarray:
     return np.concatenate([power_of_2(closest), extra])
 
 
-def sinusoidal_table(n_positions: int, d_model: int) -> np.ndarray:
-    """(n_positions, d_model) table of interleaved sinusoidal embeddings.
+def sinusoidal_table(n_positions: int, d_model: int, start: int = 0) -> np.ndarray:
+    """(n_positions, d_model) interleaved sinusoidal embeddings of positions start, start + 1, ...
 
-    Row p is [sin(p*f_0), cos(p*f_0), sin(p*f_1), ...] with f_j = 10000^(-2j/d_model).
+    Row i is [sin(p*f_0), cos(p*f_0), sin(p*f_1), ...], p = start + i, f_j = 10000^(-2j/d_model).
     """
     if d_model % 2 != 0:
         raise ValueError(f"sinusoidal embedding needs even d_model, got {d_model}")
-    pos = np.arange(n_positions, dtype=np.float64)[:, None]
+    pos = np.arange(start, start + n_positions, dtype=np.float64)[:, None]
     j = np.arange(d_model // 2, dtype=np.float64)
     angles = pos * 10000.0 ** (-2.0 * j / d_model)  # (n, d/2)
     table = np.empty((n_positions, d_model), dtype=np.float64)

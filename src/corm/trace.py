@@ -154,6 +154,8 @@ class TraceMeta:
             )
         if self.vocab_size < 2:
             raise ValueError(f"trace vocab_size must be >= 2, got {self.vocab_size}")
+        if self.pe_kind not in PE_KINDS:
+            raise ValueError(f"unknown trace pe_kind {self.pe_kind!r}; valid: {sorted(PE_KINDS)}")
         for f, code in zip(fields(self), _HEAD_FMT.removeprefix("<8sI")):  # the codes after magic and version
             bits, value = 8 * struct.calcsize(code), getattr(self, f.name)
             if f.type == "int" and not 0 <= value < 2**bits:

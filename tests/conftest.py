@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 import struct
 import zlib
@@ -70,6 +71,32 @@ NON_INTEGER_SIZES = {
 def seeded_tokens(seed: int, length: int, vocab: int = 256) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.integers(0, vocab, size=length, dtype=np.int64)
+
+
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked, e.g. "SkylakeX" or "Haswell"; "unknown" without one."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def cpu_features() -> str:
+    """The CPU features numpy's SIMD dispatch may use, space-separated; "unknown" when numpy does not say."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return "unknown"
+    return " ".join(sorted(name for name, enabled in __cpu_features__.items() if enabled))
+
+
+def bit_environment() -> dict[str, str]:
+    """What picks float bits besides the code: the BLAS kernel and numpy's enabled dispatch targets."""
+    return {"openblas_core": openblas_core(), "cpu_features": cpu_features()}
 
 
 def trace_of(rows, queries=None, d_h: int = 4, seed: int = 0) -> AttentionTrace:

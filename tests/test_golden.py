@@ -30,20 +30,27 @@ commands run in a temporary working directory with relative paths, so the
 canonical `manifest.json` a flag-only run writes does not name that
 directory. They pin every output file's bytes, CSV formatting included.
 
+The float bits also follow the BLAS kernel and numpy's SIMD dispatch, so
+``DIGEST_ENVIRONMENT`` records the environment the digests were made in
+(``conftest.bit_environment``), and a digest mismatch names it beside the
+environment of the failing run.
+
 A deliberate change of output bits must record new digests and say why.
-``PYTHONPATH=src python tests/test_golden.py`` prints all seven tables, in
-this file's literal format, computed from the imported ``corm``; it writes
-no file outside a temporary directory.
+``PYTHONPATH=src python tests/test_golden.py`` prints the environment and all
+seven tables, in this file's literal format, computed from the imported
+``corm``; it writes no file outside a temporary directory.
 """
 
+import ctypes
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import replay_steps, seeded_tokens
+from conftest import bit_environment, replay_steps, seeded_tokens
 from corm.cli import main as corm_main
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, parse_policy
@@ -51,6 +58,22 @@ from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositi
 from corm.trace import record, replay_policy, save
 
 STEPS = 80
+
+DIGEST_ENVIRONMENT = {
+    "openblas_core": "SkylakeX",
+    "cpu_features": "AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX AVX512_SPR BMI BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT SSE SSE2 SSE3 SSE41 SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4",
+}
+
+
+def environment_note(made: dict, here: dict) -> str:
+    """A digest mismatch's message: the environment the digests were made in, and this run's."""
+    cause = "the same environment, so the code changed the bits" if made == here else "a different environment"
+    return f"digests made under {made}\nthis run is under {here}: {cause}"
+
+
+def mismatch() -> str:
+    return environment_note(DIGEST_ENVIRONMENT, bit_environment())
+
 
 MODELS = {
     "rope_2l4h": ModelConfig(n_layers=2, n_heads=4, d_model=64, vocab_size=256, seed=42, pe=Rope()),
@@ -106,7 +129,7 @@ def decode_digest(model_name: str, policy: str, steps: int = STEPS) -> str:
 
 @pytest.mark.parametrize("model_name,policy", sorted(GOLDEN))
 def test_decode_bits_match_golden_digest(model_name, policy):
-    assert decode_digest(model_name, policy) == GOLDEN[(model_name, policy)]
+    assert decode_digest(model_name, policy) == GOLDEN[(model_name, policy)], mismatch()
 
 
 RUN_150_GOLDEN = {
@@ -120,7 +143,7 @@ RUN_150_GOLDEN = {
 
 @pytest.mark.parametrize("model_name,policy", sorted(RUN_150_GOLDEN))
 def test_150_step_decode_bits_match_golden_digest(model_name, policy):
-    assert decode_digest(model_name, policy, 150) == RUN_150_GOLDEN[(model_name, policy)]
+    assert decode_digest(model_name, policy, 150) == RUN_150_GOLDEN[(model_name, policy)], mismatch()
 
 
 GENERATE_GOLDEN = {
@@ -162,7 +185,7 @@ def test_generate_golden_covers_every_model():
 
 @pytest.mark.parametrize("model_name,policy", sorted(GENERATE_GOLDEN))
 def test_generate_bits_match_golden_digest(model_name, policy):
-    assert generate_digest(model_name, policy) == GENERATE_GOLDEN[(model_name, policy)]
+    assert generate_digest(model_name, policy) == GENERATE_GOLDEN[(model_name, policy)], mismatch()
 
 
 TRACE_FILE_GOLDEN = {
@@ -180,7 +203,7 @@ def trace_file_digest(model_name: str, directory: Path) -> str:
 
 @pytest.mark.parametrize("model_name", sorted(TRACE_FILE_GOLDEN))
 def test_trace_file_bytes_match_golden_digest(tmp_path, model_name):
-    assert trace_file_digest(model_name, tmp_path) == TRACE_FILE_GOLDEN[model_name]
+    assert trace_file_digest(model_name, tmp_path) == TRACE_FILE_GOLDEN[model_name], mismatch()
 
 
 REPLAY_GOLDEN = {
@@ -224,7 +247,7 @@ def test_replay_golden_covers_every_registered_policy():
 
 @pytest.mark.parametrize("trace_name,policy", sorted(REPLAY_GOLDEN))
 def test_replay_bits_match_golden_digest(traces, trace_name, policy):
-    assert replay_digest(traces[trace_name], policy) == REPLAY_GOLDEN[(trace_name, policy)]
+    assert replay_digest(traces[trace_name], policy) == REPLAY_GOLDEN[(trace_name, policy)], mismatch()
 
 
 ACC_SCORES_GOLDEN = {
@@ -256,7 +279,8 @@ def test_acc_scores_golden_covers_every_golden_h2o_run():
 
 @pytest.mark.parametrize("mode,model_name,policy", sorted(ACC_SCORES_GOLDEN))
 def test_h2o_accumulated_scores_match_golden_digest(traces, mode, model_name, policy):
-    assert h2o_run_digest(traces, mode, model_name, policy) == ACC_SCORES_GOLDEN[(mode, model_name, policy)]
+    digest = h2o_run_digest(traces, mode, model_name, policy)
+    assert digest == ACC_SCORES_GOLDEN[(mode, model_name, policy)], mismatch()
 
 
 DIRECTORY_MODELS = {
@@ -400,7 +424,35 @@ def test_directory_golden_covers_every_run():
 
 @pytest.mark.parametrize("run", sorted(DIRECTORY_RUNS))
 def test_command_output_bytes_match_golden_digest(directories, run):
-    assert run_files(directories, run) == run_files(DIRECTORY_GOLDEN, run)
+    assert run_files(directories, run) == run_files(DIRECTORY_GOLDEN, run), mismatch()
+
+
+class TestDigestEnvironment:
+    def test_recorded_environment_has_the_fields_read_here(self):
+        assert set(DIGEST_ENVIRONMENT) == set(bit_environment())
+
+    def test_note_names_both_environments(self):
+        here = {"openblas_core": "Haswell", "cpu_features": "AVX AVX2"}
+        note = environment_note(DIGEST_ENVIRONMENT, here)
+        assert str(DIGEST_ENVIRONMENT) in note and str(here) in note and "a different environment" in note
+        assert "the code changed the bits" in environment_note(here, dict(here))
+
+    def test_a_moved_digest_still_fails_and_names_both_environments(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(TRACE_FILE_GOLDEN, "rope_2l4h", "0" * 64)
+        with pytest.raises(AssertionError) as failure:
+            test_trace_file_bytes_match_golden_digest(tmp_path, "rope_2l4h")
+        assert str(DIGEST_ENVIRONMENT) in str(failure.value) and str(bit_environment()) in str(failure.value)
+
+    @pytest.mark.parametrize("loads", [True, False], ids=["no_symbol", "no_library"])
+    def test_missing_library_or_symbol_reads_unknown(self, monkeypatch, loads):
+        def library(path):
+            if not loads:
+                raise OSError(f"{path}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", library)
+        monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
+        assert bit_environment() == {"openblas_core": "unknown", "cpu_features": "unknown"}
 
 
 def print_table(name: str, table: dict, digest) -> None:
@@ -413,6 +465,7 @@ def print_table(name: str, table: dict, digest) -> None:
 
 
 def main() -> None:
+    print_table("DIGEST_ENVIRONMENT", DIGEST_ENVIRONMENT, bit_environment().get)
     print_table("GOLDEN", GOLDEN, lambda key: decode_digest(*key))
     print_table("RUN_150_GOLDEN", RUN_150_GOLDEN, lambda key: decode_digest(*key, 150))
     print_table("GENERATE_GOLDEN", GENERATE_GOLDEN, lambda key: generate_digest(*key))

@@ -366,6 +366,14 @@ class TestPerplexity:
         with pytest.raises(ValueError, match="at least 2"):
             small_model.perplexity([5], Full())
 
+    def test_first_non_finite_step_is_named(self, small_model, monkeypatch):
+        tokens = seeded_tokens(14, 12)
+        res = small_model.run(tokens, Full())
+        res.logits[5, 3] = res.logits[8, 0] = np.nan
+        monkeypatch.setattr(small_model, "run", lambda *args: res)
+        with pytest.raises(ValueError, match=r"^non-finite loss at step 6$"):
+            small_model.perplexity(tokens, Full())
+
 
 class TestLearnedTable:
     OVERFLOW = r"^step 9 exceeds the learned position table \(8\)$"
@@ -386,6 +394,44 @@ class TestLearnedTable:
         model.forward_full_sequence(seeded_tokens(16, 8, vocab=16))
         with pytest.raises(ValueError, match=self.OVERFLOW):
             model.forward_full_sequence(seeded_tokens(16, 9, vocab=16))
+
+
+def snapshot(value):
+    """`value`'s identity and contents, down through lists and objects' attributes."""
+    if isinstance(value, np.ndarray):
+        return id(value), value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, list):
+        return id(value), [snapshot(v) for v in value]
+    if hasattr(value, "__dict__"):
+        return id(value), {name: snapshot(v) for name, v in vars(value).items()}
+    return id(value), repr(value)
+
+
+class TestModelReadOnly:
+    """A forward writes only its decode state: no call changes or replaces a model attribute."""
+
+    @pytest.fixture(params=sorted(PE_KINDS))
+    def model(self, request):
+        return init_model(ModelConfig(**BASE, seed=5, n_kv_heads=2, pe=PE_KINDS[request.param](), max_positions=300))
+
+    def check(self, model, call):
+        before = snapshot(model)
+        call()
+        assert snapshot(model) == before
+
+    def test_run_and_the_oracle(self, model):
+        tokens = seeded_tokens(31, PREFILL_CHUNK + 9)
+        self.check(model, lambda: model.run(tokens, Full()))
+        self.check(model, lambda: model.run(tokens, CormGqa(w=4, r=4)))
+        self.check(model, lambda: model.forward_full_sequence(tokens))
+
+    def test_decode_step_chunks_and_generate(self, model):
+        tokens = seeded_tokens(32, 1 + 8 + 64)
+        for policy in (Full(), CormGqa(w=4, r=4)):
+            state = model.init_state(policy)
+            for a, b in ((0, 1), (1, 9), (9, 73)):
+                self.check(model, lambda: model.decode_step(state, tokens[a:b]))
+            self.check(model, lambda: model.generate(state, 9))
 
 
 # Each registered policy's string form, sized by a, b and c.

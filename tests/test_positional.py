@@ -5,6 +5,8 @@ import pytest
 
 from corm.positional import (
     PE_KINDS,
+    AbsoluteLearned,
+    AbsoluteSinusoidal,
     Alibi,
     PeConfig,
     Rope,
@@ -87,6 +89,33 @@ class TestAbsoluteSinusoidal:
     def test_odd_d_model_rejected(self):
         with pytest.raises(ValueError, match="even"):
             sinusoidal_table(4, 5)
+
+
+class TestEmbeddingRows:
+    """`embedding_rows(table, start, stop)` gives the rows of positions start..stop-1 alone."""
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("start", [0, 1, 63, 64, 65, 1000])
+    def test_sinusoidal_rows_are_the_whole_table_rows_to_the_bit(self, start, n):
+        rows = AbsoluteSinusoidal().embedding_rows(np.empty((0, 64)), start, start + n)
+        assert rows.shape == (n, 64)
+        assert rows.tobytes() == sinusoidal_table(start + n, 64)[start:].tobytes()
+
+    @pytest.mark.parametrize("start,stop", [(0, 1), (0, 10), (3, 7), (9, 10)])
+    def test_learned_rows_are_the_table_rows_of_their_positions(self, start, stop):
+        table = np.random.Generator(np.random.PCG64(4)).normal(size=(10, 6))
+        rows = AbsoluteLearned().embedding_rows(table, start, stop)
+        assert rows.shape == (stop - start, 6)
+        assert rows.tobytes() == table[start:stop].tobytes()
+
+    @pytest.mark.parametrize("start", [0, 1, 9, 10])
+    def test_learned_overrun_names_the_first_step_past_the_table(self, start):
+        with pytest.raises(ValueError, match=r"^step 11 exceeds the learned position table \(10\)$"):
+            AbsoluteLearned().embedding_rows(np.zeros((10, 6)), start, 11)
+
+    def test_other_families_add_no_rows(self):
+        others = set(PE_KINDS.values()) - {AbsoluteSinusoidal, AbsoluteLearned}
+        assert others and all(cls().embedding_rows(np.empty((0, 6)), 2, 5) is None for cls in others)
 
 
 class TestPeConfigRoundTrip:

@@ -153,6 +153,27 @@ def test_only_the_cache_block_assigns_a_step():
     assert not found, f"a step assigned outside KvCacheState: {', '.join(found)}"
 
 
+def test_only_init_assigns_a_model_attribute():
+    # a forward writes only its DecoderState: the model is read-only after __init__
+    model = next(path for path in SOURCES if path.name == "model.py")
+    cls = next(
+        node for node in ast.parse(model.read_text()).body if isinstance(node, ast.ClassDef) and node.name == "ToyTransformer"
+    )
+    found = [
+        f"model.py:{node.lineno}: {ast.unparse(node)}"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+        for node in ast.walk(method)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        and any(
+            isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for t in ast.walk(target)
+        )
+    ]
+    assert cls.body and not found, f"ToyTransformer attributes assigned outside __init__: {', '.join(found)}"
+
+
 def test_the_cache_block_names_no_policy_state():
     # a policy keeps its per-entry state in arrays it names through
     # `KvCacheState.entry_array`; the block grows, clears and compacts them

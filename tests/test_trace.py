@@ -20,7 +20,7 @@ from conftest import (
 )
 from corm.model import ModelConfig, init_model
 from corm.policies import POLICIES, Corm, CormGqa, Full, Scissorhands, StreamingLlm, Tova, apply_policy
-from corm.positional import AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
+from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import (
     RECORD_CHUNK,
     PolicySimulator,
@@ -137,6 +137,12 @@ class TestRecord:
         assert TraceMeta(**shape, vocab_size=2).vocab_size == 2
         with pytest.raises(ValueError, match="trace vocab_size must be >= 2, got 1"):
             TraceMeta(**shape, vocab_size=1)
+
+    def test_meta_takes_every_registered_pe_kind_and_rejects_another(self):
+        shape = dict(n_layers=1, n_heads=2, n_kv_heads=2, d_model=16, d_h=8, vocab_size=4, rope_base=1e4, seed=3)
+        assert [TraceMeta(**shape, pe_kind=kind).pe_kind for kind in PE_KINDS] == list(PE_KINDS)
+        with pytest.raises(ValueError, match=r"^unknown trace pe_kind 'bogus'; valid: \["):
+            TraceMeta(**shape, pe_kind="bogus")
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_meta_rejects_a_seed_the_header_cannot_hold(self, seed):

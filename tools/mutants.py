@@ -234,6 +234,34 @@ MUTANTS = [
         ("tests/test_model.py::TestChunkedForward",),
     ),
     Mutant(
+        "sinusoidal rows computed from position 0",
+        "positional.py",
+        "sinusoidal_table(stop - start, table.shape[1], start)",
+        "sinusoidal_table(stop - start, table.shape[1])",
+        ("tests/test_positional.py::TestEmbeddingRows",),
+    ),
+    Mutant(
+        "learned rows sliced from row 0",
+        "positional.py",
+        "return table[start:stop]",
+        "return table[: stop - start]",
+        ("tests/test_positional.py::TestEmbeddingRows",),
+    ),
+    Mutant(
+        "perplexity target is the current token",
+        "model.py",
+        "logits[np.arange(len(logits)), tokens[1:]]",
+        "logits[np.arange(len(logits)), tokens[:-1]]",
+        ("tests/test_model.py::TestPerplexity",),
+    ),
+    Mutant(
+        "trace meta takes any pe_kind",
+        "trace.py",
+        "if self.pe_kind not in PE_KINDS:",
+        "if False:",
+        ("tests/test_trace.py::TestRecord::test_meta_takes_every_registered_pe_kind_and_rejects_another",),
+    ),
+    Mutant(
         "schema skips list item types",
         "schema.py",
         "elif item is not None and not all(_is(x, item) for x in value):",
