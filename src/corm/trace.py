@@ -2,12 +2,13 @@
 
 A trace holds, for every step t of a full-cache run, each (layer, head)'s
 normalized attention row over all t positions plus the head's query vector.
-An `AttentionTrace` is valid by construction: building one checks its
-header fields, its tokens against the vocabulary, every step's row and
-query shapes, and every step's rows (finite, within [0, 1], summing to 1
-in float64), once, and stores rows and queries as read-only arrays. Both
-ways to get a trace, `record` and `load`, build it through that check, so
-nothing downstream checks a row again.
+An `AttentionTrace` is its file's payload, one read-only float32 array
+whose per-step views are its rows and queries, so a trace replays the same
+before and after a save and load. It is valid by construction: building one
+checks its header fields, its tokens against the vocabulary, the payload's
+dtype, rank and length, and every step's rows (finite, within [0, 1],
+summing to 1 in float64), once. `record` and `load` both build it through
+that check, so nothing downstream checks a row again.
 
 Replaying a trace (`replay_policy`) steps a `PolicySimulator`, which drives
 a policy's bookkeeping offline: at each step the recorded row is restricted
@@ -24,10 +25,8 @@ divergence between the two regimes is itself something to measure, not hide.
 
 Recording decodes in chunks of `RECORD_CHUNK` tokens and rounds rows and
 queries to float32, the file's storage precision, writing them straight
-into one preallocated payload laid out as the file's. So a recorded trace
-equals the same trace saved and loaded, and its rows and queries are
-read-only views of that one payload, as a loaded trace's are of the file's
-bytes.
+into one preallocated payload. Saving writes that payload as it is; loading
+builds the trace over the file's bytes.
 
 File format "CORMTRC1" (all little-endian), version 1. The header fields
 after magic and version are `TraceMeta`'s, in declaration order, with the
@@ -59,7 +58,7 @@ magic raises `TraceMagicError`, a bad version `TraceVersionError` and each
 other failure `TraceChecksumError` naming what failed. Last, the trace must
 hold at least one step, and the trace it builds runs the construction
 checks, so a damaged trace fails at load and neither replay nor analysis
-consumes it. Loaded rows and queries are read-only views of the file's
+consumes it. A loaded trace's payload is a read-only view of the file's
 bytes.
 """
 
@@ -67,7 +66,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,7 +74,7 @@ import numpy as np
 from .attention import check_score_rows
 from .model import ToyTransformer
 from .policies import Full, KvCacheState, Policy, apply_policy
-from .positional import PE_KINDS
+from .positional import PE_KINDS, PeConfig, Rope
 
 __all__ = [
     "TraceMeta",
@@ -156,6 +155,10 @@ class TraceMeta:
             raise ValueError(f"trace vocab_size must be >= 2, got {self.vocab_size}")
         if self.pe_kind not in PE_KINDS:
             raise ValueError(f"unknown trace pe_kind {self.pe_kind!r}; valid: {sorted(PE_KINDS)}")
+        rope = self.pe_kind == Rope.kind  # the one family that stores a base; the others store PeConfig.base
+        if not (0.0 < self.rope_base < np.inf if rope else self.rope_base == PeConfig.base):
+            must = "finite and > 0" if rope else PeConfig.base
+            raise ValueError(f"trace rope_base must be {must} under pe_kind {self.pe_kind!r}, got {self.rope_base}")
         for f, code in zip(fields(self), _HEAD_FMT.removeprefix("<8sI")):  # the codes after magic and version
             bits, value = 8 * struct.calcsize(code), getattr(self, f.name)
             if f.type == "int" and not 0 <= value < 2**bits:
@@ -180,59 +183,70 @@ def _read_only(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AttentionTrace:
-    """Full-cache rows and query vectors of one recorded run, valid by construction.
+    """Full-cache rows and query vectors of one recorded run: its file's payload, valid by construction.
 
     Building a trace raises ValueError naming the first broken field, token
     or step: the header fields (`TraceMeta`), a token outside the
-    vocabulary, a row or query block of the wrong shape, a step whose
-    rows are not normalized (`check_score_rows`, once per step), or an
-    all-zero query vector, whose cosine similarity is undefined. The trace
-    then stores tokens, rows and queries as read-only arrays, copying any
-    that were writeable or views of a writeable array, so it stays valid
-    and replay and analysis read its rows unchecked.
+    vocabulary, a payload that is not a C-contiguous `<f4` array of the
+    file's length (nothing is converted), a step whose rows are not
+    normalized (`check_score_rows`, once per step), or an all-zero query
+    vector, whose cosine similarity is undefined. The trace stores tokens
+    and payload read-only, copying either if it was writeable or a view of
+    a writeable array, so it stays valid and replay and analysis read its
+    rows, the payload's per-step views, unchecked.
     """
 
     meta: TraceMeta
     tokens: np.ndarray  # (T,) int64
-    rows: tuple[np.ndarray, ...]  # index t-1: (n_layers, n_heads, t), float32 when recorded or loaded
-    queries: tuple[np.ndarray, ...]  # index t-1: (n_layers, n_heads, d_h)
+    payload: np.ndarray  # 1-D <f4, the file's payload: per step, layer and head, t scores then d_h query values
+    # per-step float32 views of the payload, index t-1: rows (n_layers, n_heads, t), queries (n_layers, n_heads, d_h)
+    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    queries: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.meta
         tokens = _read_only(np.asarray(self.tokens, dtype=np.int64))
-        rows = tuple(_read_only(r) for r in self.rows)
-        queries = tuple(_read_only(q) for q in self.queries)
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("trace tokens must be a non-empty 1-D sequence")
-        if not len(rows) == len(queries) == tokens.size:
-            raise ValueError(f"{len(rows)} row blocks and {len(queries)} query blocks for {tokens.size} tokens")
         if not (tokens.min() >= 0 and tokens.max() < m.vocab_size):
             bad = int(tokens[(tokens < 0) | (tokens >= m.vocab_size)][0])
             raise ValueError(f"trace token {bad} outside vocab_size {m.vocab_size}")
-        for t, (r, q) in enumerate(zip(rows, queries), start=1):
-            if r.shape != (m.n_layers, m.n_heads, t):
-                raise ValueError(f"step {t} rows have shape {r.shape}, expected {(m.n_layers, m.n_heads, t)}")
-            if q.shape != (m.n_layers, m.n_heads, m.d_h):
-                raise ValueError(f"step {t} queries have shape {q.shape}, expected {(m.n_layers, m.n_heads, m.d_h)}")
+        p, need = self.payload, _payload_floats(m.n_layers, m.n_heads, m.d_h, tokens.size)
+        if not (isinstance(p, np.ndarray) and p.dtype == "<f4" and p.shape == (need,) and p.flags.c_contiguous):
+            got = type(p).__name__
+            if isinstance(p, np.ndarray):
+                got = f"{p.dtype.str} {p.shape}{'' if p.flags.c_contiguous else ' strided'}"
+            raise ValueError(f"trace payload must be {need} C-contiguous <f4 values for {tokens.size} steps, got {got}")
+        payload = _read_only(p)
+        rows, queries = [], []
+        for t, block in enumerate(_step_blocks(payload, m.n_layers, m.n_heads, m.d_h, tokens.size), start=1):
+            r, q = block[:, :, :t], block[:, :, t:]
             check_score_rows(r.astype(np.float64))
             nonzero = q.any(axis=2)
             if not nonzero.all():
                 layer, head = np.argwhere(~nonzero)[0]
                 raise ValueError(f"step {t}, layer {layer}, head {head}: zero query vector (cosine undefined)")
+            rows.append(r)
+            queries.append(q)
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "queries", queries)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "queries", tuple(queries))
 
     @property
     def n_steps(self) -> int:
         return int(self.tokens.size)
 
 
+def _payload_floats(n_layers: int, n_heads: int, d_h: int, n_steps: int) -> int:
+    """Float32 values in the payload of a trace of the given shape: each step's rows and queries."""
+    t = n_steps
+    return n_layers * n_heads * (t * (t + 1) // 2 + t * d_h)
+
+
 def trace_byte_size(n_layers: int, n_heads: int, d_h: int, n_steps: int) -> int:
     """Closed-form file size for a trace of the given shape."""
-    t = n_steps
-    floats = n_layers * n_heads * (t * (t + 1) // 2 + t * d_h)
-    return _HEAD_FIXED + 4 * t + 4 * floats + 8
+    return _HEAD_FIXED + 4 * n_steps + 4 * _payload_floats(n_layers, n_heads, d_h, n_steps) + 8
 
 
 def record(
@@ -245,8 +259,7 @@ def record(
     allocates the file's float32 payload once and decodes through
     `decode_step` in chunks of `RECORD_CHUNK` tokens, writing each
     position's rows and queries into the payload, rounded to float32 as
-    `astype` rounds. The trace's rows and queries are read-only views of
-    that payload, as a loaded trace's are of the file's bytes.
+    `astype` rounds. The trace keeps that payload without a copy.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -257,8 +270,7 @@ def record(
         raise TraceSizeError(
             f"trace of {tokens.size} steps needs {need} bytes, cap is {byte_cap}"
         )
-    # the payload is the file less its header, token ids and two checksums
-    payload = np.empty((need - _HEAD_FIXED - 4 * tokens.size - 8) // 4, dtype="<f4")
+    payload = np.empty(_payload_floats(c.n_layers, c.n_heads, c.d_h, tokens.size), dtype="<f4")
     blocks = _step_blocks(payload, c.n_layers, c.n_heads, c.d_h, tokens.size)
     state = model.init_state(Full())
     for a in range(0, tokens.size, RECORD_CHUNK):
@@ -270,7 +282,7 @@ def record(
                 for hd, row in enumerate(layer):
                     block[li, hd, :t] = row.scores  # float64 to float32, the rounding astype makes
             block[:, :, t:] = step_queries
-    # views taken after this are read-only, so the trace copies none of them
+    # read-only, so the trace keeps it without a copy
     payload.flags.writeable = False
     meta = TraceMeta(
         n_layers=c.n_layers,
@@ -283,7 +295,7 @@ def record(
         rope_base=c.pe.base,
         seed=c.seed,
     )
-    return _trace_of_payload(meta, tokens, payload)
+    return AttentionTrace(meta, tokens, payload)
 
 
 def _step_blocks(payload: np.ndarray, n_layers: int, n_heads: int, d_h: int, n_steps: int) -> Iterator[np.ndarray]:
@@ -299,15 +311,6 @@ def _step_blocks(payload: np.ndarray, n_layers: int, n_heads: int, d_h: int, n_s
         offset += count
 
 
-def _trace_of_payload(meta: TraceMeta, tokens: np.ndarray, payload: np.ndarray) -> AttentionTrace:
-    """The trace whose rows and queries are the per-step views of a read-only payload in file order."""
-    rows, queries = [], []
-    for t, block in enumerate(_step_blocks(payload, meta.n_layers, meta.n_heads, meta.d_h, tokens.size), start=1):
-        rows.append(block[:, :, :t])
-        queries.append(block[:, :, t:])
-    return AttentionTrace(meta=meta, tokens=tokens, rows=rows, queries=queries)
-
-
 def save(trace: AttentionTrace, path) -> None:
     """Write the binary format (module docstring); the trace was checked when it was built."""
     values = asdict(trace.meta) | {"pe_kind": PE_KINDS[trace.meta.pe_kind].wire_id}
@@ -315,19 +318,14 @@ def save(trace: AttentionTrace, path) -> None:
     header += trace.tokens.astype("<u4").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        crc = 0  # the payload is written and checksummed one step at a time, never held whole
-        for rows_t, queries_t in zip(trace.rows, trace.queries):
-            block = np.concatenate([rows_t, queries_t], axis=2)  # (L, H, t + d_h)
-            chunk = block.astype("<f4").tobytes(order="C")
-            fh.write(chunk)
-            crc = zlib.crc32(chunk, crc)
-        fh.write(struct.pack("<II", zlib.crc32(header), crc))
+        fh.write(trace.payload)
+        fh.write(struct.pack("<II", zlib.crc32(header), zlib.crc32(trace.payload)))
 
 
 def load(path) -> AttentionTrace:
     """Read a trace file, verifying magic, version, length, checksums and rows.
 
-    The returned rows and queries are read-only views of the file's bytes.
+    The returned trace's payload is a read-only view of the file's bytes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -360,8 +358,8 @@ def load(path) -> AttentionTrace:
     values[6] = pe_names[pe_id]
     meta = TraceMeta(*values)
     tokens = np.frombuffer(blob, dtype="<u4", count=t_steps, offset=_HEAD_FIXED).astype(np.int64)
-    floats = np.frombuffer(blob, dtype="<f4", count=(payload_end - hdr_end) // 4, offset=hdr_end)
-    return _trace_of_payload(meta, tokens, floats)
+    payload = np.frombuffer(blob, dtype="<f4", count=(payload_end - hdr_end) // 4, offset=hdr_end)
+    return AttentionTrace(meta, tokens, payload)
 
 
 # --------------------------------------------------------------------------

@@ -100,11 +100,16 @@ def bit_environment() -> dict[str, str]:
 
 
 def trace_of(rows, queries=None, d_h: int = 4, seed: int = 0) -> AttentionTrace:
-    """A trace of the given per-step (n_layers, n_heads, t) rows; queries default to ones."""
+    """A trace of the given per-step (n_layers, n_heads, t) rows; queries default to ones.
+
+    Rows and queries become the trace's `<f4` payload, each step's block of
+    rows then queries in file order, rounded to float32 as `astype` rounds.
+    """
     rows = [np.asarray(block) for block in rows]
     n_layers, n_heads = rows[0].shape[:2]
     if queries is None:
         queries = [np.ones((n_layers, n_heads, d_h), dtype=np.float32) for _ in rows]
+    blocks = [np.concatenate([r, q], axis=2).astype("<f4").ravel() for r, q in zip(rows, queries)]
     meta = TraceMeta(
         n_layers=n_layers,
         n_heads=n_heads,
@@ -116,7 +121,7 @@ def trace_of(rows, queries=None, d_h: int = 4, seed: int = 0) -> AttentionTrace:
         rope_base=10000.0,
         seed=seed,
     )
-    return AttentionTrace(meta=meta, tokens=seeded_tokens(seed, len(rows)), rows=rows, queries=queries)
+    return AttentionTrace(meta=meta, tokens=seeded_tokens(seed, len(rows)), payload=np.concatenate(blocks))
 
 
 def synthetic_blocks(

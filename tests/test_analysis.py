@@ -18,6 +18,7 @@ from corm.analysis import (
     write_similarity_csv,
 )
 from corm.policies import Corm, Full, StreamingLlm, mean_compression_rate
+from corm.trace import _payload_floats
 
 
 def uniform_trace(n_steps=10):
@@ -77,8 +78,9 @@ class TestQuerySimilarityMap:
         # analyze caps the written map by slicing: the leading block is the map of the first steps
         capped = query_similarity_map(small_trace, 0, 0)[:10, :10]
         assert capped.shape == (10, 10)
+        # a trace's first steps are its payload's leading values
         first = dataclasses.replace(
-            small_trace, tokens=small_trace.tokens[:10], rows=small_trace.rows[:10], queries=small_trace.queries[:10]
+            small_trace, tokens=small_trace.tokens[:10], payload=small_trace.payload[: _payload_floats(2, 4, 16, 10)]
         )
         np.testing.assert_allclose(capped, query_similarity_map(first, 0, 0), rtol=0, atol=1e-12)
 

@@ -510,8 +510,14 @@ class TestFailLoud:
             ({"d_model": 999}, "trace d_model must equal n_heads * d_h = 16, got 999"),
             ({"vocab_size": 1}, "trace vocab_size must be >= 2, got 1"),
             ({"vocab_size": 16, "token": 400}, "trace token 400 outside vocab_size 16"),
+            ({"rope_base": float("nan")}, "trace rope_base must be finite and > 0 under pe_kind 'rope', got nan"),
+            ({"rope_base": -1.0}, "trace rope_base must be finite and > 0 under pe_kind 'rope', got -1.0"),
+            ({"pe_kind": "none", "rope_base": 5.0}, "trace rope_base must be 0.0 under pe_kind 'none', got 5.0"),
+            ({"pe_kind": "alibi", "rope_base": float("inf")},
+             "trace rope_base must be 0.0 under pe_kind 'alibi', got inf"),
         ],
-        ids=["n_layers", "n_heads", "d_h", "n_kv_heads", "d_model", "vocab_size", "token"],
+        ids=["n_layers", "n_heads", "d_h", "n_kv_heads", "d_model", "vocab_size", "token",
+             "rope_base_nan", "rope_base_negative", "none_base", "alibi_base_inf"],
     )
     def test_trace_with_inconsistent_header(self, workspace, capsys, command, fields, named):
         # a well-formed file (length and checksums match) whose fields contradict each other

@@ -18,8 +18,9 @@ from conftest import (
     trace_of,
     write_trace_file,
 )
+from corm.analysis import sparsity_profile
 from corm.model import ModelConfig, init_model
-from corm.policies import POLICIES, Corm, CormGqa, Full, Scissorhands, StreamingLlm, Tova, apply_policy
+from corm.policies import H2O, POLICIES, Corm, CormGqa, Full, Scissorhands, StreamingLlm, Tova, apply_policy
 from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import (
     RECORD_CHUNK,
@@ -75,7 +76,7 @@ class TestRecord:
 
     def test_rows_and_queries_are_views_of_one_read_only_payload(self, small_trace):
         # laid out as the file's payload, which the trace kept rather than copied
-        payload = small_trace.rows[0].base
+        payload = small_trace.payload
         assert isinstance(payload, np.ndarray) and payload.base is None and not payload.flags.writeable
         assert payload.dtype == np.dtype("<f4")
         assert payload.nbytes == trace_byte_size(2, 4, 16, 64) - 60 - 4 * 64 - 8
@@ -83,6 +84,12 @@ class TestRecord:
         assert np.concatenate([b.ravel() for b in blocks]).tobytes() == payload.tobytes()
         for a in small_trace.rows + small_trace.queries:
             assert a.base is payload and not a.flags.writeable
+
+    def test_repr_shows_the_payload_not_its_views(self, small_trace):
+        # numpy summarizes the payload; the per-step views would print every value of the trace
+        text = repr(small_trace)
+        assert "payload=" in text and "rows=" not in text and "queries=" not in text
+        assert len(text) < 10_000
 
     def test_record_holds_one_payload(self, small_model):
         # beside what a one-token decode holds: the payload, one chunk's float64 rows and the
@@ -103,13 +110,6 @@ class TestRecord:
     def test_empty_sequence_rejected(self, small_model):
         with pytest.raises(ValueError, match="non-empty"):
             record(small_model, [])
-
-    def test_check_names_the_broken_step(self, small_model):
-        tr = record(small_model, seeded_tokens(1, 4))
-        rows = list(tr.rows)
-        rows[2] = rows[2][:, :, :2]
-        with pytest.raises(ValueError, match="step 3 rows have shape"):
-            dataclasses.replace(tr, rows=rows)
 
     def test_same_seed_byte_identical_file(self, small_model, tmp_path):
         blobs = []
@@ -139,10 +139,12 @@ class TestRecord:
             TraceMeta(**shape, vocab_size=1)
 
     def test_meta_takes_every_registered_pe_kind_and_rejects_another(self):
-        shape = dict(n_layers=1, n_heads=2, n_kv_heads=2, d_model=16, d_h=8, vocab_size=4, rope_base=1e4, seed=3)
-        assert [TraceMeta(**shape, pe_kind=kind).pe_kind for kind in PE_KINDS] == list(PE_KINDS)
+        shape = dict(n_layers=1, n_heads=2, n_kv_heads=2, d_model=16, d_h=8, vocab_size=4, seed=3)
+        # each kind with its own default base: 1e4 under rope, 0.0 under the others
+        metas = [TraceMeta(**shape, pe_kind=kind, rope_base=cls().base) for kind, cls in PE_KINDS.items()]
+        assert [meta.pe_kind for meta in metas] == list(PE_KINDS)
         with pytest.raises(ValueError, match=r"^unknown trace pe_kind 'bogus'; valid: \["):
-            TraceMeta(**shape, pe_kind="bogus")
+            TraceMeta(**shape, pe_kind="bogus", rope_base=0.0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_meta_rejects_a_seed_the_header_cannot_hold(self, seed):
@@ -187,9 +189,8 @@ class TestSaveLoad:
 
     def test_largest_vocabulary_round_trips(self, small_trace, tmp_path):
         meta = dataclasses.replace(small_trace.meta, vocab_size=2**32 - 1)
-        tr = dataclasses.replace(
-            small_trace, meta=meta, tokens=small_trace.tokens[:1], rows=small_trace.rows[:1], queries=small_trace.queries[:1]
-        )
+        first = small_trace.payload[: trace_mod._payload_floats(2, 4, 16, 1)]
+        tr = dataclasses.replace(small_trace, meta=meta, tokens=small_trace.tokens[:1], payload=first)
         save(tr, tmp_path / "t.trc")
         back = load(tmp_path / "t.trc")
         assert back.meta == meta and back.n_steps == 1
@@ -217,7 +218,7 @@ class TestSaveLoad:
         assert struct.unpack_from("<d", blob, 40) == (base,)
 
     def test_save_streams_the_payload(self, small_trace, tmp_path):
-        # one step's chunk at a time: holding the whole payload, or its chunks, would peak above it
+        # the trace's payload is written as it is: a copy of it, or of each step's block, would peak above this
         payload = trace_byte_size(2, 4, 16, small_trace.n_steps) - 60 - 4 * small_trace.n_steps - 8
         peak = peak_bytes(lambda: save(small_trace, tmp_path / "t.trc"))
         assert peak < payload // 2, f"save peaked at {peak} bytes for a {payload}-byte payload"
@@ -251,21 +252,53 @@ class TestSaveLoad:
             load(path)
 
     @pytest.mark.parametrize(
-        "damage,match",
-        [("narrow_rows", r"step 3 rows have shape \(1, 1, 2\)"), ("few_tokens", "5 row blocks and 5 query blocks for 4 tokens")],
+        "damage,expected",
+        [
+            ("short", "35 C-contiguous <f4 values for 5 steps, got <f4 (34,)"),
+            ("long", "35 C-contiguous <f4 values for 5 steps, got <f4 (36,)"),
+            ("few_tokens", "26 C-contiguous <f4 values for 4 steps, got <f4 (35,)"),
+            ("float64", "35 C-contiguous <f4 values for 5 steps, got <f8 (35,)"),
+            ("big_endian", "35 C-contiguous <f4 values for 5 steps, got >f4 (35,)"),
+            ("two_d", "35 C-contiguous <f4 values for 5 steps, got <f4 (1, 35)"),
+            ("strided", "35 C-contiguous <f4 values for 5 steps, got <f4 (35,) strided"),
+            ("list", "35 C-contiguous <f4 values for 5 steps, got list"),
+        ],
     )
-    def test_malformed_trace_rejected_before_the_file_is_opened(self, tmp_path, damage, match):
-        # a malformed trace cannot be built, so it never reaches save
-        tr = make_synthetic_trace(n_steps=5, seed=9)
-        rows = list(tr.rows)
-        rows[2] = rows[2][:, :, :2]
+    def test_malformed_payload_rejected_before_the_file_is_opened(self, tmp_path, damage, expected):
+        # a trace's payload is the file's, converted from nothing: any other dtype,
+        # rank, length or layout cannot be built, so it never reaches save
+        tr = make_synthetic_trace(n_steps=5, seed=9)  # 1 layer, 1 head, d_h 4: 15 scores + 20 query values
+        payload = tr.payload
+        bad = {
+            "short": lambda: payload[:-1],
+            "long": lambda: np.append(payload, np.float32(0.0)),
+            "few_tokens": lambda: payload,
+            "float64": lambda: payload.astype(np.float64),
+            "big_endian": lambda: payload.astype(">f4"),
+            "two_d": lambda: payload.reshape(1, -1),
+            "strided": lambda: np.repeat(payload, 2)[::2],
+            "list": lambda: payload.tolist(),
+        }[damage]()
+        tokens = tr.tokens[:4] if damage == "few_tokens" else tr.tokens
         path = tmp_path / "t.trc"
-        with pytest.raises(ValueError, match=match):
-            if damage == "narrow_rows":
-                save(dataclasses.replace(tr, rows=rows), path)
-            else:
-                save(dataclasses.replace(tr, tokens=tr.tokens[:4]), path)
+        with pytest.raises(ValueError, match=re.escape(f"trace payload must be {expected}")):
+            save(dataclasses.replace(tr, tokens=tokens, payload=bad), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("given", ["writeable", "read_only_view"])
+    def test_payload_changed_after_building_reaches_neither_the_trace_nor_its_file(self, tmp_path, given):
+        # a payload that is writeable, or a read-only view of a writeable array, is copied,
+        # so a NaN written into the caller's array later leaves the trace valid
+        tr = make_synthetic_trace(n_steps=8, seed=8)
+        caller = tr.payload.copy()
+        payload = caller if given == "writeable" else caller.view()
+        payload.flags.writeable = given == "writeable"
+        built = dataclasses.replace(tr, payload=payload)
+        caller[:] = np.nan
+        assert np.isfinite(built.payload).all() and not built.payload.flags.writeable
+        assert all(np.isfinite(r).all() for r in built.rows)
+        save(built, tmp_path / "t.trc")
+        assert load(tmp_path / "t.trc").payload.tobytes() == tr.payload.tobytes()
 
     def test_trace_without_steps_rejected(self, small_trace, tmp_path):
         # a well-formed file whose replay would have no step to report
@@ -361,6 +394,33 @@ class TestReplay:
             assert 1 in sim.cache.head_positions(0) or s == t
         assert 1 not in sim.cache.head_positions(0)
 
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_a_trace_built_in_memory_replays_and_analyzes_as_its_file_does(self, name, tmp_path):
+        # float64 rows are rounded to the float32 payload when the trace is built, so a score
+        # just below 1/3 that float32 rounds to at least 1/3 is important both in memory and
+        # after a save and load; a trace that kept the float64 row would flag it only after the round trip
+        low = np.nextafter(1 / 3, 0.0)
+        assert low < 1 / 3 <= np.float32(low)
+        rows = [[[[1.0]]], [[[0.001, 0.999]]], [[[low, (1 - low) / 2, (1 - low) / 2]]]]
+        rows += [[[[0.001] + [0.999 / (t - 1)] * (t - 1)]] for t in range(4, 9)]
+        in_memory = trace_of(rows)
+        save(in_memory, tmp_path / "t.trc")
+        loaded = load(tmp_path / "t.trc")
+        # sizes small enough to evict within 8 steps; corm:2+1 drops position 1 at step 3 unless step 3 flags it
+        policy = {
+            "full": Full(),
+            "streaming": StreamingLlm(sink=1, recent=1),
+            "h2o": H2O(heavy=1, recent=1),
+            "scissorhands": Scissorhands(budget=2, recent=1, window=2),
+            "tova": Tova(budget=2),
+            "corm": Corm(w=2, r=1),
+            "gqa_corm": CormGqa(w=2, r=1),
+        }[name]
+        curves = [replay_policy(tr, policy).compression for tr in (in_memory, loaded)]
+        np.testing.assert_array_equal(curves[0], curves[1])
+        profiles = [sparsity_profile(tr).per_head for tr in (in_memory, loaded)]
+        np.testing.assert_array_equal(profiles[0], profiles[1])
+
     @pytest.mark.parametrize("name", [name for name, cls in POLICIES.items() if cls.reads_magnitudes])
     def test_magnitude_policies_see_rows_divided_by_the_sum_of_their_kept_entries(self, name, monkeypatch):
         # bit for bit: each row over its kept entries, in order, summed alone. Peaky
@@ -426,13 +486,6 @@ class TestReplayRowChecks:
         tr = make_synthetic_trace(n_steps=8, seed=8)
         with pytest.raises(ValueError, match="read-only"):
             tr.rows[4][0, 0, 2] = np.nan
-        # a read-only view of the caller's writeable array is copied too
-        rows, queries = synthetic_blocks(n_steps=8, seed=8)
-        view = rows[4].view()
-        view.flags.writeable = False
-        tr = trace_of(rows[:4] + [view] + rows[5:], queries)
-        rows[4][0, 0, 2] = np.nan
-        assert np.isfinite(tr.rows[4]).all()
 
     def test_row_not_summing_to_one_rejected(self):
         rows, queries = synthetic_blocks(n_steps=8, seed=8)
@@ -482,7 +535,8 @@ class TestReplayRowChecks:
             ([0.0, 0.0], True),
             # within check_score_rows' tolerance: the max is above 0 but the sum is below
             ([1e-13, -5e-13], True),
-            ([0.0, 1e-300], False),
+            # the least float32 above 0, which the trace's payload holds exactly
+            ([0.0, float(np.finfo(np.float32).smallest_subnormal)], False),
         ],
         ids=["zeros", "negative_sum", "tiny_mass"],
     )

@@ -192,6 +192,34 @@ MUTANTS = [
         ("tests/test_trace.py::TestRecord::test_meta_rejects_a_field_beyond_its_u32",),
     ),
     Mutant(
+        "trace payload length unchecked",
+        "trace.py",
+        'p.dtype == "<f4" and p.shape == (need,) and',
+        'p.dtype == "<f4" and p.ndim == 1 and',
+        ("tests/test_trace.py::TestSaveLoad::test_malformed_payload_rejected_before_the_file_is_opened",),
+    ),
+    Mutant(
+        "trace payload sized with t(t-1)/2 scores",
+        "trace.py",
+        "t * (t + 1) // 2 + t * d_h",
+        "t * (t - 1) // 2 + t * d_h",
+        ("tests/test_trace.py",),
+    ),
+    Mutant(
+        "save writes the header CRC in both CRC slots",
+        "trace.py",
+        "zlib.crc32(header), zlib.crc32(trace.payload)",
+        "zlib.crc32(header), zlib.crc32(header)",
+        ("tests/test_trace.py",),
+    ),
+    Mutant(
+        "trace keeps a writeable payload",
+        "trace.py",
+        "payload = _read_only(p)",
+        "payload = p",
+        ("tests/test_trace.py::TestSaveLoad::test_payload_changed_after_building_reaches_neither_the_trace_nor_its_file",),
+    ),
+    Mutant(
         "token ids converted to int64 before the range check",
         "manifest.py",
         "ids = [int(p) for p in parts]",
