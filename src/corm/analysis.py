@@ -6,6 +6,11 @@ every file's schema. Floats are written by repr(), so a file's bytes repeat
 from run to run on one machine. Their float bits follow the BLAS kernel and
 numpy's SIMD dispatch, which one numpy wheel picks per CPU: KL values from
 `output_divergence` differ in their last digits between kernels.
+
+Memory: `query_similarity_map` builds one head's T x T float64 map (2 MB at
+T = 512, 32 MB at T = 2048). `corm analyze` frees each head's map before it
+builds the next, and `recent_similarity_fraction` reads a map `ARGMAX_ROWS`
+rows at a time, so analysis holds the trace plus about one map.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ import numpy as np
 from .attention import cosine_similarity
 from .policies import classify_important
 from .trace import AttentionTrace
+
+# Rows per block in `recent_similarity_fraction`.
+ARGMAX_ROWS = 32
 
 __all__ = [
     "SparsityProfile",
@@ -77,8 +85,11 @@ def query_similarity_map(trace: AttentionTrace, layer: int, head: int) -> np.nda
     q = np.stack([queries[layer, head] for queries in trace.queries]).astype(np.float64)
     qn = q / np.linalg.norm(q, axis=1)[:, None]  # a trace holds no zero query
     sim = qn @ qn.T
-    # zero the diagonal and upper triangle in place: np.tril would copy the map
-    np.copyto(sim, 0.0, where=~np.tri(len(q), k=-1, dtype=bool))
+    # zero the diagonal and upper triangle in place, through one mask inverted in place:
+    # np.tril would copy the map, and ~mask would allocate a second mask
+    upper = np.tri(len(q), k=-1, dtype=bool)
+    np.logical_not(upper, out=upper)
+    np.copyto(sim, 0.0, where=upper)
     return sim
 
 
@@ -86,7 +97,8 @@ def recent_similarity_fraction(sim_map: np.ndarray, k: int) -> float:
     """Fraction of queries whose most similar predecessor is at most k steps back.
 
     Rows with no predecessor (the first query) are excluded. Argmax ties go to
-    the earlier predecessor.
+    the earlier predecessor. Rows are taken `ARGMAX_ROWS` at a time, so the
+    temporaries hold O(ARGMAX_ROWS x T) values, not a second T x T map.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -94,11 +106,21 @@ def recent_similarity_fraction(sim_map: np.ndarray, k: int) -> float:
     if n < 2:
         raise ValueError("similarity map needs at least 2 queries")
     hits = 0
-    for i in range(1, n):
-        j = int(np.argmax(sim_map[i, :i]))
-        if i - j <= k:
-            hits += 1
+    for a in range(1, n, ARGMAX_ROWS):
+        b = min(a + ARGMAX_ROWS, n)
+        # rows a..b-1 over columns 0..b-2; in row i the columns j >= i, no predecessors, stay -inf
+        block = np.full((b - a, b - 1), -np.inf)
+        np.copyto(block, sim_map[a:b, : b - 1], where=np.tri(b - a, b - 1, k=a - 1, dtype=bool))
+        hits += int(np.count_nonzero(np.arange(a, b) - block.argmax(axis=1) <= k))
     return hits / (n - 1)
+
+
+def _jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """|a & b| / |a | b| of two equal-length flag arrays; two empty masks count as full overlap."""
+    union = np.count_nonzero(a | b)
+    if union == 0:
+        return 1.0
+    return np.count_nonzero(a & b) / union
 
 
 def importance_overlap(trace: AttentionTrace, layer: int, head: int, i: int, j: int) -> float:
@@ -115,10 +137,7 @@ def importance_overlap(trace: AttentionTrace, layer: int, head: int, i: int, j: 
         return 1.0
     mask_i = classify_important(trace.rows[i - 1][layer, head].astype(np.float64)[:m], i)
     mask_j = classify_important(trace.rows[j - 1][layer, head].astype(np.float64)[:m], j)
-    union = int(np.sum(mask_i | mask_j))
-    if union == 0:
-        return 1.0
-    return float(np.sum(mask_i & mask_j)) / union
+    return _jaccard(mask_i, mask_j)
 
 
 def overlap_similarity_samples(
@@ -127,19 +146,25 @@ def overlap_similarity_samples(
     """Sampled (query cosine, mask Jaccard) pairs for one head.
 
     Draws n_pairs random step pairs 2 <= j < i <= T and returns the two
-    aligned arrays, ready for rank correlation.
+    aligned arrays, ready for rank correlation. The Jaccard half is
+    `importance_overlap`'s, from each drawn step's flags, computed once.
     """
     t_max = trace.n_steps
     if t_max < 3:
         raise ValueError("need at least 3 steps to sample pairs")
     rng = np.random.Generator(np.random.PCG64(seed))
-    cos = np.empty(n_pairs)
-    jac = np.empty(n_pairs)
-    for n in range(n_pairs):
+    pairs = []
+    for _ in range(n_pairs):
         i = int(rng.integers(3, t_max + 1))
-        j = int(rng.integers(2, i))
-        cos[n] = cosine_similarity(trace.queries[i - 1][layer, head], trace.queries[j - 1][layer, head])
-        jac[n] = importance_overlap(trace, layer, head, i, j)
+        pairs.append((i, int(rng.integers(2, i))))
+    q = trace.queries
+    cos = np.array([cosine_similarity(q[i - 1][layer, head], q[j - 1][layer, head]) for i, j in pairs])
+    flags = {
+        t: classify_important(trace.rows[t - 1][layer, head].astype(np.float64), t)
+        for t in {t for pair in pairs for t in pair}
+    }
+    # j < i, so a pair compares its flags over the first j - 1 keys
+    jac = np.array([_jaccard(flags[i][: j - 1], flags[j][: j - 1]) for i, j in pairs])
     return cos, jac
 
 

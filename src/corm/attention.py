@@ -44,7 +44,8 @@ __all__ = [
     "stable_argsort_desc",
 ]
 
-SUM_TOL = 1e-6
+SUM_TOL = 1e-6  # how far a normalized row's sum may lie from 1
+RANGE_TOL = 1e-12  # how far a normalized row's entry may lie outside [0, 1]
 
 Runs = Sequence[tuple[int, int, int]]
 
@@ -86,7 +87,7 @@ def check_score_rows(scores: np.ndarray) -> None:
     """
     # NaN fails both comparisons and an infinity fails one, so valid blocks
     # pass on min and max alone; the error path then names the fault.
-    if not (scores.min() >= -1e-12 and scores.max() <= 1.0 + 1e-12):
+    if not (scores.min() >= -RANGE_TOL and scores.max() <= 1.0 + RANGE_TOL):
         if not np.isfinite(scores).all():
             raise ValueError("scores contain NaN or Inf")
         raise ValueError("scores must lie in [0, 1]")

@@ -282,6 +282,7 @@ def cmd_analyze(m: ExperimentManifest) -> int:
                 fraction_rows.append((li, hd, m.recent_k, frac))
                 capped = sim[: m.max_map_steps, : m.max_map_steps]
                 analysis.write_similarity_csv(out.path(f"similarity_l{li}_h{hd}.csv"), capped)
+                del sim, capped  # so the next head's map is built after this one is freed, not beside it
                 cos, jac = analysis.overlap_similarity_samples(
                     rec, li, hd, m.overlap_pairs, seed=m.seed
                 )

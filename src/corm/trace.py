@@ -7,8 +7,11 @@ whose per-step views are its rows and queries, so a trace replays the same
 before and after a save and load. It is valid by construction: building one
 checks its header fields, its tokens against the vocabulary, the payload's
 dtype, rank and length, and every step's rows (finite, within [0, 1],
-summing to 1 in float64), once. `record` and `load` both build it through
-that check, so nothing downstream checks a row again.
+summing to 1 in float64) and queries (not all zero), once. Rows and queries
+are checked over spans of steps, a few reductions per span; a span that may
+hold a fault goes through the step-by-step check, which decides every step
+and words every error. `record` and `load` both build a trace through that
+check, so nothing downstream checks a row again.
 
 Replaying a trace (`replay_policy`) steps a `PolicySimulator`, which drives
 a policy's bookkeeping offline: at each step the recorded row is restricted
@@ -25,8 +28,9 @@ divergence between the two regimes is itself something to measure, not hide.
 
 Recording decodes in chunks of `RECORD_CHUNK` tokens and rounds rows and
 queries to float32, the file's storage precision, writing them straight
-into one preallocated payload. Saving writes that payload as it is; loading
-builds the trace over the file's bytes.
+into one preallocated payload; a chunk's float64 rows are freed before the
+next chunk is decoded. Saving writes that payload as it is; loading builds
+the trace over the file's bytes.
 
 File format "CORMTRC1" (all little-endian), version 1. The header fields
 after magic and version are `TraceMeta`'s, in declaration order, with the
@@ -71,8 +75,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .attention import check_score_rows
-from .model import ToyTransformer
+from .attention import RANGE_TOL, SUM_TOL, check_score_rows
+from .model import StepResult, ToyTransformer
 from .policies import Full, KvCacheState, Policy, apply_policy
 from .positional import PE_KINDS, PeConfig, Rope
 
@@ -97,13 +101,24 @@ VERSION = 1
 DEFAULT_BYTE_CAP = 512 * 1024 * 1024
 # Tokens per `decode_step` call in `record`. On a 2-CPU x86-64 box with
 # single-threaded OpenBLAS, recording a 512-token trace of a 2L/4H/d64 model
-# took 81 ms in chunks of 8 against 132 ms one token per call, and 76, 71 and
-# 72 ms in chunks of 16, 32 and 64. But a chunk holds every position's float64
-# rows until they are copied out: the peak RSS of one trace/replay/analyze
-# pass on that trace, 48.5-48.7 MB one token per call, read 47.8-47.9 MB in
-# chunks of 8, 48.2-49.1 MB in chunks of 16 (above in one of three checkout
-# paths), 49.9-50.0 MB in chunks of 32 and 51.6-51.7 MB in chunks of 64.
-RECORD_CHUNK = 8
+# (decode and construction check) took a median 113, 58, 50, 46 and 44 ms in
+# chunks of 1, 8, 16, 32 and 64 (30 interleaved records over 5 prompts). A
+# chunk holds its positions' float64 rows until they are copied out, so the
+# record phase's peak RSS grows with it. In a fresh interpreter, recording
+# that trace peaked at 43.1, 43.3, 43.5-43.8, 44.7 and 46.6 MB in those
+# chunks; replaying it under five policies peaked at 35.4-35.5 MB and
+# analyzing it at 43.7-44.0 MB; one trace/replay/analyze pass peaked at
+# 44.8-44.9, 45.2-45.3, 45.3-45.4, 45.0 and 46.6 MB. 32 is the largest chunk
+# whose record phase stays below the pass's peak.
+RECORD_CHUNK = 32
+# Float64 bytes one span of the construction check converts at once (`_check_spans`). On the
+# box above, 256 KiB spans checked the 512-token trace in 2.9-3.2 ms, against 6.6-7.7 ms step
+# by step; 1 MiB spans took 2.4 ms but raised record's tracemalloc peak on a 150-step trace by
+# 0.46 MB, above what decoding one chunk holds.
+CHECK_SPAN_BYTES = 1 << 18
+# How far inside 1 +- SUM_TOL a span's row sums must lie to pass without the step-by-step check.
+# The two sums differ by at most about t * 1.1e-16 for rows of t float32 values.
+_SUM_MARGIN = 1e-9
 # magic, version, then TraceMeta's fields in declaration order (pe_kind as its wire id), then n_steps
 _HEAD_FMT = "<8sIIIIIIIIdQI"
 _HEAD_FIXED = struct.calcsize(_HEAD_FMT)  # 60
@@ -189,8 +204,11 @@ class AttentionTrace:
     or step: the header fields (`TraceMeta`), a token outside the
     vocabulary, a payload that is not a C-contiguous `<f4` array of the
     file's length (nothing is converted), a step whose rows are not
-    normalized (`check_score_rows`, once per step), or an all-zero query
-    vector, whose cosine similarity is undefined. The trace stores tokens
+    normalized (`check_score_rows`), or an all-zero query vector, whose
+    cosine similarity is undefined. Steps are checked a span at a time
+    (`_clearly_valid`); only a span that may hold a fault is checked step
+    by step (`_check_step`), so the error and the step it names are the
+    first a step-by-step check finds. The trace stores tokens
     and payload read-only, copying either if it was writeable or a view of
     a writeable array, so it stays valid and replay and analysis read its
     rows, the payload's per-step views, unchecked.
@@ -218,24 +236,72 @@ class AttentionTrace:
                 got = f"{p.dtype.str} {p.shape}{'' if p.flags.c_contiguous else ' strided'}"
             raise ValueError(f"trace payload must be {need} C-contiguous <f4 values for {tokens.size} steps, got {got}")
         payload = _read_only(p)
-        rows, queries = [], []
-        for t, block in enumerate(_step_blocks(payload, m.n_layers, m.n_heads, m.d_h, tokens.size), start=1):
-            r, q = block[:, :, :t], block[:, :, t:]
-            check_score_rows(r.astype(np.float64))
-            nonzero = q.any(axis=2)
-            if not nonzero.all():
-                layer, head = np.argwhere(~nonzero)[0]
-                raise ValueError(f"step {t}, layer {layer}, head {head}: zero query vector (cosine undefined)")
-            rows.append(r)
-            queries.append(q)
+        blocks = list(_step_blocks(payload, m.n_layers, m.n_heads, m.d_h, tokens.size))
+        heads = m.n_layers * m.n_heads
+        for first, stop in _check_spans(heads, m.d_h, tokens.size):
+            span = payload[_payload_floats(heads, 1, m.d_h, first - 1) : _payload_floats(heads, 1, m.d_h, stop - 1)]
+            if not _clearly_valid(span, first, stop, heads, m.d_h):
+                # the step-by-step check raises the first fault, naming its step, or passes a span near an edge
+                for t in range(first, stop):
+                    self._check_step(t, blocks[t - 1])
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "queries", tuple(queries))
+        object.__setattr__(self, "rows", tuple(block[:, :, :t] for t, block in enumerate(blocks, start=1)))
+        object.__setattr__(self, "queries", tuple(block[:, :, t:] for t, block in enumerate(blocks, start=1)))
+
+    @staticmethod
+    def _check_step(t: int, block: np.ndarray) -> None:
+        """Raise ValueError unless step t's (n_layers, n_heads, t + d_h) block has normalized rows, nonzero queries."""
+        check_score_rows(block[:, :, :t].astype(np.float64))
+        nonzero = block[:, :, t:].any(axis=2)
+        if not nonzero.all():
+            layer, head = np.argwhere(~nonzero)[0]
+            raise ValueError(f"step {t}, layer {layer}, head {head}: zero query vector (cosine undefined)")
 
     @property
     def n_steps(self) -> int:
         return int(self.tokens.size)
+
+
+def _check_spans(heads: int, d_h: int, n_steps: int) -> Iterator[tuple[int, int]]:
+    """Yield (first, stop): steps first..stop-1 make one span, the spans tiling 1..n_steps in order.
+
+    A span holds as many steps as fit in `CHECK_SPAN_BYTES` once converted
+    to float64, and at least one.
+    """
+    first, size = 1, 0
+    for t in range(1, n_steps + 1):
+        step = 8 * heads * (t + d_h)
+        if size and size + step > CHECK_SPAN_BYTES:
+            yield first, t
+            first, size = t, 0
+        size += step
+    yield first, n_steps + 1
+
+
+def _clearly_valid(span: np.ndarray, first: int, stop: int, heads: int, d_h: int) -> bool:
+    """Whether every step of a payload span, steps first..stop-1, passes `AttentionTrace._check_step` clearly.
+
+    Converts the span to float64 once and reduces each row and each query
+    vector in one `reduceat` per reduction. True when the rows lie within
+    [0, 1] (by `RANGE_TOL`, as `check_score_rows` decides), their sums lie
+    more than `_SUM_MARGIN` inside 1 +- `SUM_TOL`, and no query vector is
+    all zeros. False when any step may fail, including a sum too near an
+    edge for these sums, which differ from `check_score_rows`' in the last
+    bits, to decide.
+    """
+    x = span.astype(np.float64)
+    lengths = np.repeat(np.arange(first, stop), heads)  # each row's length, in payload order
+    starts = np.cumsum(lengths + d_h) - (lengths + d_h)
+    edges = np.stack([starts, starts + lengths], axis=1).ravel()  # each row's start, then its query's
+    lo, hi = np.minimum.reduceat(x, edges), np.maximum.reduceat(x, edges)
+    if not (lo[0::2].min() >= -RANGE_TOL and hi[0::2].max() <= 1.0 + RANGE_TOL):
+        return False
+    sums = np.add.reduceat(x, edges)[0::2]
+    # a query is zero when its min and max are; a NaN, like `any`, counts as nonzero
+    zero_query = (lo[1::2] == 0.0) & (hi[1::2] == 0.0)
+    inside = SUM_TOL - _SUM_MARGIN
+    return bool(sums.min() >= 1.0 - inside and sums.max() <= 1.0 + inside and not zero_query.any())
 
 
 def _payload_floats(n_layers: int, n_heads: int, d_h: int, n_steps: int) -> int:
@@ -274,14 +340,7 @@ def record(
     blocks = _step_blocks(payload, c.n_layers, c.n_heads, c.d_h, tokens.size)
     state = model.init_state(Full())
     for a in range(0, tokens.size, RECORD_CHUNK):
-        sr = model.decode_step(state, tokens[a : a + RECORD_CHUNK])
-        # the blocks last, so the chunk's end stops zip before it takes the next chunk's first block
-        for step_rows, step_queries, block in zip(sr.rows, sr.queries, blocks):
-            t = block.shape[2] - c.d_h
-            for li, layer in enumerate(step_rows):
-                for hd, row in enumerate(layer):
-                    block[li, hd, :t] = row.scores  # float64 to float32, the rounding astype makes
-            block[:, :, t:] = step_queries
+        _write_chunk(model.decode_step(state, tokens[a : a + RECORD_CHUNK]), blocks, c.d_h)
     # read-only, so the trace keeps it without a copy
     payload.flags.writeable = False
     meta = TraceMeta(
@@ -296,6 +355,22 @@ def record(
         seed=c.seed,
     )
     return AttentionTrace(meta, tokens, payload)
+
+
+def _write_chunk(sr: StepResult, blocks: Iterator[np.ndarray], d_h: int) -> None:
+    """Write a decoded chunk's rows and queries into its positions' payload blocks, the next ones of `blocks`.
+
+    The chunk's float64 rows are views of its per-layer score blocks, which
+    only this frame holds: they are freed when it returns, before the next
+    chunk is decoded.
+    """
+    # the blocks last, so the chunk's end stops zip before it takes the next chunk's first block
+    for step_rows, step_queries, block in zip(sr.rows, sr.queries, blocks):
+        t = block.shape[2] - d_h
+        for li, layer in enumerate(step_rows):
+            for hd, row in enumerate(layer):
+                block[li, hd, :t] = row.scores  # float64 to float32, the rounding astype makes
+        block[:, :, t:] = step_queries
 
 
 def _step_blocks(payload: np.ndarray, n_layers: int, n_heads: int, d_h: int, n_steps: int) -> Iterator[np.ndarray]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import os
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 from typing import Iterator
@@ -97,6 +98,16 @@ def cpu_features() -> str:
 def bit_environment() -> dict[str, str]:
     """What picks float bits besides the code: the BLAS kernel and numpy's enabled dispatch targets."""
     return {"openblas_core": openblas_core(), "cpu_features": cpu_features()}
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes that Python and numpy allocate while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def trace_of(rows, queries=None, d_h: int = 4, seed: int = 0) -> AttentionTrace:

@@ -1,12 +1,14 @@
 """Sparsity, similarity, overlap, divergence, and curve measurements."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import seeded_tokens, synthetic_blocks, trace_of
+from conftest import make_synthetic_trace, peak_bytes, seeded_tokens, synthetic_blocks, trace_of
 from corm.analysis import (
+    ARGMAX_ROWS,
     importance_overlap,
     output_divergence,
     overlap_similarity_samples,
@@ -17,8 +19,10 @@ from corm.analysis import (
     write_csv,
     write_similarity_csv,
 )
+from corm.attention import cosine_similarity
+from corm.cli import main
 from corm.policies import Corm, Full, StreamingLlm, mean_compression_rate
-from corm.trace import _payload_floats
+from corm.trace import _payload_floats, load, save
 
 
 def uniform_trace(n_steps=10):
@@ -113,6 +117,26 @@ class TestRecentSimilarityFraction:
         with pytest.raises(ValueError, match="at least 2 queries"):
             recent_similarity_fraction(np.zeros((1, 1)), 1)
 
+    @pytest.mark.parametrize("n", [2, 3, ARGMAX_ROWS, ARGMAX_ROWS + 1, ARGMAX_ROWS + 2, 3 * ARGMAX_ROWS + 5])
+    @pytest.mark.parametrize("k", [1, 2, ARGMAX_ROWS, 500])
+    def test_blocked_argmax_matches_a_per_row_reference(self, n, k):
+        # four values, so most rows tie; every third row is below zero, where the zero diagonal must not count
+        rng = np.random.Generator(np.random.PCG64(n))
+        sim = np.tril(rng.choice([-1.0, -0.5, 0.25, 0.5], size=(n, n)), k=-1)
+        sim[::3] = np.tril(-np.abs(sim[::3]) - 0.5, k=-1)
+        # rows on both sides of each block edge (blocks start at rows 1, 1 + ARGMAX_ROWS, ...) tie their
+        # first and last predecessor, so the first maximum decides
+        for edge in range(1 + ARGMAX_ROWS, n, ARGMAX_ROWS):
+            for i in (edge - 1, edge):
+                if i < n:
+                    sim[i, :i] = 0.0
+                    sim[i, [0, i - 1]] = 0.75
+        hits = 0
+        for i in range(1, n):
+            row = sim[i, :i].tolist()
+            hits += i - row.index(max(row)) <= k
+        assert recent_similarity_fraction(sim, k) == hits / (n - 1)
+
 
 class TestImportanceOverlap:
     def test_same_step_full_overlap(self, small_trace):
@@ -137,6 +161,21 @@ class TestImportanceOverlap:
         assert cos.shape == jac.shape == (4,)
         with pytest.raises(ValueError, match="at least 3 steps"):
             overlap_similarity_samples(trace_of(*synthetic_blocks(n_steps=2)), 0, 0, 4, seed=3)
+
+    @pytest.mark.parametrize("layer,head,seed", [(0, 0, 3), (1, 2, 11), (1, 3, 0)])
+    def test_samples_match_a_pairwise_loop(self, small_trace, layer, head, seed):
+        # the pairs as the RNG draws them, one cosine and one importance_overlap each
+        rng = np.random.Generator(np.random.PCG64(seed))
+        q = small_trace.queries
+        cos, jac = [], []
+        for _ in range(120):
+            i = int(rng.integers(3, small_trace.n_steps + 1))
+            j = int(rng.integers(2, i))
+            cos.append(cosine_similarity(q[i - 1][layer, head], q[j - 1][layer, head]))
+            jac.append(importance_overlap(small_trace, layer, head, i, j))
+        got = overlap_similarity_samples(small_trace, layer, head, 120, seed=seed)
+        assert got[0].tobytes() == np.array(cos).tobytes()
+        assert got[1].tobytes() == np.array(jac).tobytes()
 
     def test_sampling_is_deterministic(self, small_trace):
         a = overlap_similarity_samples(small_trace, 0, 0, 50, seed=3)
@@ -263,3 +302,18 @@ class TestWriters:
         assert lines[0] == ",,"
         assert lines[1] == "0.5,,"
         assert lines[2] == "0.5,0.5,"
+
+
+def test_analyze_holds_one_similarity_map_at_a_time(tmp_path):
+    # each head's 300 x 300 float64 map is 720 kB, about twice the trace file: building the next head's
+    # map beside the last one would peak near the trace plus two maps
+    save(make_synthetic_trace(n_heads=2, n_steps=300, seed=4), tmp_path / "t.trc")
+    tracemalloc.start()
+    try:
+        trace = load(tmp_path / "t.trc")  # noqa: F841 (held while its bytes are counted)
+        trace_bytes = tracemalloc.get_traced_memory()[0]  # the file and its step views
+    finally:
+        tracemalloc.stop()
+    sim_map = 8 * 300 * 300
+    peak = peak_bytes(lambda: main(["analyze", "--trace", str(tmp_path / "t.trc"), "--out", str(tmp_path / "a")]))
+    assert peak < trace_bytes + 1.5 * sim_map, f"analyze peaked {(peak - trace_bytes) / sim_map:.2f} maps above it"

@@ -3,7 +3,6 @@
 import dataclasses
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ import corm.trace as trace_mod
 from conftest import (
     README_EXAMPLES,
     make_synthetic_trace,
+    peak_bytes,
     replay_steps,
     seeded_tokens,
     synthetic_blocks,
@@ -19,6 +19,7 @@ from conftest import (
     write_trace_file,
 )
 from corm.analysis import sparsity_profile
+from corm.attention import SUM_TOL, check_score_rows
 from corm.model import ModelConfig, init_model
 from corm.policies import H2O, POLICIES, Corm, CormGqa, Full, Scissorhands, StreamingLlm, Tova, apply_policy
 from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
@@ -37,16 +38,6 @@ from corm.trace import (
     save,
     trace_byte_size,
 )
-
-
-def peak_bytes(fn) -> int:
-    """Peak bytes that Python and numpy allocate while `fn()` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestRecord:
@@ -475,6 +466,127 @@ class TestReplay:
         assert peak < 1_000_000, f"replay peaked at {peak} bytes"
 
 
+def stepwise_error(rows, queries) -> str | None:
+    """The first error a step-by-step check of float32 rows and queries raises, in step order; None if none.
+
+    The reference for the span-wise construction check: each step's rows
+    through `check_score_rows` in float64, then its queries for an all-zero
+    vector, step after step.
+    """
+    for t, (r, q) in enumerate(zip(rows, queries), start=1):
+        try:
+            check_score_rows(np.asarray(r, dtype=np.float32).astype(np.float64))
+        except ValueError as err:
+            return str(err)
+        zero = ~np.asarray(q, dtype=np.float32).any(axis=2)
+        if zero.any():
+            layer, head = np.argwhere(zero)[0]
+            return f"step {t}, layer {layer}, head {head}: zero query vector (cosine undefined)"
+    return None
+
+
+def row_summing_to(total: float) -> np.ndarray:
+    """Three float32 scores within [0, 1] whose float64 sum, taken left to right, is exactly `total`."""
+    parts, rest = [], total
+    for _ in range(2):
+        part = np.float32(min(rest, 1.0))
+        if float(part) > rest:  # compared in float64: numpy compares a float32 with a Python float in float32
+            part = np.nextafter(part, np.float32(0.0))
+        parts.append(part)
+        rest -= float(part)  # exact: part is rest rounded down to float32
+    parts.append(np.float32(rest))
+    row = np.array(parts, dtype=np.float32)
+    assert float(row[2]) == rest >= 0.0 and row.astype(np.float64).sum() == total
+    return row
+
+
+class TestSpanCheck:
+    """Building a trace checks its steps span by span, deciding every step as a step-by-step check would."""
+
+    N_STEPS = 30
+    SPAN_BYTES = 4352  # with 2 layers, 2 heads and d_h 4, step t is 32 * (t + 4) float64 bytes: spans of 3 to 12 steps
+
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        monkeypatch.setattr(trace_mod, "CHECK_SPAN_BYTES", self.SPAN_BYTES)
+        spans = list(trace_mod._check_spans(4, 4, self.N_STEPS))
+        # in order and tiling the steps, several multi-step spans, and a final span the trace's end cuts short
+        assert [first for first, _ in spans[1:]] == [stop for _, stop in spans[:-1]]
+        assert spans[0][0] == 1 and spans[-1][1] == self.N_STEPS + 1
+        assert len(spans) >= 4 and spans[1][1] - spans[1][0] >= 2
+        assert 32 * sum(t + 4 for t in range(*spans[-1])) + 32 * (self.N_STEPS + 5) <= self.SPAN_BYTES
+        return spans
+
+    @pytest.mark.parametrize("where", ["span_first", "span_last", "final_first", "final_last"])
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("nan", r"scores contain NaN or Inf"),
+            ("below_zero", r"scores must lie in \[0, 1\]"),
+            ("above_one", r"scores must lie in \[0, 1\]"),
+            ("sum_off_2e-6", r"scores sum to 1\.00000(19|20)\d*, expected 1 within 1e-06"),
+            ("zero_query", r"step {t}, layer 1, head 1: zero query vector \(cosine undefined\)"),
+        ],
+    )
+    def test_a_fault_raises_the_stepwise_error(self, spans, where, fault, message):
+        first, stop = {"span": spans[1], "final": spans[-1]}[where.split("_")[0]]
+        t = first if where.endswith("first") else stop - 1
+        rows, queries = synthetic_blocks(n_layers=2, n_heads=2, n_steps=self.N_STEPS, seed=t)
+        row = rows[t - 1][1, 0]
+        if fault == "nan":
+            row[t // 2] = np.nan
+        elif fault == "below_zero":
+            row[0] = -0.25
+        elif fault == "above_one":
+            row[0] = 1.5
+        elif fault == "sum_off_2e-6":
+            i = int(np.argmin(row))
+            row[i] = row[i] + (1.0 + 2e-6 - row.astype(np.float64).sum())
+        else:
+            queries[t - 1][1, 1] = 0.0
+        if t < self.N_STEPS:
+            queries[-1][0, 0] = 0.0  # a later fault, which must not be the one reported
+        with pytest.raises(ValueError) as err:
+            trace_of(rows, queries)
+        assert str(err.value) == stepwise_error(rows, queries)
+        assert re.fullmatch(message.format(t=t), str(err.value))
+
+    @pytest.mark.parametrize(
+        "total,valid",
+        [
+            (1.0 + SUM_TOL, True),
+            (np.nextafter(1.0 + SUM_TOL, 2.0), False),
+            (np.nextafter(1.0 + SUM_TOL, 0.0), True),
+            (1.0 - SUM_TOL, True),
+            (np.nextafter(1.0 - SUM_TOL, 0.0), False),
+            (np.nextafter(1.0 - SUM_TOL, 2.0), True),
+            # where a span's sums stop passing without the step-by-step check
+            (1.0 + SUM_TOL - trace_mod._SUM_MARGIN, True),
+            (1.0 - SUM_TOL + trace_mod._SUM_MARGIN, True),
+        ],
+    )
+    def test_a_row_sum_at_the_tolerance_edge_is_decided_stepwise(self, spans, total, valid):
+        rows = [np.full((2, 2, t), 1.0 / t, dtype=np.float32) for t in range(1, self.N_STEPS + 1)]
+        for t in (3, spans[1][1] - 1, self.N_STEPS):  # first span, a span's last step, the final span
+            rows[t - 1][1, 1, :3] = row_summing_to(total)
+            rows[t - 1][1, 1, 3:] = 0.0
+        queries = [np.ones((2, 2, 4), dtype=np.float32)] * self.N_STEPS
+        assert (stepwise_error(rows, queries) is None) == valid
+        if valid:
+            trace_of(rows, queries)
+        else:
+            with pytest.raises(ValueError, match=r"scores sum to "):
+                trace_of(rows, queries)
+
+    def test_record_writes_one_payload_whatever_the_chunk(self, small_model, monkeypatch):
+        tokens = seeded_tokens(7, 70)
+        payloads = set()
+        for chunk in (1, 8, RECORD_CHUNK, 64):
+            monkeypatch.setattr(trace_mod, "RECORD_CHUNK", chunk)
+            payloads.add(record(small_model, tokens).payload.tobytes())
+        assert len(payloads) == 1
+
+
 class TestReplayRowChecks:
     """A trace checks its rows once, when it is built; replay reads them unchecked."""
 
@@ -497,26 +609,33 @@ class TestReplayRowChecks:
             tr.rows[4] *= 0.5
 
     def test_load_checks_each_step_once_and_replay_never(self, small_model, small_trace, tmp_path, monkeypatch):
-        checked = []
-        real = trace_mod.check_score_rows
+        # a valid trace's steps are checked in spans, each step in one; none needs the step-by-step check
+        checked, stepped = [], []
+        real_span, real_rows = trace_mod._clearly_valid, trace_mod.check_score_rows
 
-        def counting(rows):
-            checked.append(rows.shape)
-            real(rows)
+        def counting_span(span, first, stop, heads, d_h):
+            checked.extend(range(first, stop))
+            return real_span(span, first, stop, heads, d_h)
 
-        monkeypatch.setattr(trace_mod, "check_score_rows", counting)
+        def counting_rows(rows):
+            stepped.append(rows.shape)
+            real_rows(rows)
+
+        monkeypatch.setattr(trace_mod, "_clearly_valid", counting_span)
+        monkeypatch.setattr(trace_mod, "check_score_rows", counting_rows)
+        monkeypatch.setattr(trace_mod, "CHECK_SPAN_BYTES", 4096)  # spans of one to three steps
         path = tmp_path / "t.trc"
         save(small_trace, path)
         assert checked == []
         trace = load(path)
-        assert checked == [(2, 4, t) for t in range(1, trace.n_steps + 1)]
+        assert checked == list(range(1, trace.n_steps + 1)) and stepped == []
         checked.clear()
         record(small_model, seeded_tokens(1, 8))
-        assert checked == [(2, 4, t) for t in range(1, 9)]
+        assert checked == list(range(1, 9)) and stepped == []
         for name, (_, policy) in README_EXAMPLES.items():
             checked.clear()
             replay_policy(trace, policy)
-            assert checked == [], f"replay under {name} checked rows again"
+            assert checked == [] and stepped == [], f"replay under {name} checked rows again"
 
     def test_restricted_row_without_mass_rejected_without_nan(self):
         # streaming:1+1 keeps positions 1 and 3 after step 3; step 4's row

@@ -220,6 +220,28 @@ MUTANTS = [
         ("tests/test_trace.py::TestSaveLoad::test_payload_changed_after_building_reaches_neither_the_trace_nor_its_file",),
     ),
     Mutant(
+        "span check skips its last step",
+        "trace.py",
+        "lengths = np.repeat(np.arange(first, stop), heads)",
+        # the last step's rows and queries then fall into the step before's last query
+        "lengths = np.repeat(np.arange(first, stop - 1), heads)",
+        ("tests/test_trace.py::TestSpanCheck",),
+    ),
+    Mutant(
+        "span check passes a row sum 2e-6 off",
+        "trace.py",
+        "_SUM_MARGIN = 1e-9\n",
+        "_SUM_MARGIN = -2e-6\n",
+        ("tests/test_trace.py::TestSpanCheck",),
+    ),
+    Mutant(
+        "blocked argmax lets column j = i in",
+        "analysis.py",
+        "where=np.tri(b - a, b - 1, k=a - 1, dtype=bool)",
+        "where=np.tri(b - a, b - 1, k=a, dtype=bool)",
+        ("tests/test_analysis.py::TestRecentSimilarityFraction",),
+    ),
+    Mutant(
         "token ids converted to int64 before the range check",
         "manifest.py",
         "ids = [int(p) for p in parts]",
