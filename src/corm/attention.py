@@ -5,25 +5,23 @@ stored: eviction decisions compare normalized scores against a 1/t threshold,
 which is sensitive near equality, so this module never drops to float32.
 Every function here is stateless and safe to call concurrently.
 
-Blocks of unequal lengths: `scaled_dot_scores`, `softmax_normalize` and
-`attention_output` take an optional `runs`, a list of `(start, stop, n)`
-that tiles the first axis of a `(heads, ..., m)` block (a cache block's
-`equal_size_runs()`): heads start..stop-1 hold n valid entries each, in
-columns [0, n), and the columns past n are pads. One call then handles the
-whole block. Only the calls whose bits depend on the length run once per
-run -- the score gemv, the softmax row sum and the output gemv -- each over
-exactly its run's n columns, so every head's results have the bits of a
-single-head call. A run of one head with one query makes its gemvs with a
-2-D `np.dot`, which gives the bits of the batched `np.matmul` and skips its
-batch loop. Everything elementwise (the scale, the max, which is exact
-under -inf pads, the exp and the divide) runs once over the block. Each
-stage computes in place in the array it returns: the per-run results are
-written straight into it and the elementwise steps make no temporaries.
-With `runs`, that array has the leading shape of the first argument, which
-the keys or values must broadcast to. Score and softmax pads come out as
-exactly 0.0, whatever the pads held on input: a NaN or Inf raises only in
-a valid entry. No function writes to its input. A block whose runs all
-span m columns has no pads and takes the plain path, with no extra copy.
+Blocks of unequal lengths: a `runs` argument, a list of `(start, stop, n)`,
+tiles the first axis of a `(heads, ..., m)` block: heads start..stop-1 hold
+n valid entries each, in columns [0, n), and the columns past n are pads.
+`attend_position` serves one position's `(kv_heads, group, m)` block over a
+cache's `equal_size_runs()`; the three stages, `scaled_dot_scores`,
+`softmax_normalize` and `attention_output`, serve a never-evicting chunk's
+`(n, kv_heads, group, m)` block, one run per position. Only the calls whose
+bits depend on the length run once per run -- the score gemv, the softmax
+row sum and the output gemv -- each over exactly its run's n columns, so
+every head's results have the bits of a single-head call (in
+`attend_position`, a run of one head with one query takes a 2-D `np.dot`
+and a 1-D row sum, which have the batched calls' bits). The elementwise
+steps (scale, max, exact under -inf pads, exp, divide) run once over the
+block, in place in the array returned, which has the first argument's
+leading shape. Score and softmax pads come out as exactly 0.0, whatever the
+pads held: a NaN or Inf raises only in a valid entry. No function writes
+to its input. A block whose runs all span m columns takes the plain path.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "AttentionRow",
+    "attend_position",
     "check_score_rows",
     "scaled_dot_scores",
     "softmax_normalize",
@@ -144,12 +143,8 @@ def scaled_dot_scores(q, keys, d_h: int, runs: Runs | None = None) -> np.ndarray
         scores = np.matmul(kmat, q[..., None])[..., 0]
     else:
         scores = np.zeros(q.shape[:-1] + (m,))
-        gemv = q.shape[1:-1] == (1,) and kmat.shape[1:-2] == (1,)  # one query and one key block per head
         for a, b, n in runs:
-            if gemv and b - a == 1:
-                np.dot(kmat[a, 0, :n], q[a, 0], out=scores[a, 0, :n])
-            else:
-                np.matmul(kmat[a:b, ..., :n, :], q[a:b, ..., None], out=scores[a:b, ..., :n, None])
+            np.matmul(kmat[a:b, ..., :n, :], q[a:b, ..., None], out=scores[a:b, ..., :n, None])
     scores /= math.sqrt(d_h)
     return scores
 
@@ -222,13 +217,44 @@ def attention_output(scores, values, runs: Runs | None = None) -> np.ndarray:
     if not _padded(runs, s.shape[0], s.shape[-1]):
         return np.matmul(s[..., None, :], v)[..., 0, :]
     out = np.empty(s.shape[:-1] + v.shape[-1:])
-    gemv = s.shape[1:-1] == (1,) and v.shape[1:-2] == (1,)  # one score row and one value block per head
     for a, b, n in runs:
-        if gemv and b - a == 1:
-            np.dot(s[a, 0, :n], v[a, 0, :n], out=out[a, 0])
-        else:
-            np.matmul(s[a:b, ..., None, :n], v[a:b, ..., :n, :], out=out[a:b, ..., None, :])
+        np.matmul(s[a:b, ..., None, :n], v[a:b, ..., :n, :], out=out[a:b, ..., None, :])
     return out
+
+
+def attend_position(q, keys, values, runs: Runs, gain, bias=None) -> tuple[np.ndarray, np.ndarray]:
+    """`softmax_normalize(scaled_dot_scores(q, keys, d_h, runs) * gain - bias, runs)` and its `attention_output`,
+    with those calls' bits, in one block: q is (heads, group, d_h), keys and values (heads, m, d_h), m the longest n."""
+    (heads, group, d_h), m = q.shape, keys.shape[1]
+    scores, totals, out = np.zeros((heads, group, m)), np.empty((heads, group, 1)), np.empty(q.shape)
+    for a, b, n in runs:
+        if group == 1 and b - a == 1:
+            np.dot(keys[a, :n], q[a, 0], out=scores[a, 0, :n])
+        else:
+            np.matmul(keys[a:b, None, :n], q[a:b, :, :, None], out=scores[a:b, :, :n, None])
+    scores /= math.sqrt(d_h)
+    scores *= gain
+    if bias is not None:
+        scores -= bias
+    if not np.isfinite(scores).all() and not all(np.isfinite(scores[a:b, :, :n]).all() for a, b, n in runs):
+        raise ValueError("softmax input contains NaN or Inf")
+    for a, b, n in runs:
+        if n < m:
+            scores[a:b, :, n:] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    for a, b, n in runs:
+        if group == 1 and b - a == 1:
+            totals[a, 0, 0] = np.add.reduce(scores[a, 0, :n])
+        else:
+            np.add.reduce(scores[a:b, :, :n], axis=-1, keepdims=True, out=totals[a:b])
+    scores /= totals
+    for a, b, n in runs:
+        if group == 1 and b - a == 1:
+            np.dot(scores[a, 0, :n], values[a, :n], out=out[a, 0])
+        else:
+            np.matmul(scores[a:b, :, None, :n], values[a:b, None, :n], out=out[a:b, :, None])
+    return scores, out
 
 
 def stable_argsort_desc(scores) -> np.ndarray:

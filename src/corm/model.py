@@ -37,19 +37,18 @@ evicted entries are compacted away in place, and each entry's original
 absolute position is retained so rotary encoding and position-based
 bookkeeping stay correct after eviction.
 
-Attention makes one call of each attention function per layer and position
-(a `(kv_heads, group, m)` block, m the longest head) or per layer and
-never-evicting chunk (an `(n, kv_heads, group, m)` block). Its runs go with
-it: the position's runs of kv heads with equally many entries
-(`KvCacheState.equal_size_runs`), or one run per chunk position,
-`(i, i + 1, t0 + i + 1)`. Only the score gemv, the softmax row sum and the
-output gemv run once per run over exactly its entries, and the elementwise
-steps (scale, head gain, ALiBi bias at each query's step, max, exp, divide)
-once over the block, in place in the block each stage returns. So every
-head's scores come from the same products and reductions as a single-head,
-single-position computation, and the logits are bit-identical to per-head
-attention. A position's block under `full`, or a budgeted policy at budget,
-is one run and pays for no padding.
+Attention makes one call of `attend_position` per layer and position, over
+a `(kv_heads, group, m)` block (m the longest head) and the position's runs
+of equally long kv heads (`KvCacheState.equal_size_runs`), and one call of
+each attention stage per layer and never-evicting chunk, over an
+`(n, kv_heads, group, m)` block with one run per position. Only the score
+gemv, the softmax row sum and the output gemv run once per run over
+exactly its entries; the elementwise steps (scale, head gain, ALiBi bias
+at each query's step, max, exp, divide) run once over the block, in place.
+So every head's scores come from the same products and reductions as a
+single-head, single-position computation, and the logits are bit-identical
+to per-head attention. A position's block under `full`, or a budgeted
+policy at budget, is one run and pays for no padding.
 
 Weight draw order (one generator, consumed in sequence): token embedding;
 learned position table (only when configured); per layer: wq, wk, wv, wo,
@@ -68,6 +67,7 @@ import numpy as np
 
 from .attention import (
     AttentionRow,
+    attend_position,
     attention_output,
     scaled_dot_scores,
     softmax_normalize,
@@ -309,18 +309,17 @@ class ToyTransformer:
         """Steps `cache.step + 1 ...` of `tokens` (n,) int64, layer by layer; returns their (n, vocab) logits.
 
         The chunk's dense stages run once per layer over its stacked rows
-        (module docstring). Attention reads the surviving cache entries
-        only; rotary encoding uses each entry's original absolute position.
-        Under a policy that may evict, and for a chunk of one, attention and
-        the policy run once per layer and position: the policy gets the
-        layer's softmax block, zero past each kv head's size, after the
-        position's attention output, so an eviction first affects the next
-        position. Under a policy that never evicts, a chunk appends once and
-        attends once per layer, and the policy is not called. Each
-        position's cache sizes go to `state.step_sizes`. With `rows` (n empty
-        lists) and `queries` (n, n_layers, n_heads, d_h), the call also keeps
-        each position's attention rows, layer by layer, and its post-rotary
-        queries (`StepResult`).
+        (module docstring). Attention reads the surviving cache entries only;
+        rotary encoding uses each entry's original absolute position. Under a
+        policy that may evict, and for a chunk of one, each position attends
+        in one `attend_position` call per layer; then the policy gets the
+        layer's softmax block, zero past each kv head's size, so an eviction
+        first affects the next position. A never-evicting chunk appends once
+        and attends in one call of each stage per layer, and the policy is not
+        called. Each position's cache sizes go to `state.step_sizes`. With
+        `rows` (n empty lists) and `queries` (n, n_layers, n_heads, d_h), the
+        call also keeps each position's attention rows, layer by layer, and
+        its post-rotary queries (`StepResult`).
 
         Errors are a token-by-token pass's: the first bad token id, or the
         first step past the learned position table, whichever comes first.
@@ -355,19 +354,29 @@ class ToyTransformer:
             q = q.reshape(n, kv, gs, d_h)  # query heads grouped by the kv head they read
             cache = state.caches[li]
             if state.policy.evicts or n == 1:  # a lone position costs less without the chunk block
-                outs = np.empty((n, kv, gs, d_h))
+                outs, slopes, gain = np.empty((n, kv, gs, d_h)), self._slopes, self._gains[li]
                 for i in range(n):
                     cache.append(k[i], v[i])
-                    scores, outs[i] = self._attend(li, q[i], cache, cache.step, cache.equal_size_runs())
+                    m = cache.width
+                    bias = None if slopes is None else slopes * (cache.step - cache.positions[:, None, :m])
+                    keys, values, runs = cache.keys[:, :m], cache.values[:, :m], cache.equal_size_runs()
+                    scores, outs[i] = attend_position(q[i], keys, values, runs, gain, bias)
                     if rows is not None:
                         rows[i].append(_layer_rows(scores, cache.step, cache.sizes, gs))
                     apply_policy(state.policy, cache, scores)
                     sizes[i] += cache.sizes
             else:
-                # nothing is evicted: position i reads the first t0 + i + 1 entries, one run each
+                # nothing is evicted: position i reads the first t0 + i + 1 entries, one run each, in one block
                 cache.append(k, v)
-                runs = [(i, i + 1, t0 + i + 1) for i in range(n)]
-                scores, outs = self._attend(li, q, cache, np.arange(t0 + 1, t0 + n + 1)[:, None, None, None], runs)
+                m, runs = cache.width, [(i, i + 1, t0 + i + 1) for i in range(n)]
+                keys, values = (np.broadcast_to(a[:, None, :m], (n, kv, 1, m, d_h)) for a in (cache.keys, cache.values))
+                scores = scaled_dot_scores(q, keys, d_h, runs)  # the logits, freed by the softmax
+                scores *= self._gains[li]
+                if self._slopes is not None:
+                    steps = np.arange(t0 + 1, t0 + n + 1)[:, None, None, None]
+                    scores -= self._slopes * (steps - cache.positions[:, None, :m])
+                scores = softmax_normalize(scores, runs)
+                outs = attention_output(scores, values, runs)
                 for i, t in enumerate(range(t0 + 1, t0 + n + 1)):
                     if rows is not None:
                         rows[i].append(_layer_rows(scores[i], t, [t] * kv, gs))
@@ -379,21 +388,6 @@ class ToyTransformer:
         state.last_logits = logits[-1]
         state.step_sizes += sizes
         return logits
-
-    def _attend(self, li: int, q: np.ndarray, cache: KvCacheState, steps, runs) -> tuple[np.ndarray, np.ndarray]:
-        """Layer li's softmax block and outputs, one call of each stage, for one position's
-        queries q, (kv_heads, group, d_h), or a chunk's, (n, kv_heads, group, d_h), over the
-        block's entries; `runs` tiles q's first axis and `steps` are the queries' steps (ALiBi)."""
-        m, d_h = cache.width, self.config.d_h
-        keys, values = cache.keys[:, None, :m], cache.values[:, None, :m]
-        if q.ndim == 4:
-            keys, values = (np.broadcast_to(a, (len(q),) + a.shape) for a in (keys, values))
-        logits = scaled_dot_scores(q, keys, d_h, runs)
-        logits *= self._gains[li]
-        if self._slopes is not None:
-            logits -= self._slopes * (steps - cache.positions[:, None, :m])
-        scores = softmax_normalize(logits, runs)
-        return scores, attention_output(scores, values, runs)
 
     def decode_step(self, state: DecoderState, tokens: int | Sequence[int]) -> StepResult:
         """Process a chunk of n tokens (an int is a chunk of one) through the forward (`_forward`).

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corm.attention import (
     AttentionRow,
+    attend_position,
     attention_output,
     check_score_rows,
     cosine_similarity,
@@ -304,6 +305,86 @@ class TestRunBlocks:
     def test_runs_must_tile_the_heads(self, runs):
         with pytest.raises(ValueError, match="run"):
             softmax_normalize(np.zeros((4, 1, 5)), runs)
+
+
+@st.composite
+def position_blocks(draw):
+    """One position's (heads, group, m) block as a cache gives it: per-head sizes, m the longest."""
+    heads = draw(st.integers(1, 8))
+    group = draw(st.sampled_from([1, 2, 4]))
+    # a few distinct sizes, so that runs of one and of several heads occur
+    choices = draw(st.lists(st.integers(1, 200), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from(choices), min_size=heads, max_size=heads))
+    d = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    biased = draw(st.booleans())
+    poison = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return sizes, group, d, seed, biased, poison
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestAttendPosition:
+    """The fused one-position call has the bits of the three stages' calls over the same runs."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(position_blocks())
+    def test_bits_of_the_three_stages(self, block):
+        sizes, group, d, seed, biased, poison = block
+        heads, runs, m = len(sizes), runs_of(sizes), max(sizes)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        q = rng.normal(size=(heads, group, d))
+        keys = rng.normal(size=(heads, m, d))
+        values = rng.normal(size=(heads, m, d))
+        gain = rng.uniform(0.5, 3.0, size=(heads, group, 1)) * rng.choice([-1.0, 1.0], size=(heads, group, 1))
+        bias = None
+        if biased:
+            bias = rng.uniform(0.01, 1.0, size=(heads, group, 1)) * rng.integers(0, 400, size=(heads, 1, m))
+        # the pads, past each head's size, hold NaN: the call must never read them
+        for h, n in enumerate(sizes):
+            keys[h, n:] = values[h, n:] = np.nan
+            if biased:
+                bias[h, :, n:] = np.nan
+        inputs = [a.copy() for a in (q, keys, values, gain)]
+
+        def staged(q, keys, values, bias):
+            logits = scaled_dot_scores(q, keys[:, None], d, runs) * gain
+            if bias is not None:
+                logits = logits - bias
+            scores = softmax_normalize(logits, runs)
+            return scores, attention_output(scores, values[:, None], runs)
+
+        scores, out = attend_position(q, keys, values, runs, gain, bias)
+        ref_scores, ref_out = staged(q, keys, values, bias)
+        assert np.array_equal(scores, ref_scores) and np.array_equal(out, ref_out)
+        for arr, before in zip((q, keys, values, gain), inputs):
+            assert np.array_equal(arr, before, equal_nan=True)
+
+        # a NaN or infinity in a valid entry raises the stages' error (an
+        # infinite key may make its score NaN, which numpy warns of)
+        h = int(rng.integers(heads))
+        j = int(rng.integers(sizes[h]))
+        bad_keys, bad_bias = keys.copy(), None if bias is None else bias.copy()
+        if biased:
+            bad_bias[h, -1, j] = poison
+        else:
+            bad_keys[h, j] = poison
+        with np.errstate(invalid="ignore"):
+            message = _error(attend_position, q, bad_keys, values, runs, gain, bad_bias)
+            assert message == _error(staged, q, bad_keys, values, bad_bias) == "softmax input contains NaN or Inf"
+
+    def test_a_pad_after_a_longer_head_is_never_read(self):
+        # heads of 3 and 5 entries: the first head's pads sit inside the block
+        runs = runs_of([3, 5])
+        keys = np.ones((2, 5, 2))
+        keys[0, 3:] = np.inf
+        scores, out = attend_position(np.ones((2, 1, 2)), keys, np.ones((2, 5, 2)), runs, 1.0)
+        assert np.array_equal(scores[0, 0], [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0])
+        assert np.all(scores[1, 0] == 0.2) and np.array_equal(out, np.ones((2, 1, 2)))
 
 
 class TestScalingMaskRanking:

@@ -257,12 +257,14 @@ class TestDecodeOracle:
 
 class TestOneAttentionCallPerLayer:
     def test_each_attention_function_runs_once_per_layer_whatever_the_sizes(self, monkeypatch):
-        # corm leaves the heads of a layer at different lengths; one call of
-        # each function still covers the layer's block
+        # corm leaves the heads of a layer at different lengths; one fused
+        # call per layer and position still covers the layer's block, and
+        # the chunk stages are not called
         import corm.model as model_module
 
+        names = ("attend_position", "scaled_dot_scores", "softmax_normalize", "attention_output")
         calls = {}
-        for name in ("scaled_dot_scores", "softmax_normalize", "attention_output"):
+        for name in names:
             def counted(*args, _name=name, _fn=getattr(model_module, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -273,10 +275,10 @@ class TestOneAttentionCallPerLayer:
         state = model.init_state(Corm(w=8, r=8))
         unequal_steps = 0
         for tok in seeded_tokens(11, 120):
-            calls.update(dict.fromkeys(("scaled_dot_scores", "softmax_normalize", "attention_output"), 0))
+            calls.update(dict.fromkeys(names, 0))
             unequal_steps += any(len(set(cache.sizes)) > 1 for cache in state.caches)
             model.decode_step(state, int(tok))
-            assert set(calls.values()) == {cfg.n_layers}, calls
+            assert calls == {**dict.fromkeys(names, 0), "attend_position": cfg.n_layers}, calls
         assert unequal_steps > 50
 
 
@@ -584,7 +586,8 @@ class TestFullChunks:
         import corm.model as model_module
         from corm.policies import KvCacheState
 
-        calls = dict.fromkeys(("append", "scaled_dot_scores", "softmax_normalize", "attention_output", "apply_policy"), 0)
+        stages = ("scaled_dot_scores", "softmax_normalize", "attention_output")
+        calls = dict.fromkeys(("append", *stages, "attend_position", "apply_policy"), 0)
         for name in calls:
             owner = KvCacheState if name == "append" else model_module
             def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
@@ -595,7 +598,9 @@ class TestFullChunks:
         model = init_model(ModelConfig(**BASE, seed=42))
         model.run(seeded_tokens(24, 2 * PREFILL_CHUNK + 1), Full())
         # two whole chunks attend as blocks; the last position, a chunk of one, steps as in `generate`
-        assert calls == {**dict.fromkeys(calls, 3 * model.config.n_layers), "apply_policy": model.config.n_layers}
+        layers = model.config.n_layers
+        assert calls == {"append": 3 * layers, **dict.fromkeys(stages, 2 * layers),
+                         "attend_position": layers, "apply_policy": layers}
 
 
 class TestErrorsMatchTokenByToken:

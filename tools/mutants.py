@@ -64,9 +64,23 @@ MUTANTS = [
     Mutant(
         "score gemv for a run of two heads",
         "attention.py",
-        "            if gemv and b - a == 1:\n                np.dot(kmat",
-        "            if gemv and b - a <= 2:\n                np.dot(kmat",
-        ("tests/test_attention.py",),
+        "        if group == 1 and b - a == 1:\n            np.dot(keys",
+        "        if group == 1 and b - a <= 2:\n            np.dot(keys",
+        ("tests/test_attention.py", "tests/test_model.py"),
+    ),
+    Mutant(
+        "fused row sum over m columns",
+        "attention.py",
+        "totals[a, 0, 0] = np.add.reduce(scores[a, 0, :n])",
+        "totals[a, 0, 0] = np.add.reduce(scores[a, 0, :m])",
+        ("tests/test_attention.py", "tests/test_model.py"),
+    ),
+    Mutant(
+        "fused run one entry short when heads are unequal",
+        "attention.py",
+        "scores[a:b, :, n:] = -np.inf",
+        "scores[a:b, :, n - 1 :] = -np.inf",
+        ("tests/test_attention.py", "tests/test_model.py"),
     ),
     Mutant(
         "softmax writes into its input",
@@ -258,8 +272,8 @@ MUTANTS = [
     Mutant(
         "chunk run one entry short",
         "model.py",
-        "runs = [(i, i + 1, t0 + i + 1) for i in range(n)]",
-        "runs = [(i, i + 1, t0 + i) for i in range(n)]",
+        "[(i, i + 1, t0 + i + 1) for i in range(n)]",
+        "[(i, i + 1, t0 + i) for i in range(n)]",
         ("tests/test_model.py::TestFullChunks",),
     ),
     Mutant(
