@@ -11,6 +11,8 @@ Memory: `query_similarity_map` builds one head's T x T float64 map (2 MB at
 T = 512, 32 MB at T = 2048). `corm analyze` frees each head's map before it
 builds the next, and `recent_similarity_fraction` reads a map `ARGMAX_ROWS`
 rows at a time, so analysis holds the trace plus about one map.
+`output_divergence` works `ARGMAX_ROWS` rows at a time too, so beyond its
+two (T, vocab) inputs it holds O(ARGMAX_ROWS x vocab) temporaries.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .attention import cosine_similarity
 from .policies import classify_important
 from .trace import AttentionTrace
 
-# Rows per block in `recent_similarity_fraction`.
+# Rows per block in `recent_similarity_fraction` and `output_divergence`.
 ARGMAX_ROWS = 32
 
 __all__ = [
@@ -201,19 +203,33 @@ class Divergence:
 
 
 def output_divergence(logits_ref: np.ndarray, logits_other: np.ndarray) -> Divergence:
-    """Top-1 agreement and mean KL(reference || other) of per-step logits."""
+    """Top-1 agreement and KL(reference || other) of each step's logits.
+
+    Rows are taken `ARGMAX_ROWS` at a time into three reused buffers, so the
+    temporaries hold O(ARGMAX_ROWS x vocab) values beyond the inputs, which
+    are never written. Each row's KL has the bits of the whole-array formula
+    `sum(p * (log p - log q))`: every op is elementwise or reduces one row.
+    """
     a = np.asarray(logits_ref, dtype=np.float64)
     b = np.asarray(logits_other, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError(f"logit shapes differ: {a.shape} vs {b.shape}")
     match = np.argmax(a, axis=1) == np.argmax(b, axis=1)
-    la = a - a.max(axis=1, keepdims=True)
-    lb = b - b.max(axis=1, keepdims=True)
-    logp = la - np.log(np.exp(la).sum(axis=1, keepdims=True))
-    logq = lb - np.log(np.exp(lb).sum(axis=1, keepdims=True))
-    p = np.exp(logp)
-    kl = np.sum(p * (logp - logq), axis=1)
-    return Divergence(top1_match=match, kl=np.maximum(kl, 0.0))
+    n, vocab = a.shape
+    kl = np.empty(n)
+    logp, logq, p = (np.empty((min(ARGMAX_ROWS, n), vocab)) for _ in range(3))
+    for s in range(0, n, ARGMAX_ROWS):
+        e = min(s + ARGMAX_ROWS, n)
+        lp, lq, pb = logp[: e - s], logq[: e - s], p[: e - s]
+        # log-softmax of each block, with p as the exp scratch: x - max - log(sum(exp(x - max)))
+        for x, out in ((a[s:e], lp), (b[s:e], lq)):
+            np.subtract(x, x.max(axis=1, keepdims=True), out=out)
+            np.subtract(out, np.log(np.exp(out, out=pb).sum(axis=1, keepdims=True)), out=out)
+        np.exp(lp, out=pb)
+        np.subtract(lp, lq, out=lq)
+        np.multiply(lq, pb, out=lq)
+        np.sum(lq, axis=1, out=kl[s:e])
+    return Divergence(top1_match=match, kl=np.maximum(kl, 0.0, out=kl))
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_synthetic_trace, peak_bytes, seeded_tokens, synthetic_blocks, trace_of
 from corm.analysis import (
@@ -243,6 +245,43 @@ class TestOutputDivergence:
         div = output_divergence(lf, lc)
         assert div.top1_match.mean() == pytest.approx(0.515625, abs=1e-12)
         assert div.kl.mean() == pytest.approx(0.07523634749919109, rel=1e-9)
+
+    @staticmethod
+    def unblocked(a, b):
+        """The whole-array formula the blocked function must reproduce bit for bit."""
+        match = np.argmax(a, axis=1) == np.argmax(b, axis=1)
+        la = a - a.max(axis=1, keepdims=True)
+        lb = b - b.max(axis=1, keepdims=True)
+        logp = la - np.log(np.exp(la).sum(axis=1, keepdims=True))
+        logq = lb - np.log(np.exp(lb).sum(axis=1, keepdims=True))
+        p = np.exp(logp)
+        return match, np.maximum(np.sum(p * (logp - logq), axis=1), 0.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, ARGMAX_ROWS - 1, ARGMAX_ROWS, ARGMAX_ROWS + 1, 3 * ARGMAX_ROWS + 5]),
+        vocab=st.sampled_from([2, 5, 37, 250, 256]),
+        scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_match_the_unblocked_formula(self, n, vocab, scale, seed):
+        # b is a perturbed a, so KL runs from exactly 0 (scale 0) to large
+        rng = np.random.Generator(np.random.PCG64(seed))
+        a = 4.0 * rng.normal(size=(n, vocab))
+        b = a + scale * rng.normal(size=(n, vocab))
+        a0, b0 = a.copy(), b.copy()
+        div = output_divergence(a, b)
+        match, kl = self.unblocked(a0, b0)
+        assert np.array_equal(div.top1_match, match)
+        assert np.array_equal(div.kl, kl)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+    def test_peak_below_one_logit_array(self):
+        # the unblocked formula held about six (T, vocab) float64 temporaries (24 MB here)
+        rng = np.random.Generator(np.random.PCG64(8))
+        a, b = rng.normal(size=(2, 2048, 256))
+        peak = peak_bytes(lambda: output_divergence(a, b))
+        assert peak < a.nbytes, f"output_divergence peaked at {peak} bytes, one input is {a.nbytes}"
 
 
 class TestCompressionCurve:

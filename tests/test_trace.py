@@ -83,18 +83,18 @@ class TestRecord:
         assert len(text) < 10_000
 
     def test_record_holds_one_payload(self, small_model):
-        # beside what a one-token decode holds: the payload, one chunk's float64 rows and the
-        # per-step views; a second copy of the payload, or float64 rows for every step, would peak above it
+        # beside what a decode in `RECORD_CHUNK` chunks holds, as record decodes: the payload and a
+        # margin of payload // 8 for the per-step views; a second copy of the payload, or float64 rows
+        # for every step, would peak above it
         tokens = seeded_tokens(6, 150)
         payload = trace_byte_size(2, 4, 16, 150) - 60 - 4 * 150 - 8
-        chunk_rows = RECORD_CHUNK * 2 * 4 * 150 * 8
 
         def decode():
             state = small_model.init_state(Full())
-            for tok in tokens:
-                small_model.decode_step(state, int(tok))
+            for a in range(0, tokens.size, RECORD_CHUNK):
+                small_model.decode_step(state, tokens[a : a + RECORD_CHUNK])
 
-        bound = peak_bytes(decode) + payload + chunk_rows + payload // 2
+        bound = peak_bytes(decode) + payload + payload // 8
         peak = peak_bytes(lambda: record(small_model, tokens))
         assert peak < bound, f"record peaked at {peak} bytes, bound {bound} for a {payload}-byte payload"
 

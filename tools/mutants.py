@@ -256,6 +256,20 @@ MUTANTS = [
         ("tests/test_analysis.py::TestRecentSimilarityFraction",),
     ),
     Mutant(
+        "divergence skips the last partial block",
+        "analysis.py",
+        "for s in range(0, n, ARGMAX_ROWS):",
+        "for s in range(0, n - n % ARGMAX_ROWS, ARGMAX_ROWS):",
+        ("tests/test_analysis.py::TestOutputDivergence",),
+    ),
+    Mutant(
+        "divergence takes one max over the whole block",
+        "analysis.py",
+        "x.max(axis=1, keepdims=True)",
+        "x.max(keepdims=True)",
+        ("tests/test_analysis.py::TestOutputDivergence",),
+    ),
+    Mutant(
         "token ids converted to int64 before the range check",
         "manifest.py",
         "ids = [int(p) for p in parts]",
