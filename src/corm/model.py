@@ -241,10 +241,17 @@ def _draw(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.
     return (rng.standard_normal(shape) * scale).astype(np.float32).astype(np.float64)
 
 
+def token_ids(tokens) -> np.ndarray:
+    """`tokens` as an int64 array; ValueError names the dtype of non-empty ones that are not integers (nor bool)."""
+    ids = np.asarray(tokens)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
 def _layer_rows(scores: np.ndarray, step: int, sizes: Sequence[int], group: int) -> list[AttentionRow]:
-    # one row per query head of a (kv_heads, group, m) softmax block, over its
-    # kv head's entries; softmax output is finite, in [0, 1] and normalized
-    return [AttentionRow(step, scores[hk, g, :s], validated=True) for hk, s in enumerate(sizes) for g in range(group)]
+    # one row per query head of a (kv_heads, group, m) softmax block, over its kv head's entries
+    return [AttentionRow(step, scores[hk, g, :s]) for hk, s in enumerate(sizes) for g in range(group)]
 
 
 class ToyTransformer:
@@ -397,7 +404,7 @@ class ToyTransformer:
         with the bits of n one-token calls.
         """
         c = self.config
-        tokens = np.array(tokens, dtype=np.int64, ndmin=1)
+        tokens = np.atleast_1d(token_ids(tokens))
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("a decode chunk must be a non-empty 1-D sequence of token ids")
         n = tokens.size
@@ -413,7 +420,7 @@ class ToyTransformer:
         the bits of a token-by-token pass (module docstring); the state
         records every step's cache sizes (`DecoderState.step_sizes`).
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = token_ids(tokens)
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("token sequence must be non-empty")
         state = self.init_state(policy)
@@ -457,7 +464,7 @@ class ToyTransformer:
 
     def perplexity(self, tokens: Sequence[int], policy: Policy) -> float:
         """exp(mean next-token NLL), teacher-forced, eviction active as in generation."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = token_ids(tokens)
         if tokens.size < 2:
             raise ValueError("perplexity needs at least 2 tokens")
         logits = self.run(tokens, policy).logits[:-1]
@@ -479,7 +486,7 @@ class ToyTransformer:
         equivalence oracle for Full-policy decoding.
         """
         c = self.config
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = token_ids(tokens)
         T = tokens.size
         if np.any(tokens < 0) or np.any(tokens >= c.vocab_size):
             raise ValueError("token id outside vocabulary")

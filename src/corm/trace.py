@@ -8,10 +8,10 @@ before and after a save and load. It is valid by construction: building one
 checks its header fields, its tokens against the vocabulary, the payload's
 dtype, rank and length, and every step's rows (finite, within [0, 1],
 summing to 1 in float64) and queries (not all zero), once. Rows and queries
-are checked over spans of steps, a few reductions per span; a span that may
-hold a fault goes through the step-by-step check, which decides every step
-and words every error. `record` and `load` both build a trace through that
-check, so nothing downstream checks a row again.
+are checked span by span in one exact pass, a few reductions per span,
+which decides every step and words every error as a step-by-step check
+would. `record` and `load` both build a trace through it, so nothing
+downstream checks a row again.
 
 Replaying a trace (`replay_policy`) steps a `PolicySimulator`, which drives
 a policy's bookkeeping offline: at each step the recorded row is restricted
@@ -75,8 +75,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .attention import RANGE_TOL, SUM_TOL, check_score_rows
-from .model import StepResult, ToyTransformer
+from .model import StepResult, ToyTransformer, token_ids
 from .policies import Full, KvCacheState, Policy, apply_policy
 from .positional import PE_KINDS, PeConfig, Rope
 
@@ -111,14 +110,13 @@ DEFAULT_BYTE_CAP = 512 * 1024 * 1024
 # 44.8-44.9, 45.2-45.3, 45.3-45.4, 45.0 and 46.6 MB. 32 is the largest chunk
 # whose record phase stays below the pass's peak.
 RECORD_CHUNK = 32
-# Float64 bytes one span of the construction check converts at once (`_check_spans`). On the
-# box above, 256 KiB spans checked the 512-token trace in 2.9-3.2 ms, against 6.6-7.7 ms step
-# by step; 1 MiB spans took 2.4 ms but raised record's tracemalloc peak on a 150-step trace by
-# 0.46 MB, above what decoding one chunk holds.
+# Float64 bytes one span of the construction check (`_check_span`) converts at once
+# (`_check_spans`). On the box above, 256 KiB spans checked the 512-token trace in 2.9-3.2 ms,
+# against 6.6-7.7 ms step by step; 1 MiB spans took 2.4 ms but raised record's tracemalloc peak
+# on a 150-step trace by 0.46 MB, above what decoding one chunk holds.
 CHECK_SPAN_BYTES = 1 << 18
-# How far inside 1 +- SUM_TOL a span's row sums must lie to pass without the step-by-step check.
-# The two sums differ by at most about t * 1.1e-16 for rows of t float32 values.
-_SUM_MARGIN = 1e-9
+SUM_TOL = 1e-6  # how far a normalized row's sum may lie from 1
+RANGE_TOL = 1e-12  # how far a normalized row's entry may lie outside [0, 1]
 # magic, version, then TraceMeta's fields in declaration order (pe_kind as its wire id), then n_steps
 _HEAD_FMT = "<8sIIIIIIIIdQI"
 _HEAD_FIXED = struct.calcsize(_HEAD_FMT)  # 60
@@ -204,13 +202,12 @@ class AttentionTrace:
     or step: the header fields (`TraceMeta`), a token outside the
     vocabulary, a payload that is not a C-contiguous `<f4` array of the
     file's length (nothing is converted), a step whose rows are not
-    normalized (`check_score_rows`), or an all-zero query vector, whose
-    cosine similarity is undefined. Steps are checked a span at a time
-    (`_clearly_valid`); only a span that may hold a fault is checked step
-    by step (`_check_step`), so the error and the step it names are the
-    first a step-by-step check finds. The trace stores tokens
-    and payload read-only, copying either if it was writeable or a view of
-    a writeable array, so it stays valid and replay and analysis read its
+    normalized, or an all-zero query vector, whose cosine similarity is
+    undefined. Steps are checked a span at a time in one exact pass
+    (`_check_span`), which raises the error, and names the step, that a
+    step-by-step check would find first. The trace stores tokens and
+    payload read-only, copying either if it was writeable or a view of a
+    writeable array, so it stays valid and replay and analysis read its
     rows, the payload's per-step views, unchecked.
     """
 
@@ -223,7 +220,7 @@ class AttentionTrace:
 
     def __post_init__(self) -> None:
         m = self.meta
-        tokens = _read_only(np.asarray(self.tokens, dtype=np.int64))
+        tokens = _read_only(token_ids(self.tokens))
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("trace tokens must be a non-empty 1-D sequence")
         if not (tokens.min() >= 0 and tokens.max() < m.vocab_size):
@@ -238,25 +235,14 @@ class AttentionTrace:
         payload = _read_only(p)
         blocks = list(_step_blocks(payload, m.n_layers, m.n_heads, m.d_h, tokens.size))
         heads = m.n_layers * m.n_heads
-        for first, stop in _check_spans(heads, m.d_h, tokens.size):
-            span = payload[_payload_floats(heads, 1, m.d_h, first - 1) : _payload_floats(heads, 1, m.d_h, stop - 1)]
-            if not _clearly_valid(span, first, stop, heads, m.d_h):
-                # the step-by-step check raises the first fault, naming its step, or passes a span near an edge
-                for t in range(first, stop):
-                    self._check_step(t, blocks[t - 1])
+        with np.errstate(invalid="ignore"):  # a row holding both infinities sums to NaN, which the range check refuses
+            for first, stop in _check_spans(heads, m.d_h, tokens.size):
+                span = payload[_payload_floats(heads, 1, m.d_h, first - 1) : _payload_floats(heads, 1, m.d_h, stop - 1)]
+                _check_span(span, first, stop, m.n_heads, heads, m.d_h)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "rows", tuple(block[:, :, :t] for t, block in enumerate(blocks, start=1)))
         object.__setattr__(self, "queries", tuple(block[:, :, t:] for t, block in enumerate(blocks, start=1)))
-
-    @staticmethod
-    def _check_step(t: int, block: np.ndarray) -> None:
-        """Raise ValueError unless step t's (n_layers, n_heads, t + d_h) block has normalized rows, nonzero queries."""
-        check_score_rows(block[:, :, :t].astype(np.float64))
-        nonzero = block[:, :, t:].any(axis=2)
-        if not nonzero.all():
-            layer, head = np.argwhere(~nonzero)[0]
-            raise ValueError(f"step {t}, layer {layer}, head {head}: zero query vector (cosine undefined)")
 
     @property
     def n_steps(self) -> int:
@@ -279,29 +265,47 @@ def _check_spans(heads: int, d_h: int, n_steps: int) -> Iterator[tuple[int, int]
     yield first, n_steps + 1
 
 
-def _clearly_valid(span: np.ndarray, first: int, stop: int, heads: int, d_h: int) -> bool:
-    """Whether every step of a payload span, steps first..stop-1, passes `AttentionTrace._check_step` clearly.
+def _span_reductions(span: np.ndarray, first: int, stop: int, heads: int, d_h: int) -> tuple[np.ndarray, ...]:
+    """Each row's min, max and sum and each query's min and max over a payload span, steps first..stop-1.
 
-    Converts the span to float64 once and reduces each row and each query
-    vector in one `reduceat` per reduction. True when the rows lie within
-    [0, 1] (by `RANGE_TOL`, as `check_score_rows` decides), their sums lie
-    more than `_SUM_MARGIN` inside 1 +- `SUM_TOL`, and no query vector is
-    all zeros. False when any step may fail, including a sum too near an
-    edge for these sums, which differ from `check_score_rows`' in the last
-    bits, to decide.
+    Each is one `reduceat` over the span in float64, in payload order; a row's sum has `sum(axis=-1)`'s bits.
     """
-    x = span.astype(np.float64)
     lengths = np.repeat(np.arange(first, stop), heads)  # each row's length, in payload order
-    starts = np.cumsum(lengths + d_h) - (lengths + d_h)
+    starts = np.cumsum(lengths + d_h) - (lengths + d_h) + 1  # each row's start in x, behind a leading slot
+    x = np.concatenate([np.zeros(1), span])  # the span in float64, behind a leading slot
     edges = np.stack([starts, starts + lengths], axis=1).ravel()  # each row's start, then its query's
     lo, hi = np.minimum.reduceat(x, edges), np.maximum.reduceat(x, edges)
-    if not (lo[0::2].min() >= -RANGE_TOL and hi[0::2].max() <= 1.0 + RANGE_TOL):
-        return False
-    sums = np.add.reduceat(x, edges)[0::2]
-    # a query is zero when its min and max are; a NaN, like `any`, counts as nonzero
-    zero_query = (lo[1::2] == 0.0) & (hi[1::2] == 0.0)
-    inside = SUM_TOL - _SUM_MARGIN
-    return bool(sums.min() >= 1.0 - inside and sums.max() <= 1.0 + inside and not zero_query.any())
+    # `reduceat` adds a segment's rest pairwise to its first value, `sum(axis=-1)` a whole row pairwise to 0,
+    # and the last bits differ for about one peaked row in three: each row's sum starts at a zero just ahead
+    x[starts - 1] = 0.0
+    edges[0::2] -= 1
+    return lo[0::2], hi[0::2], np.add.reduceat(x, edges)[0::2], lo[1::2], hi[1::2]
+
+
+def _check_span(span: np.ndarray, first: int, stop: int, n_heads: int, heads: int, d_h: int) -> None:
+    """Raise ValueError unless each step of a payload span, steps first..stop-1, has normalized rows, nonzero queries.
+
+    The reductions are exact, so the span passes exactly when each step would. Otherwise the first failing step
+    raises its first failing check's error: a row outside [0, 1] by `RANGE_TOL` ("NaN or Inf" if one is not
+    finite), then the row sum farthest from 1 by more than `SUM_TOL`, then the first all-zero query.
+    """
+    lo, hi, sums, q_lo, q_hi = _span_reductions(span, first, stop, heads, d_h)
+    zero_query = (q_lo == 0.0) & (q_hi == 0.0)  # a NaN, like `any`, counts as nonzero
+    in_range = lo.min() >= -RANGE_TOL and hi.max() <= 1.0 + RANGE_TOL
+    if in_range and sums.min() >= 1.0 - SUM_TOL and sums.max() <= 1.0 + SUM_TOL and not zero_query.any():
+        return
+    lo, hi, sums, zero_query = (a.reshape(stop - first, heads) for a in (lo, hi, sums, zero_query))
+    out_of_range = ~((lo >= -RANGE_TOL) & (hi <= 1.0 + RANGE_TOL))
+    off = ~((sums >= 1.0 - SUM_TOL) & (sums <= 1.0 + SUM_TOL))
+    i = int(np.argmax((out_of_range | off | zero_query).any(axis=1)))  # the first failing step, first + i
+    if out_of_range[i].any():
+        finite = np.isfinite(lo[i]).all() and np.isfinite(hi[i]).all()
+        raise ValueError("scores must lie in [0, 1]" if finite else "scores contain NaN or Inf")
+    if off[i].any():
+        total = float(sums[i, np.argmax(np.abs(sums[i] - 1.0))])
+        raise ValueError(f"scores sum to {total}, expected 1 within {SUM_TOL}")
+    layer, head = divmod(int(np.argmax(zero_query[i])), n_heads)
+    raise ValueError(f"step {first + i}, layer {layer}, head {head}: zero query vector (cosine undefined)")
 
 
 def _payload_floats(n_layers: int, n_heads: int, d_h: int, n_steps: int) -> int:
@@ -328,7 +332,7 @@ def record(
     `astype` rounds. The trace keeps that payload without a copy.
     """
     c = model.config
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = token_ids(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError("token sequence must be non-empty")
     need = trace_byte_size(c.n_layers, c.n_heads, c.d_h, int(tokens.size))

@@ -19,7 +19,7 @@ from corm.attention import softmax_normalize
 from corm.model import ModelConfig, init_model
 from corm.policies import H2O, Corm, CormGqa, Full, Policy, Scissorhands, StreamingLlm, Tova
 from corm.positional import PE_KINDS
-from corm.trace import AttentionTrace, PolicySimulator, TraceMeta
+from corm.trace import RANGE_TOL, SUM_TOL, AttentionTrace, PolicySimulator, TraceMeta
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -108,6 +108,27 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def check_score_rows(scores: np.ndarray) -> None:
+    """Raise ValueError unless every row of `scores` (..., n) is a normalized row.
+
+    A row is valid when its entries are finite and within [0, 1] (by
+    `RANGE_TOL`) and they sum to 1 within `SUM_TOL`. The step-by-step
+    reference for a trace's span-wise construction check: one call checks
+    one step's float64 rows.
+    """
+    # NaN fails both comparisons and an infinity fails one, so valid blocks
+    # pass on min and max alone; the error path then names the fault.
+    if not (scores.min() >= -RANGE_TOL and scores.max() <= 1.0 + RANGE_TOL):
+        if not np.isfinite(scores).all():
+            raise ValueError("scores contain NaN or Inf")
+        raise ValueError("scores must lie in [0, 1]")
+    totals = scores.sum(axis=-1)
+    if not (totals.min() >= 1.0 - SUM_TOL and totals.max() <= 1.0 + SUM_TOL):
+        totals = np.ravel(totals)
+        total = float(totals[np.argmax(np.abs(totals - 1.0))])
+        raise ValueError(f"scores sum to {total}, expected 1 within {SUM_TOL}")
 
 
 def trace_of(rows, queries=None, d_h: int = 4, seed: int = 0) -> AttentionTrace:

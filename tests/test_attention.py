@@ -9,7 +9,6 @@ from corm.attention import (
     AttentionRow,
     attend_position,
     attention_output,
-    check_score_rows,
     cosine_similarity,
     scaled_dot_scores,
     softmax_normalize,
@@ -162,20 +161,6 @@ class TestAttentionOutput:
             attention_output([0.5, 0.5], [[1.0], [1.0], [1.0]])
 
 
-class TestAttentionRow:
-    def test_validates_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            AttentionRow(step=1, scores=np.array([0.4, 0.4]))
-
-    def test_validates_step(self):
-        with pytest.raises(ValueError, match="step"):
-            AttentionRow(step=0, scores=np.array([1.0]))
-
-    def test_validates_range(self):
-        with pytest.raises(ValueError):
-            AttentionRow(step=1, scores=np.array([1.5, -0.5]))
-
-
 class TestHeadBatching:
     """A leading head axis gives every head the exact bits of one-head math."""
 
@@ -196,15 +181,6 @@ class TestHeadBatching:
                 assert np.array_equal(logits[i, j], ref_logits)
                 assert np.array_equal(scores[i, j], ref_scores)
                 assert np.array_equal(out[i, j], ref_scores @ values[i, 0])
-
-    def test_block_rows_checked_once_with_row_messages(self):
-        block = np.full((2, 4), 0.25)
-        check_score_rows(block)
-        for value, message in ((0.5, "sum to 1.25"), (np.nan, "NaN or Inf"), (-0.5, r"\[0, 1\]")):
-            bad = block.copy()
-            bad[1, 0] = value
-            with pytest.raises(ValueError, match=message):
-                check_score_rows(bad)
 
 
 def runs_of(sizes):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_tokens
+from conftest import make_synthetic_trace, seeded_tokens
 from corm.analysis import write_json
 from corm.attention import softmax_normalize
 from corm.model import (
@@ -25,6 +25,7 @@ from corm.model import (
 from corm.policies import POLICIES, Corm, CormGqa, Full, Tova, parse_policy
 from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.schema import to_json
+from corm.trace import AttentionTrace, record
 
 BASE = dict(n_layers=2, n_heads=4, d_model=64, vocab_size=256)
 
@@ -628,6 +629,41 @@ class TestErrorsMatchTokenByToken:
         tokens[bad_at] = 256
         with pytest.raises(ValueError, match=message):
             init_model(self.LEARNED).run(tokens, Full())
+
+
+def call_with_tokens(entry: str, tokens):
+    """Pass `tokens` to one of the six entry points that take token ids, on a 1L/2H/d8 model or a 3-step trace."""
+    model = init_model(ModelConfig(n_layers=1, n_heads=2, d_model=8, vocab_size=16, seed=0))
+    if entry == "run":
+        return model.run(tokens, Full()).logits
+    if entry == "forward_full_sequence":
+        return model.forward_full_sequence(tokens)
+    if entry == "decode_step":
+        return model.decode_step(model.init_state(Full()), tokens).logits
+    if entry == "perplexity":
+        return model.perplexity(tokens, Full())
+    if entry == "record":
+        return record(model, tokens).tokens
+    trace = make_synthetic_trace(n_steps=3)
+    return AttentionTrace(trace.meta, tokens, trace.payload).tokens
+
+
+@pytest.mark.parametrize("entry", ["run", "forward_full_sequence", "decode_step", "perplexity", "record", "AttentionTrace"])
+def test_token_ids_of_a_non_integer_dtype_are_refused_not_truncated(entry):
+    for tokens, dtype in (
+        ([1.7, 2.2, 3.9], "float64"),
+        ([True, False, True], "bool"),
+        (np.array([1.0, 2.0, 3.0], dtype=np.float32), "float32"),
+    ):
+        with pytest.raises(ValueError, match=rf"^token ids must be integers, got dtype {dtype}$"):
+            call_with_tokens(entry, tokens)
+    if entry == "decode_step":
+        with pytest.raises(ValueError, match=r"^token ids must be integers, got dtype float64$"):
+            call_with_tokens(entry, 2.9)
+        np.testing.assert_array_equal(call_with_tokens(entry, np.int32(2)), call_with_tokens(entry, 2))
+    expect = call_with_tokens(entry, [1, 2, 3])
+    for ints in (np.array([1, 2, 3], dtype=np.uint8), [np.int64(1), 2, np.int16(3)]):
+        np.testing.assert_array_equal(call_with_tokens(entry, ints), expect)
 
 
 def gelu_with_power(x: np.ndarray) -> np.ndarray:

@@ -226,26 +226,26 @@ def test_trace_save_and_load_list_no_header_fields():
     assert listed <= {"pe_kind", "n_layers", "n_heads", "d_h"}, f"save and load name {sorted(listed)}"
 
 
-def test_rows_checked_only_by_attention_and_trace_construction():
+def test_rows_checked_only_by_trace_construction():
     # a trace checks its rows once, when it is built, so replay and analysis
-    # read them unchecked: no other code calls the row check
+    # read them unchecked: only `AttentionTrace.__post_init__` calls the span check
     found = []
     for path in SOURCES:
-        if path.name == "attention.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = {
             id(node)
             for top in tree.body
             if path.name == "trace.py" and isinstance(top, ast.ClassDef) and top.name == "AttentionTrace"
-            for node in ast.walk(top)
+            for method in top.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+            for node in ast.walk(method)
         }
         found += [
             f"{path.name}:{node.lineno}: {ast.unparse(node)}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "check_score_rows" in _names(node.func) and id(node) not in allowed
+            if isinstance(node, ast.Call) and "_check_span" in _names(node.func) and id(node) not in allowed
         ]
-    assert not found, f"rows checked outside AttentionTrace: {', '.join(found)}"
+    assert not found, f"rows checked outside AttentionTrace.__post_init__: {', '.join(found)}"
 
 
 def test_only_replay_totals_loop_over_equal_size_runs():
@@ -361,3 +361,27 @@ def test_a_pythonpath_corm_that_is_not_imported_is_named(tmp_path):
     assert foreign_corm(os.pathsep.join(entries[:2]), imported) is None
     assert foreign_corm(os.pathsep.join(entries), imported) == (tmp_path / "b" / "corm").resolve()
     assert foreign_corm("", imported) is None
+
+
+def test_every_mutant_is_one_edit_of_the_source_with_tests_that_exist(monkeypatch):
+    # `tools/mutants.py` runs outside tier-1; here its list is held to what the runner needs:
+    # unique names, a real edit, an old text it finds exactly once, and test files that exist
+    import importlib.util
+    import sys
+
+    root = Path(__file__).resolve().parents[1]  # the checkout the runner copies `src` from
+    spec = importlib.util.spec_from_file_location("mutants_under_test", root / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mutants)  # its dataclass looks its module up while it is built
+    spec.loader.exec_module(mutants)
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names), f"mutant names repeat: {sorted(n for n in names if names.count(n) > 1)}"
+    problems = []
+    for m in mutants.MUTANTS:
+        if m.old == m.new:
+            problems.append(f"{m.name}: old and new text are equal")
+        count = (root / "src" / "corm" / m.path).read_text().count(m.old)
+        if count != 1:
+            problems.append(f"{m.name}: old text occurs {count} times in {m.path}")
+        problems += [f"{m.name}: no test file {t}" for t in m.tests if not (root / t.split("::")[0]).is_file()]
+    assert not problems, "; ".join(problems)

@@ -6,10 +6,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corm.trace as trace_mod
 from conftest import (
     README_EXAMPLES,
+    check_score_rows,
     make_synthetic_trace,
     peak_bytes,
     replay_steps,
@@ -19,12 +22,13 @@ from conftest import (
     write_trace_file,
 )
 from corm.analysis import sparsity_profile
-from corm.attention import SUM_TOL, check_score_rows
 from corm.model import ModelConfig, init_model
 from corm.policies import H2O, POLICIES, Corm, CormGqa, Full, Scissorhands, StreamingLlm, Tova, apply_policy
 from corm.positional import PE_KINDS, AbsoluteLearned, AbsoluteSinusoidal, Alibi, NoPositional, Rope
 from corm.trace import (
+    RANGE_TOL,
     RECORD_CHUNK,
+    SUM_TOL,
     PolicySimulator,
     TraceChecksumError,
     TraceError,
@@ -522,6 +526,7 @@ class TestSpanCheck:
         "fault,message",
         [
             ("nan", r"scores contain NaN or Inf"),
+            ("infinities", r"scores contain NaN or Inf"),
             ("below_zero", r"scores must lie in \[0, 1\]"),
             ("above_one", r"scores must lie in \[0, 1\]"),
             ("sum_off_2e-6", r"scores sum to 1\.00000(19|20)\d*, expected 1 within 1e-06"),
@@ -535,6 +540,8 @@ class TestSpanCheck:
         row = rows[t - 1][1, 0]
         if fault == "nan":
             row[t // 2] = np.nan
+        elif fault == "infinities":
+            row[:2] = np.inf, -np.inf  # the row sums to NaN, raising no floating-point error
         elif fault == "below_zero":
             row[0] = -0.25
         elif fault == "above_one":
@@ -546,7 +553,7 @@ class TestSpanCheck:
             queries[t - 1][1, 1] = 0.0
         if t < self.N_STEPS:
             queries[-1][0, 0] = 0.0  # a later fault, which must not be the one reported
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(ValueError) as err, np.errstate(all="raise"):
             trace_of(rows, queries)
         assert str(err.value) == stepwise_error(rows, queries)
         assert re.fullmatch(message.format(t=t), str(err.value))
@@ -560,9 +567,6 @@ class TestSpanCheck:
             (1.0 - SUM_TOL, True),
             (np.nextafter(1.0 - SUM_TOL, 0.0), False),
             (np.nextafter(1.0 - SUM_TOL, 2.0), True),
-            # where a span's sums stop passing without the step-by-step check
-            (1.0 + SUM_TOL - trace_mod._SUM_MARGIN, True),
-            (1.0 - SUM_TOL + trace_mod._SUM_MARGIN, True),
         ],
     )
     def test_a_row_sum_at_the_tolerance_edge_is_decided_stepwise(self, spans, total, valid):
@@ -577,6 +581,94 @@ class TestSpanCheck:
         else:
             with pytest.raises(ValueError, match=r"scores sum to "):
                 trace_of(rows, queries)
+
+    @staticmethod
+    def float32_either_side(x: float) -> tuple[np.float32, np.float32]:
+        """The greatest float32 below `x` and the least float32 at or above it, compared in float64."""
+        near = np.float32(x)
+        if float(near) < x:
+            return near, np.nextafter(near, np.float32(np.inf))
+        return np.nextafter(near, np.float32(-np.inf)), near
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("edge", ["zero", "one"])
+    def test_an_entry_at_the_range_edge_is_decided_stepwise(self, spans, edge, side):
+        # -RANGE_TOL and 1 + RANGE_TOL as a float32 payload holds them: the float32 values
+        # either side of -1e-12, and 1.0 against the least float32 above it
+        if edge == "zero":
+            value = self.float32_either_side(-RANGE_TOL)[side == "above"]
+        else:
+            value = np.float32(1.0) if side == "below" else np.nextafter(np.float32(1.0), np.float32(2.0))
+        valid = (edge == "zero") == (side == "above")
+        rows = [np.full((2, 2, t), 1.0 / t, dtype=np.float32) for t in range(1, self.N_STEPS + 1)]
+        for t in (3, spans[1][1] - 1, self.N_STEPS):
+            row = rows[t - 1][0, 1]
+            row[:] = 0.0
+            row[0] = value
+            row[1] = 1.0 if edge == "zero" else 0.0  # the row sums to 1 within SUM_TOL either way
+        queries = [np.ones((2, 2, 4), dtype=np.float32)] * self.N_STEPS
+        assert (stepwise_error(rows, queries) is None) == valid
+        if valid:
+            trace_of(rows, queries)
+        else:
+            with pytest.raises(ValueError) as err:
+                trace_of(rows, queries)
+            assert str(err.value) == stepwise_error(rows, queries) == "scores must lie in [0, 1]"
+
+    def test_a_range_fault_outranks_an_earlier_rows_sum_fault(self, spans):
+        # within one step the range is checked first, over all its rows
+        t = spans[1][0] + 1
+        rows, queries = synthetic_blocks(n_layers=2, n_heads=2, n_steps=self.N_STEPS, seed=t)
+        rows[t - 1][0, 0] *= 0.5
+        rows[t - 1][1, 1, t // 2] = np.nan
+        with pytest.raises(ValueError) as err:
+            trace_of(rows, queries)
+        assert str(err.value) == stepwise_error(rows, queries) == "scores contain NaN or Inf"
+
+    def test_the_row_sum_farthest_from_one_is_named(self, spans):
+        # two off sums in one step: the second lies farther from 1, so it is the one named
+        t = spans[1][0] + 1
+        rows = [np.full((2, 2, t), 1.0 / t, dtype=np.float32) for t in range(1, self.N_STEPS + 1)]
+        near, far = 1.0 + 3e-6, 1.0 - 5e-6
+        for (layer, head), total in (((0, 1), near), ((1, 0), far)):
+            rows[t - 1][layer, head, :3] = row_summing_to(total)
+            rows[t - 1][layer, head, 3:] = 0.0
+        queries = [np.ones((2, 2, 4), dtype=np.float32)] * self.N_STEPS
+        with pytest.raises(ValueError) as err:
+            trace_of(rows, queries)
+        assert str(err.value) == stepwise_error(rows, queries) == f"scores sum to {far}, expected 1 within {SUM_TOL}"
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n_layers=st.integers(1, 3),
+        n_heads=st.integers(1, 3),
+        d_h=st.integers(1, 8),
+        first=st.one_of(st.integers(1, 64), st.integers(8000, 20000)),
+        n_steps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_layers=2, n_heads=2, d_h=4, first=8193, n_steps=2, seed=0)
+    def test_span_reductions_equal_the_stepwise_ones_bit_for_bit(self, n_layers, n_heads, d_h, first, n_steps, seed):
+        # the fact an exact span check rests on: a row's reduceat sum has the bits of
+        # check_score_rows' sum(axis=-1) over its step's float64 rows, rows over 8192 values included
+        rng = np.random.Generator(np.random.PCG64(seed))
+        steps = range(first, first + n_steps)
+        blocks = []
+        for t in steps:
+            logits = rng.normal(size=(n_layers, n_heads, t)) * rng.uniform(0.1, 20.0)
+            scores = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            scores /= scores.sum(axis=-1, keepdims=True)
+            blocks.append(np.concatenate([scores, rng.normal(size=(n_layers, n_heads, d_h))], axis=2).astype("<f4"))
+        span = np.concatenate([b.ravel() for b in blocks])
+        got = trace_mod._span_reductions(span, first, first + n_steps, n_layers * n_heads, d_h)
+        rows = [b[:, :, :t].astype(np.float64) for t, b in zip(steps, blocks)]
+        queries = [b[:, :, t:].astype(np.float64) for t, b in zip(steps, blocks)]
+        expect = [
+            np.concatenate([getattr(a, f)(axis=-1).ravel() for a in arrays])  # as check_score_rows sums
+            for arrays, f in ((rows, "min"), (rows, "max"), (rows, "sum"), (queries, "min"), (queries, "max"))
+        ]
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape and np.array_equal(g, e)
 
     def test_record_writes_one_payload_whatever_the_chunk(self, small_model, monkeypatch):
         tokens = seeded_tokens(7, 70)
@@ -609,33 +701,28 @@ class TestReplayRowChecks:
             tr.rows[4] *= 0.5
 
     def test_load_checks_each_step_once_and_replay_never(self, small_model, small_trace, tmp_path, monkeypatch):
-        # a valid trace's steps are checked in spans, each step in one; none needs the step-by-step check
-        checked, stepped = [], []
-        real_span, real_rows = trace_mod._clearly_valid, trace_mod.check_score_rows
+        # a trace's steps are checked in spans, each step in exactly one
+        checked = []
+        real_span = trace_mod._check_span
 
-        def counting_span(span, first, stop, heads, d_h):
+        def counting_span(span, first, stop, *shape):
             checked.extend(range(first, stop))
-            return real_span(span, first, stop, heads, d_h)
+            real_span(span, first, stop, *shape)
 
-        def counting_rows(rows):
-            stepped.append(rows.shape)
-            real_rows(rows)
-
-        monkeypatch.setattr(trace_mod, "_clearly_valid", counting_span)
-        monkeypatch.setattr(trace_mod, "check_score_rows", counting_rows)
+        monkeypatch.setattr(trace_mod, "_check_span", counting_span)
         monkeypatch.setattr(trace_mod, "CHECK_SPAN_BYTES", 4096)  # spans of one to three steps
         path = tmp_path / "t.trc"
         save(small_trace, path)
         assert checked == []
         trace = load(path)
-        assert checked == list(range(1, trace.n_steps + 1)) and stepped == []
+        assert checked == list(range(1, trace.n_steps + 1))
         checked.clear()
         record(small_model, seeded_tokens(1, 8))
-        assert checked == list(range(1, 9)) and stepped == []
+        assert checked == list(range(1, 9))
         for name, (_, policy) in README_EXAMPLES.items():
             checked.clear()
             replay_policy(trace, policy)
-            assert checked == [] and stepped == [], f"replay under {name} checked rows again"
+            assert checked == [], f"replay under {name} checked rows again"
 
     def test_restricted_row_without_mass_rejected_without_nan(self):
         # streaming:1+1 keeps positions 1 and 3 after step 3; step 4's row

@@ -242,10 +242,46 @@ MUTANTS = [
         ("tests/test_trace.py::TestSpanCheck",),
     ),
     Mutant(
-        "span check passes a row sum 2e-6 off",
+        "span check refuses a row sum at the tolerance edge",
         "trace.py",
-        "_SUM_MARGIN = 1e-9\n",
-        "_SUM_MARGIN = -2e-6\n",
+        "sums.max() <= 1.0 + SUM_TOL and",
+        "sums.max() < 1.0 + SUM_TOL and",
+        ("tests/test_trace.py::TestSpanCheck",),
+    ),
+    Mutant(
+        "span sums start from each row's first value",
+        "trace.py",
+        # the segments are the rows again, whose sums then differ from sum(axis=-1) in the last bits
+        "    edges[0::2] -= 1\n",
+        "",
+        ("tests/test_trace.py::TestSpanCheck::test_span_reductions_equal_the_stepwise_ones_bit_for_bit",),
+    ),
+    Mutant(
+        "span check lets a row holding both infinities raise a floating-point error",
+        "trace.py",
+        'with np.errstate(invalid="ignore"):',
+        "with np.errstate():",
+        ("tests/test_trace.py::TestSpanCheck",),
+    ),
+    Mutant(
+        "span check names the first off sum, not the farthest",
+        "trace.py",
+        "sums[i, np.argmax(np.abs(sums[i] - 1.0))]",
+        "sums[i, np.argmax(off[i])]",
+        ("tests/test_trace.py::TestSpanCheck",),
+    ),
+    Mutant(
+        "zero query's layer and head divide by layers x heads",
+        "trace.py",
+        "divmod(int(np.argmax(zero_query[i])), n_heads)",
+        "divmod(int(np.argmax(zero_query[i])), heads)",
+        ("tests/test_trace.py::TestSpanCheck",),
+    ),
+    Mutant(
+        "span check tests a step's sums before its range",
+        "trace.py",
+        "if out_of_range[i].any():",
+        "if out_of_range[i].any() and not off[i].any():",
         ("tests/test_trace.py::TestSpanCheck",),
     ),
     Mutant(
